@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_ablation`
 
-use bench::Table;
+use bench::{Args, Table};
 use counting::{
     counting_depth, counting_network, counting_network_bitonic_merger, counting_network_no_ladder,
 };
@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).flag("--quick");
     let w = 16usize;
     let n = 8 * w;
     let tokens_per_process: u64 = if quick { 10 } else { 60 };

@@ -6,12 +6,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_blocks`
 
-use bench::Table;
+use bench::{Args, Table};
 use counting::{block_of_layer, counting_network, BlockKind};
 use counting_sim::{measure_contention, SchedulerKind};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).flag("--quick");
     let w = 16usize;
     let n = 8 * w;
     let tokens_per_process: u64 = if quick { 10 } else { 60 };

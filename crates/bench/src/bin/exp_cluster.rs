@@ -24,7 +24,8 @@
 //! [-- --quick] [--json <path>] [--seed <u64>] [--mutation <flag>]
 //! [--trace-dir <dir>]`
 
-use bench::Table;
+use bench::args::fail;
+use bench::{Args, Table};
 use counting_cluster::{run_sim, ClusterSimConfig, Mutation};
 use counting_sim::des::FaultPlan;
 use serde::Serialize;
@@ -81,8 +82,8 @@ struct ClusterCellReport {
     duplicated_hops: u64,
     converged: bool,
     final_tick: u64,
-    /// Hand-outs per 1000 virtual ticks — a *deterministic* rate, so it
-    /// can live in the recorded trajectory without host noise.
+    /// Hand-outs per 1000 virtual ticks — a *deterministic* rate: same
+    /// seed, same number, on any host.
     values_per_kilotick: Option<f64>,
     violations: Vec<String>,
 }
@@ -190,26 +191,12 @@ fn run_cell(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json requires a path").clone());
-    let seed: u64 = args.iter().position(|a| a == "--seed").map_or(DEFAULT_SEED, |i| {
-        args.get(i + 1).expect("--seed requires a value").parse().expect("--seed takes a u64")
-    });
-    let trace_dir = args
-        .iter()
-        .position(|a| a == "--trace-dir")
-        .map(|i| args.get(i + 1).expect("--trace-dir requires a path").clone());
-    let mutation = args.iter().position(|a| a == "--mutation").map(|i| {
-        let flag = args.get(i + 1).expect("--mutation requires a value");
-        parse_mutation(flag).unwrap_or_else(|err| {
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        })
-    });
+    let args = Args::from_env(&["--quick"], &["--json", "--seed", "--trace-dir", "--mutation"]);
+    let (quick, json_path) = (args.flag("--quick"), args.value("--json"));
+    let seed = args.parsed("--seed", DEFAULT_SEED);
+    let trace_dir = args.value("--trace-dir");
+    let mutation =
+        args.value("--mutation").map(|flag| parse_mutation(flag).unwrap_or_else(|err| fail(&err)));
 
     let worker_counts: &[u64] = if quick { &[2, 4] } else { &[2, 4, 8] };
     let fault_levels = [
@@ -252,8 +239,7 @@ fn main() {
         "status",
     ]);
     let mut reports = Vec::new();
-    let mut sink =
-        CellSink { trace_dir: trace_dir.as_deref(), table: &mut table, reports: &mut reports };
+    let mut sink = CellSink { trace_dir, table: &mut table, reports: &mut reports };
     let mut cell_index = 0u64;
     for &workers in worker_counts {
         for fault in fault_levels {
@@ -316,7 +302,7 @@ fn main() {
     let json = serde_json::to_string(&doc).expect("reports serialize");
     match json_path {
         Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON report file");
+            std::fs::write(path, &json).expect("write JSON report file");
             println!("JSON written to {path}");
         }
         None => println!("{json}"),

@@ -12,12 +12,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_contention`
 
-use bench::{comparison_suite, Table};
+use bench::{comparison_suite, Args, Table};
 use counting::{bitonic_contention_estimate, cwt_contention_bound, periodic_contention_estimate};
 use counting_sim::{measure_contention, SchedulerKind};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).flag("--quick");
     let w = 16usize;
     let lgw = w.trailing_zeros() as usize;
     let tokens_per_process: u64 = if quick { 10 } else { 60 };

@@ -7,12 +7,13 @@
 //! Run with: `cargo run --release -p bench --bin exp_depth`
 
 use baselines::{bitonic_counting_network, diffracting_tree, periodic_counting_network};
-use bench::Table;
+use bench::{Args, Table};
 use counting::{
     bitonic_depth, counting_depth, counting_network, merger_depth, merging_network, periodic_depth,
 };
 
 fn main() {
+    let _no_flags = Args::from_env(&[], &[]);
     println!("## E2a — depth of C(w, t) for several output widths (must be t-independent)\n");
     let mut t1 = Table::new(vec!["w", "t=w", "t=2w", "t=w·lgw", "t=8w", "formula (lg²w+lgw)/2"]);
     for k in 1..=7usize {

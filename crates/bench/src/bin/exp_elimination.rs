@@ -21,7 +21,7 @@
 //! [-- --quick] [--json <path>] [--strategy <spin|spin-yield|park>]
 //! [--seed <u64>]`
 
-use bench::{kilo_rate, Table};
+use bench::{kilo_rate, Args, Table};
 use counting::counting_network;
 use counting_runtime::{
     run_stress, Batching, BlockReserve, CentralCounter, DiffractingCounter, EliminationConfig,
@@ -192,21 +192,10 @@ fn scenarios() -> [Scenario; 6] {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json requires a path").clone());
-    let strategy: WaitStrategy = args
-        .iter()
-        .position(|a| a == "--strategy")
-        .map(|i| args.get(i + 1).expect("--strategy requires a value"))
-        .map_or(Ok(WaitStrategy::SpinYield), |s| s.parse())
-        .unwrap_or_else(|err| panic!("{err}"));
-    let seed: u64 = args.iter().position(|a| a == "--seed").map_or(DEFAULT_SEED, |i| {
-        args.get(i + 1).expect("--seed requires a value").parse().expect("--seed takes a u64")
-    });
+    let args = Args::from_env(&["--quick"], &["--json", "--strategy", "--seed"]);
+    let (quick, json_path) = (args.flag("--quick"), args.value("--json"));
+    let strategy = args.parsed("--strategy", WaitStrategy::SpinYield);
+    let seed = args.parsed("--seed", DEFAULT_SEED);
 
     let w = 16usize;
     // Total traversals of the uniform raw runs (threads × ops) stay a
@@ -461,7 +450,7 @@ fn main() {
     let json = serde_json::to_string(&json).expect("reports serialize");
     match json_path {
         Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON report file");
+            std::fs::write(path, &json).expect("write JSON report file");
             println!("JSON written to {path}");
         }
         None => println!("{json}"),

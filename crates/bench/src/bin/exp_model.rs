@@ -25,7 +25,7 @@
 //! exp_model [-- --quick] [--preemptions <n>] [--json <path>]
 //! [--trace-dir <dir>]`
 
-use bench::Table;
+use bench::{Args, Table};
 use counting_sim::model::{explore, replay, Counterexample, ModelConfig, Scenario};
 
 use counting_runtime::model_scenarios::{arena_pair, arena_probe, arena_trio, arena_trio_mutated};
@@ -139,21 +139,13 @@ fn run_mutation<T: Send + 'static>(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{flag} requires a value")).clone())
-    };
-    let json_path = flag_value("--json");
-    let trace_dir = flag_value("--trace-dir");
+    let args = Args::from_env(&["--quick"], &["--json", "--trace-dir", "--preemptions"]);
+    let (quick, json_path) = (args.flag("--quick"), args.value("--json"));
+    let trace_dir = args.value("--trace-dir");
     // The PR gate runs the tested bound; the nightly widens it one notch
     // (every real counterexample so far needs ≤ 2 preemptions, so 3 is a
     // genuine widening, not a formality).
-    let preemptions: usize = flag_value("--preemptions")
-        .map(|v| v.parse().expect("--preemptions takes an integer"))
-        .unwrap_or(if quick { 2 } else { 3 });
+    let preemptions: usize = args.parsed("--preemptions", if quick { 2 } else { 3 });
     let config = ModelConfig::with_preemptions(preemptions);
 
     println!(

@@ -35,7 +35,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use bench::{kilo_rate, Table};
+use bench::{kilo_rate, Args, Table};
 use counting_runtime::{rate_over, MeasuredWindow, WaitStrategy};
 use counting_server::router::{LeaseBody, RateBody, StatusBody, TicketBody};
 use counting_server::{ClientConnection, CountingServer, ServerConfig};
@@ -687,18 +687,10 @@ impl Drop for FinishedGuard<'_> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{flag} requires a value")).clone())
-    };
-    let json_path = flag_value("--json");
-    let seed: u64 =
-        flag_value("--seed").map_or(DEFAULT_SEED, |v| v.parse().expect("--seed takes a u64"));
-    let clients: u64 = flag_value("--clients")
-        .map_or(if quick { 3_072 } else { 20_480 }, |v| v.parse().expect("--clients takes a u64"));
+    let args = Args::from_env(&["--quick"], &["--json", "--seed", "--clients"]);
+    let (quick, json_path) = (args.flag("--quick"), args.value("--json"));
+    let seed = args.parsed("--seed", DEFAULT_SEED);
+    let clients: u64 = args.parsed("--clients", if quick { 3_072 } else { 20_480 });
     let horizon_us: u64 = if quick { 1_000_000 } else { 2_500_000 };
     let poll_interval_us: u64 = if quick { 25_000 } else { 40_000 };
 
@@ -802,7 +794,7 @@ fn main() {
     let json = serde_json::to_string(&doc).expect("reports serialize");
     match json_path {
         Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON report file");
+            std::fs::write(path, &json).expect("write JSON report file");
             println!("JSON written to {path}");
         }
         None => println!("{json}"),

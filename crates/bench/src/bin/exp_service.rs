@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::{kilo_rate, Table};
+use bench::{kilo_rate, Args, Table};
 use counting_runtime::{rate_over, MeasuredWindow, SharedCounter, ValueBitmap, WaitStrategy};
 use counting_service::{Backend, CounterService, ServiceConfig};
 use serde::Serialize;
@@ -25,8 +25,8 @@ use serde::Serialize;
 const MAX_BATCH: usize = 4;
 /// Default `--seed`: every deterministic stream of the run — the
 /// per-thread batch-size sequences *and* the per-thread tenant-pick RNGs
-/// — derives from this one seed, so a trajectory cell is reproducible
-/// from its recorded seed alone.
+/// — derives from this one seed, so a run's value assignment is
+/// reproducible from its recorded seed alone.
 const DEFAULT_SEED: u64 = 0xE15;
 
 /// The whole JSON document: the seed plus one report per backend.
@@ -224,15 +224,9 @@ fn run_backend(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json requires a path").clone());
-    let seed: u64 = args.iter().position(|a| a == "--seed").map_or(DEFAULT_SEED, |i| {
-        args.get(i + 1).expect("--seed requires a value").parse().expect("--seed takes a u64")
-    });
+    let args = Args::from_env(&["--quick"], &["--json", "--seed"]);
+    let (quick, json_path) = (args.flag("--quick"), args.value("--json"));
+    let seed = args.parsed("--seed", DEFAULT_SEED);
 
     let tenants = 64usize;
     let threads = 8usize;
@@ -330,7 +324,7 @@ fn main() {
     let json = serde_json::to_string(&doc).expect("reports serialize");
     match json_path {
         Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON report file");
+            std::fs::write(path, &json).expect("write JSON report file");
             println!("JSON written to {path}");
         }
         None => println!("{json}"),

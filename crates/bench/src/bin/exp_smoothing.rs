@@ -6,13 +6,13 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_smoothing`
 
-use bench::Table;
+use bench::{Args, Table};
 use counting::{bounds::prefix_smoothness_bound, counting_prefix, forward_butterfly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).flag("--quick");
     let trials = if quick { 100 } else { 2_000 };
     let max_tokens = 500;
     let mut rng = StdRng::seed_from_u64(2024);

@@ -8,14 +8,14 @@
 //! Run with: `cargo run --release -p bench --bin exp_sorting`
 
 use baselines::{bitonic_counting_network, periodic_counting_network};
-use bench::Table;
+use bench::{Args, Table};
 use counting::counting_network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sortnet::{is_sorting_network_exhaustive, is_sorting_network_randomized, ComparatorNetwork};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::from_env(&["--quick"], &[]).flag("--quick");
     let mut rng = StdRng::seed_from_u64(99);
 
     println!("## E8 — sorting networks obtained by the balancer→comparator substitution\n");

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release -p bench --bin exp_stress [-- --quick]
 //! [--json <path>]`
 
-use bench::{comparison_suite, kilo_rate, Table};
+use bench::{comparison_suite, kilo_rate, Args, Table};
 use counting_runtime::{
     run_stress, Batching, CentralCounter, DiffractingCounter, LockCounter, NetworkCounter,
     Scenario, SharedCounter, StressConfig, StressReport,
@@ -62,12 +62,8 @@ fn cell(report: &StressReport) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json requires a path").clone());
+    let args = Args::from_env(&["--quick"], &["--json"]);
+    let (quick, json_path) = (args.flag("--quick"), args.value("--json"));
 
     let w = 16usize;
     let threads = 8usize;
@@ -157,7 +153,7 @@ fn main() {
     let json = serde_json::to_string(&reports).expect("reports serialize");
     match json_path {
         Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON report file");
+            std::fs::write(path, &json).expect("write JSON report file");
             println!("JSON written to {path}");
         }
         None => println!("{json}"),

@@ -4,36 +4,18 @@
 //!
 //! Drives every counter in the comparison suite (plus the centralized
 //! baselines) with an increasing number of threads and reports operations
-//! per second. With `--json`, emits the machine-readable
-//! [`bench::trajectory::ThroughputSuiteJson`] document the `exp_bench`
-//! trajectory aggregator ingests. The workload draws no random numbers —
-//! `--seed` is accepted and recorded in the JSON so trajectory cells from
-//! different PRs are labelled apples-to-apples.
+//! per second. The workload draws no random numbers.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_throughput
-//! [-- --quick] [--json <path>] [--seed <u64>]`
+//! Run with: `cargo run --release -p bench --bin exp_throughput [-- --quick]`
 
-use bench::trajectory::{ThroughputCell, ThroughputSuiteJson};
-use bench::{comparison_suite, kilo_rate, Table};
+use bench::{comparison_suite, kilo_rate, Args, Table};
 use counting_runtime::{
     measure_throughput, CentralCounter, DiffractingCounter, LockCounter, NetworkCounter,
-    SharedCounter, ThroughputMeasurement,
+    SharedCounter,
 };
 
-/// Default `--seed` (recorded in the JSON; the workload is deterministic
-/// modulo thread scheduling either way).
-const DEFAULT_SEED: u64 = 0xE7;
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json requires a path").clone());
-    let seed: u64 = args.iter().position(|a| a == "--seed").map_or(DEFAULT_SEED, |i| {
-        args.get(i + 1).expect("--seed requires a value").parse().expect("--seed takes a u64")
-    });
+    let quick = Args::from_env(&["--quick"], &[]).flag("--quick");
 
     let w = 16usize;
     let ops_per_thread: u64 = if quick { 2_000 } else { 50_000 };
@@ -48,19 +30,6 @@ fn main() {
     let mut header = vec!["counter".to_owned()];
     header.extend(thread_counts.iter().map(|t| format!("{t} thr")));
     let mut table = Table::new(header);
-    let mut cells: Vec<ThroughputCell> = Vec::new();
-
-    let record = |m: &ThroughputMeasurement, cells: &mut Vec<ThroughputCell>| -> String {
-        cells.push(ThroughputCell {
-            counter: m.counter.clone(),
-            threads: m.threads,
-            ops_per_thread: m.ops_per_thread,
-            total_ops: m.total_ops,
-            elapsed_secs: m.elapsed.as_secs_f64(),
-            ops_per_second: m.ops_per_second,
-        });
-        kilo_rate(m.ops_per_second)
-    };
 
     let suite = comparison_suite(w);
     for named in &suite {
@@ -68,7 +37,7 @@ fn main() {
         for &threads in &thread_counts {
             let counter = NetworkCounter::new(named.name.clone(), &named.network);
             let m = measure_throughput(&counter, threads, ops_per_thread);
-            row.push(record(&m, &mut cells));
+            row.push(kilo_rate(m.ops_per_second));
         }
         table.push_row(row);
     }
@@ -82,11 +51,8 @@ fn main() {
         let mut row = vec![(*name).to_owned()];
         for &threads in &thread_counts {
             let counter = make();
-            let mut m = measure_throughput(counter.as_ref(), threads, ops_per_thread);
-            // Table rows group by the display name, not the counter's own
-            // describe() (the prism row spans the suite's tree widths).
-            m.counter = (*name).to_owned();
-            row.push(record(&m, &mut cells));
+            let m = measure_throughput(counter.as_ref(), threads, ops_per_thread);
+            row.push(kilo_rate(m.ops_per_second));
         }
         table.push_row(row);
     }
@@ -98,11 +64,4 @@ fn main() {
          wide-output C(w, w·lgw) tracks or beats the other counting networks at high\n\
          thread counts (the paper's throughput claim)."
     );
-
-    if let Some(path) = json_path {
-        let doc = ThroughputSuiteJson { seed, quick, cells };
-        let json = serde_json::to_string(&doc).expect("cells serialize");
-        std::fs::write(&path, &json).expect("write JSON report file");
-        println!("JSON written to {path}");
-    }
 }

@@ -11,16 +11,16 @@
 //!   comparisons, smoothing and sorting summaries).
 //!
 //! This library holds what both share: the standard comparison suite of
-//! networks, a tiny Markdown table formatter, and the [`trajectory`]
-//! module — the schema, aggregation, native suites and comparator behind
-//! the committed `BENCH_*.json` benchmark trajectory (see `exp_bench`).
+//! networks, a tiny Markdown table formatter and the experiment binaries'
+//! strict flag parser. Performance claims are not made here: they are
+//! measured by the standalone `benchmark/` package (`/BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod suite;
 pub mod table;
-pub mod trajectory;
 
+pub use args::Args;
 pub use suite::{comparison_suite, NamedNetwork};
-pub use table::Table;
-pub use trajectory::{kilo_rate, BenchRecord, HostFingerprint, Trajectory, SCHEMA_VERSION};
+pub use table::{kilo_rate, Table};

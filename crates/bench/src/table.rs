@@ -1,4 +1,5 @@
-//! A minimal Markdown table builder used by the experiment binaries.
+//! A minimal Markdown table builder and the shared rate formatter used by
+//! the experiment binaries.
 
 use std::fmt::Write as _;
 
@@ -70,6 +71,14 @@ impl Table {
     }
 }
 
+/// Formats an optional rate as `{:.0}k` thousands per second, or `n/a`
+/// for a degenerate window — the one rate formatter every experiment
+/// table shares, so a `None` cell can never print as a number.
+#[must_use]
+pub fn kilo_rate(rate: Option<f64>) -> String {
+    rate.map_or_else(|| "n/a".to_owned(), |r| format!("{:.0}k", r / 1_000.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +101,11 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = Table::new(vec!["a", "b"]);
         t.push_row(vec!["only one"]);
+    }
+
+    #[test]
+    fn kilo_rate_formats_none_as_na() {
+        assert_eq!(kilo_rate(Some(12_345.0)), "12k");
+        assert_eq!(kilo_rate(None), "n/a");
     }
 }

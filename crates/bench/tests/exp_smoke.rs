@@ -413,6 +413,41 @@ fn reproducing_md_names_every_exp_binary() {
     assert!(checked >= 10, "expected to check every exp_* binary, found {checked}");
 }
 
+/// Docs-drift gate for the benchmark: performance claims are made only as
+/// a `/BENCHMARK.json` metric × workload, so `REPRODUCING.md` must name
+/// every workload and end-to-end metric declared there and quote the
+/// command that runs it.
+#[test]
+fn reproducing_md_names_every_benchmark_workload_and_end_to_end_metric() {
+    #[derive(serde::Deserialize)]
+    struct Named {
+        name: String,
+    }
+    #[derive(serde::Deserialize)]
+    struct Manifest {
+        command: Vec<String>,
+        workloads: Vec<Named>,
+        end_to_end: Vec<Named>,
+    }
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| {
+        std::fs::read_to_string(format!("{root}/{file}"))
+            .unwrap_or_else(|e| panic!("{file} is readable at the workspace root: {e}"))
+    };
+    let reproducing = read("REPRODUCING.md");
+    let manifest: Manifest =
+        serde_json::from_str(&read("BENCHMARK.json")).expect("BENCHMARK.json parses");
+    assert_eq!((manifest.workloads.len(), manifest.end_to_end.len()), (5, 5));
+    for Named { name } in manifest.workloads.iter().chain(&manifest.end_to_end) {
+        assert!(
+            reproducing.contains(&format!("`{name}`")),
+            "REPRODUCING.md does not name `{name}`"
+        );
+    }
+    let command = manifest.command.join(" ");
+    assert!(reproducing.contains(&command), "REPRODUCING.md does not quote `{command}`");
+}
+
 #[test]
 fn exp_stress_quick_writes_json_file() {
     // Unique per-process path: concurrent test-suite runs on one machine
@@ -428,258 +463,18 @@ fn exp_stress_quick_writes_json_file() {
 }
 
 #[test]
-fn exp_bench_quick_native_only_writes_valid_trajectory() {
-    // EB native-only: the hot-path and id-lease suites need no sibling
-    // binaries, so this exercises measurement, assembly, validation, the
-    // degenerate-window gate (a nonzero exit, which run_quick rejects)
-    // and the file write in one spawn.
-    let dir = std::env::temp_dir().join(format!("exp_bench_smoke_native_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = dir.join("BENCH_smoke.json");
-    let stdout = run_quick(
-        env!("CARGO_BIN_EXE_exp_bench"),
-        &[
-            "--quick",
-            "--native-only",
-            "--seed",
-            "7",
-            "--tag",
-            "smoke",
-            "--dir",
-            dir.to_str().expect("utf-8 temp path"),
-            "--out",
-            out.to_str().expect("utf-8 temp path"),
-        ],
-    );
-    assert!(stdout.contains("## EB"), "missing EB heading:\n{stdout}");
-    assert!(stdout.lines().any(|l| l.starts_with("| ")), "no comparison table:\n{stdout}");
-    assert!(stdout.contains("ratio vs prev"), "missing ratio column:\n{stdout}");
-    let json = std::fs::read_to_string(&out).expect("trajectory file written");
-    let t: bench::Trajectory =
-        serde_json::from_str(&json).expect("trajectory parses under the committed schema");
-    bench::trajectory::validate(&t).expect("written trajectory is structurally valid");
-    assert_eq!(t.schema_version, bench::SCHEMA_VERSION);
-    assert_eq!((t.pr_tag.as_str(), t.seed, t.quick), ("smoke", 7, true));
-    for suite in ["hot-path", "id-lease"] {
-        assert!(
-            t.records.iter().any(|r| r.suite == suite),
-            "missing native suite `{suite}`: {json}"
-        );
-    }
-    assert!(
-        bench::trajectory::degenerate_cells(&t).is_empty(),
-        "native-only run recorded degenerate cells: {json}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn exp_bench_ingests_suite_reports_and_compares_against_prior_trajectories() {
-    // EB ingestion + comparator: fixture suite reports stand in for the
-    // sibling binaries (written through the shared `bench::trajectory`
-    // schema types, so the fixtures cannot drift from the emitters), and
-    // a prior BENCH_PR0.json with the same throughput cell at half the
-    // rate must yield a 2.00x ratio in the printed table.
-    use bench::trajectory::{
-        BenchRecord, ClusterCellIngest, ClusterIngest, EliminationIngest, EliminationStressCell,
-        ServerBackendIngest, ServerEndpointIngest, ServerIngest, ServiceBackendIngest,
-        ServiceIngest, StrategyAggregateIngest, ThroughputCell, ThroughputSuiteJson,
-        SCHEMA_VERSION,
-    };
-    use bench::{HostFingerprint, Trajectory};
-    let dir = std::env::temp_dir().join(format!("exp_bench_smoke_ingest_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let write = |name: &str, json: String| {
-        let path = dir.join(name);
-        std::fs::write(&path, json).expect("fixture written");
-        path
-    };
-    let throughput = write(
-        "throughput.json",
-        serde_json::to_string(&ThroughputSuiteJson {
-            seed: 7,
-            quick: true,
-            cells: vec![ThroughputCell {
-                counter: "C(16,16)".to_owned(),
-                threads: 2,
-                ops_per_thread: 10,
-                total_ops: 20,
-                elapsed_secs: 0.5,
-                ops_per_second: Some(40.0),
-            }],
-        })
-        .expect("fixture serializes"),
-    );
-    let elimination = write(
-        "elimination.json",
-        serde_json::to_string(&EliminationIngest {
-            seed: 7,
-            strategy: "spin-yield".to_owned(),
-            stress: vec![EliminationStressCell {
-                counter: "C(16,16)+elim".to_owned(),
-                scenario: "steady".to_owned(),
-                threads: 8,
-                batch: "mixed<=16".to_owned(),
-                values_per_second: Some(100.0),
-            }],
-            strategy_aggregates: vec![StrategyAggregateIngest {
-                strategy: "park".to_owned(),
-                merge_rate: 0.5,
-            }],
-        })
-        .expect("fixture serializes"),
-    );
-    let service = write(
-        "service.json",
-        serde_json::to_string(&ServiceIngest {
-            seed: 7,
-            reports: vec![ServiceBackendIngest {
-                backend: "C(16,16)".to_owned(),
-                tenants: 64,
-                threads: 8,
-                aggregate_values_per_second: Some(123_000.0),
-            }],
-        })
-        .expect("fixture serializes"),
-    );
-    let server = write(
-        "server.json",
-        serde_json::to_string(&ServerIngest {
-            seed: 0xE17,
-            reports: vec![ServerBackendIngest {
-                backend: "network[w=4,elim]".to_owned(),
-                clients: 3072,
-                drivers: 8,
-                aggregate_requests_per_second: Some(30_000.0),
-                endpoints: vec![ServerEndpointIngest {
-                    endpoint: "ticket".to_owned(),
-                    requests: 1024,
-                    requests_per_second: Some(10_000.0),
-                }],
-            }],
-        })
-        .expect("fixture serializes"),
-    );
-    let cluster = write(
-        "cluster.json",
-        serde_json::to_string(&ClusterIngest {
-            seed: 0xE18,
-            mutation: None,
-            reports: vec![
-                ClusterCellIngest {
-                    workers: 4,
-                    replicas: 1,
-                    fault: "lossy".to_owned(),
-                    churn: "churny".to_owned(),
-                    handed: 900,
-                    values_per_kilotick: Some(112.5),
-                },
-                ClusterCellIngest {
-                    workers: 4,
-                    replicas: 3,
-                    fault: "lossy".to_owned(),
-                    churn: "churny".to_owned(),
-                    handed: 850,
-                    values_per_kilotick: Some(106.0),
-                },
-            ],
-        })
-        .expect("fixture serializes"),
-    );
-    let prior = Trajectory {
-        schema_version: SCHEMA_VERSION,
-        pr_tag: "PR0".to_owned(),
-        seed: 7,
-        quick: true,
-        host: HostFingerprint::detect(),
-        records: vec![BenchRecord {
-            suite: "throughput".to_owned(),
-            scenario: "steady".to_owned(),
-            counter: "C(16,16)".to_owned(),
-            threads: 2,
-            batching: "1".to_owned(),
-            ops_per_second: Some(20.0),
-            merge_rate: None,
-        }],
-    };
-    write("BENCH_PR0.json", serde_json::to_string(&prior).expect("fixture serializes"));
-    let out = dir.join("BENCH_PR1.json");
-    let stdout = run_quick(
-        env!("CARGO_BIN_EXE_exp_bench"),
-        &[
-            "--quick",
-            "--seed",
-            "7",
-            "--tag",
-            "PR1",
-            "--dir",
-            dir.to_str().expect("utf-8 temp path"),
-            "--out",
-            out.to_str().expect("utf-8 temp path"),
-            "--ingest-throughput",
-            throughput.to_str().expect("utf-8 temp path"),
-            "--ingest-elimination",
-            elimination.to_str().expect("utf-8 temp path"),
-            "--ingest-service",
-            service.to_str().expect("utf-8 temp path"),
-            "--ingest-server",
-            server.to_str().expect("utf-8 temp path"),
-            "--ingest-cluster",
-            cluster.to_str().expect("utf-8 temp path"),
-        ],
-    );
-    assert!(stdout.contains("BENCH_PR0.json"), "prior trajectory not loaded:\n{stdout}");
-    assert!(
-        stdout.contains("2.00x"),
-        "throughput cell doubled (20 -> 40 ops/s) but no 2.00x ratio:\n{stdout}"
-    );
-    let json = std::fs::read_to_string(&out).expect("trajectory file written");
-    let t: bench::Trajectory = serde_json::from_str(&json).expect("trajectory parses");
-    bench::trajectory::validate(&t).expect("written trajectory is structurally valid");
-    for suite in
-        ["throughput", "elimination", "service", "serving", "cluster", "hot-path", "id-lease"]
-    {
-        assert!(t.records.iter().any(|r| r.suite == suite), "missing suite `{suite}`: {json}");
-    }
-    assert!(
-        t.records.iter().any(|r| r.suite == "elimination" && r.merge_rate == Some(0.5)),
-        "missing E14c aggregate cell: {json}"
-    );
-    assert!(
-        t.records.iter().any(|r| r.suite == "serving" && r.scenario == "open-loop/ticket"),
-        "missing serving endpoint cell: {json}"
-    );
-    assert!(
-        t.records.iter().any(|r| r.suite == "cluster"
-            && r.counter == "cluster[4nodes]"
-            && r.scenario == "lossy/churny"),
-        "missing cluster sweep cell: {json}"
-    );
-    assert!(
-        t.records.iter().any(|r| r.suite == "cluster" && r.scenario == "lossy/churny@r3"),
-        "missing replicated cluster sweep cell: {json}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn exp_bench_compare_only_rejects_schema_drift() {
-    // A committed trajectory that no longer parses is schema drift — the
-    // comparator must exit nonzero and say so (this is the CI gate).
-    let dir = std::env::temp_dir().join(format!("exp_bench_smoke_drift_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    std::fs::write(dir.join("BENCH_bad.json"), "{ not json ]").expect("fixture written");
-    let output = Command::new(env!("CARGO_BIN_EXE_exp_bench"))
-        .args(["--compare-only", "--dir", dir.to_str().expect("utf-8 temp path")])
+fn exp_stress_rejects_a_misspelt_flag_and_names_the_known_ones() {
+    // Strict flag parsing (`bench::args`): `--quik` must not silently run
+    // the full-size matrix.
+    let output = Command::new(env!("CARGO_BIN_EXE_exp_stress"))
+        .arg("--quik")
         .output()
         .expect("binary should spawn");
-    assert!(!output.status.success(), "drifted trajectory must fail the comparator");
+    assert_eq!(output.status.code(), Some(2), "a misspelt flag is a usage error");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("schema drift") && stderr.contains("BENCH_bad.json"),
-        "drift not named in stderr:\n{stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stderr.contains("`--quik`"), "offending flag not echoed:\n{stderr}");
+    assert!(stderr.contains("--quick") && stderr.contains("--json"), "known flags:\n{stderr}");
+    assert!(output.stdout.is_empty(), "no experiment may have started");
 }
 
 /// Smoke for the interleaving checker: only compiled when the bench

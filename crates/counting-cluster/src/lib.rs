@@ -71,7 +71,7 @@ pub mod transport;
 
 pub use check::GlobalChecker;
 pub use coordinator::{Coordinator, CoordinatorDurable};
-pub use live::{run_live, run_live_replicated, LiveReport};
+pub use live::{run_live, LiveReport};
 pub use message::{next_hop, Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
 pub use node::{Node, NodeDurable, ProtocolConfig};
 pub use replica::{replica_id, Command, LogEntry, Replica, ReplicaDurable, REPLICA_BASE};

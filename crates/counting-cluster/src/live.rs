@@ -93,20 +93,24 @@ fn worker_loop(
     }
 }
 
+/// What a control thread hands back when stopped: `(is_leader, term,
+/// commit, durable state)`. The audit runs against the maximum.
+type ControlFinal = (bool, u64, u64, CoordinatorDurable);
+
 fn coordinator_loop(
     mut coordinator: Coordinator,
     start: Instant,
     transport: ChannelTransport,
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
-) -> CoordinatorDurable {
+) -> ControlFinal {
     loop {
         let now = now_ms(start);
         while let Ok(env) = net_rx.try_recv() {
             coordinator.on_message(now, env);
         }
         if let Ok(Ctl::Stop) = ctl_rx.try_recv() {
-            return coordinator.durable().clone();
+            return (true, 0, 0, coordinator.durable().clone());
         }
         coordinator.on_tick(now);
         transport.send_all(coordinator.take_outbox());
@@ -120,7 +124,7 @@ fn replica_loop(
     transport: ChannelTransport,
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
-) -> (bool, u64, u64, CoordinatorDurable) {
+) -> ControlFinal {
     loop {
         let now = now_ms(start);
         while let Ok(env) = net_rx.try_recv() {
@@ -163,27 +167,74 @@ fn router_loop(
     }
 }
 
+/// The harness's running audit of what the worker threads report.
+struct Audit {
+    start: Instant,
+    checker: GlobalChecker,
+    violations: Vec<String>,
+    per_node: BTreeMap<NodeId, u64>,
+    sealed: u64,
+}
+
+impl Audit {
+    fn on(&mut self, up: Up) {
+        match up {
+            Up::Hand(id, value) => {
+                *self.per_node.entry(id).or_insert(0) += 1;
+                self.violations.extend(self.checker.record(id, value, now_ms(self.start)));
+            }
+            Up::Sealed => self.sealed += 1,
+        }
+    }
+
+    /// Feeds worker reports to the audit until `done` holds or
+    /// [`DRAIN_DEADLINE`] passes.
+    fn pump(&mut self, up_rx: &Receiver<Up>, done: impl Fn(&Self) -> bool) {
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        while !done(self) && Instant::now() < deadline {
+            if let Ok(up) = up_rx.recv_timeout(Duration::from_millis(50)) {
+                self.on(up);
+            }
+        }
+    }
+}
+
 /// Runs one live cluster lifetime: `workers` nodes serve
 /// `demand_per_node` requests each over real threads and channels, then
 /// drain, seal, and face the global audit.
+///
+/// With `replicas == 1` the control plane is one plain [`Coordinator`]
+/// thread. Otherwise the coordinator is replicated across `replicas`
+/// threads (see [`crate::replica`]): a router thread fans the virtual
+/// coordinator id out to the group, a leader is elected live, and the
+/// final audit runs against the leader's committed state.
+///
+/// # Panics
+///
+/// Panics if `replicas` is zero or a cluster thread panicked.
 #[must_use]
-pub fn run_live(workers: u64, demand_per_node: u64) -> LiveReport {
+pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport {
+    assert!(replicas >= 1, "a cluster needs at least one coordinator");
     // Millisecond-scale timing: brisk heartbeats, a failure detector
     // slack enough that a busy scheduler cannot fake a death.
     let config = ProtocolConfig {
         heartbeat_every: 20,
         retry_after: 40,
         fail_after: 2_000,
+        lease_ticks: 200,
         ..ProtocolConfig::default()
     };
+    let replicated = replicas > 1;
     let start = Instant::now();
     let ids: Vec<NodeId> = (1..=workers).collect();
+    let replica_ids: Vec<NodeId> =
+        if replicated { (0..replicas).map(replica_id).collect() } else { Vec::new() };
     let mut members = vec![COORDINATOR];
     members.extend(&ids);
 
     let mut transport = ChannelTransport::new();
     let mut net_rxs: BTreeMap<NodeId, Receiver<Envelope>> = BTreeMap::new();
-    for &id in std::iter::once(&COORDINATOR).chain(&ids) {
+    for &id in members.iter().chain(&replica_ids) {
         let (tx, rx) = channel();
         transport.register(id, tx);
         net_rxs.insert(id, rx);
@@ -191,23 +242,36 @@ pub fn run_live(workers: u64, demand_per_node: u64) -> LiveReport {
     let (up_tx, up_rx) = channel();
 
     let mut ctl_txs: BTreeMap<NodeId, Sender<Ctl>> = BTreeMap::new();
-    let mut handles = Vec::new();
-    let coordinator_handle = {
-        let coordinator = Coordinator::new(config, &ids);
-        let transport = transport.clone();
-        let net_rx = net_rxs.remove(&COORDINATOR).expect("registered above");
-        let (ctl_tx, ctl_rx) = channel();
-        ctl_txs.insert(COORDINATOR, ctl_tx);
-        std::thread::spawn(move || {
-            coordinator_loop(coordinator, start, transport, &net_rx, &ctl_rx)
-        })
-    };
-    for &id in &ids {
-        let node = Node::bootstrap(id, config, members.clone());
-        let transport = transport.clone();
-        let net_rx = net_rxs.remove(&id).expect("registered above");
+    // One participant's ends: a handle on the whole cluster, its inbox,
+    // and the harness's control line to it.
+    let mut endpoint = |id: NodeId| {
         let (ctl_tx, ctl_rx) = channel();
         ctl_txs.insert(id, ctl_tx);
+        (transport.clone(), net_rxs.remove(&id).expect("registered above"), ctl_rx)
+    };
+    let mut handles = Vec::new();
+    let mut control_handles = Vec::new();
+    if replicated {
+        let (transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
+        handles
+            .push(std::thread::spawn(move || router_loop(replicas, transport, &net_rx, &ctl_rx)));
+        for (r, &id) in (0..).zip(&replica_ids) {
+            let replica = Replica::new(r, replicas, &ids, config);
+            let (transport, net_rx, ctl_rx) = endpoint(id);
+            control_handles.push(std::thread::spawn(move || {
+                replica_loop(replica, start, transport, &net_rx, &ctl_rx)
+            }));
+        }
+    } else {
+        let coordinator = Coordinator::new(config, &ids);
+        let (transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
+        control_handles.push(std::thread::spawn(move || {
+            coordinator_loop(coordinator, start, transport, &net_rx, &ctl_rx)
+        }));
+    }
+    for &id in &ids {
+        let node = Node::bootstrap(id, config, members.clone());
+        let (transport, net_rx, ctl_rx) = endpoint(id);
         let up_tx = up_tx.clone();
         handles.push(std::thread::spawn(move || {
             worker_loop(node, start, transport, &net_rx, &ctl_rx, &up_tx);
@@ -229,208 +293,54 @@ pub fn run_live(workers: u64, demand_per_node: u64) -> LiveReport {
         std::thread::sleep(Duration::from_millis(5));
     }
 
+    let mut audit = Audit {
+        start,
+        checker: GlobalChecker::new(),
+        violations: Vec::new(),
+        per_node: BTreeMap::new(),
+        sealed: 0,
+    };
+    if replicated {
+        // Grants cannot flow before the first election; draining
+        // immediately would abandon the backlog. Wait for the hand-out
+        // stream to serve every demand (or stall past the deadline)
+        // before sealing.
+        let expected = workers * demand_per_node;
+        audit.pump(&up_rx, |a| a.checker.handed() >= expected);
+    }
+
     // Drain and wait for every worker to seal.
     for &id in &ids {
         let _ = ctl_txs[&id].send(Ctl::Drain);
     }
-    let mut checker = GlobalChecker::new();
-    let mut violations = Vec::new();
-    let mut per_node: BTreeMap<NodeId, u64> = BTreeMap::new();
-    let mut sealed = 0u64;
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    while sealed < workers && Instant::now() < deadline {
-        match up_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Up::Hand(id, value)) => {
-                *per_node.entry(id).or_insert(0) += 1;
-                if let Some(violation) = checker.record(id, value, now_ms(start)) {
-                    violations.push(violation);
-                }
-            }
-            Ok(Up::Sealed) => sealed += 1,
-            Err(_) => {}
-        }
-    }
-    if sealed < workers {
-        violations.push(format!("liveness: live drain timed out with {sealed}/{workers} sealed"));
+    audit.pump(&up_rx, |a| a.sealed >= workers);
+    let all_sealed = audit.sealed == workers;
+    if !all_sealed {
+        let sealed = audit.sealed;
+        audit
+            .violations
+            .push(format!("liveness: live drain timed out with {sealed}/{workers} sealed"));
     }
 
     for tx in ctl_txs.values() {
         let _ = tx.send(Ctl::Stop);
     }
     for handle in handles {
-        handle.join().expect("worker thread must not panic");
+        handle.join().expect("worker and router threads must not panic");
     }
     // Drain any hand-outs that raced the seal notifications.
     while let Ok(up) = up_rx.try_recv() {
-        if let Up::Hand(id, value) = up {
-            *per_node.entry(id).or_insert(0) += 1;
-            if let Some(violation) = checker.record(id, value, now_ms(start)) {
-                violations.push(violation);
-            }
-        }
+        audit.on(up);
     }
-    let coordinator = coordinator_handle.join().expect("coordinator thread must not panic");
-    if sealed == workers {
-        violations.extend(checker.finalize(&coordinator));
-    }
-
-    LiveReport {
-        handed: checker.handed(),
-        unique: checker.unique(),
-        per_node,
-        violations,
-        cursor: coordinator.cursor,
-    }
-}
-
-/// [`run_live`] with the coordinator replicated across `replicas`
-/// threads (see [`crate::replica`]): a router thread fans the virtual
-/// coordinator id out to the group, a leader is elected live, and the
-/// final audit runs against the leader's committed state.
-#[must_use]
-pub fn run_live_replicated(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport {
-    let config = ProtocolConfig {
-        heartbeat_every: 20,
-        retry_after: 40,
-        fail_after: 2_000,
-        lease_ticks: 200,
-        ..ProtocolConfig::default()
-    };
-    let start = Instant::now();
-    let ids: Vec<NodeId> = (1..=workers).collect();
-    let mut members = vec![COORDINATOR];
-    members.extend(&ids);
-
-    let mut transport = ChannelTransport::new();
-    let mut net_rxs: BTreeMap<NodeId, Receiver<Envelope>> = BTreeMap::new();
-    let all_ids: Vec<NodeId> = std::iter::once(COORDINATOR)
-        .chain(ids.iter().copied())
-        .chain((0..replicas).map(replica_id))
-        .collect();
-    for &id in &all_ids {
-        let (tx, rx) = channel();
-        transport.register(id, tx);
-        net_rxs.insert(id, rx);
-    }
-    let (up_tx, up_rx) = channel();
-
-    let mut ctl_txs: BTreeMap<NodeId, Sender<Ctl>> = BTreeMap::new();
-    let mut handles = Vec::new();
-    let router_handle = {
-        let transport = transport.clone();
-        let net_rx = net_rxs.remove(&COORDINATOR).expect("registered above");
-        let (ctl_tx, ctl_rx) = channel();
-        ctl_txs.insert(COORDINATOR, ctl_tx);
-        std::thread::spawn(move || router_loop(replicas, transport, &net_rx, &ctl_rx))
-    };
-    let mut replica_handles = Vec::new();
-    for r in 0..replicas {
-        let replica = Replica::new(r, replicas, &ids, config);
-        let transport = transport.clone();
-        let net_rx = net_rxs.remove(&replica_id(r)).expect("registered above");
-        let (ctl_tx, ctl_rx) = channel();
-        ctl_txs.insert(replica_id(r), ctl_tx);
-        replica_handles.push(std::thread::spawn(move || {
-            replica_loop(replica, start, transport, &net_rx, &ctl_rx)
-        }));
-    }
-    for &id in &ids {
-        let node = Node::bootstrap(id, config, members.clone());
-        let transport = transport.clone();
-        let net_rx = net_rxs.remove(&id).expect("registered above");
-        let (ctl_tx, ctl_rx) = channel();
-        ctl_txs.insert(id, ctl_tx);
-        let up_tx = up_tx.clone();
-        handles.push(std::thread::spawn(move || {
-            worker_loop(node, start, transport, &net_rx, &ctl_rx, &up_tx);
-        }));
-    }
-
-    let burst = (demand_per_node / 4).max(1);
-    let mut sent: BTreeMap<NodeId, u64> = ids.iter().map(|&id| (id, 0)).collect();
-    while sent.values().any(|&s| s < demand_per_node) {
-        for &id in &ids {
-            let remaining = demand_per_node - sent[&id];
-            if remaining > 0 {
-                let n = burst.min(remaining);
-                let _ = ctl_txs[&id].send(Ctl::Demand(n));
-                *sent.get_mut(&id).expect("seeded above") += n;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    // Unlike the single-coordinator harness, grants cannot flow before
-    // the first election; draining immediately would abandon the
-    // backlog. Wait for the hand-out stream to serve every demand (or
-    // stall past the deadline) before sealing.
-    let mut checker = GlobalChecker::new();
-    let mut violations = Vec::new();
-    let mut per_node: BTreeMap<NodeId, u64> = BTreeMap::new();
-    let expected = workers * demand_per_node;
-    let mut handed_events = 0u64;
-    let serve_deadline = Instant::now() + DRAIN_DEADLINE;
-    while handed_events < expected && Instant::now() < serve_deadline {
-        match up_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Up::Hand(id, value)) => {
-                handed_events += 1;
-                *per_node.entry(id).or_insert(0) += 1;
-                if let Some(violation) = checker.record(id, value, now_ms(start)) {
-                    violations.push(violation);
-                }
-            }
-            Ok(Up::Sealed) | Err(_) => {}
-        }
-    }
-
-    for &id in &ids {
-        let _ = ctl_txs[&id].send(Ctl::Drain);
-    }
-    let mut sealed = 0u64;
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    while sealed < workers && Instant::now() < deadline {
-        match up_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Up::Hand(id, value)) => {
-                *per_node.entry(id).or_insert(0) += 1;
-                if let Some(violation) = checker.record(id, value, now_ms(start)) {
-                    violations.push(violation);
-                }
-            }
-            Ok(Up::Sealed) => sealed += 1,
-            Err(_) => {}
-        }
-    }
-    if sealed < workers {
-        violations.push(format!("liveness: live drain timed out with {sealed}/{workers} sealed"));
-    }
-
-    for tx in ctl_txs.values() {
-        let _ = tx.send(Ctl::Stop);
-    }
-    for handle in handles {
-        handle.join().expect("worker thread must not panic");
-    }
-    router_handle.join().expect("router thread must not panic");
-    while let Ok(up) = up_rx.try_recv() {
-        if let Up::Hand(id, value) = up {
-            *per_node.entry(id).or_insert(0) += 1;
-            if let Some(violation) = checker.record(id, value, now_ms(start)) {
-                violations.push(violation);
-            }
-        }
-    }
-    // The audit runs against the group's authoritative state: the
-    // leader's, falling back to the highest (term, commit) replica.
-    let finals: Vec<(bool, u64, u64, CoordinatorDurable)> = replica_handles
+    // The audit runs against the control plane's authoritative state:
+    // the leader's, falling back to the highest (term, commit) replica.
+    let (_, _, _, coordinator) = control_handles
         .into_iter()
-        .map(|h| h.join().expect("replica thread must not panic"))
-        .collect();
-    let coordinator = finals
-        .iter()
+        .map(|h| h.join().expect("control thread must not panic"))
         .max_by_key(|(leader, term, commit, _)| (*leader, *term, *commit))
-        .map(|(_, _, _, coord)| coord.clone())
-        .expect("at least one replica");
-    if sealed == workers {
+        .expect("at least one control thread");
+    let Audit { checker, mut violations, per_node, .. } = audit;
+    if all_sealed {
         violations.extend(checker.finalize(&coordinator));
     }
 
@@ -449,7 +359,7 @@ mod tests {
 
     #[test]
     fn live_threads_hand_out_a_unique_exact_range() {
-        let report = run_live(3, 50);
+        let report = run_live(3, 50, 1);
         assert_eq!(report.violations, Vec::<String>::new());
         assert_eq!(report.handed, 150);
         assert_eq!(report.unique, 150);
@@ -459,7 +369,7 @@ mod tests {
 
     #[test]
     fn a_replicated_coordinator_serves_live_threads_identically() {
-        let report = run_live_replicated(3, 40, 3);
+        let report = run_live(3, 40, 3);
         assert_eq!(report.violations, Vec::<String>::new());
         assert_eq!(report.handed, 120);
         assert_eq!(report.unique, 120);

@@ -15,12 +15,11 @@
 //! carrying its slice offset into that table, its fan-out, and a
 //! power-of-two flag; a traversal step is then `meta word → fetch_add →
 //! mask-or-modulo → route table index`, touching two flat arrays instead
-//! of chasing a per-balancer `Box<[Route]>` allocation. The older
-//! pointer-per-balancer form is retained as [`BoxedRouteNetwork`] — it is
-//! the equivalence oracle for the flat layout (see
-//! `crates/bench/tests/flat_route_equivalence.rs`) and the measured
-//! baseline in the recorded benchmark trajectory (`exp_bench`,
-//! `BENCH_*.json`).
+//! of chasing a per-balancer allocation. It is the only compiled form;
+//! its oracle is the sequential reference walker
+//! [`balnet::TokenExecutor`], checked token for token on every
+//! comparison-suite family in
+//! `crates/bench/tests/flat_route_equivalence.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -221,106 +220,6 @@ impl CompiledNetwork {
     }
 }
 
-/// One balancer in the boxed-route compiled form (see
-/// [`BoxedRouteNetwork`]).
-#[derive(Debug)]
-struct CompiledBalancer {
-    /// Number of tokens processed so far. The balancer's state is
-    /// `processed % fan_out`.
-    processed: CachePadded<AtomicU64>,
-    fan_out: u32,
-    /// Route of each output wire (`outputs.len() == fan_out`).
-    outputs: Box<[Route]>,
-}
-
-/// The pre-flattening compiled form: each balancer owns its routes in a
-/// separate `Box<[Route]>`, so every traversal step chases one heap
-/// pointer and pays `ticket % fan_out`.
-///
-/// Retained deliberately — not dead code: it is the equivalence oracle
-/// the flat [`CompiledNetwork`] is tested against on every seed topology,
-/// and the measured baseline for the `hot-path` suite in the recorded
-/// benchmark trajectory (`exp_bench`). Use [`CompiledNetwork`] everywhere
-/// else.
-#[derive(Debug)]
-pub struct BoxedRouteNetwork {
-    input_width: usize,
-    output_width: usize,
-    inputs: Box<[Route]>,
-    balancers: Box<[CompiledBalancer]>,
-}
-
-impl BoxedRouteNetwork {
-    /// Compiles a validated topology into the boxed-route form.
-    ///
-    /// # Panics
-    ///
-    /// Panics on indices that do not fit the route encoding, exactly like
-    /// [`CompiledNetwork::new`].
-    #[must_use]
-    pub fn new(network: &Network) -> Self {
-        let balancers = network
-            .balancers()
-            .iter()
-            .map(|b| CompiledBalancer {
-                processed: CachePadded::new(AtomicU64::new(0)),
-                fan_out: route_index(b.fan_out, "balancer fan-out"),
-                outputs: b.outputs.iter().map(|&p| compile_port(p)).collect(),
-            })
-            .collect();
-        Self {
-            input_width: network.input_width(),
-            output_width: network.output_width(),
-            inputs: network.inputs().iter().map(|&p| compile_port(p)).collect(),
-            balancers,
-        }
-    }
-
-    /// The network's input width.
-    #[must_use]
-    pub fn input_width(&self) -> usize {
-        self.input_width
-    }
-
-    /// The network's output width.
-    #[must_use]
-    pub fn output_width(&self) -> usize {
-        self.output_width
-    }
-
-    /// Shepherds one token from `input_wire` to an output wire — the
-    /// boxed-route (pointer-chasing, `%`-only) traversal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_wire >= input_width()`.
-    #[must_use]
-    pub fn traverse(&self, input_wire: usize) -> usize {
-        assert!(input_wire < self.input_width, "input wire {input_wire} out of range");
-        let mut route = self.inputs[input_wire];
-        loop {
-            match route.balancer_index() {
-                Some(idx) => {
-                    let b = &self.balancers[idx];
-                    // Relaxed: see `CompiledNetwork::traverse`.
-                    let ticket = b.processed.fetch_add(1, Ordering::Relaxed);
-                    let out = (ticket % u64::from(b.fan_out)) as usize;
-                    route = b.outputs[out];
-                }
-                None => return route.output_wire().expect("non-balancer route is an output"),
-            }
-        }
-    }
-
-    /// The number of tokens each balancer has processed so far (a snapshot;
-    /// exact only in a quiescent state).
-    #[must_use]
-    pub fn balancer_loads(&self) -> Vec<u64> {
-        // Relaxed: reporting-only snapshot, exact at quiescence.
-        self.balancers.iter().map(|b| b.processed.load(Ordering::Relaxed)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,20 +309,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn boxed_route_form_agrees_with_flat_form() {
-        // Full cross-family equivalence lives in
-        // crates/bench/tests/flat_route_equivalence.rs; this is the unit
-        // smoke on one topology.
-        let net = counting_network(4, 8).expect("valid");
-        let flat = CompiledNetwork::new(&net);
-        let boxed = BoxedRouteNetwork::new(&net);
-        for i in 0..200usize {
-            let wire = (i * 7 + 3) % 4;
-            assert_eq!(flat.traverse(wire), boxed.traverse(wire), "token {i}");
-        }
-        assert_eq!(flat.balancer_loads(), boxed.balancer_loads());
     }
 }

@@ -120,7 +120,7 @@ pub mod sync;
 pub mod throughput;
 pub mod waiting;
 
-pub use compiled::{BoxedRouteNetwork, CompiledNetwork};
+pub use compiled::CompiledNetwork;
 pub use counter::{BlockReserve, CentralCounter, LockCounter, NetworkCounter, SharedCounter};
 pub use diffracting::DiffractingCounter;
 pub use elimination::{EliminationConfig, EliminationCounter};

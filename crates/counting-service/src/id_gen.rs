@@ -1,13 +1,9 @@
 //! Batched id allocation: per-thread generators leasing blocks from a
-//! shared counter, plus a shareable generator with per-thread lease
-//! caches ([`SharedIdGenerator`]) for callers that cannot thread a `&mut`
-//! generator through their call graph.
+//! shared counter.
 
 use std::sync::Arc;
 
 use counting_runtime::SharedCounter;
-use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
 
 /// Default number of ids leased per refill of an [`IdGenerator`].
 pub const DEFAULT_LEASE: usize = 32;
@@ -113,129 +109,6 @@ impl IdGenerator {
     }
 }
 
-/// Default number of per-thread lease slots in a [`SharedIdGenerator`].
-pub const DEFAULT_ID_SLOTS: usize = 16;
-
-/// A **shareable** id generator with per-thread lease caches.
-///
-/// [`IdGenerator`] is deliberately `!Sync`; services that hand one `Arc`
-/// to every worker need the same lease amortization without threading a
-/// `&mut` generator around. `SharedIdGenerator` keeps one cache-padded,
-/// mutex-guarded lease buffer per *slot* and routes each caller to slot
-/// `thread_id % slots`: with at least as many slots as threads, the
-/// common grant is a pop from a buffer on the caller's own padded cache
-/// line — an uncontended lock, no shared-line traffic — and only every
-/// `lease_size`-th call touches the shared counter (one `next_batch`
-/// refill).
-///
-/// Global uniqueness follows from the backing counter's contract
-/// regardless of the thread-to-slot mapping; a mapping collision costs
-/// throughput (two threads sharing a line), never correctness. As with
-/// [`IdGenerator`], leased-but-unconsumed ids belong to the generator:
-/// drain them with [`Self::drain`] for exact accounting.
-///
-/// ```
-/// use std::sync::Arc;
-/// use counting_runtime::CentralCounter;
-/// use counting_service::SharedIdGenerator;
-///
-/// let ids = Arc::new(SharedIdGenerator::new(Arc::new(CentralCounter::new()), 4, 2));
-/// let a = ids.next_id(0);
-/// let b = ids.next_id(1);
-/// assert_ne!(a, b, "ids are globally unique across threads");
-/// assert_eq!(ids.remaining(), 6, "each slot holds the rest of its lease");
-/// ```
-pub struct SharedIdGenerator {
-    counter: Arc<dyn SharedCounter + Send + Sync>,
-    lease_size: usize,
-    /// One lease buffer per slot, each padded to its own cache line so
-    /// distinct slots never false-share. Buffers are reversed leases
-    /// (`pop` yields ascending order), as in [`IdGenerator`].
-    slots: Box<[CachePadded<Mutex<Vec<u64>>>]>,
-}
-
-impl std::fmt::Debug for SharedIdGenerator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedIdGenerator")
-            .field("counter", &self.counter.describe())
-            .field("lease_size", &self.lease_size)
-            .field("slots", &self.slots.len())
-            .finish()
-    }
-}
-
-impl SharedIdGenerator {
-    /// Creates a generator leasing `lease_size` ids per refill from
-    /// `counter`, with `slots` per-thread lease caches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lease_size` or `slots` is zero.
-    #[must_use]
-    pub fn new(
-        counter: Arc<dyn SharedCounter + Send + Sync>,
-        lease_size: usize,
-        slots: usize,
-    ) -> Self {
-        assert!(lease_size > 0, "a lease needs at least one id");
-        assert!(slots > 0, "at least one lease slot is required");
-        Self {
-            counter,
-            lease_size,
-            slots: (0..slots)
-                .map(|_| CachePadded::new(Mutex::new(Vec::with_capacity(lease_size))))
-                .collect(),
-        }
-    }
-
-    /// The number of ids each refill leases.
-    #[must_use]
-    pub fn lease_size(&self) -> usize {
-        self.lease_size
-    }
-
-    /// The number of per-thread lease slots.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Hands out the next id for a caller identified by `thread_id`,
-    /// refilling the caller's slot from the shared counter when its
-    /// cache is empty. Ids from one slot come out ascending within each
-    /// lease.
-    pub fn next_id(&self, thread_id: usize) -> u64 {
-        let mut lease = self.slots[thread_id % self.slots.len()].lock();
-        if let Some(id) = lease.pop() {
-            return id;
-        }
-        self.counter.next_batch(thread_id, self.lease_size, &mut lease);
-        lease.reverse();
-        lease.pop().expect("a non-empty lease was just fetched")
-    }
-
-    /// Ids still cached across all slots (a snapshot; exact only when no
-    /// caller is mid-grant).
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.slots.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Drains every slot's unconsumed lease remainder (ascending within
-    /// each slot), leaving all caches empty. Exact-accounting callers use
-    /// this at shutdown, like [`IdGenerator::take_lease`].
-    #[must_use]
-    pub fn drain(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let mut lease = std::mem::take(&mut *slot.lock());
-            lease.reverse();
-            out.extend(lease);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,59 +172,5 @@ mod tests {
     fn zero_lease_rejected() {
         let counter: Arc<dyn SharedCounter + Send + Sync> = Arc::new(CentralCounter::new());
         let _ = IdGenerator::new(counter, 0, 0);
-    }
-
-    #[test]
-    fn shared_generator_is_unique_and_exact_across_threads() {
-        let counter = Arc::new(CentralCounter::new());
-        let shared = Arc::new(SharedIdGenerator::new(
-            Arc::clone(&counter) as Arc<dyn SharedCounter + Send + Sync>,
-            7,
-            4,
-        ));
-        let mut all: Vec<u64> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..4)
-                .map(|tid| {
-                    let shared = Arc::clone(&shared);
-                    scope.spawn(move || (0..50).map(|_| shared.next_id(tid)).collect::<Vec<u64>>())
-                })
-                .collect();
-            workers.into_iter().flat_map(|w| w.join().expect("no panic")).collect()
-        });
-        all.extend(shared.drain());
-        assert_eq!(shared.remaining(), 0);
-        let mut sorted = all.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), all.len(), "no id handed out twice");
-        // Consumed plus drained tiles the leased range exactly.
-        assert_eq!(sorted.last().copied(), Some(sorted.len() as u64 - 1));
-        assert_eq!(counter.next(0), sorted.len() as u64);
-    }
-
-    #[test]
-    fn shared_generator_refills_per_slot_and_stays_ascending_within_a_slot() {
-        let counter = Arc::new(CentralCounter::new());
-        let shared = SharedIdGenerator::new(
-            Arc::clone(&counter) as Arc<dyn SharedCounter + Send + Sync>,
-            4,
-            2,
-        );
-        // Slot 0 consumes a full lease before slot 1 starts: each slot's
-        // stream is ascending, and refills draw whole leases.
-        let slot0: Vec<u64> = (0..4).map(|_| shared.next_id(0)).collect();
-        assert_eq!(slot0, vec![0, 1, 2, 3]);
-        let first_of_slot1 = shared.next_id(1);
-        assert_eq!(first_of_slot1, 4, "slot 1's lease starts after slot 0's");
-        // thread_id 3 maps onto slot 1 (3 % 2) and continues its cache.
-        assert_eq!(shared.next_id(3), 5);
-        assert_eq!(shared.remaining(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lease slot")]
-    fn zero_slots_rejected() {
-        let counter: Arc<dyn SharedCounter + Send + Sync> = Arc::new(CentralCounter::new());
-        let _ = SharedIdGenerator::new(counter, 4, 0);
     }
 }

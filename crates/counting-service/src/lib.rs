@@ -67,7 +67,7 @@ pub mod registry;
 pub mod sync;
 pub mod ticket;
 
-pub use id_gen::{IdGenerator, SharedIdGenerator, DEFAULT_ID_SLOTS, DEFAULT_LEASE};
+pub use id_gen::{IdGenerator, DEFAULT_LEASE};
 pub use rate::RateLimiter;
 pub use registry::{
     Backend, CounterService, EvictOutcome, ServiceConfig, TenantCounter, DEFAULT_SHARDS,
