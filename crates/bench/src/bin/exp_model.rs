@@ -1,8 +1,9 @@
 //! Experiment E16 — exhaustive interleaving checking of the lock-free
 //! cores: the elimination arena's slot state machine and the service
-//! layer's eviction/watermark hand-off, rate-limiter rollover (including
-//! its torn-read seqlock calibration), and ticket-gate admission bound,
-//! all explored schedule-by-schedule under a bounded-preemption DFS (see
+//! layer's eviction/watermark hand-off, a tenant's compact-to-inflated
+//! hand-off, rate-limiter rollover (including its torn-read seqlock
+//! calibration), and ticket-gate admission bound, all explored
+//! schedule-by-schedule under a bounded-preemption DFS (see
 //! `counting_sim::model`).
 //!
 //! Two kinds of row, both must land for the run to pass:
@@ -26,13 +27,13 @@
 //! [--trace-dir <dir>]`
 
 use bench::{Args, Table};
-use counting_sim::model::{explore, replay, Counterexample, ModelConfig, Scenario};
+use counting_sim::model::{explore, replay, Counterexample, ExploreReport, ModelConfig, Scenario};
 
 use counting_runtime::model_scenarios::{arena_pair, arena_probe, arena_trio, arena_trio_mutated};
 use counting_runtime::WaitStrategy;
 use counting_service::model_scenarios::{
-    evict_handoff, evict_handoff_mutated, rate_straddle, rate_straddle_mutated,
-    rate_torn_base_mutated, ticket_admit_bound, ticket_admit_bound_mutated,
+    evict_handoff, evict_handoff_mutated, inflate_handoff, inflate_handoff_mutated, rate_straddle,
+    rate_straddle_mutated, rate_torn_base_mutated, ticket_admit_bound, ticket_admit_bound_mutated,
 };
 
 /// What a row is asserting: a real protocol explored clean, or a seeded
@@ -63,6 +64,27 @@ struct Row {
 }
 
 impl Row {
+    fn new(
+        scenario: &'static str,
+        kind: Kind,
+        config: &ModelConfig,
+        report: ExploreReport,
+        failure: Option<String>,
+    ) -> Self {
+        Row {
+            scenario,
+            kind,
+            preemptions: config.preemptions,
+            executions: report.executions,
+            decision_points: report.decision_points,
+            pruned_states: report.pruned_states,
+            max_depth: report.max_depth,
+            complete: report.complete,
+            failure,
+            counterexample: report.counterexample,
+        }
+    }
+
     fn passed(&self) -> bool {
         self.failure.is_none()
     }
@@ -85,18 +107,7 @@ fn run_clean<T: Send + 'static>(
     } else {
         None
     };
-    Row {
-        scenario: name,
-        kind: Kind::Clean,
-        preemptions: config.preemptions,
-        executions: report.executions,
-        decision_points: report.decision_points,
-        pruned_states: report.pruned_states,
-        max_depth: report.max_depth,
-        complete: report.complete,
-        failure,
-        counterexample: report.counterexample,
-    }
+    Row::new(name, Kind::Clean, config, report, failure)
 }
 
 /// Explores a seeded mutation: passes iff the checker finds a
@@ -124,18 +135,7 @@ fn run_mutation<T: Send + 'static>(
             }
         }
     };
-    Row {
-        scenario: name,
-        kind: Kind::Mutation,
-        preemptions: config.preemptions,
-        executions: report.executions,
-        decision_points: report.decision_points,
-        pruned_states: report.pruned_states,
-        max_depth: report.max_depth,
-        complete: report.complete,
-        failure,
-        counterexample: report.counterexample,
-    }
+    Row::new(name, Kind::Mutation, config, report, failure)
 }
 
 fn main() {
@@ -179,6 +179,13 @@ fn main() {
             "service: torn epoch/base read (seeded)",
             rate_torn_base_mutated,
             rate_straddle,
+        ),
+        run_clean(&config, "service: tenant inflation hand-off", inflate_handoff),
+        run_mutation(
+            &config,
+            "service: seal by store (seeded)",
+            inflate_handoff_mutated,
+            inflate_handoff,
         ),
         run_clean(&config, "service: ticket admission bound", ticket_admit_bound),
         run_mutation(

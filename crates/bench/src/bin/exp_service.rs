@@ -7,8 +7,9 @@
 //! Every tenant's hand-out is checked against the Fetch&Increment
 //! contract — unique and exactly `0..watermark` at quiescence, across
 //! evictions — via one `ValueBitmap` per tenant; the table reports
-//! per-backend aggregate and hot/cold tenant rates, and the JSON
-//! artifact carries the full per-tenant breakdown.
+//! per-backend aggregate, hot/cold tenant rates and how many tenants
+//! the traffic inflated, and the JSON artifact carries the full
+//! per-tenant breakdown.
 //!
 //! Run with: `cargo run --release -p bench --bin exp_service
 //! [-- --quick] [--json <path>] [--seed <u64>]`
@@ -49,6 +50,10 @@ struct BackendReport {
     /// `counting_runtime::MIN_MEASURED_WINDOW`).
     aggregate_values_per_second: Option<f64>,
     evictions: u64,
+    /// Tenants live and inflated when the run ended.
+    inflated_tenants: usize,
+    /// Inflations over the run (an evicted tenant comes back compact).
+    inflations: u64,
     duplicates: u64,
     out_of_range: u64,
     range_violations: u64,
@@ -216,6 +221,12 @@ fn run_backend(
         aggregate_values_per_second: rate_over(total_values, elapsed),
         // Relaxed loads: post-join quiescent reads.
         evictions: evictions.load(Ordering::Relaxed),
+        inflated_tenants: names
+            .iter()
+            .filter_map(|n| service.get(n))
+            .filter(|t| t.is_inflated())
+            .count(),
+        inflations: service.inflations(),
         duplicates: duplicates.iter().map(|d| d.load(Ordering::Relaxed)).sum::<u64>(),
         out_of_range: out_of_range.load(Ordering::Relaxed),
         range_violations,
@@ -267,6 +278,7 @@ fn main() {
         "median /s",
         "cold tenant /s",
         "evictions",
+        "inflated",
         "status",
     ]);
     let mut reports = Vec::new();
@@ -289,6 +301,7 @@ fn main() {
             skew_cell(rates.get(rates.len() / 2).copied(), 1),
             skew_cell(rates.first().copied(), 2),
             report.evictions.to_string(),
+            format!("{}/{} ({}×)", report.inflated_tenants, report.tenants, report.inflations),
             if broken {
                 format!(
                     "BROKEN(dup {}, oor {}, range {})",
@@ -317,7 +330,10 @@ fn main() {
         "Notes: every tenant stream is drawn through contiguous block reservations, so\n\
          each tenant's hand-out must tile 0..watermark exactly — across idle-tenant\n\
          evictions, whose watermark hand-over is what the churn thread exercises. The\n\
-         hot/median/cold columns show the Zipf skew surviving into per-tenant rates.\n"
+         hot/median/cold columns show the Zipf skew surviving into per-tenant rates.\n\
+         Tenants start as one CAS word and inflate to the row's backend under sustained\n\
+         contention: `inflated` is how many ended the run inflated and (n×) how many\n\
+         inflations it saw (eviction deflates). The central row never inflates.\n"
     );
 
     let doc = ServiceJson { seed, reports };

@@ -491,8 +491,8 @@ fn exp_model_quick_prints_tables_and_catches_every_mutation() {
     // already rejected a nonzero exit, so FAIL rows cannot be present.
     assert_eq!(
         stdout.lines().filter(|l| l.contains("caught + replayed")).count(),
-        5,
-        "expected all five seeded mutations caught:\n{stdout}"
+        6,
+        "expected all six seeded mutations caught:\n{stdout}"
     );
     assert!(
         !stdout.lines().any(|l| l.contains("FAIL")),

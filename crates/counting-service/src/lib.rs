@@ -7,18 +7,24 @@
 //! disappearing while traffic flows. This crate is that layer:
 //!
 //! * [`CounterService`] — a sharded, concurrent registry mapping tenant
-//!   names to lazily-constructed counters. Lookups of existing tenants
-//!   take one shard read lock; creation and eviction serialize only
-//!   their shard. Every tenant stream is drawn through contiguous
+//!   names to counters created on first touch. Lookups of existing
+//!   tenants take one shard read lock; creation and eviction serialize
+//!   only their shard. A [`TenantCounter`] is born *compact* — one CAS
+//!   word, under a hundred bytes — and *inflates in place, once*, to
+//!   the service's configured backend when its CAS failures show
+//!   sustained contention; the hand-off publishes the backend before it
+//!   seals the word, so live handles never wait and the stream never
+//!   forks. Every tenant stream is drawn as contiguous
 //!   [`counting_runtime::BlockReserve`] blocks, so each tenant's
 //!   hand-out tiles `0..issued` for any batch-size mix — and eviction
-//!   records a watermark that re-creation resumes from, so a tenant's
-//!   values stay unique across its whole service lifetime.
+//!   records a watermark that re-creation resumes from (compact again),
+//!   so a tenant's values stay unique across its whole service lifetime.
 //! * [`ServiceConfig`] — the per-service construction policy: which
-//!   [`Backend`] (counting network, diffracting tree, central,
-//!   mutex), the network width, and whether/how to wrap each tenant in
-//!   an elimination arena ([`counting_runtime::EliminationCounter`]
-//!   with a chosen [`counting_runtime::WaitStrategy`]).
+//!   [`Backend`] a contended tenant inflates to (counting network,
+//!   diffracting tree, or central = never inflate), the network width,
+//!   and whether/how to wrap it in an elimination arena
+//!   ([`counting_runtime::EliminationCounter`] with a chosen
+//!   [`counting_runtime::WaitStrategy`]).
 //! * Workload adapters on top of any tenant handle: [`IdGenerator`]
 //!   (batched id leases with local refill), [`TicketGate`]
 //!   (ticket-lock admission), [`RateLimiter`] (windowed token
@@ -30,7 +36,8 @@
 //! use counting_runtime::SharedCounter;
 //! use counting_service::{Backend, CounterService, ServiceConfig};
 //!
-//! // One service, many tenants: network-backed, elimination-wrapped.
+//! // One service, many tenants: compact until contended, then
+//! // network-backed and elimination-wrapped.
 //! let service = CounterService::new(ServiceConfig {
 //!     backend: Backend::Network,
 //!     width: 8,

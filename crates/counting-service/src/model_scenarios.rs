@@ -1,5 +1,6 @@
 //! Exhaustive-interleaving scenarios for the service layer: the
-//! eviction/watermark hand-off and the rate limiter's window rollover.
+//! eviction/watermark hand-off, a tenant's compact-to-inflated hand-off
+//! and the rate limiter's window rollover.
 //!
 //! Same shape as `counting_runtime::model_scenarios` — each function is
 //! a fresh [`Scenario`] factory for [`counting_sim::model::explore`],
@@ -10,6 +11,10 @@
 //! * `evict-in-use` — [`crate::CounterService::try_evict`] skips the
 //!   sole-ownership check, so an in-flight reservation escapes the
 //!   recorded watermark and the recreated tenant forks its stream.
+//! * `seal-by-store` — an inflating [`crate::TenantCounter`] seals its
+//!   word with a load and a store instead of an RMW, so an increment
+//!   racing the seal is overwritten and the backend hands those values
+//!   out a second time.
 //! * `rate-straddle` — [`crate::RateLimiter`] reverts to its pre-fix
 //!   admission path, where a request naming an already-closed window is
 //!   judged against the current base and a boundary-straddling burst
@@ -34,7 +39,7 @@ use counting_runtime::{CentralCounter, SharedCounter};
 
 /// A one-shard service over the centralized backend with no elimination
 /// arena: every interesting interleaving lives in the registry itself
-/// (shard lock, `issued` counter, watermark map), which is exactly what
+/// (shard lock, tenant word, watermark map), which is exactly what
 /// this suite explores. The arena has its own scenarios in
 /// `counting_runtime::model_scenarios`.
 fn tiny_service() -> Arc<CounterService> {
@@ -44,6 +49,55 @@ fn tiny_service() -> Arc<CounterService> {
         shards: 1,
         ..ServiceConfig::default()
     }))
+}
+
+/// A tenant's compact-to-inflated hand-off under live handles: three
+/// threads reserve mixed-size blocks from one tenant that inflates (to a
+/// bare `C(2, 2)`, whose own atomics are not scheduling points) on the
+/// first CAS collision. Whoever inflates, and wherever the others are
+/// when the seal lands, the values drawn must be exactly `0..watermark`.
+/// Three threads: the seal window opens only after one thread's CAS has
+/// failed, and with two, racing an increment into it takes a third
+/// preemption.
+#[must_use]
+pub fn inflate_handoff() -> Scenario<Vec<u64>> {
+    let config =
+        ServiceConfig { width: 2, elimination: false, shards: 1, ..ServiceConfig::default() };
+    let tenant = CounterService::with_inflate_threshold(config, 1).get_or_create("tenant");
+    let threads = [vec![2, 1], vec![1, 3], vec![3]]
+        .into_iter()
+        .enumerate()
+        .map(|(thread_id, sizes)| {
+            let tenant = Arc::clone(&tenant);
+            Box::new(move || {
+                let mut values = Vec::new();
+                for k in sizes {
+                    tenant.next_batch(thread_id, k, &mut values);
+                }
+                values
+            }) as Box<dyn FnOnce() -> Vec<u64> + Send + 'static>
+        })
+        .collect();
+    Scenario::new(threads, move |outs| {
+        let mut values: Vec<u64> = outs.iter().flatten().copied().collect();
+        values.sort_unstable();
+        if values != (0..tenant.watermark()).collect::<Vec<u64>>() {
+            return Err(format!(
+                "the hand-off forked or gapped the stream: drew {values:?}, watermark {}",
+                tenant.watermark()
+            ));
+        }
+        Ok(())
+    })
+}
+
+/// [`inflate_handoff`] with the `seal-by-store` mutation seeded: a
+/// schedule exists where an increment lands between the inflating
+/// thread's load of the word and its store of the seal, and the backend
+/// repeats that block. The explorer must return a counterexample.
+#[must_use]
+pub fn inflate_handoff_mutated() -> Scenario<Vec<u64>> {
+    inflate_handoff().with_mutation("seal-by-store")
 }
 
 /// The eviction/watermark hand-off: one thread drives tenant traffic and

@@ -13,22 +13,27 @@
 //!   shard: readers of different tenants proceed in parallel, and even
 //!   readers of the *same* shard share the lock. Writes (tenant creation
 //!   and eviction) serialize only their own shard.
-//! * **Lazily constructed backends** — a tenant's counter is built on
-//!   first touch from the service-wide [`ServiceConfig`]: a
-//!   [`Backend`] choice, the network width, an optional
-//!   [`EliminationCounter`] wrapping and its [`WaitStrategy`]. The
-//!   backend lives behind `Box<dyn BlockReserve + Send + Sync>`, which
-//!   is what the `Box`/`Arc` delegation impls in `counting-runtime`
-//!   exist for.
-//! * **Block-reserved hand-outs** — every tenant stream is drawn through
-//!   [`BlockReserve::reserve_block`], never through stride dispensers,
-//!   so each tenant's hand-out tiles `0..issued` at every quiescent
-//!   point for *any* mix of batch sizes and *any* operation count — the
-//!   property the per-tenant invariant checks of `exp_service` and the
-//!   torture suite gate on. (Network-backed tenants still pay one
-//!   traversal per operation, preserving the paper's
-//!   contention-diffusing traffic shape; wrapping with the elimination
-//!   arena merges colliding tenants' requests on top.)
+//! * **Two-state tenants** — a counting network pays for its depth only
+//!   when many threads meet on one counter, and most tenants are cold. A
+//!   [`TenantCounter`] is born **compact**: one atomic word counting the
+//!   values handed out, advanced by a CAS loop. Failed CASes are the
+//!   contention signal: counted beside the word, restarted every 1 024
+//!   issued values, and on crossing a fixed threshold they **inflate the
+//!   tenant in place, once, under live handles** to the backend its
+//!   [`ServiceConfig`] names (wrapped in an [`EliminationCounter`] arena
+//!   when `elimination`). A tenant touched by one thread at a time never
+//!   inflates, a [`Backend::Central`] tenant never does, and eviction
+//!   followed by re-creation is the only deflation.
+//! * **A hand-off nobody waits for** — the one thread whose failure
+//!   crosses the threshold builds the backend, publishes it, and only
+//!   *then* seals the word (top bit, by CAS): a racing increment lands
+//!   below the seal or fails and sees it. A reserver that loads a sealed
+//!   word `F` serves `base + F + backend.reserve_block(..)`, so the
+//!   stream tiles `0..F` from the word and `F..` from the backend: each
+//!   tenant's hand-out is exactly `0..issued` at every quiescent point
+//!   for *any* mix of batch sizes — what the per-tenant checks of
+//!   `exp_service`, the torture suite and the `inflate_handoff` model
+//!   scenario gate on.
 //! * **Uniqueness across eviction** — evicting an idle tenant records
 //!   its high-water mark; a later [`CounterService::get_or_create`] for
 //!   the same name resumes the stream at that offset (see
@@ -37,25 +42,38 @@
 //!   in-use tenants ([`EvictOutcome::InUse`]): the registry only retires
 //!   a counter it solely owns, observed under the shard's write lock, so
 //!   no operation can be in flight and the recorded watermark is exact.
+//!   A tenant that never handed out a value leaves nothing behind.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{fence, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use balnet::Network;
 use counting::counting_network;
 use counting_runtime::{
-    BlockReserve, CentralCounter, DiffractingCounter, EliminationConfig, EliminationCounter,
-    LockCounter, NetworkCounter, SharedCounter, WaitStrategy,
+    BlockReserve, DiffractingCounter, EliminationConfig, EliminationCounter, NetworkCounter,
+    SharedCounter, WaitStrategy,
 };
 
 // The registry's control atomics and shard locks come through the
 // model-checking seam (std/parking_lot pass-throughs unless the `model`
 // feature routes them into counting-sim's interleaving explorer).
-use crate::sync::{AtomicU64, RwLock};
+use crate::sync::{mutation_enabled, AtomicU64, RwLock};
 use crate::{IdGenerator, RateLimiter, TicketGate};
+
+/// Top bit of a tenant's word: set once, after the backend is published;
+/// the low bits then stay at `F`, the count the word handed out.
+const SEALED: u64 = 1 << 63;
+/// The contention count restarts each time the word crosses a multiple
+/// of `2^SIGNAL_WINDOW_BITS` issued values: only sustained contention
+/// adds up.
+const SIGNAL_WINDOW_BITS: u32 = 10;
+/// CAS failures inside one signal window that inflate a tenant: two
+/// threads hammering one tenant get there at once, threads that collide
+/// now and then (requests microseconds apart, a CAS of nanoseconds) never.
+const INFLATE_THRESHOLD: u64 = 8;
 
 /// Exchanger slots per prism node of a [`Backend::Diffracting`] tenant.
 const DIFFRACTING_PRISM_SIZE: usize = 8;
@@ -71,16 +89,13 @@ pub enum Backend {
     /// A diffracting tree with `width` leaves
     /// ([`DiffractingCounter`]).
     Diffracting,
-    /// The centralized `fetch_add` hotspot ([`CentralCounter`]).
+    /// The centralized hotspot: a compact tenant that never inflates.
     Central,
-    /// The mutex-protected baseline ([`LockCounter`]).
-    Lock,
 }
 
 impl Backend {
     /// Every backend, in the order experiment tables list them.
-    pub const ALL: [Backend; 4] =
-        [Backend::Network, Backend::Diffracting, Backend::Central, Backend::Lock];
+    pub const ALL: [Backend; 3] = [Backend::Network, Backend::Diffracting, Backend::Central];
 
     /// A short stable label used in tables and JSON output (the network
     /// backends include the width, so the label needs the config).
@@ -90,7 +105,6 @@ impl Backend {
             Backend::Network => format!("C({width},{width})"),
             Backend::Diffracting => format!("DiffTree[{width}]"),
             Backend::Central => "central".to_owned(),
-            Backend::Lock => "mutex".to_owned(),
         }
     }
 }
@@ -120,9 +134,10 @@ pub struct ServiceConfig {
     /// must be a power of two `>= 2` for [`Backend::Network`] and
     /// [`Backend::Diffracting`], ignored by the centralized ones).
     pub width: usize,
-    /// Whether to wrap each tenant's backend in an
+    /// Whether to wrap each inflated tenant's backend in an
     /// [`EliminationCounter`] arena (default `true`): colliding
     /// same-tenant requests then merge into one combined reservation.
+    /// [`Backend::Central`] tenants never inflate, so never wrap.
     pub elimination: bool,
     /// The [`WaitStrategy`] of the elimination arena (default
     /// [`WaitStrategy::SpinYield`]; ignored unless `elimination`).
@@ -154,7 +169,7 @@ impl ServiceConfig {
     #[must_use]
     pub fn label(&self) -> String {
         let base = self.backend.label(self.width);
-        if self.elimination {
+        if self.elimination && self.backend != Backend::Central {
             format!("{base}+elim[{}]", self.strategy.label())
         } else {
             base
@@ -162,50 +177,89 @@ impl ServiceConfig {
     }
 }
 
-/// One tenant's counter: a [`BlockReserve`] backend behind a value-stream
-/// offset.
+/// What a tenant needs to inflate itself, shared by every tenant of one
+/// service (a handle may outlive the service that issued it).
+#[derive(Debug)]
+struct Blueprint {
+    config: ServiceConfig,
+    /// Pre-built topology for [`Backend::Network`] tenants, so an
+    /// inflation pays one compilation, not one construction.
+    template: Option<Network>,
+    /// Contention count that inflates a tenant; `u64::MAX` is never.
+    threshold: u64,
+    /// Tenants inflated so far (a statistic: `std`, not the model shim).
+    inflations: std::sync::atomic::AtomicU64,
+}
+
+impl Blueprint {
+    /// Builds the backend an inflating tenant switches to.
+    fn build_backend(&self) -> Box<dyn BlockReserve + Send + Sync> {
+        let w = self.config.width;
+        let backend: Box<dyn BlockReserve + Send + Sync> = match self.config.backend {
+            Backend::Network => Box::new(NetworkCounter::new(
+                self.config.backend.label(w),
+                self.template.as_ref().expect("network backend keeps a template"),
+            )),
+            Backend::Diffracting => {
+                Box::new(DiffractingCounter::new(w, DIFFRACTING_PRISM_SIZE, DIFFRACTING_PRISM_SPIN))
+            }
+            Backend::Central => unreachable!("central tenants never inflate"),
+        };
+        if self.config.elimination {
+            let arena = EliminationConfig {
+                strategy: self.config.strategy,
+                ..EliminationConfig::default()
+            };
+            Box::new(EliminationCounter::with_config(backend, arena))
+        } else {
+            backend
+        }
+    }
+}
+
+/// A tenant's inflated state: the backend and the values it handed out.
+struct Inflated {
+    backend: Box<dyn BlockReserve + Send + Sync>,
+    issued: AtomicU64,
+}
+
+/// One tenant's counter: a single CAS word until it is contended, the
+/// service's configured backend afterwards, behind a value-stream offset.
 ///
 /// The offset (`base`) is the tenant's high-water mark from previous
 /// instance lifetimes: a freshly created tenant starts at `0`, a tenant
 /// re-created after an eviction resumes where the evicted instance
 /// stopped, so the *tenant's* stream stays unique and gap-free across
-/// instances even though each backend instance counts from zero.
+/// instances even though each instance counts from zero.
 ///
-/// All hand-outs go through [`BlockReserve::reserve_block`] on the
-/// backend, so the instance's raw values tile `0..issued` at every
-/// quiescent point regardless of batch-size mix — which is exactly what
-/// makes `base + issued` a resumable watermark.
+/// Every instance starts **compact** and may **inflate** once (see the
+/// [module docs](self)); either way its raw values tile `0..issued` at
+/// every quiescent point regardless of batch-size mix — which is exactly
+/// what makes `base + issued` a resumable watermark.
 pub struct TenantCounter {
-    tenant: String,
-    inner: Box<dyn BlockReserve + Send + Sync>,
+    tenant: Arc<str>,
     base: u64,
-    issued: AtomicU64,
+    /// Values handed out by the word, plus [`SEALED`] once inflated.
+    word: AtomicU64,
+    /// CAS failures in the current signal window.
+    contention: AtomicU64,
+    blueprint: Arc<Blueprint>,
+    /// Published before the word is sealed: whoever sees the seal finds it.
+    inflated: OnceLock<Inflated>,
 }
 
 impl std::fmt::Debug for TenantCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TenantCounter")
             .field("tenant", &self.tenant)
-            .field("inner", &self.inner.describe())
+            .field("state", &self.state_label())
             .field("base", &self.base)
-            .field("issued", &self.issued)
+            .field("issued", &self.issued())
             .finish()
     }
 }
 
 impl TenantCounter {
-    /// Builds a tenant counter resuming at `base`. Exposed for direct
-    /// composition; service users go through
-    /// [`CounterService::get_or_create`].
-    #[must_use]
-    pub fn new(
-        tenant: impl Into<String>,
-        inner: Box<dyn BlockReserve + Send + Sync>,
-        base: u64,
-    ) -> Self {
-        Self { tenant: tenant.into(), inner, base, issued: AtomicU64::new(0) }
-    }
-
     /// The tenant's name.
     #[must_use]
     pub fn tenant(&self) -> &str {
@@ -219,17 +273,35 @@ impl TenantCounter {
         self.base
     }
 
+    /// Whether this instance has inflated to the configured backend.
+    #[must_use]
+    pub fn is_inflated(&self) -> bool {
+        self.word.load(Ordering::Acquire) & SEALED != 0
+    }
+
+    /// The inflated state; only for callers that saw the word sealed.
+    fn backend(&self) -> &Inflated {
+        self.inflated.get().expect("the backend is published before the word is sealed")
+    }
+
+    fn state_label(&self) -> String {
+        self.inflated.get().map_or_else(|| "compact".to_owned(), |state| state.backend.describe())
+    }
+
     /// Values handed out by **this instance**. Exact at quiescence; while
     /// operations are in flight it may briefly exceed the values already
     /// visible to callers.
     #[must_use]
     pub fn issued(&self) -> u64 {
-        // Relaxed: this is a statistic for callers *except* on the
-        // eviction path, where exactness is guaranteed not by this load's
-        // ordering but by sole ownership: the Acquire fence in
-        // try_evict/evict_idle pairs with the last handle's release drop,
-        // which happens-after that handle's final fetch_add below.
-        self.issued.load(Ordering::Relaxed)
+        // A statistic for callers *except* on the eviction path, where
+        // exactness comes not from these loads' ordering but from sole
+        // ownership: the Acquire fence in `retire` pairs with the last
+        // handle's release drop, which happens-after its final update.
+        let word = self.word.load(Ordering::Acquire);
+        if word & SEALED == 0 {
+            return word;
+        }
+        (word & !SEALED) + self.backend().issued.load(Ordering::Relaxed)
     }
 
     /// The tenant's high-water mark, `base + issued`: the next instance's
@@ -240,15 +312,78 @@ impl TenantCounter {
         self.base + self.issued()
     }
 
-    /// One block reservation against the backend, offset into the
-    /// tenant's stream.
+    /// One block reservation, offset into the tenant's stream.
     fn reserve(&self, thread_id: usize, k: usize) -> u64 {
-        let raw = self.inner.reserve_block(thread_id, k);
-        // Relaxed: the count is published to the eviction path by the
-        // handle's release drop + the registry's Acquire fence (see
-        // `issued`), not by this RMW's ordering.
-        self.issued.fetch_add(k as u64, Ordering::Relaxed);
-        self.base + raw
+        // ordering: the Acquire loads of the word pair with the Release
+        // seal in `inflate`: whoever sees the seal sees the backend
+        // published before it.
+        let mut word = self.word.load(Ordering::Acquire);
+        loop {
+            if word & SEALED != 0 {
+                let Inflated { backend, issued } = self.backend();
+                let raw = backend.reserve_block(thread_id, k);
+                // Relaxed, like the CAS below: the count reaches the
+                // eviction path through the handle's release drop and
+                // the registry's Acquire fence (see `issued`).
+                issued.fetch_add(k as u64, Ordering::Relaxed);
+                return self.base + (word & !SEALED) + raw;
+            }
+            // A strong CAS: a failure means another thread moved the word.
+            let next = word + k as u64;
+            if self.word.compare_exchange(word, next, Ordering::Relaxed, Ordering::Relaxed).is_ok()
+            {
+                if (word ^ next) >> SIGNAL_WINDOW_BITS != 0 {
+                    self.open_signal_window();
+                }
+                return self.base + word;
+            }
+            self.note_contention();
+            word = self.word.load(Ordering::Acquire);
+        }
+    }
+
+    /// Restarts the contention count — unless it already reached the
+    /// threshold, which therefore happens once per tenant. Relaxed here
+    /// and in `note_contention`: the count elects, it publishes nothing.
+    fn open_signal_window(&self) {
+        let seen = self.contention.load(Ordering::Relaxed);
+        if seen != 0 && seen < self.blueprint.threshold {
+            // Losing this race means a failure was just counted: it stands.
+            let _ = self.contention.compare_exchange(seen, 0, Ordering::Relaxed, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one failed CAS; the failure that reaches the threshold
+    /// inflates the tenant.
+    #[cold]
+    fn note_contention(&self) {
+        if self.contention.fetch_add(1, Ordering::Relaxed) + 1 == self.blueprint.threshold {
+            self.inflate();
+        }
+    }
+
+    /// Switches the tenant to its configured backend while other handles
+    /// keep reserving: build, publish, *then* seal. Until the seal lands
+    /// everyone is still served by the word, so nobody waits for the build.
+    fn inflate(&self) {
+        let inflated =
+            Inflated { backend: self.blueprint.build_backend(), issued: AtomicU64::new(0) };
+        assert!(self.inflated.set(inflated).is_ok(), "the threshold is reached once");
+        self.blueprint.inflations.fetch_add(1, Ordering::Relaxed);
+        let mut word = self.word.load(Ordering::Relaxed);
+        if mutation_enabled("seal-by-store") {
+            // Seeded model mutation (never active outside an exploration):
+            // an increment landing between that load and this store is
+            // overwritten, and the backend hands its values out again.
+            return self.word.store(word | SEALED, Ordering::Release);
+        }
+        // ordering: Release after the `set` — publish-before-seal. An RMW,
+        // so a racing increment lands below the seal or fails and sees it.
+        while let Err(seen) =
+            self.word.compare_exchange(word, word | SEALED, Ordering::Release, Ordering::Relaxed)
+        {
+            word = seen;
+        }
     }
 }
 
@@ -267,7 +402,7 @@ impl SharedCounter for TenantCounter {
     }
 
     fn describe(&self) -> String {
-        format!("{} [tenant {} @ {}]", self.inner.describe(), self.tenant, self.base)
+        format!("{} [tenant {} @ {}]", self.state_label(), self.tenant, self.base)
     }
 }
 
@@ -299,8 +434,27 @@ pub enum EvictOutcome {
 /// shard's lock).
 #[derive(Debug, Default)]
 struct ShardState {
-    live: HashMap<String, Arc<TenantCounter>>,
-    watermarks: HashMap<String, u64>,
+    live: HashMap<Arc<str>, Arc<TenantCounter>>,
+    watermarks: HashMap<Arc<str>, u64>,
+}
+
+/// Retires a solely-owned tenant: records its watermark under its name
+/// (in place when the name was evicted before: steady-state churn
+/// allocates nothing) and returns it. A tenant that never handed out a
+/// value has nothing to resume and leaves no entry.
+fn retire(watermarks: &mut HashMap<Arc<str>, u64>, counter: &TenantCounter) -> u64 {
+    // Pairs with the release decrement of the last dropped handle: all
+    // that handle's thread did (its final count update included) is
+    // visible before we read the watermark.
+    fence(Ordering::Acquire);
+    let watermark = counter.watermark();
+    if watermark > 0 {
+        match watermarks.get_mut(counter.tenant()) {
+            Some(mark) => *mark = watermark,
+            None => drop(watermarks.insert(Arc::clone(&counter.tenant), watermark)),
+        }
+    }
+    watermark
 }
 
 /// A sharded, concurrent registry of named counters — see the [module
@@ -319,10 +473,7 @@ struct ShardState {
 /// ```
 #[derive(Debug)]
 pub struct CounterService {
-    config: ServiceConfig,
-    /// Pre-built topology for [`Backend::Network`] tenants, so tenant
-    /// creation pays one compilation, not one construction.
-    template: Option<Network>,
+    blueprint: Arc<Blueprint>,
     shards: Box<[RwLock<ShardState>]>,
 }
 
@@ -335,29 +486,36 @@ impl CounterService {
     /// power of two `>= 2` while a network-shaped backend is selected.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
+        Self::with_inflate_threshold(config, INFLATE_THRESHOLD)
+    }
+
+    /// [`Self::new`] with tenants inflating after `threshold` CAS
+    /// failures in one signal window. Crate-private: the model scenarios
+    /// and unit tests pass `1`, so the first collision inflates.
+    pub(crate) fn with_inflate_threshold(config: ServiceConfig, threshold: u64) -> Self {
         assert!(config.shards > 0, "the registry needs at least one shard");
-        let template = match config.backend {
-            Backend::Network => Some(
-                counting_network(config.width, config.width)
-                    .expect("width must be a power of two >= 2"),
-            ),
-            Backend::Diffracting => {
-                assert!(
-                    config.width >= 2 && config.width.is_power_of_two(),
-                    "width must be a power of two >= 2"
-                );
-                None
-            }
-            Backend::Central | Backend::Lock => None,
-        };
+        let (w, central) = (config.width, config.backend == Backend::Central);
+        assert!(central || (w >= 2 && w.is_power_of_two()), "width must be a power of two >= 2");
+        let template = (config.backend == Backend::Network)
+            .then(|| counting_network(w, w).expect("the width was checked above"));
+        let threshold = if central { u64::MAX } else { threshold };
         let shards = (0..config.shards).map(|_| RwLock::new(ShardState::default())).collect();
-        Self { config, template, shards }
+        let inflations = std::sync::atomic::AtomicU64::new(0);
+        Self { blueprint: Arc::new(Blueprint { config, template, threshold, inflations }), shards }
     }
 
     /// The service-wide construction policy.
     #[must_use]
     pub fn config(&self) -> ServiceConfig {
-        self.config
+        self.blueprint.config
+    }
+
+    /// How many tenant instances have inflated since the service started
+    /// (a tenant evicted and re-created can inflate again).
+    #[must_use]
+    pub fn inflations(&self) -> u64 {
+        // Relaxed: a monotone statistic, never a control input.
+        self.blueprint.inflations.load(Ordering::Relaxed)
     }
 
     /// The number of registry shards.
@@ -375,38 +533,14 @@ impl CounterService {
     /// The names of all live tenants, in no particular order.
     #[must_use]
     pub fn tenants(&self) -> Vec<String> {
-        self.shards.iter().flat_map(|s| s.read().live.keys().cloned().collect::<Vec<_>>()).collect()
+        let names = |s: &RwLock<ShardState>| s.read().live.keys().map(|n| n.to_string()).collect();
+        self.shards.iter().flat_map::<Vec<String>, _>(names).collect()
     }
 
     fn shard_of(&self, tenant: &str) -> &RwLock<ShardState> {
         let mut hasher = DefaultHasher::new();
         tenant.hash(&mut hasher);
         &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
-    }
-
-    /// Builds a tenant's backend from the service config.
-    fn build_backend(&self) -> Box<dyn BlockReserve + Send + Sync> {
-        let w = self.config.width;
-        let backend: Box<dyn BlockReserve + Send + Sync> = match self.config.backend {
-            Backend::Network => Box::new(NetworkCounter::new(
-                self.config.backend.label(w),
-                self.template.as_ref().expect("network backend keeps a template"),
-            )),
-            Backend::Diffracting => {
-                Box::new(DiffractingCounter::new(w, DIFFRACTING_PRISM_SIZE, DIFFRACTING_PRISM_SPIN))
-            }
-            Backend::Central => Box::new(CentralCounter::new()),
-            Backend::Lock => Box::new(LockCounter::new()),
-        };
-        if self.config.elimination {
-            let arena = EliminationConfig {
-                strategy: self.config.strategy,
-                ..EliminationConfig::default()
-            };
-            Box::new(EliminationCounter::with_config(backend, arena))
-        } else {
-            backend
-        }
     }
 
     /// Returns the tenant's live counter, if one exists — the pure read
@@ -435,9 +569,21 @@ impl CounterService {
         if let Some(counter) = state.live.get(tenant) {
             return Arc::clone(counter);
         }
-        let base = state.watermarks.get(tenant).copied().unwrap_or(0);
-        let counter = Arc::new(TenantCounter::new(tenant, self.build_backend(), base));
-        state.live.insert(tenant.to_owned(), Arc::clone(&counter));
+        // One name allocation per tenant lifetime, and none for a tenant
+        // coming back: the recorded watermark already holds the name.
+        let (name, base) = match state.watermarks.get_key_value(tenant) {
+            Some((name, &base)) => (Arc::clone(name), base),
+            None => (Arc::from(tenant), 0),
+        };
+        let counter = Arc::new(TenantCounter {
+            tenant: Arc::clone(&name),
+            base,
+            word: AtomicU64::new(0),
+            contention: AtomicU64::new(0),
+            blueprint: Arc::clone(&self.blueprint),
+            inflated: OnceLock::new(),
+        });
+        state.live.insert(name, Arc::clone(&counter));
         counter
     }
 
@@ -460,18 +606,12 @@ impl CounterService {
         // reservation then escapes the watermark, the recreated instance
         // resumes too low, and the tenant's stream forks — the model
         // suite asserts the checker catches exactly this.
-        let ignore_owners = crate::sync::mutation_enabled("evict-in-use");
+        let ignore_owners = mutation_enabled("evict-in-use");
         if !ignore_owners && Arc::strong_count(counter) > 1 {
             return EvictOutcome::InUse;
         }
-        // Pairs with the release decrement of the last dropped handle:
-        // everything that handle's thread did (its final `issued`
-        // update included) is visible before we read the watermark.
-        fence(Ordering::Acquire);
         let counter = state.live.remove(tenant).expect("checked above");
-        let watermark = counter.watermark();
-        state.watermarks.insert(tenant.to_owned(), watermark);
-        EvictOutcome::Evicted { watermark }
+        EvictOutcome::Evicted { watermark: retire(&mut state.watermarks, &counter) }
     }
 
     /// Sweeps every shard, retiring all tenants without outstanding
@@ -481,21 +621,15 @@ impl CounterService {
     pub fn evict_idle(&self) -> usize {
         let mut evicted = 0;
         for shard in &self.shards {
-            let mut state = shard.write();
-            let idle: Vec<String> = state
-                .live
-                .iter()
-                .filter(|(_, counter)| Arc::strong_count(counter) == 1)
-                .map(|(tenant, _)| tenant.clone())
-                .collect();
-            if !idle.is_empty() {
-                fence(Ordering::Acquire);
-            }
-            for tenant in idle {
-                let counter = state.live.remove(&tenant).expect("collected above");
-                state.watermarks.insert(tenant, counter.watermark());
-                evicted += 1;
-            }
+            let ShardState { live, watermarks } = &mut *shard.write();
+            live.retain(|_, counter| {
+                let idle = Arc::strong_count(counter) == 1;
+                if idle {
+                    retire(watermarks, counter);
+                    evicted += 1;
+                }
+                !idle
+            });
         }
         evicted
     }
@@ -530,8 +664,11 @@ impl CounterService {
         if state.live.contains_key(tenant) {
             return false;
         }
-        let entry = state.watermarks.entry(tenant.to_owned()).or_insert(0);
-        *entry = (*entry).max(watermark);
+        match state.watermarks.get_mut(tenant) {
+            Some(mark) => *mark = (*mark).max(watermark),
+            None if watermark > 0 => drop(state.watermarks.insert(Arc::from(tenant), watermark)),
+            None => {}
+        }
         true
     }
 
@@ -584,7 +721,6 @@ mod tests {
         assert_eq!(elim.label(), "C(16,16)+elim[park]");
         assert_eq!(Backend::Diffracting.label(8), "DiffTree[8]");
         assert_eq!(Backend::Central.label(8), "central");
-        assert_eq!(Backend::Lock.label(8), "mutex");
     }
 
     #[test]
@@ -622,23 +758,27 @@ mod tests {
     fn every_backend_constructs_and_counts() {
         for backend in Backend::ALL {
             for elimination in [false, true] {
-                let service = CounterService::new(ServiceConfig {
-                    backend,
-                    width: 4,
-                    elimination,
-                    ..ServiceConfig::default()
-                });
+                // Threshold 1: one counted collision inflates, so one
+                // thread can drive a tenant through its whole life.
+                let config = ServiceConfig { backend, width: 4, elimination, ..Default::default() };
+                let service = CounterService::with_inflate_threshold(config, 1);
                 let counter = service.get_or_create("t");
-                let mut values: Vec<u64> = (0..6).map(|i| counter.next(i)).collect();
-                let mut batch = Vec::new();
-                counter.next_batch(0, 3, &mut batch);
-                values.extend(batch);
+                let mut values: Vec<u64> = (0..3).map(|i| counter.next(i)).collect();
+                assert_eq!(counter.describe(), "compact [tenant t @ 0]");
+                counter.note_contention();
+                let inflates = backend != Backend::Central;
+                assert_eq!(counter.is_inflated(), inflates, "{}", counter.describe());
+                assert_eq!(service.inflations(), u64::from(inflates));
+                assert_eq!(counter.describe().contains("elim"), inflates && elimination);
+                values.extend((3..6).map(|i| counter.next(i)));
+                counter.next_batch(0, 3, &mut values);
                 values.sort_unstable();
                 assert_eq!(values, (0..9).collect::<Vec<u64>>(), "{backend:?}/{elimination}");
-                if elimination {
-                    assert!(counter.describe().contains("elim"), "{}", counter.describe());
-                }
-                assert!(counter.describe().contains("tenant t"), "{}", counter.describe());
+                // Eviction and re-creation is the only deflation.
+                drop(counter);
+                assert_eq!(service.evict_idle(), 1);
+                let revived = service.get_or_create("t");
+                assert_eq!((revived.is_inflated(), revived.base(), revived.next(0)), (false, 9, 9));
             }
         }
     }
@@ -689,6 +829,77 @@ mod tests {
         assert!(service.get("held").is_some());
         assert_eq!(service.watermark("idle-1"), 1);
         assert_eq!(held.next(0), 1, "the survivor keeps counting");
+    }
+
+    #[test]
+    fn eviction_forgets_tenants_that_never_reserved() {
+        let service = network_service(true);
+        let recorded = || service.shards.iter().map(|s| s.read().watermarks.len()).sum::<usize>();
+        for i in 0..10_000 {
+            drop(service.get_or_create(&format!("probe/{i}")));
+        }
+        assert_eq!(service.try_evict("probe/0"), EvictOutcome::Evicted { watermark: 0 });
+        assert!(service.restore_watermark("probe/0", 0));
+        assert_eq!((service.evict_idle(), recorded()), (9_999, 0));
+        // A tenant that did reserve resumes at its mark, and evicting it
+        // again updates that one entry in place.
+        for round in 0..2 {
+            assert_eq!(service.get_or_create("used").next(0), round);
+            assert_eq!((service.evict_idle(), recorded()), (1, 1));
+        }
+        assert_eq!(service.get_or_create("used").base(), 2);
+    }
+
+    #[test]
+    fn one_thread_never_inflates_a_tenant() {
+        let service = CounterService::new(ServiceConfig::default());
+        let tenant = service.get_or_create("solo");
+        let mut expected = 0;
+        for op in 0..1_000_000usize {
+            assert_eq!(tenant.reserve_block(op % 3, 1 + op % 7), expected);
+            expected += 1 + op as u64 % 7;
+        }
+        assert_eq!((tenant.is_inflated(), service.inflations()), (false, 0));
+    }
+
+    #[test]
+    fn two_threads_inflate_a_tenant_and_the_stream_stays_dense() {
+        if std::thread::available_parallelism().map_or(1, |cores| cores.get()) < 2 {
+            return; // One core serializes the threads: there is no contention to see.
+        }
+        let service = CounterService::new(ServiceConfig::default());
+        let tenant = &*service.get_or_create("pair");
+        // Lock step, 256 operations at a time, spinning while they wait:
+        // two threads the host started on one core would otherwise take
+        // turns and spend the budget without ever meeting.
+        let progress = [const { std::sync::atomic::AtomicUsize::new(0) }; 2];
+        let run = |tid: usize| {
+            let mut blocks = Vec::with_capacity(1 << 16);
+            for op in 0..1usize << 16 {
+                if op % 256 == 0 {
+                    progress[tid].store(op + 256, Ordering::Release);
+                    while progress[1 - tid].load(Ordering::Acquire) <= op {
+                        std::hint::spin_loop();
+                    }
+                }
+                let k = 1 + (op + tid) % 4;
+                blocks.push((tenant.reserve_block(tid, k), k as u64));
+            }
+            blocks
+        };
+        let mut blocks = std::thread::scope(|scope| {
+            let other = scope.spawn(|| run(1));
+            [run(0), other.join().expect("no panic")].concat()
+        });
+        assert!(tenant.is_inflated(), "2^16 contended ops each did not inflate the tenant");
+        assert!(tenant.describe().contains("elim["), "{}", tenant.describe());
+        blocks.sort_unstable();
+        let mut next = 0;
+        for (start, k) in blocks {
+            assert_eq!(start, next, "the stream forked or gapped");
+            next += k;
+        }
+        assert_eq!((tenant.watermark(), service.inflations()), (next, 1));
     }
 
     #[test]

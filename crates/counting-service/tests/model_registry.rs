@@ -1,5 +1,6 @@
 //! Exhaustive interleaving checks for the service layer: tenant
-//! eviction/watermark hand-off and the rate limiter's window rollover.
+//! eviction/watermark hand-off, a tenant's compact-to-inflated hand-off
+//! and the rate limiter's window rollover.
 //!
 //! Run with:
 //!
@@ -15,143 +16,104 @@
 #![cfg(feature = "model")]
 
 use counting_service::model_scenarios::{
-    evict_handoff, evict_handoff_mutated, rate_straddle, rate_straddle_mutated,
-    rate_torn_base_mutated, ticket_admit_bound, ticket_admit_bound_mutated,
+    evict_handoff, evict_handoff_mutated, inflate_handoff, inflate_handoff_mutated, rate_straddle,
+    rate_straddle_mutated, rate_torn_base_mutated, ticket_admit_bound, ticket_admit_bound_mutated,
 };
-use counting_sim::model::{explore, replay, ModelConfig};
+use counting_sim::model::{explore, replay, Counterexample, ModelConfig, Scenario};
+
+/// The real protocol explores to completion, clean, at two preemptions.
+fn assert_clean<T: Send + 'static>(protocol: &str, scenario: fn() -> Scenario<T>) {
+    let report = explore(&ModelConfig::with_preemptions(2), scenario);
+    assert!(report.complete, "exploration hit a budget: {report:?}");
+    if let Some(cex) = &report.counterexample {
+        panic!("{protocol} has a real counterexample:\n{cex}");
+    }
+    assert!(report.executions > 1, "no interleaving was actually explored");
+}
+
+/// The seeded mutation is caught at two preemptions, its pinned schedule
+/// still fails on the mutant, and the real protocol survives that exact
+/// schedule. Returns the counterexample.
+fn assert_caught<T: Send + 'static>(
+    mutation: &str,
+    mutated: fn() -> Scenario<T>,
+    fixed: fn() -> Scenario<T>,
+) -> Counterexample {
+    let config = ModelConfig::with_preemptions(2);
+    let report = explore(&config, mutated);
+    let cex = report.counterexample.unwrap_or_else(|| {
+        panic!(
+            "the {mutation} mutation survived {} executions: the checker has no teeth",
+            report.executions
+        )
+    });
+    replay(&config, mutated, &cex.trace)
+        .expect_err("the pinned schedule must still fail on the mutated protocol");
+    if let Err(cex) = replay(&config, fixed, &cex.trace) {
+        panic!("the real protocol failed the {mutation} schedule:\n{cex}");
+    }
+    cex
+}
 
 #[test]
 fn evict_handoff_is_clean_with_two_preemptions() {
-    let config = ModelConfig::with_preemptions(2);
-    let report = explore(&config, evict_handoff);
-    assert!(report.complete, "exploration hit a budget: {report:?}");
-    if let Some(cex) = &report.counterexample {
-        panic!("the eviction hand-off has a real counterexample:\n{cex}");
-    }
-    assert!(report.executions > 1, "no interleaving was actually explored");
+    assert_clean("the eviction hand-off", evict_handoff);
+}
+
+#[test]
+fn inflate_handoff_is_clean_with_two_preemptions() {
+    assert_clean("the inflation hand-off", inflate_handoff);
 }
 
 #[test]
 fn rate_straddle_is_clean_with_two_preemptions() {
-    let config = ModelConfig::with_preemptions(2);
-    let report = explore(&config, rate_straddle);
-    assert!(report.complete, "exploration hit a budget: {report:?}");
-    if let Some(cex) = &report.counterexample {
-        panic!("the fixed rate limiter has a real counterexample:\n{cex}");
-    }
-    assert!(report.executions > 1, "no interleaving was actually explored");
-}
-
-#[test]
-fn evicting_an_in_use_tenant_is_caught_and_replays() {
-    let config = ModelConfig::with_preemptions(2);
-    let report = explore(&config, evict_handoff_mutated);
-    let cex = report.counterexample.unwrap_or_else(|| {
-        panic!(
-            "the evict-in-use mutation survived {} executions: the checker has no teeth",
-            report.executions
-        )
-    });
-
-    replay(&config, evict_handoff_mutated, &cex.trace)
-        .expect_err("the pinned schedule must still fail on the mutated protocol");
-
-    // The real protocol (sole-ownership check intact) survives the exact
-    // schedule that forked the mutated tenant's stream.
-    if let Err(cex) = replay(&config, evict_handoff, &cex.trace) {
-        panic!("the real eviction protocol failed the mutation's schedule:\n{cex}");
-    }
-}
-
-#[test]
-fn window_straddling_burst_is_caught_and_replays() {
-    let config = ModelConfig::with_preemptions(2);
-    let report = explore(&config, rate_straddle_mutated);
-    let cex = report.counterexample.unwrap_or_else(|| {
-        panic!(
-            "the rate-straddle mutation survived {} executions: the checker has no teeth",
-            report.executions
-        )
-    });
-    assert!(
-        cex.message.contains("over the limit"),
-        "the counterexample must be an over-admission, got: {}",
-        cex.message
-    );
-
-    replay(&config, rate_straddle_mutated, &cex.trace)
-        .expect_err("the pinned schedule must still fail on the pre-fix admission path");
-
-    // The seqlock'd limiter survives the exact schedule that over-admits
-    // on the pre-fix path.
-    if let Err(cex) = replay(&config, rate_straddle, &cex.trace) {
-        panic!("the fixed rate limiter failed the mutation's schedule:\n{cex}");
-    }
-}
-
-/// Regression for the torn epoch/base read: with the seqlock recheck
-/// skipped (`rate-torn-base` seeded), a judger preempted between its
-/// epoch and base loads judges a late value against the *next* window's
-/// base and over-admits a closed window. The checker must catch it, and
-/// the versioned read must survive the exact same schedule.
-#[test]
-fn torn_base_read_is_caught_and_replays() {
-    let config = ModelConfig::with_preemptions(2);
-    let report = explore(&config, rate_torn_base_mutated);
-    let cex = report.counterexample.unwrap_or_else(|| {
-        panic!(
-            "the rate-torn-base mutation survived {} executions: the checker has no teeth",
-            report.executions
-        )
-    });
-    assert!(
-        cex.message.contains("over the limit"),
-        "the counterexample must be an over-admission, got: {}",
-        cex.message
-    );
-
-    replay(&config, rate_torn_base_mutated, &cex.trace)
-        .expect_err("the pinned schedule must still fail with the recheck skipped");
-
-    // The versioned-pair read survives the exact schedule that tears
-    // the unversioned one.
-    if let Err(cex) = replay(&config, rate_straddle, &cex.trace) {
-        panic!("the versioned base read failed the torn-read schedule:\n{cex}");
-    }
+    assert_clean("the fixed rate limiter", rate_straddle);
 }
 
 #[test]
 fn ticket_admission_bound_is_clean_with_two_preemptions() {
-    let config = ModelConfig::with_preemptions(2);
-    let report = explore(&config, ticket_admit_bound);
-    assert!(report.complete, "exploration hit a budget: {report:?}");
-    if let Some(cex) = &report.counterexample {
-        panic!("the clamped ticket gate has a real counterexample:\n{cex}");
-    }
-    assert!(report.executions > 1, "no interleaving was actually explored");
+    assert_clean("the clamped ticket gate", ticket_admit_bound);
+}
+
+/// With the sole-ownership check skipped, an in-flight reservation
+/// escapes the watermark and the recreated tenant forks its stream.
+#[test]
+fn evicting_an_in_use_tenant_is_caught_and_replays() {
+    assert_caught("evict-in-use", evict_handoff_mutated, evict_handoff);
+}
+
+/// With the seal written by a plain store, an increment that lands
+/// inside the seal's load/store window is lost and two callers receive
+/// one value; the CAS seal survives the same schedule.
+#[test]
+fn sealing_by_store_is_caught_and_replays() {
+    assert_caught("seal-by-store", inflate_handoff_mutated, inflate_handoff);
+}
+
+/// The pre-fix admission path judges a closed window's straggler
+/// against the current base and over-admits; the seqlock'd limiter
+/// survives the same schedule.
+#[test]
+fn window_straddling_burst_is_caught_and_replays() {
+    let cex = assert_caught("rate-straddle", rate_straddle_mutated, rate_straddle);
+    assert!(cex.message.contains("over the limit"), "not an over-admission: {}", cex.message);
+}
+
+/// Regression for the torn epoch/base read: with the seqlock recheck
+/// skipped, a judger preempted between its epoch and base loads judges a
+/// late value against the *next* window's base and over-admits a closed
+/// window; the versioned read survives the same schedule.
+#[test]
+fn torn_base_read_is_caught_and_replays() {
+    let cex = assert_caught("rate-torn-base", rate_torn_base_mutated, rate_straddle);
+    assert!(cex.message.contains("over the limit"), "not an over-admission: {}", cex.message);
 }
 
 /// Regression for the unbounded `TicketGate::admit`: with the clamp
-/// removed (`ticket-unbounded` seeded), releasing capacity into a
-/// waiting room with one ticket pre-admits tickets that were never
-/// dispensed (and the overflow-baiting second release wraps the bound).
+/// removed, releasing capacity into a waiting room with one ticket
+/// pre-admits tickets that were never dispensed (and the
+/// overflow-baiting second release wraps the bound).
 #[test]
 fn unclamped_admit_is_caught_and_replays() {
-    let config = ModelConfig::with_preemptions(2);
-    let report = explore(&config, ticket_admit_bound_mutated);
-    let cex = report.counterexample.unwrap_or_else(|| {
-        panic!(
-            "the ticket-unbounded mutation survived {} executions: the checker has no teeth",
-            report.executions
-        )
-    });
-
-    replay(&config, ticket_admit_bound_mutated, &cex.trace)
-        .expect_err("the pinned schedule must still fail on the unclamped gate");
-
-    // The clamped gate survives the exact schedule that over-admits on
-    // the pre-fix path.
-    if let Err(cex) = replay(&config, ticket_admit_bound, &cex.trace) {
-        panic!("the clamped ticket gate failed the mutation's schedule:\n{cex}");
-    }
+    assert_caught("ticket-unbounded", ticket_admit_bound_mutated, ticket_admit_bound);
 }
