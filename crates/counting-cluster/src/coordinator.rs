@@ -278,6 +278,12 @@ impl Coordinator {
         self.committed
     }
 
+    /// Appends the sends decided since the last call to `into`; the
+    /// outbox keeps its capacity, so a reused `into` never allocates.
+    pub fn drain_outbox(&mut self, into: &mut Vec<Outgoing>) {
+        into.append(&mut self.outbox);
+    }
+
     /// Drains the sends decided since the last call.
     pub fn take_outbox(&mut self) -> Vec<Outgoing> {
         std::mem::take(&mut self.outbox)
@@ -397,15 +403,17 @@ impl Coordinator {
             }
             self.bump_epoch(now);
         }
-        let unacked: Vec<NodeId> =
-            self.durable.members.iter().copied().filter(|w| !self.acks.contains(w)).collect();
-        if !unacked.is_empty() && due(self.last_broadcast, now, self.config.retry_after) {
-            // Stragglers get the epoch directly — the tree path may
-            // run through exactly the nodes that lost it.
-            for worker in unacked {
-                self.send_membership_direct(worker);
+        if due(self.last_broadcast, now, self.config.retry_after) {
+            let unacked: Vec<NodeId> =
+                self.durable.members.iter().copied().filter(|w| !self.acks.contains(w)).collect();
+            if !unacked.is_empty() {
+                // Stragglers get the epoch directly — the tree path may
+                // run through exactly the nodes that lost it.
+                for worker in unacked {
+                    self.send_membership_direct(worker);
+                }
+                self.last_broadcast = Some(now);
             }
-            self.last_broadcast = Some(now);
         }
     }
 

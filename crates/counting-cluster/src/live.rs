@@ -68,6 +68,7 @@ fn worker_loop(
 ) {
     let id = node.id();
     let mut sealed_reported = false;
+    let (mut outbox, mut handouts) = (Vec::new(), Vec::new());
     loop {
         let now = now_ms(start);
         while let Ok(env) = net_rx.try_recv() {
@@ -81,8 +82,10 @@ fn worker_loop(
             }
         }
         node.on_tick(now);
-        transport.send_all(node.take_outbox());
-        for value in node.take_handouts() {
+        node.drain_outbox(&mut outbox);
+        transport.send_all(&mut outbox);
+        node.drain_handouts(&mut handouts);
+        for value in handouts.drain(..) {
             let _ = up_tx.send(Up::Hand(id, value));
         }
         if node.is_sealed_acked() && !sealed_reported {
@@ -104,6 +107,7 @@ fn coordinator_loop(
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
 ) -> ControlFinal {
+    let mut outbox = Vec::new();
     loop {
         let now = now_ms(start);
         while let Ok(env) = net_rx.try_recv() {
@@ -113,7 +117,8 @@ fn coordinator_loop(
             return (true, 0, 0, coordinator.durable().clone());
         }
         coordinator.on_tick(now);
-        transport.send_all(coordinator.take_outbox());
+        coordinator.drain_outbox(&mut outbox);
+        transport.send_all(&mut outbox);
         std::thread::sleep(LOOP_PAUSE);
     }
 }
@@ -125,6 +130,7 @@ fn replica_loop(
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
 ) -> ControlFinal {
+    let mut outbox = Vec::new();
     loop {
         let now = now_ms(start);
         while let Ok(env) = net_rx.try_recv() {
@@ -139,7 +145,8 @@ fn replica_loop(
             );
         }
         replica.on_tick(now);
-        transport.send_all(replica.take_outbox());
+        replica.drain_outbox(&mut outbox);
+        transport.send_all(&mut outbox);
         std::thread::sleep(LOOP_PAUSE);
     }
 }

@@ -3,8 +3,8 @@
 //! A [`Node`] is sans-IO: drivers feed it envelopes ([`Node::on_message`]),
 //! virtual-time ticks ([`Node::on_tick`]) and local demand
 //! ([`Node::demand`]); it emits sends through an outbox
-//! ([`Node::take_outbox`]) and handed-out global values through
-//! [`Node::take_handouts`]. The same state machine runs under the
+//! ([`Node::drain_outbox`]) and handed-out global values through
+//! [`Node::drain_handouts`]. The same state machine runs under the
 //! deterministic simulation and under real threads ([`crate::live`]).
 //!
 //! Local serving goes through a real [`CounterService`] registry: the
@@ -274,9 +274,21 @@ impl Node {
         self.backlog
     }
 
+    /// Appends the sends decided since the last call to `into`; the
+    /// outbox keeps its capacity, so a reused `into` never allocates.
+    pub fn drain_outbox(&mut self, into: &mut Vec<Outgoing>) {
+        into.append(&mut self.outbox);
+    }
+
     /// Drains the sends decided since the last call.
     pub fn take_outbox(&mut self) -> Vec<Outgoing> {
         std::mem::take(&mut self.outbox)
+    }
+
+    /// Appends the global values handed out since the last call to
+    /// `into` (capacity kept, as for [`Self::drain_outbox`]).
+    pub fn drain_handouts(&mut self, into: &mut Vec<u64>) {
+        into.append(&mut self.handouts);
     }
 
     /// Drains the global values handed out since the last call.

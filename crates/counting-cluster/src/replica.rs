@@ -236,7 +236,7 @@ enum Role {
 
 /// One member of the replicated coordinator group. Sans-IO like every
 /// other state machine in this crate: feed it envelopes and ticks,
-/// drain [`Self::take_outbox`]. See the [module docs](self).
+/// drain [`Self::drain_outbox`]. See the [module docs](self).
 #[derive(Debug)]
 pub struct Replica {
     id: NodeId,
@@ -375,6 +375,12 @@ impl Replica {
         &self.durable
     }
 
+    /// Appends the sends decided since the last call to `into`; the
+    /// outbox keeps its capacity, so a reused `into` never allocates.
+    pub fn drain_outbox(&mut self, into: &mut Vec<Outgoing>) {
+        into.append(&mut self.outbox);
+    }
+
     /// Drains the sends decided since the last call.
     pub fn take_outbox(&mut self) -> Vec<Outgoing> {
         std::mem::take(&mut self.outbox)
@@ -437,18 +443,20 @@ impl Replica {
                     self.send_appends(now);
                 }
                 self.detect_dead_workers(now);
-                let unacked: Vec<NodeId> = self
-                    .coord
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|w| !self.worker_acks.contains(w))
-                    .collect();
-                if !unacked.is_empty() && due(self.last_broadcast, now, self.config.retry_after) {
-                    for worker in unacked {
-                        self.send_membership_direct(worker);
+                if due(self.last_broadcast, now, self.config.retry_after) {
+                    let unacked: Vec<NodeId> = self
+                        .coord
+                        .members
+                        .iter()
+                        .copied()
+                        .filter(|w| !self.worker_acks.contains(w))
+                        .collect();
+                    if !unacked.is_empty() {
+                        for worker in unacked {
+                            self.send_membership_direct(worker);
+                        }
+                        self.last_broadcast = Some(now);
                     }
-                    self.last_broadcast = Some(now);
                 }
             }
         }
@@ -472,9 +480,9 @@ impl Replica {
             log_len: self.durable.log.len() as u64,
             last_term: self.last_log_term(),
         };
-        for &peer in &self.peers.clone() {
-            if peer != self.id {
-                self.send_replica(peer, msg.clone());
+        for i in 0..self.peers.len() {
+            if self.peers[i] != self.id {
+                self.send_replica(self.peers[i], msg.clone());
             }
         }
     }
@@ -520,9 +528,9 @@ impl Replica {
     }
 
     fn send_appends(&mut self, now: u64) {
-        for peer in self.peers.clone() {
-            if peer != self.id {
-                self.send_append_to(peer);
+        for i in 0..self.peers.len() {
+            if self.peers[i] != self.id {
+                self.send_append_to(self.peers[i]);
             }
         }
         self.last_append = Some(now);
@@ -923,7 +931,8 @@ impl Replica {
         }
         self.durable.log.push(LogEntry { term: self.durable.term, cmd });
         let tail = self.durable.log.len() as u64 - 1;
-        for peer in self.peers.clone() {
+        for i in 0..self.peers.len() {
+            let peer = self.peers[i];
             if peer != self.id && self.next.get(&peer).copied().unwrap_or(0) == tail {
                 self.send_append_to(peer);
             }

@@ -16,6 +16,18 @@
 //! range. Faults apply per hop, so tree-relayed messages cross the
 //! faulty network once per edge.
 //!
+//! The trace costs nothing unless it is recorded: `Harness::record`
+//! takes the detail string as a closure it runs only under
+//! [`ClusterSimConfig::record_trace`]; a hop's fate is a `Copy`
+//! [`Fate`] and its envelope moves into the single delivery (only a
+//! duplicate clones); the pre-drawn plan sits in the queue's sorted
+//! schedule beside a heap of just the in-flight hops (merged by
+//! `(at, seq)`, see [`counting_sim::des`]); and every flush drains a
+//! state machine's outbox into scratch `Vec`s the harness owns for the
+//! whole run. No virtual-time decision depends on any of it — golden
+//! fingerprints in `tests/cluster_sim.rs` pin the draw order, pop
+//! order, [`SimStats`] and trace, `tests/sim_alloc.rs` the allocations.
+//!
 //! [`Mutation`] carries the calibration bugs that prove the checker has
 //! teeth (the discipline `counting-sim`'s model checker established):
 //! each one is a plausible implementation mistake whose injection must
@@ -23,7 +35,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use counting_sim::des::{EventQueue, FaultPlan, PartitionWindow, SimRng};
+use counting_sim::des::{EventQueue, Fate, FaultPlan, PartitionWindow, SimRng};
 
 use crate::check::GlobalChecker;
 use crate::coordinator::{Coordinator, CoordinatorDurable};
@@ -263,11 +275,29 @@ enum ReplicaSlot {
 enum Control {
     Single(Box<Coordinator>),
     Replicated {
-        replicas: std::collections::BTreeMap<u64, ReplicaSlot>,
+        /// Indexed by replica index.
+        replicas: Vec<ReplicaSlot>,
         /// Round-robin cursor fanning coordinator-addressed hops over
         /// the group.
         rotation: u64,
     },
+}
+
+impl Control {
+    fn slot_mut(&mut self, index: u64) -> Option<&mut ReplicaSlot> {
+        match self {
+            Control::Single(_) => None,
+            Control::Replicated { replicas, .. } => replicas.get_mut(usize::try_from(index).ok()?),
+        }
+    }
+
+    /// Replica `index`, when the group exists and that member is up.
+    fn replica_mut(&mut self, index: u64) -> Option<&mut Replica> {
+        match self.slot_mut(index)? {
+            ReplicaSlot::Up(replica) => Some(replica),
+            ReplicaSlot::Down(_) => None,
+        }
+    }
 }
 
 /// Global tick granularity: every state machine sees time advance in
@@ -289,16 +319,24 @@ struct Harness {
     trace: Vec<TraceEvent>,
     trace_seq: u64,
     draining: bool,
+    /// Scratch the flush paths drain outboxes and hand-outs into:
+    /// owned here and always left empty, so after warm-up no flush
+    /// allocates.
+    outgoing: Vec<Outgoing>,
+    handouts: Vec<u64>,
 }
 
 impl Harness {
-    fn record(&mut self, at: u64, kind: &str, node: u64, info: String) {
+    /// Appends one trace event. `info` renders the detail string and
+    /// runs only when the trace is recorded, so an untraced run never
+    /// formats or allocates for an event it throws away.
+    fn record(&mut self, at: u64, kind: &str, node: u64, info: impl FnOnce() -> String) {
         if !self.config.record_trace {
             return;
         }
         let seq = self.trace_seq;
         self.trace_seq += 1;
-        self.trace.push(TraceEvent { at, seq, kind: kind.to_owned(), node, info });
+        self.trace.push(TraceEvent { at, seq, kind: kind.to_owned(), node, info: info() });
     }
 
     /// Routes one outgoing hop through the partition schedule and the
@@ -315,28 +353,38 @@ impl Harness {
             }
         }
         self.stats.sent += 1;
-        self.record(now, "send", out.env.src, format!("hop n{}: {}", hop, out.env.msg));
+        let info = || format!("hop n{}: {}", hop, out.env.msg);
+        self.record(now, "send", out.env.src, info);
         if self.partitions.iter().any(|w| w.severs(now, from, hop)) {
             self.stats.severed += 1;
-            self.record(now, "sever", out.env.src, format!("hop n{}: {}", hop, out.env.msg));
+            self.record(now, "sever", out.env.src, info);
             return;
         }
-        let delays = self.active_fault.decide(&mut self.fault_rng);
-        match delays.len() {
-            0 => {
+        // The envelope moves into its delivery; only a duplicate clones.
+        match self.active_fault.decide(&mut self.fault_rng) {
+            Fate::Dropped => {
                 self.stats.dropped += 1;
-                self.record(now, "drop", out.env.src, format!("hop n{}: {}", hop, out.env.msg));
-                return;
+                self.record(now, "drop", out.env.src, info);
             }
-            2 => {
+            Fate::Once(delay) => {
+                self.queue.push(now + delay.max(1), Ev::Deliver { hop, env: out.env });
+            }
+            Fate::Twice(first, second) => {
                 self.stats.duplicated += 1;
-                self.record(now, "dup", out.env.src, format!("hop n{}: {}", hop, out.env.msg));
+                self.record(now, "dup", out.env.src, info);
+                self.queue.push(now + first.max(1), Ev::Deliver { hop, env: out.env.clone() });
+                self.queue.push(now + second.max(1), Ev::Deliver { hop, env: out.env });
             }
-            _ => {}
         }
-        for delay in delays {
-            self.queue.push(now + delay.max(1), Ev::Deliver { hop, env: out.env.clone() });
+    }
+
+    /// Transmits a drained outbox and takes the emptied buffer back as
+    /// the scratch for the next flush.
+    fn transmit_all(&mut self, now: u64, from: NodeId, mut outgoing: Vec<Outgoing>) {
+        for out in outgoing.drain(..) {
+            self.transmit(now, from, out);
         }
+        self.outgoing = outgoing;
     }
 
     /// Flushes a worker's outbox and hand-outs after it ran.
@@ -344,40 +392,87 @@ impl Harness {
         let Some(Slot::Up(node)) = self.slots.get_mut(&id) else {
             return;
         };
-        let outgoing = node.take_outbox();
-        let handouts = node.take_handouts();
-        for value in handouts {
+        let mut outgoing = std::mem::take(&mut self.outgoing);
+        let mut handouts = std::mem::take(&mut self.handouts);
+        node.drain_outbox(&mut outgoing);
+        node.drain_handouts(&mut handouts);
+        for value in handouts.drain(..) {
             self.stats.handed += 1;
-            self.record(now, "handout", id, format!("{value}"));
+            self.record(now, "handout", id, || value.to_string());
             if let Some(violation) = self.checker.record(id, value, now) {
-                self.record(now, "violation", id, violation.clone());
+                self.record(now, "violation", id, || violation.clone());
                 self.violations.push(violation);
             }
         }
-        for out in outgoing {
-            self.transmit(now, id, out);
-        }
+        self.handouts = handouts;
+        self.transmit_all(now, id, outgoing);
     }
 
     fn flush_coordinator(&mut self, now: u64) {
         let Control::Single(coordinator) = &mut self.control else {
             return;
         };
-        for out in coordinator.take_outbox() {
-            self.transmit(now, COORDINATOR, out);
-        }
+        let mut outgoing = std::mem::take(&mut self.outgoing);
+        coordinator.drain_outbox(&mut outgoing);
+        self.transmit_all(now, COORDINATOR, outgoing);
     }
 
     fn flush_replica(&mut self, now: u64, index: u64) {
-        let Control::Replicated { replicas, .. } = &mut self.control else {
+        let Some(replica) = self.control.replica_mut(index) else {
             return;
         };
-        let Some(ReplicaSlot::Up(replica)) = replicas.get_mut(&index) else {
-            return;
+        let mut outgoing = std::mem::take(&mut self.outgoing);
+        replica.drain_outbox(&mut outgoing);
+        self.transmit_all(now, replica_id(index), outgoing);
+    }
+
+    /// Runs `step` on every worker that is up, in id order (founders
+    /// are `1..=workers`, joiners follow), flushing each one before the
+    /// next runs.
+    fn step_workers(&mut self, now: u64, step: fn(&mut Node, u64)) {
+        for id in 1..=self.config.workers + self.config.joins {
+            if let Some(Slot::Up(node)) = self.slots.get_mut(&id) {
+                step(node, now);
+            }
+            self.flush_node(now, id);
+        }
+    }
+
+    /// Hands one arrived hop to the state machine that owns `hop`, or
+    /// loses it when that machine is down.
+    fn deliver(&mut self, now: u64, hop: NodeId, env: Envelope) {
+        let up = if hop >= REPLICA_BASE {
+            self.control.replica_mut(hop - REPLICA_BASE).is_some()
+        } else {
+            // Id 0 only arrives in single-coordinator mode (the
+            // replicated transmit path resolves it to a physical
+            // replica before scheduling delivery), and that
+            // coordinator is never crashed.
+            hop == COORDINATOR || matches!(self.slots.get(&hop), Some(Slot::Up(_)))
         };
-        let outgoing = replica.take_outbox();
-        for out in outgoing {
-            self.transmit(now, replica_id(index), out);
+        if !up {
+            self.stats.lost += 1;
+            self.record(now, "lost", hop, || env.msg.to_string());
+            return;
+        }
+        self.stats.delivered += 1;
+        self.record(now, "deliver", hop, || env.msg.to_string());
+        if hop >= REPLICA_BASE {
+            let index = hop - REPLICA_BASE;
+            if let Some(replica) = self.control.replica_mut(index) {
+                replica.on_message(now, env);
+            }
+            self.flush_replica(now, index);
+        } else if hop == COORDINATOR {
+            if let Control::Single(coordinator) = &mut self.control {
+                coordinator.on_message(now, env);
+            }
+            self.flush_coordinator(now);
+        } else {
+            if let Some(Slot::Up(node)) = self.slots.get_mut(&hop) {
+                node.on_message(now, env);
+            }
+            self.flush_node(now, hop);
         }
     }
 
@@ -388,7 +483,7 @@ impl Harness {
         match &self.control {
             Control::Single(coordinator) => Some(coordinator.durable()),
             Control::Replicated { replicas, .. } => replicas
-                .values()
+                .iter()
                 .filter_map(|slot| match slot {
                     ReplicaSlot::Up(r) => Some(r),
                     ReplicaSlot::Down(_) => None,
@@ -422,7 +517,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
     member_bootstrap.extend(&founders);
 
     let control = if config.replicas > 1 {
-        let mut replicas = std::collections::BTreeMap::new();
+        let mut replicas = Vec::new();
         for index in 0..config.replicas {
             let mut replica = Replica::new(index, config.replicas, &founders, config.protocol);
             match config.mutation {
@@ -430,7 +525,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 Some(Mutation::CommitBeforeQuorum) => replica.enable_commit_before_quorum(),
                 _ => {}
             }
-            replicas.insert(index, ReplicaSlot::Up(Box::new(replica)));
+            replicas.push(ReplicaSlot::Up(Box::new(replica)));
         }
         Control::Replicated { replicas, rotation: 0 }
     } else {
@@ -540,6 +635,8 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         trace: Vec::new(),
         trace_seq: 0,
         draining: false,
+        outgoing: Vec::new(),
+        handouts: Vec::new(),
     };
     harness.flush_coordinator(0);
     for index in 0..config.replicas {
@@ -548,85 +645,29 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
 
     let mut capped = false;
     while let Some((now, _, ev)) = harness.queue.pop() {
-        harness.stats.events += 1;
-        if harness.stats.events > config.max_events {
+        if harness.stats.events == config.max_events {
             capped = true;
             break;
         }
+        harness.stats.events += 1;
         match ev {
             Ev::Tick => {
                 if let Control::Single(coordinator) = &mut harness.control {
                     coordinator.on_tick(now);
                 }
                 harness.flush_coordinator(now);
-                let indices: Vec<u64> =
-                    if let Control::Replicated { replicas, .. } = &harness.control {
-                        replicas.keys().copied().collect()
-                    } else {
-                        Vec::new()
-                    };
-                for index in indices {
-                    if let Control::Replicated { replicas, .. } = &mut harness.control {
-                        if let Some(ReplicaSlot::Up(replica)) = replicas.get_mut(&index) {
-                            replica.on_tick(now);
-                        }
+                for index in 0..config.replicas {
+                    if let Some(replica) = harness.control.replica_mut(index) {
+                        replica.on_tick(now);
                     }
                     harness.flush_replica(now, index);
                 }
-                let ids: Vec<NodeId> = harness.slots.keys().copied().collect();
-                for id in ids {
-                    if let Some(Slot::Up(node)) = harness.slots.get_mut(&id) {
-                        node.on_tick(now);
-                    }
-                    harness.flush_node(now, id);
-                }
+                harness.step_workers(now, Node::on_tick);
                 if !harness.done() {
                     harness.queue.push(now + TICK_EVERY, Ev::Tick);
                 }
             }
-            Ev::Deliver { hop, env } => {
-                if hop >= REPLICA_BASE {
-                    let index = hop - REPLICA_BASE;
-                    let up = matches!(
-                        &harness.control,
-                        Control::Replicated { replicas, .. }
-                            if matches!(replicas.get(&index), Some(ReplicaSlot::Up(_)))
-                    );
-                    if up {
-                        harness.stats.delivered += 1;
-                        harness.record(now, "deliver", hop, format!("{}", env.msg));
-                        if let Control::Replicated { replicas, .. } = &mut harness.control {
-                            if let Some(ReplicaSlot::Up(replica)) = replicas.get_mut(&index) {
-                                replica.on_message(now, env);
-                            }
-                        }
-                        harness.flush_replica(now, index);
-                    } else {
-                        harness.stats.lost += 1;
-                        harness.record(now, "lost", hop, format!("{}", env.msg));
-                    }
-                } else if hop == COORDINATOR {
-                    // Only reachable in single-coordinator mode: the
-                    // replicated transmit path resolves id 0 to a
-                    // physical replica before scheduling delivery.
-                    harness.stats.delivered += 1;
-                    harness.record(now, "deliver", hop, format!("{}", env.msg));
-                    if let Control::Single(coordinator) = &mut harness.control {
-                        coordinator.on_message(now, env);
-                    }
-                    harness.flush_coordinator(now);
-                } else if matches!(harness.slots.get(&hop), Some(Slot::Up(_))) {
-                    harness.stats.delivered += 1;
-                    harness.record(now, "deliver", hop, format!("{}", env.msg));
-                    if let Some(Slot::Up(node)) = harness.slots.get_mut(&hop) {
-                        node.on_message(now, env);
-                    }
-                    harness.flush_node(now, hop);
-                } else {
-                    harness.stats.lost += 1;
-                    harness.record(now, "lost", hop, format!("{}", env.msg));
-                }
-            }
+            Ev::Deliver { hop, env } => harness.deliver(now, hop, env),
             Ev::Demand { node } => {
                 let servable = matches!(harness.slots.get(&node), Some(Slot::Up(_)))
                     && !harness.left.contains(&node)
@@ -648,7 +689,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 if let Some(durable) = crashed {
                     harness.slots.insert(node, Slot::Down(durable));
                     harness.stats.crashes += 1;
-                    harness.record(now, "crash", node, String::new());
+                    harness.record(now, "crash", node, String::new);
                 }
             }
             Ev::Restart { node } => {
@@ -664,7 +705,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                     }
                     harness.slots.insert(node, Slot::Up(Box::new(revived)));
                     harness.stats.restarts += 1;
-                    harness.record(now, "restart", node, String::new());
+                    harness.record(now, "restart", node, String::new);
                     harness.flush_node(now, node);
                 }
             }
@@ -673,7 +714,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 {
                     slot.insert(Slot::Up(Box::new(Node::fresh(node, config.protocol))));
                     harness.stats.joins += 1;
-                    harness.record(now, "join", node, String::new());
+                    harness.record(now, "join", node, String::new);
                 }
             }
             Ev::Leave { node } => {
@@ -692,75 +733,50 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                     }
                     harness.left.insert(node);
                     harness.stats.leaves += 1;
-                    harness.record(now, "leave", node, String::new());
+                    harness.record(now, "leave", node, String::new);
                     harness.flush_node(now, node);
                 }
             }
             Ev::ReplicaCrash { index } => {
-                let crashed = if let Control::Replicated { replicas, .. } = &mut harness.control {
-                    match replicas.get(&index) {
-                        Some(ReplicaSlot::Up(replica)) => {
-                            let durable = replica.durable().clone();
-                            replicas.insert(index, ReplicaSlot::Down(durable));
-                            true
-                        }
-                        _ => false,
+                if let Some(slot) = harness.control.slot_mut(index) {
+                    if let ReplicaSlot::Up(replica) = slot {
+                        *slot = ReplicaSlot::Down(replica.durable().clone());
+                        harness.stats.replica_crashes += 1;
+                        harness.record(now, "replica-crash", replica_id(index), String::new);
                     }
-                } else {
-                    false
-                };
-                if crashed {
-                    harness.stats.replica_crashes += 1;
-                    harness.record(now, "replica-crash", replica_id(index), String::new());
                 }
             }
             Ev::ReplicaRestart { index } => {
-                let restarted = if let Control::Replicated { replicas, .. } = &mut harness.control {
-                    match replicas.get(&index) {
-                        Some(ReplicaSlot::Down(durable)) => {
-                            let mut replica = Replica::restart(
-                                index,
-                                config.replicas,
-                                &founders,
-                                config.protocol,
-                                durable.clone(),
-                                now,
-                            );
-                            match config.mutation {
-                                Some(Mutation::SplitBrainDoubleGrant) => {
-                                    replica.enable_split_brain();
-                                }
-                                Some(Mutation::CommitBeforeQuorum) => {
-                                    replica.enable_commit_before_quorum();
-                                }
-                                _ => {}
+                if let Some(slot) = harness.control.slot_mut(index) {
+                    if let ReplicaSlot::Down(durable) = slot {
+                        let mut replica = Replica::restart(
+                            index,
+                            config.replicas,
+                            &founders,
+                            config.protocol,
+                            durable.clone(),
+                            now,
+                        );
+                        match config.mutation {
+                            Some(Mutation::SplitBrainDoubleGrant) => replica.enable_split_brain(),
+                            Some(Mutation::CommitBeforeQuorum) => {
+                                replica.enable_commit_before_quorum();
                             }
-                            replicas.insert(index, ReplicaSlot::Up(Box::new(replica)));
-                            true
+                            _ => {}
                         }
-                        _ => false,
+                        *slot = ReplicaSlot::Up(Box::new(replica));
+                        harness.stats.replica_restarts += 1;
+                        harness.record(now, "replica-restart", replica_id(index), String::new);
+                        harness.flush_replica(now, index);
                     }
-                } else {
-                    false
-                };
-                if restarted {
-                    harness.stats.replica_restarts += 1;
-                    harness.record(now, "replica-restart", replica_id(index), String::new());
-                    harness.flush_replica(now, index);
                 }
             }
             Ev::Drain => {
                 harness.draining = true;
                 // Faults off: the drain must converge.
                 harness.active_fault = FaultPlan::reliable(1);
-                harness.record(now, "drain", COORDINATOR, String::new());
-                let ids: Vec<NodeId> = harness.slots.keys().copied().collect();
-                for id in ids {
-                    if let Some(Slot::Up(node)) = harness.slots.get_mut(&id) {
-                        node.begin_drain(now);
-                    }
-                    harness.flush_node(now, id);
-                }
+                harness.record(now, "drain", COORDINATOR, String::new);
+                harness.step_workers(now, Node::begin_drain);
             }
         }
         if harness.done() {
@@ -789,7 +805,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
             None => vec!["audit: no surviving replica holds coordinator state".to_owned()],
         };
         for violation in &audit {
-            harness.record(harness.queue.now(), "violation", COORDINATOR, violation.clone());
+            harness.record(harness.queue.now(), "violation", COORDINATOR, || violation.clone());
         }
         harness.violations.append(&mut audit);
     }

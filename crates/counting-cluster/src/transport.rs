@@ -21,9 +21,10 @@ pub trait Transport {
     /// Attempts delivery of `env` to `hop`.
     fn send(&self, hop: NodeId, env: Envelope);
 
-    /// Flushes a whole outbox.
-    fn send_all(&self, outbox: Vec<Outgoing>) {
-        for out in outbox {
+    /// Flushes a whole outbox, leaving it empty with its capacity so
+    /// the driver can refill it.
+    fn send_all(&self, outbox: &mut Vec<Outgoing>) {
+        for out in outbox.drain(..) {
             self.send(out.hop, out.env);
         }
     }
@@ -72,7 +73,7 @@ mod tests {
         let mut transport = ChannelTransport::new();
         transport.register(1, tx);
         let env = Envelope { src: 0, dst: 1, msg: Message::Join { node: 1 } };
-        transport.send_all(vec![
+        transport.send_all(&mut vec![
             Outgoing { hop: 1, env: env.clone() },
             Outgoing { hop: 9, env: env.clone() }, // unknown peer: dropped
         ]);

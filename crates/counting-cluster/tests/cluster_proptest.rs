@@ -60,7 +60,7 @@ fn shrink(mut config: ClusterSimConfig, seed: u64) -> ClusterSimConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn random_fault_schedules_preserve_uniqueness_and_exact_range(
@@ -95,7 +95,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     // Failover liveness: whatever crash/partition/heal schedule the
     // replica group suffers, once the faults clear it elects a leader,

@@ -6,7 +6,7 @@
 //! replays byte-identically against both the mutated and the fixed
 //! protocol.
 
-use counting_cluster::{run_sim, ClusterSimConfig, Mutation};
+use counting_cluster::{run_sim, ClusterSimConfig, Mutation, SimReport};
 
 /// The pinned counterexample seed: under the default torture cell it
 /// schedules at least one crash/restart pair and enough duplicated hops
@@ -16,6 +16,69 @@ const PINNED_SEED: u64 = 7;
 
 fn torture() -> ClusterSimConfig {
     ClusterSimConfig::default()
+}
+
+/// The benchmark's `cluster-failover` cell: 8 workers, and two replica
+/// crashes plus two partitions once the coordinator is replicated.
+fn bench_cell(replicas: u64, record_trace: bool) -> ClusterSimConfig {
+    let faults = if replicas >= 2 { 2 } else { 0 };
+    ClusterSimConfig {
+        workers: 8,
+        replicas,
+        replica_crashes: faults,
+        partitions: faults,
+        record_trace,
+        ..torture()
+    }
+}
+
+/// One FNV-1a pass, hand-rolled: `DefaultHasher` is not stable across
+/// toolchains.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+#[test]
+fn golden_fingerprints_pin_every_virtual_time_decision() {
+    // Recorded on the commit before the simulator's untraced path was
+    // made allocation-free; any change to rng draw order, `(at, seq)`
+    // pop order, a counter or a trace string moves these.
+    const GOLDEN: [(u64, u64); 3] =
+        [(1, 0x20F6_4BF6_5F5E_F6C8), (3, 0x03A1_6178_7A95_68B0), (5, 0x5EF6_48B8_52F4_D1C0)];
+    let measured = GOLDEN.map(|(replicas, _)| {
+        let mut hash = 0xCBF2_9CE4_8422_2325;
+        for seed in 1..=8 {
+            let r = run_sim(&bench_cell(replicas, true), seed);
+            let scalars =
+                [r.handed, r.unique, u64::from(r.converged), r.cursor, r.free_total, r.final_tick];
+            hash = scalars.iter().fold(hash, |h, v| fnv1a(h, &v.to_le_bytes()));
+            // Every `SimStats` field, then every `TraceEvent` field, in order.
+            for json in [serde_json::to_string(&r.stats), serde_json::to_string(&r.trace)] {
+                hash = fnv1a(hash, json.expect("serializes").as_bytes());
+            }
+        }
+        (replicas, hash)
+    });
+    assert_eq!(measured, GOLDEN, "measured {measured:#X?}");
+}
+
+#[test]
+fn recording_the_trace_changes_nothing_but_the_trace() {
+    for (replicas, seed) in [(1, 7), (3, 7), (3, 0xC0FFEE)] {
+        let traced = run_sim(&bench_cell(replicas, true), seed);
+        let untraced = run_sim(&bench_cell(replicas, false), seed);
+        assert!(traced.trace.is_some() && untraced.trace.is_none());
+        assert_eq!(SimReport { trace: None, ..traced }, untraced, "replicas={replicas}");
+    }
+}
+
+#[test]
+fn the_event_cap_counts_only_events_it_ran() {
+    let report = run_sim(&ClusterSimConfig { max_events: 10, ..torture() }, PINNED_SEED);
+    assert_eq!(report.stats.events, 10, "the event that hit the cap never ran");
+    assert!(!report.converged);
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+    assert!(report.violations[0].starts_with("liveness: event cap hit"), "{:?}", report.violations);
 }
 
 #[test]

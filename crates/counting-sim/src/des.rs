@@ -5,13 +5,16 @@
 //! schedules exhaustively; this module is its message-passing sibling
 //! for the distributed layer: a seeded, fully deterministic event queue
 //! plus a per-message fault plan (drop / duplicate / delay, and —
-//! through randomized delays — reordering) and *structural* fault
-//! events: scheduled network partitions ([`PartitionSchedule`], the
-//! shape that drives split-brain scenarios) and crash-restart windows
-//! (a harness schedules crash/restart pairs as ordinary events and
-//! parks the victim's durable state while it is down). Everything a run
-//! does derives from its seed, so any counterexample found by a checker
-//! driving this kernel replays exactly from `(config, seed)`.
+//! through randomized delays — reordering; one decision is a `Copy`
+//! [`Fate`], nothing is allocated per hop) and *structural* fault
+//! events: scheduled network partitions ([`PartitionWindow`], the
+//! shape that drives split-brain scenarios; a harness keeps its windows
+//! and asks each one whether it [`severs`](PartitionWindow::severs) a
+//! hop) and crash-restart windows (a harness schedules crash/restart
+//! pairs as ordinary events and parks the victim's durable state while
+//! it is down). Everything a run does derives from its seed, so any
+//! counterexample found by a checker driving this kernel replays
+//! exactly from `(config, seed)`.
 //!
 //! The kernel is deliberately generic: it schedules opaque events `E`
 //! keyed by `(virtual time, insertion sequence)` — the sequence number
@@ -19,6 +22,15 @@
 //! runs of the same seed byte-identical even when many events land on
 //! the same tick. The cluster harness in `counting-cluster` wires its
 //! node state machines, churn plan and invariant checker on top.
+//!
+//! The queue keeps two halves. Everything pushed before the first
+//! [`EventQueue::pop`] — a harness's whole pre-drawn plan, thousands of
+//! demand and churn events — is the **planned schedule**: sorted once
+//! by `(at, seq)` and consumed from a `Vec`. Everything pushed
+//! afterwards — in-flight hops, the next tick: tens of entries — lives
+//! in a small binary heap. `pop` takes whichever head has the smaller
+//! `(at, seq)`; sequence numbers are unique across both halves, so the
+//! merged order is exactly that of one heap holding everything.
 
 use serde::{Deserialize, Serialize};
 
@@ -111,17 +123,34 @@ impl FaultPlan {
         self.drop_per_mille > 0 || self.dup_per_mille > 0 || self.min_delay != self.max_delay
     }
 
-    /// Decides the fate of one message: the list of delivery delays
-    /// (empty = dropped, one entry = delivered, two = duplicated). The
-    /// draw order is fixed — drop, then duplicate, then one delay per
-    /// copy — so a decision stream is stable for a given RNG state.
-    pub fn decide(&self, rng: &mut SimRng) -> Vec<u64> {
+    /// Decides the fate of one message. The draw order is fixed — drop,
+    /// then duplicate, then one delay per copy (the first copy's first)
+    /// — so a decision stream is stable for a given RNG state.
+    pub fn decide(&self, rng: &mut SimRng) -> Fate {
         if rng.chance(self.drop_per_mille) {
-            return Vec::new();
+            return Fate::Dropped;
         }
-        let copies = if rng.chance(self.dup_per_mille) { 2 } else { 1 };
-        (0..copies).map(|_| rng.range(self.min_delay, self.max_delay)).collect()
+        let duplicated = rng.chance(self.dup_per_mille);
+        let first = rng.range(self.min_delay, self.max_delay);
+        if duplicated {
+            Fate::Twice(first, rng.range(self.min_delay, self.max_delay))
+        } else {
+            Fate::Once(first)
+        }
     }
+}
+
+/// What [`FaultPlan::decide`] does to one message: the delivery delay of
+/// every copy that arrives, in virtual ticks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Silently dropped.
+    Dropped,
+    /// Delivered once, after this delay.
+    Once(u64),
+    /// Delivered twice; each copy drew its own delay, so they may
+    /// arrive in either order.
+    Twice(u64, u64),
 }
 
 /// One scheduled network partition: during `start..end`, every hop
@@ -155,38 +184,6 @@ impl PartitionWindow {
     }
 }
 
-/// A set of scheduled partitions and crash-restart windows — the
-/// *structural* fault events that complement [`FaultPlan`]'s per-hop
-/// probabilistic ones. A harness consults [`Self::severed`] for every
-/// hop it is about to transmit.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PartitionSchedule {
-    /// The scheduled windows (may overlap; any severing window cuts the
-    /// hop).
-    pub windows: Vec<PartitionWindow>,
-}
-
-impl PartitionSchedule {
-    /// A schedule with no partitions.
-    #[must_use]
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Whether any window severs the `from → to` hop at `now`.
-    #[must_use]
-    pub fn severed(&self, now: u64, from: u64, to: u64) -> bool {
-        self.windows.iter().any(|w| w.severs(now, from, to))
-    }
-
-    /// The last heal time across all windows (0 when empty): after this
-    /// tick the network is whole again, which drains rely on.
-    #[must_use]
-    pub fn healed_by(&self) -> u64 {
-        self.windows.iter().map(|w| w.end).max().unwrap_or(0)
-    }
-}
-
 /// One scheduled entry: ordering key only — the payload never
 /// participates in comparisons, so `E` needs no `Ord`.
 #[derive(Debug)]
@@ -217,10 +214,18 @@ impl<E> Ord for Entry<E> {
 
 /// A deterministic discrete-event queue: events pop in `(time, insertion
 /// sequence)` order, so same-tick events resolve in the order they were
-/// scheduled — never by allocation address or hash order.
+/// scheduled — never by allocation address or hash order. See the
+/// [module docs](self) for the planned-schedule / in-flight-heap split.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Pushed before the first pop; from then on sorted latest-first,
+    /// so the earliest entry pops off the back.
+    planned: Vec<Entry<E>>,
+    /// Pushed after the first pop.
     heap: std::collections::BinaryHeap<Entry<E>>,
+    /// Whether the first pop has happened (`planned` is sorted and
+    /// closed to pushes).
+    started: bool,
     next_seq: u64,
     now: u64,
 }
@@ -235,7 +240,13 @@ impl<E> EventQueue<E> {
     /// An empty queue at virtual time zero.
     #[must_use]
     pub fn new() -> Self {
-        Self { heap: std::collections::BinaryHeap::new(), next_seq: 0, now: 0 }
+        Self {
+            planned: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
+            started: false,
+            next_seq: 0,
+            now: 0,
+        }
     }
 
     /// The virtual time of the most recently popped event.
@@ -247,13 +258,13 @@ impl<E> EventQueue<E> {
     /// The number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.planned.len() + self.heap.len()
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.planned.is_empty() && self.heap.is_empty()
     }
 
     /// Schedules `event` at absolute virtual time `at` (clamped forward
@@ -262,13 +273,30 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: u64, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at: at.max(self.now), seq, event });
+        let entry = Entry { at: at.max(self.now), seq, event };
+        if self.started {
+            self.heap.push(entry);
+        } else {
+            self.planned.push(entry);
+        }
         seq
     }
 
     /// Pops the earliest event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
-        let entry = self.heap.pop()?;
+        if !self.started {
+            self.started = true;
+            // `Entry`'s order is reversed (earliest is greatest), so an
+            // ascending sort leaves the earliest entry at the back.
+            self.planned.sort_unstable();
+        }
+        // `(at, seq)` is unique, so the two heads never tie; an empty
+        // half (`None`) orders below every entry.
+        let entry = if self.planned.last() > self.heap.peek() {
+            self.planned.pop()?
+        } else {
+            self.heap.pop()?
+        };
         self.now = entry.at;
         Some((entry.at, entry.seq, entry.event))
     }
@@ -277,6 +305,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn rng_is_deterministic_and_fork_is_independent() {
@@ -313,25 +342,26 @@ mod tests {
         let reliable = FaultPlan::reliable(4);
         assert!(!reliable.is_faulty());
         for _ in 0..50 {
-            assert_eq!(reliable.decide(&mut rng), vec![4]);
+            assert_eq!(reliable.decide(&mut rng), Fate::Once(4));
         }
 
         let always_drop = FaultPlan { drop_per_mille: 1000, ..FaultPlan::reliable(1) };
-        assert!(always_drop.decide(&mut rng).is_empty());
+        assert_eq!(always_drop.decide(&mut rng), Fate::Dropped);
 
         let always_dup =
             FaultPlan { dup_per_mille: 1000, min_delay: 1, max_delay: 6, drop_per_mille: 0 };
         assert!(always_dup.is_faulty());
-        let delays = always_dup.decide(&mut rng);
-        assert_eq!(delays.len(), 2, "duplicated message delivers twice");
-        assert!(delays.iter().all(|d| (1..=6).contains(d)));
+        let Fate::Twice(first, second) = always_dup.decide(&mut rng) else {
+            panic!("duplicated message delivers twice");
+        };
+        assert!((1..=6).contains(&first) && (1..=6).contains(&second));
     }
 
     #[test]
     fn fault_decisions_replay_from_the_seed() {
         let plan =
             FaultPlan { drop_per_mille: 200, dup_per_mille: 100, min_delay: 1, max_delay: 30 };
-        let run = |seed: u64| -> Vec<Vec<u64>> {
+        let run = |seed: u64| -> Vec<Fate> {
             let mut rng = SimRng::new(seed);
             (0..100).map(|_| plan.decide(&mut rng)).collect()
         };
@@ -354,16 +384,9 @@ mod tests {
         assert!(!window.severs(9, 100, 101));
         assert!(!window.severs(20, 100, 101), "end is exclusive — the heal tick delivers");
 
-        let schedule = PartitionSchedule { windows: vec![window.clone()] };
-        assert!(schedule.severed(12, 100, 102));
-        assert!(!schedule.severed(25, 100, 102));
-        assert_eq!(schedule.healed_by(), 20);
-        assert!(!PartitionSchedule::none().severed(12, 100, 102));
-        assert_eq!(PartitionSchedule::none().healed_by(), 0);
-
-        let json = serde_json::to_string(&schedule).expect("schedule serializes");
-        let back: PartitionSchedule = serde_json::from_str(&json).expect("parses back");
-        assert_eq!(back, schedule, "partition schedules replay through serde");
+        let json = serde_json::to_string(&window).expect("window serializes");
+        let back: PartitionWindow = serde_json::from_str(&json).expect("parses back");
+        assert_eq!(back, window, "partition windows replay through serde");
     }
 
     #[test]
@@ -388,5 +411,38 @@ mod tests {
         q.push(2, "past");
         let (at, _, _) = q.pop().expect("event present");
         assert_eq!(at, 10, "past events are delivered now, never before");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The model is a flat list of `(clamped at, seq)` popped by
+        // minimum. `planned` forces pushes before the first pop, the
+        // narrow tick range forces same-tick ties across the two halves
+        // and pushes into the past, the trailing pops drain the rest.
+        #[test]
+        fn queue_pops_like_a_sorted_reference(
+            planned in collection::vec(0u64..12, 0..10),
+            ops in collection::vec((any::<bool>(), 0u64..12), 0..60),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut reference: Vec<(u64, u64)> = Vec::new();
+            let mut now = 0;
+            let pushes = planned.into_iter().map(|at| (true, at));
+            for (push, at) in pushes.chain(ops).chain([(false, 0); 70]) {
+                if push {
+                    let seq = queue.push(at, ());
+                    reference.push((at.max(now), seq));
+                } else {
+                    let expected = reference.iter().copied().min();
+                    reference.retain(|&entry| Some(entry) != expected);
+                    now = expected.map_or(now, |(at, _)| at);
+                    prop_assert_eq!(queue.pop().map(|(at, seq, ())| (at, seq)), expected);
+                    prop_assert_eq!(queue.now(), now);
+                }
+                prop_assert_eq!(queue.len(), reference.len());
+                prop_assert_eq!(queue.is_empty(), reference.is_empty());
+            }
+        }
     }
 }
