@@ -35,8 +35,8 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use bench::{kilo_rate, Args, Table};
-use counting_runtime::{rate_over, MeasuredWindow, WaitStrategy};
+use bench::{kilo_rate, service_width_sweep, Args, Table};
+use counting_runtime::{rate_over, MeasuredWindow};
 use counting_server::router::{LeaseBody, RateBody, StatusBody, TicketBody};
 use counting_server::{ClientConnection, CountingServer, ServerConfig};
 use counting_service::{Backend, ServiceConfig};
@@ -86,6 +86,8 @@ struct ServerJson {
 #[derive(Debug, Serialize)]
 struct ServerReport {
     backend: String,
+    /// Balancers under one inflated reservation (`CounterService::depth`).
+    depth: Option<usize>,
     clients: u64,
     drivers: usize,
     /// Simulated clients live at once at the high-water mark (a client
@@ -657,6 +659,7 @@ fn verify(
 
     ServerReport {
         backend,
+        depth: server.state().service().depth(),
         clients,
         drivers: DRIVERS,
         peak_active,
@@ -694,27 +697,16 @@ fn main() {
     let horizon_us: u64 = if quick { 1_000_000 } else { 2_500_000 };
     let poll_interval_us: u64 = if quick { 25_000 } else { 40_000 };
 
-    let network = |elimination: bool| ServiceConfig {
-        backend: Backend::Network,
-        width: 16,
-        elimination,
-        strategy: WaitStrategy::SpinYield,
-        ..ServiceConfig::default()
+    // Quick: the default topology and the centralized floor (a row costs
+    // the whole horizon). Full: the (w, t) sweep and the diffracting tree.
+    let central =
+        ServiceConfig { backend: Backend::Central, elimination: false, ..ServiceConfig::default() };
+    let configs = if quick {
+        vec![ServiceConfig::default(), central]
+    } else {
+        let tree = ServiceConfig { backend: Backend::Diffracting, ..ServiceConfig::default() };
+        service_width_sweep().into_iter().chain([central, tree]).collect()
     };
-    let mut configs = vec![
-        network(true),
-        ServiceConfig { backend: Backend::Central, elimination: false, ..ServiceConfig::default() },
-    ];
-    if !quick {
-        configs.insert(1, network(false));
-        configs.push(ServiceConfig {
-            backend: Backend::Diffracting,
-            width: 16,
-            elimination: true,
-            strategy: WaitStrategy::SpinYield,
-            ..ServiceConfig::default()
-        });
-    }
 
     println!(
         "## E17 — end-to-end serving over HTTP: {clients} open-loop simulated clients \
@@ -724,6 +716,7 @@ fn main() {
 
     let mut table = Table::new(vec![
         "backend",
+        "depth",
         "req/s",
         "peak live",
         "ticket p99 µs",
@@ -738,6 +731,7 @@ fn main() {
         let broken = report.violations.total() > 0;
         table.push_row(vec![
             report.backend.clone(),
+            report.depth.map_or_else(|| "-".to_owned(), |d| d.to_string()),
             kilo_rate(report.aggregate_requests_per_second),
             report.peak_active.to_string(),
             p99(EP_TICKET),

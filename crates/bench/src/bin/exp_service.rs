@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::{kilo_rate, Args, Table};
+use bench::{kilo_rate, service_width_sweep, Args, Table};
 use counting_runtime::{rate_over, MeasuredWindow, SharedCounter, ValueBitmap, WaitStrategy};
 use counting_service::{Backend, CounterService, ServiceConfig};
 use serde::Serialize;
@@ -41,6 +41,8 @@ struct ServiceJson {
 #[derive(Debug, Serialize)]
 struct BackendReport {
     backend: String,
+    /// Balancers under one inflated reservation (`CounterService::depth`).
+    depth: Option<usize>,
     tenants: usize,
     threads: usize,
     ops_per_thread: u64,
@@ -213,6 +215,7 @@ fn run_backend(
 
     BackendReport {
         backend: config.label(),
+        depth: service.depth(),
         tenants,
         threads,
         ops_per_thread,
@@ -243,27 +246,15 @@ fn main() {
     let threads = 8usize;
     let ops_per_thread: u64 = if quick { 192 } else { 6_144 };
 
-    let network = |elimination: bool, strategy: WaitStrategy| ServiceConfig {
-        backend: Backend::Network,
-        width: 16,
-        elimination,
-        strategy,
-        ..ServiceConfig::default()
-    };
-    let mut configs = vec![
-        network(false, WaitStrategy::SpinYield),
-        network(true, WaitStrategy::SpinYield),
-        network(true, WaitStrategy::Park),
+    // The (w, t) sweep, then the default topology with a parking arena,
+    // the centralized floor and (full runs) the diffracting tree.
+    let mut configs = service_width_sweep();
+    configs.extend([
+        ServiceConfig { strategy: WaitStrategy::Park, ..ServiceConfig::default() },
         ServiceConfig { backend: Backend::Central, elimination: false, ..ServiceConfig::default() },
-    ];
+    ]);
     if !quick {
-        configs.push(ServiceConfig {
-            backend: Backend::Diffracting,
-            width: 16,
-            elimination: true,
-            strategy: WaitStrategy::SpinYield,
-            ..ServiceConfig::default()
-        });
+        configs.push(ServiceConfig { backend: Backend::Diffracting, ..ServiceConfig::default() });
     }
 
     println!(
@@ -273,6 +264,7 @@ fn main() {
 
     let mut table = Table::new(vec![
         "backend",
+        "depth",
         "values/s",
         "hot tenant /s",
         "median /s",
@@ -296,6 +288,7 @@ fn main() {
             report.duplicates > 0 || report.out_of_range > 0 || report.range_violations > 0;
         table.push_row(vec![
             report.backend.clone(),
+            report.depth.map_or_else(|| "-".to_owned(), |d| d.to_string()),
             kilo_rate(report.aggregate_values_per_second),
             skew_cell(rates.last().copied(), 1),
             skew_cell(rates.get(rates.len() / 2).copied(), 1),
@@ -333,7 +326,10 @@ fn main() {
          hot/median/cold columns show the Zipf skew surviving into per-tenant rates.\n\
          Tenants start as one CAS word and inflate to the row's backend under sustained\n\
          contention: `inflated` is how many ended the run inflated and (n×) how many\n\
-         inflations it saw (eviction deflates). The central row never inflates.\n"
+         inflations it saw (eviction deflates). The central row never inflates.\n\
+         `depth` is the balancers under one inflated reservation: it follows the input\n\
+         width w of C(w,16) alone, (lg²w + lg w)/2. On a host with fewer cpus than the\n\
+         8 threads the rates say little about it: few tenants inflate at all.\n"
     );
 
     let doc = ServiceJson { seed, reports };

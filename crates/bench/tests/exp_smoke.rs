@@ -210,7 +210,7 @@ fn exp_service_quick_passes_its_gate_for_both_network_backends() {
     // and exact-range (the binary exits nonzero otherwise, which
     // run_quick rejects), and the JSON must carry per-tenant plus
     // aggregate rates for both the raw network backend and the
-    // elimination-wrapped one.
+    // elimination-wrapped one, at every input width of the (w, t) sweep.
     let path = std::env::temp_dir().join(format!("exp_service_smoke_{}.json", std::process::id()));
     let path_str = path.to_str().expect("utf-8 temp path");
     let stdout = run_quick(env!("CARGO_BIN_EXE_exp_service"), &["--quick", "--json", path_str]);
@@ -221,18 +221,22 @@ fn exp_service_quick_passes_its_gate_for_both_network_backends() {
         !stdout.lines().any(|l| l.starts_with("| ") && l.contains("BROKEN")),
         "service matrix reported a violation:\n{stdout}"
     );
-    for backend in ["backend=C(16,16) ", "backend=C(16,16)+elim["] {
-        assert!(
-            stdout.lines().any(|l| l.starts_with("E15-aggregate") && l.contains(backend)),
-            "missing aggregate line for {backend}:\n{stdout}"
-        );
-    }
     let json = std::fs::read_to_string(&path).expect("JSON file written");
+    // Depth follows w alone: (lg²w + lg w)/2 = 1, 3, 10 at t = 16.
+    for (network, depth) in [("C(2,16)", 1), ("C(4,16)", 3), ("C(16,16)", 10)] {
+        for backend in [format!("backend={network} "), format!("backend={network}+elim[")] {
+            assert!(
+                stdout.lines().any(|l| l.starts_with("E15-aggregate") && l.contains(&backend)),
+                "missing aggregate line for {backend}:\n{stdout}"
+            );
+        }
+        let report = format!("\"backend\":\"{network}\",\"depth\":{depth},");
+        assert!(json.contains(&report), "missing raw network report {report}: {json}");
+    }
     assert!(json.starts_with('{'), "reports must be wrapped with the seed: {json}");
     assert!(json.contains("\"seed\":3605"), "missing recorded seed: {json}");
     assert!(json.contains("\"reports\":["), "missing report array: {json}");
-    assert!(json.contains("\"backend\":\"C(16,16)\""), "missing raw network report: {json}");
-    assert!(json.contains("\"backend\":\"C(16,16)+elim["), "missing elim-wrapped report: {json}");
+    assert!(json.contains("\"backend\":\"C(4,16)+elim["), "missing elim-wrapped report: {json}");
     assert!(json.contains("\"tenant_stats\":["), "missing per-tenant stats: {json}");
     assert!(json.contains("\"aggregate_values_per_second\":"), "missing aggregate rate: {json}");
     assert!(json.contains("\"tenant\":\"tenant-063\""), "missing the 64th tenant: {json}");

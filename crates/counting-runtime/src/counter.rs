@@ -81,6 +81,13 @@ pub trait BlockReserve: SharedCounter {
     ///
     /// Panics if `k` is zero.
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64;
+
+    /// Values reserved through [`Self::reserve_block`] so far: the end of
+    /// the tiled range. Exact at quiescence; while reservations are in
+    /// flight it may run ahead of the blocks already returned. (On the
+    /// centralized counters, whose blocks share a word with `next`, it
+    /// counts those values too.)
+    fn reserved(&self) -> u64;
 }
 
 /// Delegation through smart pointers: a boxed counter is a counter, so
@@ -106,6 +113,10 @@ impl<C: BlockReserve + ?Sized> BlockReserve for Box<C> {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         (**self).reserve_block(thread_id, k)
     }
+
+    fn reserved(&self) -> u64 {
+        (**self).reserved()
+    }
 }
 
 /// Shared-ownership delegation: `Arc<dyn SharedCounter + Send + Sync>` is
@@ -129,6 +140,10 @@ impl<C: SharedCounter + Send + ?Sized> SharedCounter for std::sync::Arc<C> {
 impl<C: BlockReserve + Send + ?Sized> BlockReserve for std::sync::Arc<C> {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         (**self).reserve_block(thread_id, k)
+    }
+
+    fn reserved(&self) -> u64 {
+        (**self).reserved()
     }
 }
 
@@ -221,6 +236,12 @@ impl BlockReserve for NetworkCounter {
         // contiguous and disjoint by itself.
         self.block_cursor.fetch_add(k as u64, Ordering::Relaxed)
     }
+
+    fn reserved(&self) -> u64 {
+        // Relaxed: a count that publishes nothing; a caller that needs it
+        // exact brings its own quiescence (joined threads, sole ownership).
+        self.block_cursor.load(Ordering::Relaxed)
+    }
 }
 
 /// The centralized baseline: a single atomic word everybody `fetch_add`s.
@@ -261,6 +282,11 @@ impl BlockReserve for CentralCounter {
         assert!(k > 0, "a block reservation needs at least one value");
         // Same word as `next`: blocks and single values mix freely.
         self.value.fetch_add(k as u64, Ordering::Relaxed)
+    }
+
+    fn reserved(&self) -> u64 {
+        // Relaxed: see `NetworkCounter::reserved`.
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -305,6 +331,10 @@ impl BlockReserve for LockCounter {
         let base = *guard;
         *guard += k as u64;
         base
+    }
+
+    fn reserved(&self) -> u64 {
+        *self.value.lock()
     }
 }
 

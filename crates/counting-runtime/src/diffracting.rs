@@ -211,6 +211,11 @@ impl BlockReserve for DiffractingCounter {
         // contiguous and disjoint by itself.
         self.block_cursor.fetch_add(k as u64, Ordering::Relaxed)
     }
+
+    fn reserved(&self) -> u64 {
+        // Relaxed: see `NetworkCounter::reserved`.
+        self.block_cursor.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]

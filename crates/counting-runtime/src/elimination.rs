@@ -63,6 +63,19 @@
 //! they cannot quiets down to near-solo fast-path cost, with a periodic
 //! retry to re-detect contention.
 //!
+//! The credit obeys a **break-even rule**. A merged pair saves one inner
+//! reservation; a futile offer costs one spin burst, which under
+//! contention is at least one inner reservation. So a merge may pay for
+//! O(1) futile offers: `MERGE_BONUS` is `1` per side, one timeout drains
+//! `1`, and offering survives only while at least one offer in three
+//! finds a partner. The bonus used to be `32`: one merged pair then bought 64
+//! futile offers, and two threads on the default arena settled at a
+//! merge ratio of 0.0156 and a fallback ratio of 0.984 with 770 ns of
+//! every 910 ns contended operation spent waiting for partners that did
+//! not come — the worst state the arena has. With the rule, two threads
+//! that cannot merge spend the initial credit once and then run at solo
+//! cost; going quiet *is* the win there.
+//!
 //! # Multi-slot probing
 //!
 //! Each operation owns a *home* slot (a Fibonacci hash of its thread id)
@@ -75,6 +88,14 @@
 //! path costs a single load; as futile timeouts drain the credit the
 //! window widens toward the configured maximum, trading a few extra loads
 //! for a better chance of meeting a partner parked one slot over.
+//!
+//! A finding recorded, not fixed: with no more threads than slots the
+//! Fibonacci hash gives every thread a *private* home slot, and while
+//! the window is 1 nobody looks at anyone else's. Two threads (homes 0
+//! and 1 of 4) therefore meet only once the score is drained and the
+//! window reaches 2, and only one way round — thread 0 sees slot 1,
+//! thread 1 sees slot 2. The arena geometry is built for more threads
+//! than slots; the controller above is what keeps it cheap below that.
 //!
 //! The arena is sized in slots: pairwise collisions serve two threads per
 //! slot, so `threads / 2` slots saturate a steady workload; the default
@@ -192,19 +213,28 @@ pub struct EliminationCounter<C: BlockReserve> {
     /// unconditionally — a seat is two pointer-sized primitives — so the
     /// strategy never changes the arena's shape).
     parking: ParkTable,
-    collisions: AtomicU64,
-    fallbacks: AtomicU64,
-    /// Counts first-burst timeouts across all threads — a statistic only.
-    /// The [`WaitStrategy::SpinYield`] yield *cadence* is per-waiter
-    /// ([`YIELD_TICKS`]): when it was derived from this shared counter,
-    /// the ticks of other threads could keep one thread permanently off
-    /// the [`YIELD_PERIOD`] boundary and starve its yields.
-    timeout_ticks: CachePadded<AtomicU64>,
+    /// Outcome counts, one shard per slot, summed on read: every solo
+    /// operation bumps one, so they stay off the line of the read-mostly
+    /// fields above, and a thread with a home slot of its own writes a
+    /// line nobody else does.
+    stats: Box<[CachePadded<SlotStats>]>,
     /// Adaptive offering score: merges replenish it, futile timeouts
     /// drain it; offers are only published while it is positive (see
     /// [`Self::should_offer`]) and the probe window widens as it drains
     /// (see [`Self::probe_window`]).
     score: CachePadded<AtomicI64>,
+}
+
+/// One slot's share of the arena's outcome counts. Relaxed throughout:
+/// they publish nothing, and the one control input among them (the retry
+/// cadence in [`EliminationCounter::should_offer`]) is a period, correct
+/// for any interleaving of the increments.
+#[derive(Debug)]
+struct SlotStats {
+    /// Merged operations, counted on the slot the merge happened in.
+    collisions: AtomicU64,
+    /// Solo operations, counted on the caller's home slot.
+    fallbacks: AtomicU64,
 }
 
 /// One in this many timed-out [`WaitStrategy::SpinYield`] offers yields
@@ -228,8 +258,10 @@ thread_local! {
 const INITIAL_SCORE: i64 = 256;
 
 /// Each successful merge refunds this much offering credit to each
-/// partner, so a workload where collisions land keeps the arena hot.
-const MERGE_BONUS: i64 = 32;
+/// partner: a merged pair pays for the two futile offers its one saved
+/// reservation is worth (the break-even rule of the module docs), so the
+/// arena stays hot only while collisions actually land.
+const MERGE_BONUS: i64 = 1;
 
 /// How much offering credit one futile *parked* timeout drains. A parked
 /// miss costs a whole [`EliminationConfig::park_timeout`] sleep where a
@@ -276,9 +308,10 @@ impl<C: BlockReserve> EliminationCounter<C> {
             slots: (0..config.slots).map(|_| CachePadded::new(AtomicU64::new(EMPTY))).collect(),
             parking: ParkTable::new(config.slots),
             config,
-            collisions: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            timeout_ticks: CachePadded::new(AtomicU64::new(0)),
+            stats: (0..config.slots)
+                .map(|_| SlotStats { collisions: AtomicU64::new(0), fallbacks: AtomicU64::new(0) })
+                .map(CachePadded::new)
+                .collect(),
             score: CachePadded::new(AtomicI64::new(INITIAL_SCORE)),
         }
     }
@@ -316,19 +349,18 @@ impl<C: BlockReserve> EliminationCounter<C> {
     }
 
     /// Operations that merged with a partner (both sides counted, so the
-    /// number of combined reservations is `collisions() / 2`).
+    /// number of combined reservations is `collisions() / 2`). Exact at
+    /// quiescence, like [`Self::fallbacks`].
     #[must_use]
     pub fn collisions(&self) -> u64 {
-        // Relaxed: reporting-only read of a monotone statistic.
-        self.collisions.load(Ordering::Relaxed)
+        self.stats.iter().map(|shard| shard.collisions.load(Ordering::Relaxed)).sum()
     }
 
     /// Operations that reserved solo — no partner within the wait bound,
     /// a busy slot, or a lost capture race.
     #[must_use]
     pub fn fallbacks(&self) -> u64 {
-        // Relaxed: reporting-only read of a monotone statistic.
-        self.fallbacks.load(Ordering::Relaxed)
+        self.stats.iter().map(|shard| shard.fallbacks.load(Ordering::Relaxed)).sum()
     }
 
     /// The index of a thread's home slot, spread by a Fibonacci hash so
@@ -366,28 +398,29 @@ impl<C: BlockReserve> EliminationCounter<C> {
     /// offer. Offering costs a CAS pair and a bounded wait, which only
     /// pays off when partners actually arrive — the score tracks that
     /// (merges refund credit, futile timeouts drain it), and a drained
-    /// arena still retries periodically to notice new contention.
-    fn should_offer(&self) -> bool {
-        // Acquire on both loads: they feed a control decision (whether to
-        // publish an offer at all), so the credit refunded by a partner's
-        // merge and the fallback count driving the periodic retry must
-        // both be observed promptly.
+    /// arena still retries periodically to notice new contention: every
+    /// [`OFFER_RETRY_PERIOD`]-th solo operation of the caller's home slot.
+    fn should_offer(&self, home: usize) -> bool {
+        // Acquire: the score feeds a control decision (whether to publish
+        // an offer at all), so the credit refunded by a partner's merge
+        // must be observed promptly. The cadence count is Relaxed (see
+        // `SlotStats`).
         self.score.load(Ordering::Acquire) > 0
-            || self.fallbacks.load(Ordering::Acquire).is_multiple_of(OFFER_RETRY_PERIOD)
+            || self.stats[home].fallbacks.load(Ordering::Relaxed).is_multiple_of(OFFER_RETRY_PERIOD)
     }
 
-    /// Credits one side of a successful merge.
-    fn credit_merge(&self) {
-        // Relaxed: monotone statistic, never read for a control decision.
-        self.collisions.fetch_add(1, Ordering::Relaxed);
+    /// Credits one side of a merge that happened in slot `idx`.
+    fn credit_merge(&self, idx: usize) {
+        self.stats[idx].collisions.fetch_add(1, Ordering::Relaxed);
         // AcqRel: the refunded credit gates other threads' offer/probe
         // decisions (should_offer, probe_window), so it must publish.
         self.score.fetch_add(MERGE_BONUS, Ordering::AcqRel);
     }
 
-    /// Drains offering credit after a futile timeout, floored so a long
-    /// cold phase cannot dig a hole that takes hundreds of merges to
-    /// climb out of — re-detection stays O(1).
+    /// Drains offering credit after a futile timeout, floored so a cold
+    /// phase of any length digs a hole of bounded depth: re-detection
+    /// takes at most `INITIAL_SCORE` merged retries, however long the
+    /// arena sat quiet.
     fn drain_score(&self, penalty: i64) {
         // AcqRel/Release: the drained credit gates other threads'
         // offer/probe decisions, so it must publish (see credit_merge).
@@ -396,12 +429,12 @@ impl<C: BlockReserve> EliminationCounter<C> {
         }
     }
 
-    /// Consumes a `FILLED` word: takes the deposited base and recycles the
-    /// slot.
-    fn take_fill(&self, slot: &AtomicU64, word: u64) -> u64 {
+    /// Consumes the `FILLED` word read from slot `idx`: takes the
+    /// deposited base and recycles the slot.
+    fn take_fill(&self, idx: usize, word: u64) -> u64 {
         debug_assert_eq!(word & TAG_MASK, FILLED);
-        slot.store(EMPTY, Ordering::Release);
-        self.credit_merge();
+        self.slots[idx].store(EMPTY, Ordering::Release);
+        self.credit_merge(idx);
         word >> 2
     }
 
@@ -420,7 +453,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
             let partner_k = (observed >> 2) as usize;
             let base = self.inner.reserve_block(thread_id, partner_k + k);
             slot.store(pack(base, FILLED), Ordering::Release);
-            self.credit_merge();
+            self.credit_merge(idx);
             return Some(base + partner_k as u64);
         }
         slot.compare_exchange(observed, CLAIMED, Ordering::AcqRel, Ordering::Acquire).ok()?;
@@ -434,7 +467,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
             // seat's lock/notify pair cannot let the sleeper miss it.
             self.parking.unpark(idx);
         }
-        self.credit_merge();
+        self.credit_merge(idx);
         Some(base + partner_k as u64)
     }
 
@@ -445,7 +478,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
         for _ in 0..self.config.spin {
             let word = slot.load(Ordering::Acquire);
             if word & TAG_MASK == FILLED {
-                return Some(self.take_fill(slot, word));
+                return Some(self.take_fill(idx, word));
             }
             std::hint::spin_loop();
         }
@@ -468,16 +501,13 @@ impl<C: BlockReserve> EliminationCounter<C> {
             WaitStrategy::Spin => self.drain_score(1),
             WaitStrategy::SpinYield => {
                 self.drain_score(1);
-                // Relaxed: aggregate statistic only — the yield decision
-                // below deliberately does NOT read it (see YIELD_TICKS).
-                self.timeout_ticks.fetch_add(1, Ordering::Relaxed);
                 // A fraction of timeouts hands the core to a potential
                 // partner (spinning alone can never rendezvous when
                 // threads outnumber cores) and gives the returned-from-
                 // yield slice one more burst. The cadence is per-waiter:
-                // counting timeouts in the shared counter let other
-                // threads' ticks keep one thread permanently off the
-                // period boundary and starve its yields.
+                // counted in a shared word, other threads' timeouts could
+                // keep one thread permanently off the period boundary and
+                // starve its yields.
                 let tick = YIELD_TICKS.with(|t| {
                     let tick = t.get();
                     t.set(tick.wrapping_add(1));
@@ -497,7 +527,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
                 let filled = || slot.load(Ordering::Acquire) & TAG_MASK == FILLED;
                 if self.parking.park_until(idx, self.config.park_timeout, filled) {
                     let word = slot.load(Ordering::Acquire);
-                    return Some(self.take_fill(slot, word));
+                    return Some(self.take_fill(idx, word));
                 }
                 // Only a *futile* park pays the heavy penalty — a claimed
                 // one was the strategy working as intended (and earns the
@@ -525,7 +555,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
             loop {
                 let word = slot.load(Ordering::Acquire);
                 if word & TAG_MASK == FILLED {
-                    return self.take_fill(slot, word);
+                    return self.take_fill(idx, word);
                 }
                 // The seat's check-under-lock makes a missed wakeup
                 // impossible; the timeout only re-arms the loop if the
@@ -538,7 +568,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
         loop {
             let word = slot.load(Ordering::Acquire);
             if word & TAG_MASK == FILLED {
-                return self.take_fill(slot, word);
+                return self.take_fill(idx, word);
             }
             if crate::sync::in_model() {
                 // Under the interleaving model, every probe must be a
@@ -582,7 +612,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
 
         // Publish our own offer in the first empty slot of the window and
         // wait for a capturer.
-        if self.config.spin > 0 && self.should_offer() {
+        if self.config.spin > 0 && self.should_offer(home) {
             let offer = pack(k as u64, OFFER);
             for i in 0..window {
                 let idx = (home + i) % self.slots.len();
@@ -608,11 +638,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
         // Busy window, lost race, quiet arena, or timeout: one solo
         // reservation against the underlying counter keeps the layer
         // obstruction-free.
-        //
-        // AcqRel: unlike the pure stats, this count feeds a control
-        // decision — should_offer's periodic re-detection divides it by
-        // OFFER_RETRY_PERIOD — so it must publish.
-        self.fallbacks.fetch_add(1, Ordering::AcqRel);
+        self.stats[home].fallbacks.fetch_add(1, Ordering::Relaxed);
         self.inner.reserve_block(thread_id, k)
     }
 
@@ -654,6 +680,11 @@ impl<C: BlockReserve> BlockReserve for EliminationCounter<C> {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         assert!(k > 0, "a block reservation needs at least one value");
         self.reserve(thread_id, k)
+    }
+
+    fn reserved(&self) -> u64 {
+        // Merged or solo, every value comes out of one inner block.
+        self.inner.reserved()
     }
 }
 
@@ -989,6 +1020,61 @@ mod tests {
         assert_eq!(counter.probe_window(), 1, "partial credit: half of the clamped window");
     }
 
+    // --- the offering controller and the layout it relies on -------------
+
+    #[test]
+    fn a_drained_arena_offers_once_per_retry_period_until_merges_refund_it() {
+        let counter = EliminationCounter::with_arena(CentralCounter::new(), 1, 1);
+        let score = || counter.score.load(Ordering::Relaxed);
+        // Alone, every offer times out and drains exactly 1: the score
+        // counts the offers published. The initial credit buys one each.
+        for _ in 0..INITIAL_SCORE {
+            counter.next(0);
+        }
+        assert_eq!(score(), 0, "the initial credit is spent");
+        let ops = 4_096;
+        for _ in 0..ops {
+            counter.next(0);
+        }
+        let offers = -score();
+        assert!(offers > 0, "a quiet arena still retries");
+        assert!(offers as u64 <= ops / OFFER_RETRY_PERIOD + 1, "{offers} offers in {ops} solo ops");
+        // Merges refund the credit one futile offer at a time.
+        let mut merges = 0;
+        while score() <= 0 {
+            counter.slots[0].store(pack(1, OFFER), Ordering::Release);
+            counter.next(0);
+            counter.slots[0].store(EMPTY, Ordering::Release); // the planted waiter leaves
+            merges += 1;
+        }
+        assert_eq!(merges, offers + 1, "one captured offer refunds one futile one");
+        counter.next(0);
+        assert_eq!(score(), 0, "with credit back, the next solo operation offers again");
+    }
+
+    #[test]
+    fn contended_words_sit_on_cache_lines_of_their_own() {
+        type Arena = EliminationCounter<CentralCounter>;
+        let counter = Arena::new(CentralCounter::new());
+        let line = |addr: usize| addr / 64;
+        let field = |offset: usize| line(std::ptr::from_ref(&counter) as usize + offset);
+        // What every operation reads and nobody writes ...
+        let read_mostly = [
+            std::mem::offset_of!(Arena, inner),
+            std::mem::offset_of!(Arena, slots),
+            std::mem::offset_of!(Arena, config),
+        ]
+        .map(field);
+        // ... and the words operations write.
+        let mut written = vec![field(std::mem::offset_of!(Arena, score))];
+        written.extend(counter.stats.iter().map(|shard| line(std::ptr::from_ref(shard) as usize)));
+        written.extend(counter.slots.iter().map(|slot| line(std::ptr::from_ref(slot) as usize)));
+        assert_eq!(written.len(), 1 + 2 * DEFAULT_SLOTS);
+        assert!(written.iter().all(|w| !read_mostly.contains(w)), "{written:?} / {read_mostly:?}");
+        let distinct: HashSet<usize> = written.iter().copied().collect();
+        assert_eq!(distinct.len(), written.len(), "two written words share a line: {written:?}");
+    }
+
     // --- preemption-hostile schedules ------------------------------------
 
     #[test]
@@ -1115,6 +1201,60 @@ mod tests {
                 });
                 let values = all.into_inner().expect("not poisoned");
                 assert_exact_range(&values);
+            }
+        }
+    }
+
+    #[test]
+    fn reserved_counts_every_value_once_on_every_implementor() {
+        type Inner = Box<dyn BlockReserve + Send + Sync>;
+        /// Four threads reserve mixed-size blocks; they must tile
+        /// `already..reserved()`.
+        fn drive<C: BlockReserve>(counter: &C, already: u64) {
+            let all = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for tid in 0..4 {
+                    let all = &all;
+                    scope.spawn(move || {
+                        let blocks: Vec<(u64, u64)> = (0..150)
+                            .map(|op| 1 + (op * 7 + tid) % 5)
+                            .map(|k| (counter.reserve_block(tid, k), k as u64))
+                            .collect();
+                        all.lock().expect("not poisoned").extend(blocks);
+                    });
+                }
+            });
+            let mut blocks = all.into_inner().expect("not poisoned");
+            blocks.sort_unstable();
+            let mut next = already;
+            for (base, k) in blocks {
+                assert_eq!(base, next, "{}: the blocks gap or overlap", counter.describe());
+                next += k;
+            }
+            assert_eq!(counter.reserved(), next, "{}", counter.describe());
+        }
+        let inners: [fn() -> Inner; 4] = [
+            || {
+                let net = counting_network(4, 16).expect("valid");
+                Box::new(NetworkCounter::new("C(4,16)", &net))
+            },
+            || Box::new(DiffractingCounter::new(8, 4, 32)),
+            || Box::new(CentralCounter::new()),
+            || Box::new(LockCounter::new()),
+        ];
+        for inner in inners {
+            drive(&inner(), 0);
+            for strategy in [WaitStrategy::SpinYield, WaitStrategy::Park] {
+                let park_timeout = Duration::from_micros(200);
+                let config = EliminationConfig { strategy, park_timeout, ..Default::default() };
+                let arena = EliminationCounter::with_config(inner(), config);
+                // A planted offer of 4 captured with k = 2 is one inner
+                // reservation of 6: counted once, for both partners.
+                arena.slots[0].store(pack(4, OFFER), Ordering::Release);
+                assert_eq!(arena.reserve_block(0, 2), 4);
+                arena.slots[0].store(EMPTY, Ordering::Release); // the planted waiter takes 0..4
+                assert_eq!((arena.reserved(), arena.collisions()), (6, 1));
+                drive(&arena, 6);
             }
         }
     }

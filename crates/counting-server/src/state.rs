@@ -29,7 +29,8 @@ pub const MAX_TENANT_LEN: usize = 64;
 /// server into a network-vs-central end-to-end comparison.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Registry configuration (backend, width, elimination, shards).
+    /// Registry configuration (backend, input width `w` of its
+    /// `C(w, 16)`, elimination, shards).
     pub service: ServiceConfig,
     /// Fixed worker-pool size. Each worker owns one connection at a
     /// time, so this is also the keep-alive connection capacity.

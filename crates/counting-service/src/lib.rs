@@ -21,8 +21,9 @@
 //!   so a tenant's values stay unique across its whole service lifetime.
 //! * [`ServiceConfig`] — the per-service construction policy: which
 //!   [`Backend`] a contended tenant inflates to (counting network,
-//!   diffracting tree, or central = never inflate), the network width,
-//!   and whether/how to wrap it in an elimination arena
+//!   diffracting tree, or central = never inflate), the network's input
+//!   width — the `w` of the paper's `C(w, t)` at `t = 16`, `C(4,16)` by
+//!   default — and whether/how to wrap it in an elimination arena
 //!   ([`counting_runtime::EliminationCounter`] with a chosen
 //!   [`counting_runtime::WaitStrategy`]).
 //! * Workload adapters on top of any tenant handle: [`IdGenerator`]
@@ -37,12 +38,14 @@
 //! use counting_service::{Backend, CounterService, ServiceConfig};
 //!
 //! // One service, many tenants: compact until contended, then
-//! // network-backed and elimination-wrapped.
+//! // network-backed — C(w, 16) with `width` as w — and
+//! // elimination-wrapped.
 //! let service = CounterService::new(ServiceConfig {
 //!     backend: Backend::Network,
 //!     width: 8,
 //!     ..ServiceConfig::default()
 //! });
+//! assert_eq!(service.config().label(), "C(8,16)+elim[spin-yield]");
 //!
 //! // Per-flow accounting: each flow's stream is independent and dense.
 //! let flow = service.get_or_create("flows/10.0.0.7");

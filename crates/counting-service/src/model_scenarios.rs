@@ -53,7 +53,7 @@ fn tiny_service() -> Arc<CounterService> {
 
 /// A tenant's compact-to-inflated hand-off under live handles: three
 /// threads reserve mixed-size blocks from one tenant that inflates (to a
-/// bare `C(2, 2)`, whose own atomics are not scheduling points) on the
+/// bare `C(2,16)`, whose own atomics are not scheduling points) on the
 /// first CAS collision. Whoever inflates, and wherever the others are
 /// when the seal lands, the values drawn must be exactly `0..watermark`.
 /// Three threads: the seal window opens only after one thread's CAS has

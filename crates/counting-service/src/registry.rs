@@ -24,6 +24,24 @@
 //!   when `elimination`). A tenant touched by one thread at a time never
 //!   inflates, a [`Backend::Central`] tenant never does, and eviction
 //!   followed by re-creation is the only deflation.
+//! * **`C(w, t)` with `w < t`** — an inflated tenant pays for its
+//!   contention, not for its width. The paper's network has depth
+//!   `(lg²w + lg w)/2` whatever `t` is: the input width `w` need only
+//!   cover the threads that really meet on one tenant, and the output
+//!   width is free: every service uses `t = 16`, and
+//!   [`ServiceConfig::width`] is `w`. The default is `C(4,16)`, depth 3,
+//!   where the old `C(16,16)` put 10 balancers under every reservation —
+//!   on the two-thread benchmark host that width alone was half of a
+//!   threefold `hot-tenant` gain. `w = 4` is the smallest width that
+//!   still has every part of the construction (a ladder, two recursive
+//!   halves, a merger). It is verified only there, with two threads on
+//!   one tenant: with more than four, `thread_id % 4` shares two
+//!   first-layer balancers where `C(16,16)` had eight, and what that
+//!   costs is unmeasured — set `width` higher on such a host.
+//! * **One count per value** — an inflated instance keeps no count of its
+//!   own: `issued` is the sealed word's `F` plus the backend's
+//!   [`BlockReserve::reserved`], the cursor every reservation already
+//!   advances.
 //! * **A hand-off nobody waits for** — the one thread whose failure
 //!   crosses the threshold builds the backend, publishes it, and only
 //!   *then* seals the word (top bit, by CAS): a racing increment lands
@@ -80,14 +98,20 @@ const DIFFRACTING_PRISM_SIZE: usize = 8;
 /// Spin budget of a diffracting prism while waiting for a partner.
 const DIFFRACTING_PRISM_SPIN: usize = 128;
 
+/// The `t` of every [`Backend::Network`] tenant's `C(w, t)` and the leaf
+/// count of a [`Backend::Diffracting`] tree. Depth does not depend on it
+/// and block reservations take their values from one cursor, not from the
+/// exit wire, so nothing on the serving path has needed a second value
+/// (`t = w` is not a tie: `C(4,4)` read 5 % below `C(4,16)` on `hot-tenant`).
+const OUTPUT_WIDTH: usize = 16;
+
 /// Which counter construction backs every tenant of a service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// The paper's counting network `C(w, w)` compiled to atomics
+    /// The paper's counting network `C(w, 16)` compiled to atomics
     /// ([`NetworkCounter`]); `w` is [`ServiceConfig::width`].
     Network,
-    /// A diffracting tree with `width` leaves
-    /// ([`DiffractingCounter`]).
+    /// A diffracting tree with 16 leaves ([`DiffractingCounter`]).
     Diffracting,
     /// The centralized hotspot: a compact tenant that never inflates.
     Central,
@@ -98,12 +122,12 @@ impl Backend {
     pub const ALL: [Backend; 3] = [Backend::Network, Backend::Diffracting, Backend::Central];
 
     /// A short stable label used in tables and JSON output (the network
-    /// backends include the width, so the label needs the config).
+    /// names its input width, so the label needs the config's `width`).
     #[must_use]
     pub fn label(self, width: usize) -> String {
         match self {
-            Backend::Network => format!("C({width},{width})"),
-            Backend::Diffracting => format!("DiffTree[{width}]"),
+            Backend::Network => format!("C({width},{OUTPUT_WIDTH})"),
+            Backend::Diffracting => format!("DiffTree[{OUTPUT_WIDTH}]"),
             Backend::Central => "central".to_owned(),
         }
     }
@@ -122,17 +146,18 @@ impl Backend {
 ///     strategy: WaitStrategy::Park,
 ///     ..ServiceConfig::default()
 /// };
-/// assert_eq!(config.width, 16);
-/// assert!(config.elimination);
+/// assert_eq!(config.width, 4);
+/// assert_eq!(config.label(), "C(4,16)+elim[park]");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// The counter construction backing every tenant (default
     /// [`Backend::Network`]).
     pub backend: Backend,
-    /// Input/output width of the network-shaped backends (default `16`;
-    /// must be a power of two `>= 2` for [`Backend::Network`] and
-    /// [`Backend::Diffracting`], ignored by the centralized ones).
+    /// The input width `w` of [`Backend::Network`]'s `C(w, 16)`: how many
+    /// threads get a wire of their own, and the only parameter the depth
+    /// depends on (default `4`, see the [module docs](self); one of `2`,
+    /// `4`, `8`, `16`; ignored by the other backends).
     pub width: usize,
     /// Whether to wrap each inflated tenant's backend in an
     /// [`EliminationCounter`] arena (default `true`): colliding
@@ -155,7 +180,11 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             backend: Backend::Network,
-            width: 16,
+            // The paper's w < t: depth from w = 4, the smallest width with
+            // a ladder, two halves and a merger. Measured with two threads
+            // on one tenant only; the effect on tenants that more than
+            // four threads contend for is unverified.
+            width: 4,
             elimination: true,
             strategy: WaitStrategy::default(),
             shards: DEFAULT_SHARDS,
@@ -194,15 +223,16 @@ struct Blueprint {
 impl Blueprint {
     /// Builds the backend an inflating tenant switches to.
     fn build_backend(&self) -> Box<dyn BlockReserve + Send + Sync> {
-        let w = self.config.width;
         let backend: Box<dyn BlockReserve + Send + Sync> = match self.config.backend {
             Backend::Network => Box::new(NetworkCounter::new(
-                self.config.backend.label(w),
+                self.config.backend.label(self.config.width),
                 self.template.as_ref().expect("network backend keeps a template"),
             )),
-            Backend::Diffracting => {
-                Box::new(DiffractingCounter::new(w, DIFFRACTING_PRISM_SIZE, DIFFRACTING_PRISM_SPIN))
-            }
+            Backend::Diffracting => Box::new(DiffractingCounter::new(
+                OUTPUT_WIDTH,
+                DIFFRACTING_PRISM_SIZE,
+                DIFFRACTING_PRISM_SPIN,
+            )),
             Backend::Central => unreachable!("central tenants never inflate"),
         };
         if self.config.elimination {
@@ -215,12 +245,6 @@ impl Blueprint {
             backend
         }
     }
-}
-
-/// A tenant's inflated state: the backend and the values it handed out.
-struct Inflated {
-    backend: Box<dyn BlockReserve + Send + Sync>,
-    issued: AtomicU64,
 }
 
 /// One tenant's counter: a single CAS word until it is contended, the
@@ -244,8 +268,9 @@ pub struct TenantCounter {
     /// CAS failures in the current signal window.
     contention: AtomicU64,
     blueprint: Arc<Blueprint>,
-    /// Published before the word is sealed: whoever sees the seal finds it.
-    inflated: OnceLock<Inflated>,
+    /// The backend, published before the word is sealed: whoever sees the
+    /// seal finds it.
+    inflated: OnceLock<Box<dyn BlockReserve + Send + Sync>>,
 }
 
 impl std::fmt::Debug for TenantCounter {
@@ -279,13 +304,13 @@ impl TenantCounter {
         self.word.load(Ordering::Acquire) & SEALED != 0
     }
 
-    /// The inflated state; only for callers that saw the word sealed.
-    fn backend(&self) -> &Inflated {
-        self.inflated.get().expect("the backend is published before the word is sealed")
+    /// The backend; only for callers that saw the word sealed.
+    fn backend(&self) -> &(dyn BlockReserve + Send + Sync) {
+        &**self.inflated.get().expect("the backend is published before the word is sealed")
     }
 
     fn state_label(&self) -> String {
-        self.inflated.get().map_or_else(|| "compact".to_owned(), |state| state.backend.describe())
+        self.inflated.get().map_or_else(|| "compact".to_owned(), |backend| backend.describe())
     }
 
     /// Values handed out by **this instance**. Exact at quiescence; while
@@ -293,15 +318,16 @@ impl TenantCounter {
     /// visible to callers.
     #[must_use]
     pub fn issued(&self) -> u64 {
-        // A statistic for callers *except* on the eviction path, where
-        // exactness comes not from these loads' ordering but from sole
+        // ordering: a statistic for callers *except* on the eviction path,
+        // where exactness comes not from these loads' ordering (the
+        // backend's count is a Relaxed load of its cursor) but from sole
         // ownership: the Acquire fence in `retire` pairs with the last
-        // handle's release drop, which happens-after its final update.
+        // handle's release drop, which happens-after its final reservation.
         let word = self.word.load(Ordering::Acquire);
         if word & SEALED == 0 {
             return word;
         }
-        (word & !SEALED) + self.backend().issued.load(Ordering::Relaxed)
+        (word & !SEALED) + self.backend().reserved()
     }
 
     /// The tenant's high-water mark, `base + issued`: the next instance's
@@ -320,12 +346,8 @@ impl TenantCounter {
         let mut word = self.word.load(Ordering::Acquire);
         loop {
             if word & SEALED != 0 {
-                let Inflated { backend, issued } = self.backend();
-                let raw = backend.reserve_block(thread_id, k);
-                // Relaxed, like the CAS below: the count reaches the
-                // eviction path through the handle's release drop and
-                // the registry's Acquire fence (see `issued`).
-                issued.fetch_add(k as u64, Ordering::Relaxed);
+                // The backend's cursor is the only count kept (see `issued`).
+                let raw = self.backend().reserve_block(thread_id, k);
                 return self.base + (word & !SEALED) + raw;
             }
             // A strong CAS: a failure means another thread moved the word.
@@ -366,9 +388,8 @@ impl TenantCounter {
     /// keep reserving: build, publish, *then* seal. Until the seal lands
     /// everyone is still served by the word, so nobody waits for the build.
     fn inflate(&self) {
-        let inflated =
-            Inflated { backend: self.blueprint.build_backend(), issued: AtomicU64::new(0) };
-        assert!(self.inflated.set(inflated).is_ok(), "the threshold is reached once");
+        let published = self.inflated.set(self.blueprint.build_backend());
+        assert!(published.is_ok(), "the threshold is reached once");
         self.blueprint.inflations.fetch_add(1, Ordering::Relaxed);
         let mut word = self.word.load(Ordering::Relaxed);
         if mutation_enabled("seal-by-store") {
@@ -410,6 +431,10 @@ impl BlockReserve for TenantCounter {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         assert!(k > 0, "a block reservation needs at least one value");
         self.reserve(thread_id, k)
+    }
+
+    fn reserved(&self) -> u64 {
+        self.issued()
     }
 }
 
@@ -482,8 +507,9 @@ impl CounterService {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` is zero, or if `config.width` is not a
-    /// power of two `>= 2` while a network-shaped backend is selected.
+    /// Panics if `config.shards` is zero, or if [`Backend::Network`] is
+    /// selected and `C(config.width, 16)` does not exist: the paper's
+    /// rule wants `w` a power of two `>= 2` and `t` a multiple of it.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         Self::with_inflate_threshold(config, INFLATE_THRESHOLD)
@@ -494,11 +520,12 @@ impl CounterService {
     /// and unit tests pass `1`, so the first collision inflates.
     pub(crate) fn with_inflate_threshold(config: ServiceConfig, threshold: u64) -> Self {
         assert!(config.shards > 0, "the registry needs at least one shard");
-        let (w, central) = (config.width, config.backend == Backend::Central);
-        assert!(central || (w >= 2 && w.is_power_of_two()), "width must be a power of two >= 2");
-        let template = (config.backend == Backend::Network)
-            .then(|| counting_network(w, w).expect("the width was checked above"));
-        let threshold = if central { u64::MAX } else { threshold };
+        // Built here so a bad width is refused with the construction's own
+        // message, which names both w and t.
+        let template = (config.backend == Backend::Network).then(|| {
+            counting_network(config.width, OUTPUT_WIDTH).unwrap_or_else(|e| panic!("{e}"))
+        });
+        let threshold = if config.backend == Backend::Central { u64::MAX } else { threshold };
         let shards = (0..config.shards).map(|_| RwLock::new(ShardState::default())).collect();
         let inflations = std::sync::atomic::AtomicU64::new(0);
         Self { blueprint: Arc::new(Blueprint { config, template, threshold, inflations }), shards }
@@ -508,6 +535,18 @@ impl CounterService {
     #[must_use]
     pub fn config(&self) -> ServiceConfig {
         self.blueprint.config
+    }
+
+    /// Balancers on the path of one reservation by an inflated tenant:
+    /// the depth of the network template, `(lg²w + lg w)/2`, or of the
+    /// diffracting tree; `None` for [`Backend::Central`], which has neither.
+    #[must_use]
+    pub fn depth(&self) -> Option<usize> {
+        match self.blueprint.config.backend {
+            Backend::Network => self.blueprint.template.as_ref().map(Network::depth),
+            Backend::Diffracting => Some(OUTPUT_WIDTH.ilog2() as usize),
+            Backend::Central => None,
+        }
     }
 
     /// How many tenant instances have inflated since the service started
@@ -716,11 +755,24 @@ mod tests {
     #[test]
     fn config_labels_name_backend_and_wrapping() {
         let raw = ServiceConfig { elimination: false, ..ServiceConfig::default() };
-        assert_eq!(raw.label(), "C(16,16)");
+        assert_eq!(raw.label(), "C(4,16)");
         let elim = ServiceConfig { strategy: WaitStrategy::Park, ..ServiceConfig::default() };
-        assert_eq!(elim.label(), "C(16,16)+elim[park]");
-        assert_eq!(Backend::Diffracting.label(8), "DiffTree[8]");
+        assert_eq!(elim.label(), "C(4,16)+elim[park]");
+        assert_eq!(ServiceConfig { width: 8, ..raw }.label(), "C(8,16)");
+        assert_eq!(Backend::Diffracting.label(8), "DiffTree[16]");
         assert_eq!(Backend::Central.label(8), "central");
+    }
+
+    #[test]
+    fn depth_follows_the_input_width_alone() {
+        let depth = |backend, width| {
+            CounterService::new(ServiceConfig { backend, width, ..Default::default() }).depth()
+        };
+        // (lg²w + lg w)/2 under t = 16; the tree has lg 16 levels.
+        let network: Vec<_> = [2, 4, 8, 16].map(|w| depth(Backend::Network, w)).into();
+        assert_eq!(network, [Some(1), Some(3), Some(6), Some(10)]);
+        assert_eq!(depth(Backend::Diffracting, 4), Some(4));
+        assert_eq!(depth(Backend::Central, 4), None);
     }
 
     #[test]
@@ -891,14 +943,20 @@ mod tests {
             let other = scope.spawn(|| run(1));
             [run(0), other.join().expect("no panic")].concat()
         });
+        // The benchmark's `hot-tenant` shape and its oracle: the default
+        // tenant inflated, once, to the arena over C(4,16) ...
         assert!(tenant.is_inflated(), "2^16 contended ops each did not inflate the tenant");
-        assert!(tenant.describe().contains("elim["), "{}", tenant.describe());
+        let described = tenant.describe();
+        assert!(described.contains("C(4,16)") && described.contains("elim["), "{described}");
         blocks.sort_unstable();
         let mut next = 0;
         for (start, k) in blocks {
             assert_eq!(start, next, "the stream forked or gapped");
             next += k;
         }
+        // ... and the watermark, which past the seal is the backend's
+        // cursor and nothing else, equals the values observed: every
+        // later reservation went through arena, network and cursor.
         assert_eq!((tenant.watermark(), service.inflations()), (next, 1));
     }
 
@@ -950,5 +1008,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_width_rejected() {
         let _ = CounterService::new(ServiceConfig { width: 6, ..ServiceConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "got w = 32, t = 16")]
+    fn width_above_the_output_width_rejected() {
+        let _ = CounterService::new(ServiceConfig { width: 32, ..ServiceConfig::default() });
     }
 }
