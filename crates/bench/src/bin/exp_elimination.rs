@@ -11,14 +11,14 @@
 //! replays the *same* deterministic batch-size streams.
 //!
 //! A third table (E14c) compares the **waiting strategies**: the full
-//! 4-counter × 6-scenario × 3-strategy matrix of mixed-batch stress runs,
+//! 4-counter × 6-scenario × 2-strategy matrix of mixed-batch stress runs,
 //! each cell reporting the arena merge rate. On a box whose worker
 //! threads outnumber its cpus, `park` is the strategy that makes
 //! rendezvous land — the machine-readable `E14c-aggregate` lines (and the
 //! `E14c-oversubscribed` marker) let the smoke test gate exactly that.
 //!
 //! Run with: `cargo run --release -p bench --bin exp_elimination
-//! [-- --quick] [--json <path>] [--strategy <spin|spin-yield|park>]
+//! [-- --quick] [--json <path>] [--strategy <spin-yield|park>]
 //! [--seed <u64>]`
 
 use bench::{kilo_rate, Args, Table};
@@ -308,7 +308,7 @@ fn main() {
     );
 
     // E14c — the waiting-strategy comparison: 4 counters × 6 scenarios ×
-    // 3 strategies, all mixed-batch, each cell the measured merge rate.
+    // 2 strategies, all mixed-batch, each cell the measured merge rate.
     let strategy_ops: u64 = if quick { 120 } else { 1_500 };
     println!(
         "## E14c — waiting strategies under mixed batches (arena merge rate per op), \

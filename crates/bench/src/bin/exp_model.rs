@@ -154,7 +154,6 @@ fn main() {
     );
 
     let rows = vec![
-        run_clean(&config, "arena: pair (spin)", || arena_pair(WaitStrategy::Spin)),
         run_clean(&config, "arena: pair (spin-yield)", || arena_pair(WaitStrategy::SpinYield)),
         run_clean(&config, "arena: pair (park)", || arena_pair(WaitStrategy::Park)),
         run_clean(&config, "arena: trio, one slot", arena_trio),

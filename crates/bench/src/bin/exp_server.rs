@@ -1,7 +1,7 @@
 //! Experiment E17 — end-to-end serving: an open-loop load generator
 //! drives tens of thousands of simulated clients over real sockets
 //! against the `counting-server` HTTP admission service, once per
-//! backend configuration.
+//! input width of `C(w,16)`.
 //!
 //! Arrivals are open-loop (Poisson-ish: exponential inter-arrival gaps
 //! drawn from the seeded RNG, scheduled in advance, never gated on
@@ -36,10 +36,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bench::{kilo_rate, service_width_sweep, Args, Table};
+use counting::counting_depth;
 use counting_runtime::{rate_over, MeasuredWindow};
 use counting_server::router::{LeaseBody, RateBody, StatusBody, TicketBody};
 use counting_server::{ClientConnection, CountingServer, ServerConfig};
-use counting_service::{Backend, ServiceConfig};
+use counting_service::ServiceConfig;
 use serde::Serialize;
 
 /// Driver threads; also the server's worker-pool size (one keep-alive
@@ -86,8 +87,8 @@ struct ServerJson {
 #[derive(Debug, Serialize)]
 struct ServerReport {
     backend: String,
-    /// Balancers under one inflated reservation (`CounterService::depth`).
-    depth: Option<usize>,
+    /// Balancers under one inflated reservation: `counting_depth(w)`.
+    depth: usize,
     clients: u64,
     drivers: usize,
     /// Simulated clients live at once at the high-water mark (a client
@@ -659,7 +660,7 @@ fn verify(
 
     ServerReport {
         backend,
-        depth: server.state().service().depth(),
+        depth: counting_depth(server.state().service().config().width),
         clients,
         drivers: DRIVERS,
         peak_active,
@@ -697,16 +698,12 @@ fn main() {
     let horizon_us: u64 = if quick { 1_000_000 } else { 2_500_000 };
     let poll_interval_us: u64 = if quick { 25_000 } else { 40_000 };
 
-    // Quick: the default topology and the centralized floor (a row costs
-    // the whole horizon). Full: the (w, t) sweep and the diffracting tree.
-    let central =
-        ServiceConfig { backend: Backend::Central, elimination: false, ..ServiceConfig::default() };
-    let configs = if quick {
-        vec![ServiceConfig::default(), central]
-    } else {
-        let tree = ServiceConfig { backend: Backend::Diffracting, ..ServiceConfig::default() };
-        service_width_sweep().into_iter().chain([central, tree]).collect()
-    };
+    // The (w, t) sweep; quick runs drop C(2,16) and keep the default
+    // C(4,16) and C(16,16), because a row costs the whole horizon.
+    let mut configs = service_width_sweep();
+    if quick {
+        configs.retain(|config| config.width != 2);
+    }
 
     println!(
         "## E17 — end-to-end serving over HTTP: {clients} open-loop simulated clients \
@@ -731,7 +728,7 @@ fn main() {
         let broken = report.violations.total() > 0;
         table.push_row(vec![
             report.backend.clone(),
-            report.depth.map_or_else(|| "-".to_owned(), |d| d.to_string()),
+            report.depth.to_string(),
             kilo_rate(report.aggregate_requests_per_second),
             report.peak_active.to_string(),
             p99(EP_TICKET),

@@ -1,6 +1,6 @@
 //! Experiment E15 — the multi-tenant counter service under skewed
 //! serving traffic: 64 tenants × 8 threads drive a [`CounterService`]
-//! per backend configuration, with tenant popularity drawn from a Zipf
+//! per input width of `C(w,16)`, with tenant popularity drawn from a Zipf
 //! distribution, mixed batch sizes, and a churn thread evicting idle
 //! tenants the whole time.
 //!
@@ -18,8 +18,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bench::{kilo_rate, service_width_sweep, Args, Table};
-use counting_runtime::{rate_over, MeasuredWindow, SharedCounter, ValueBitmap, WaitStrategy};
-use counting_service::{Backend, CounterService, ServiceConfig};
+use counting::counting_depth;
+use counting_runtime::{rate_over, MeasuredWindow, SharedCounter, ValueBitmap};
+use counting_service::{CounterService, ServiceConfig};
 use serde::Serialize;
 
 /// Largest batch size drawn by the mixed-size stream.
@@ -41,8 +42,8 @@ struct ServiceJson {
 #[derive(Debug, Serialize)]
 struct BackendReport {
     backend: String,
-    /// Balancers under one inflated reservation (`CounterService::depth`).
-    depth: Option<usize>,
+    /// Balancers under one inflated reservation: `counting_depth(w)`.
+    depth: usize,
     tenants: usize,
     threads: usize,
     ops_per_thread: u64,
@@ -215,7 +216,7 @@ fn run_backend(
 
     BackendReport {
         backend: config.label(),
-        depth: service.depth(),
+        depth: counting_depth(config.width),
         tenants,
         threads,
         ops_per_thread,
@@ -246,17 +247,6 @@ fn main() {
     let threads = 8usize;
     let ops_per_thread: u64 = if quick { 192 } else { 6_144 };
 
-    // The (w, t) sweep, then the default topology with a parking arena,
-    // the centralized floor and (full runs) the diffracting tree.
-    let mut configs = service_width_sweep();
-    configs.extend([
-        ServiceConfig { strategy: WaitStrategy::Park, ..ServiceConfig::default() },
-        ServiceConfig { backend: Backend::Central, elimination: false, ..ServiceConfig::default() },
-    ]);
-    if !quick {
-        configs.push(ServiceConfig { backend: Backend::Diffracting, ..ServiceConfig::default() });
-    }
-
     println!(
         "## E15 — multi-tenant counter service, {tenants} tenants × {threads} threads, \
          Zipf-skewed popularity, mixed batches (1..={MAX_BATCH}), idle-tenant churn\n"
@@ -274,7 +264,7 @@ fn main() {
         "status",
     ]);
     let mut reports = Vec::new();
-    for config in configs {
+    for config in service_width_sweep() {
         let report = run_backend(config, tenants, threads, ops_per_thread, seed);
         // Degenerate-window tenants (None) are excluded from the skew
         // percentiles rather than counted as zero-rate.
@@ -288,7 +278,7 @@ fn main() {
             report.duplicates > 0 || report.out_of_range > 0 || report.range_violations > 0;
         table.push_row(vec![
             report.backend.clone(),
-            report.depth.map_or_else(|| "-".to_owned(), |d| d.to_string()),
+            report.depth.to_string(),
             kilo_rate(report.aggregate_values_per_second),
             skew_cell(rates.last().copied(), 1),
             skew_cell(rates.get(rates.len() / 2).copied(), 1),
@@ -324,9 +314,9 @@ fn main() {
          each tenant's hand-out must tile 0..watermark exactly — across idle-tenant\n\
          evictions, whose watermark hand-over is what the churn thread exercises. The\n\
          hot/median/cold columns show the Zipf skew surviving into per-tenant rates.\n\
-         Tenants start as one CAS word and inflate to the row's backend under sustained\n\
-         contention: `inflated` is how many ended the run inflated and (n×) how many\n\
-         inflations it saw (eviction deflates). The central row never inflates.\n\
+         Tenants start as one CAS word and inflate to the arena over the row's network\n\
+         under sustained contention: `inflated` is how many ended the run inflated and\n\
+         (n×) how many inflations it saw (eviction deflates).\n\
          `depth` is the balancers under one inflated reservation: it follows the input\n\
          width w of C(w,16) alone, (lg²w + lg w)/2. On a host with fewer cpus than the\n\
          8 threads the rates say little about it: few tenants inflate at all.\n"

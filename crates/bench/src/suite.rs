@@ -45,13 +45,12 @@ pub fn comparison_suite(w: usize) -> Vec<NamedNetwork> {
 }
 
 /// The `(w, t)` sweep of the service experiments (E15, E17) at a fixed
-/// `t = 16`: `C(2,16)`, `C(4,16)` and `C(16,16)` tenants, each without and
-/// with the elimination arena — the paper's "depth depends on `w` only",
+/// `t = 16`: tenants inflating to the elimination arena over `C(2,16)`,
+/// `C(4,16)` and `C(16,16)` — the paper's "depth depends on `w` only",
 /// as rows on the product path.
 #[must_use]
 pub fn service_width_sweep() -> Vec<ServiceConfig> {
-    let row = |width, elimination| ServiceConfig { width, elimination, ..ServiceConfig::default() };
-    [2, 4, 16].into_iter().flat_map(|w| [row(w, false), row(w, true)]).collect()
+    [2, 4, 16].map(|width| ServiceConfig { width, ..ServiceConfig::default() }).into()
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ fn exp_stress_quick_prints_tables_and_json() {
 }
 
 /// One shared `--quick` run of `exp_elimination`, reused by every test
-/// that only reads its stdout — the binary now drives the 72-cell E14c
+/// that only reads its stdout — the binary now drives the 48-cell E14c
 /// matrix (whose park cells sleep on futile offers), so re-spawning it
 /// per assertion would triple the suite's wall-clock for nothing.
 fn exp_elimination_quick_stdout() -> &'static str {
@@ -167,9 +167,7 @@ fn exp_elimination_quick_park_out_merges_spin_yield_when_oversubscribed() {
     };
     let park = rate("park");
     let spin_yield = rate("spin-yield");
-    let spin = rate("spin");
     assert!((0.0..=1.0).contains(&park) && (0.0..=1.0).contains(&spin_yield));
-    assert!((0.0..=1.0).contains(&spin));
     if strongly_oversubscribed {
         assert!(
             park > spin_yield,
@@ -204,13 +202,12 @@ fn exp_elimination_quick_writes_json_file_and_honors_strategy_flag() {
 }
 
 #[test]
-fn exp_service_quick_passes_its_gate_for_both_network_backends() {
+fn exp_service_quick_passes_its_gate_at_every_width() {
     // The E15 gate: 64 tenants × 8 threads under Zipf-skewed popularity
     // with idle-tenant churn — every tenant's hand-out must be unique
     // and exact-range (the binary exits nonzero otherwise, which
     // run_quick rejects), and the JSON must carry per-tenant plus
-    // aggregate rates for both the raw network backend and the
-    // elimination-wrapped one, at every input width of the (w, t) sweep.
+    // aggregate rates at every input width of the (w, t) sweep.
     let path = std::env::temp_dir().join(format!("exp_service_smoke_{}.json", std::process::id()));
     let path_str = path.to_str().expect("utf-8 temp path");
     let stdout = run_quick(env!("CARGO_BIN_EXE_exp_service"), &["--quick", "--json", path_str]);
@@ -224,19 +221,17 @@ fn exp_service_quick_passes_its_gate_for_both_network_backends() {
     let json = std::fs::read_to_string(&path).expect("JSON file written");
     // Depth follows w alone: (lg²w + lg w)/2 = 1, 3, 10 at t = 16.
     for (network, depth) in [("C(2,16)", 1), ("C(4,16)", 3), ("C(16,16)", 10)] {
-        for backend in [format!("backend={network} "), format!("backend={network}+elim[")] {
-            assert!(
-                stdout.lines().any(|l| l.starts_with("E15-aggregate") && l.contains(&backend)),
-                "missing aggregate line for {backend}:\n{stdout}"
-            );
-        }
+        let backend = format!("backend={network} ");
+        assert!(
+            stdout.lines().any(|l| l.starts_with("E15-aggregate") && l.contains(&backend)),
+            "missing aggregate line for {backend}:\n{stdout}"
+        );
         let report = format!("\"backend\":\"{network}\",\"depth\":{depth},");
-        assert!(json.contains(&report), "missing raw network report {report}: {json}");
+        assert!(json.contains(&report), "missing report {report}: {json}");
     }
     assert!(json.starts_with('{'), "reports must be wrapped with the seed: {json}");
     assert!(json.contains("\"seed\":3605"), "missing recorded seed: {json}");
     assert!(json.contains("\"reports\":["), "missing report array: {json}");
-    assert!(json.contains("\"backend\":\"C(4,16)+elim["), "missing elim-wrapped report: {json}");
     assert!(json.contains("\"tenant_stats\":["), "missing per-tenant stats: {json}");
     assert!(json.contains("\"aggregate_values_per_second\":"), "missing aggregate rate: {json}");
     assert!(json.contains("\"tenant\":\"tenant-063\""), "missing the 64th tenant: {json}");

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use counting_runtime::SharedCounter;
-use counting_service::{Backend, CounterService, ServiceConfig, TenantCounter};
+use counting_service::{CounterService, ServiceConfig, TenantCounter};
 
 use crate::message::{
     next_hop, tree_children, Block, Envelope, Message, NodeId, Outgoing, COORDINATOR,
@@ -140,16 +140,12 @@ pub struct Node {
 }
 
 fn local_service() -> CounterService {
-    // The local registry backend: a node's global uniqueness comes from
-    // disjoint leased blocks, so the cheap centralized counter is the
-    // right local core — the registry's watermark machinery (not the
-    // backend) is what the protocol leans on.
-    CounterService::new(ServiceConfig {
-        backend: Backend::Central,
-        elimination: false,
-        shards: 1,
-        ..ServiceConfig::default()
-    })
+    // A node's global uniqueness comes from disjoint leased blocks, so the
+    // registry's watermark machinery (not a network) is what the protocol
+    // leans on. One thread drives a node and never fails a CAS, so its
+    // tenant stays a compact word; the service builds a network only for
+    // a tenant that inflates, so none is ever built here.
+    CounterService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() })
 }
 
 fn due(last: Option<u64>, now: u64, every: u64) -> bool {

@@ -90,63 +90,6 @@ pub trait BlockReserve: SharedCounter {
     fn reserved(&self) -> u64;
 }
 
-/// Delegation through smart pointers: a boxed counter is a counter, so
-/// heterogeneous backends can live behind `Box<dyn SharedCounter>` /
-/// `Box<dyn BlockReserve + Send + Sync>` and still plug into every
-/// generic layer (the elimination arena, the stress driver, the service
-/// registry).
-impl<C: SharedCounter + ?Sized> SharedCounter for Box<C> {
-    fn next(&self, thread_id: usize) -> u64 {
-        (**self).next(thread_id)
-    }
-
-    fn next_batch(&self, thread_id: usize, k: usize, out: &mut Vec<u64>) {
-        (**self).next_batch(thread_id, k, out);
-    }
-
-    fn describe(&self) -> String {
-        (**self).describe()
-    }
-}
-
-impl<C: BlockReserve + ?Sized> BlockReserve for Box<C> {
-    fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
-        (**self).reserve_block(thread_id, k)
-    }
-
-    fn reserved(&self) -> u64 {
-        (**self).reserved()
-    }
-}
-
-/// Shared-ownership delegation: `Arc<dyn SharedCounter + Send + Sync>` is
-/// the hand-out shape of the multi-tenant service registry
-/// (`counting-service`) — every holder of the handle drives the same
-/// underlying counter.
-impl<C: SharedCounter + Send + ?Sized> SharedCounter for std::sync::Arc<C> {
-    fn next(&self, thread_id: usize) -> u64 {
-        (**self).next(thread_id)
-    }
-
-    fn next_batch(&self, thread_id: usize, k: usize, out: &mut Vec<u64>) {
-        (**self).next_batch(thread_id, k, out);
-    }
-
-    fn describe(&self) -> String {
-        (**self).describe()
-    }
-}
-
-impl<C: BlockReserve + Send + ?Sized> BlockReserve for std::sync::Arc<C> {
-    fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
-        (**self).reserve_block(thread_id, k)
-    }
-
-    fn reserved(&self) -> u64 {
-        (**self).reserved()
-    }
-}
-
 /// A Fetch&Increment counter backed by a counting network: tokens traverse
 /// the compiled network and draw their value from the dispenser `v_i` of
 /// the output wire they exit on (`v_i` starts at `i` and steps by the
@@ -567,34 +510,12 @@ mod tests {
     }
 
     #[test]
-    fn boxed_trait_objects_delegate_both_traits() {
-        // `Box<dyn BlockReserve + Send + Sync>` is the backend shape of
-        // the service registry; both trait impls must route through.
-        let boxed: Box<dyn BlockReserve + Send + Sync> = Box::new(CentralCounter::new());
-        assert_eq!(boxed.next(0), 0);
-        let mut out = Vec::new();
-        boxed.next_batch(1, 3, &mut out);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(boxed.reserve_block(2, 4), 4);
-        assert!(boxed.describe().contains("central"));
-    }
-
-    #[test]
     fn arc_handles_share_one_underlying_counter() {
         let shared: std::sync::Arc<dyn SharedCounter + Send + Sync> =
             std::sync::Arc::new(CentralCounter::new());
         let clone = std::sync::Arc::clone(&shared);
         let values = [shared.next(0), clone.next(1), shared.next(0)];
         assert_eq!(values, [0, 1, 2], "all handles drive the same stream");
-    }
-
-    #[test]
-    fn boxed_counters_compose_with_generic_layers() {
-        // The blanket impls make `Box<dyn …>` satisfy the same bounds as
-        // a concrete counter, so dynamic backends tile exactly too.
-        let sizes = [2usize, 5, 1, 3];
-        let boxed: Box<dyn BlockReserve + Send + Sync> = Box::new(LockCounter::new());
-        assert_values_are_exact_range(&collect_concurrent_blocks(&boxed, 4, &sizes));
     }
 
     #[test]

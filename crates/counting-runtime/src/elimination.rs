@@ -43,12 +43,10 @@
 //! [`WaitStrategy`] chosen per arena (see [`crate::waiting`] for the full
 //! trade-off discussion):
 //!
-//! * [`WaitStrategy::Spin`] busy-waits only — right when every thread
-//!   owns a core and partners genuinely run in parallel;
-//! * [`WaitStrategy::SpinYield`] (the default) adds one amortized
-//!   `yield_now` and a second spin burst — a best-effort hedge that the
-//!   scheduler may decline, so on an oversubscribed box most offers still
-//!   expire unclaimed;
+//! * [`WaitStrategy::SpinYield`] (the default) spins, then adds one
+//!   amortized `yield_now` and a second spin burst — a best-effort hedge
+//!   that the scheduler may decline, so on an oversubscribed box most
+//!   offers still expire unclaimed;
 //! * [`WaitStrategy::Park`] sleeps on a `parking_lot`-backed
 //!   [`crate::waiting::ParkTable`] seat keyed by the arena slot, and the
 //!   claimer wakes the sleeper right after depositing `FILLED(base)` —
@@ -498,7 +496,6 @@ impl<C: BlockReserve> EliminationCounter<C> {
             return Some(base);
         }
         match self.config.strategy {
-            WaitStrategy::Spin => self.drain_score(1),
             WaitStrategy::SpinYield => {
                 self.drain_score(1);
                 // A fraction of timeouts hands the core to a potential
@@ -1207,7 +1204,6 @@ mod tests {
 
     #[test]
     fn reserved_counts_every_value_once_on_every_implementor() {
-        type Inner = Box<dyn BlockReserve + Send + Sync>;
         /// Four threads reserve mixed-size blocks; they must tile
         /// `already..reserved()`.
         fn drive<C: BlockReserve>(counter: &C, already: u64) {
@@ -1233,18 +1229,10 @@ mod tests {
             }
             assert_eq!(counter.reserved(), next, "{}", counter.describe());
         }
-        let inners: [fn() -> Inner; 4] = [
-            || {
-                let net = counting_network(4, 16).expect("valid");
-                Box::new(NetworkCounter::new("C(4,16)", &net))
-            },
-            || Box::new(DiffractingCounter::new(8, 4, 32)),
-            || Box::new(CentralCounter::new()),
-            || Box::new(LockCounter::new()),
-        ];
-        for inner in inners {
+        /// The bare counter, then under each strategy's arena.
+        fn check<C: BlockReserve>(inner: impl Fn() -> C) {
             drive(&inner(), 0);
-            for strategy in [WaitStrategy::SpinYield, WaitStrategy::Park] {
+            for strategy in WaitStrategy::ALL {
                 let park_timeout = Duration::from_micros(200);
                 let config = EliminationConfig { strategy, park_timeout, ..Default::default() };
                 let arena = EliminationCounter::with_config(inner(), config);
@@ -1257,6 +1245,11 @@ mod tests {
                 drive(&arena, 6);
             }
         }
+        let net = counting_network(4, 16).expect("valid");
+        check(|| NetworkCounter::new("C(4,16)", &net));
+        check(|| DiffractingCounter::new(8, 4, 32));
+        check(CentralCounter::new);
+        check(LockCounter::new);
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //!   sizes and arbitrary operation counts. The arena probes a small
 //!   window of adjacent slots before falling back to a solo reservation.
 //! * [`waiting`] — pluggable rendezvous waiting: [`WaitStrategy`]
-//!   selects how a published offer waits for its partner (pure spin,
-//!   spin-then-yield, or parking on a `parking_lot`-backed [`ParkTable`]
+//!   selects how a published offer waits for its partner
+//!   (spin-then-yield, or parking on a `parking_lot`-backed [`ParkTable`]
 //!   keyed by arena slot, woken by the claimer). Parking is what makes
 //!   collisions land when runnable threads outnumber cpus.
 //!

@@ -138,7 +138,7 @@ pub fn arena_trio_mutated() -> Scenario<Vec<u64>> {
 /// `0..5`.
 #[must_use]
 pub fn arena_probe() -> Scenario<Vec<u64>> {
-    let counter = tiny_arena(2, 1, 2, WaitStrategy::Spin);
+    let counter = tiny_arena(2, 1, 2, WaitStrategy::SpinYield);
     let threads = vec![batcher(&counter, 0, 2), batcher(&counter, 1, 2), batcher(&counter, 2, 1)];
     Scenario::new(threads, quiescence_check(counter, 5))
 }

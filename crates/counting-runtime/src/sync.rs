@@ -16,10 +16,20 @@
 //! unchanged.
 //!
 //! Only the modules named in the model suite import through this seam
-//! (`elimination`, `waiting`); the counters and networks underneath keep
-//! their raw `std` atomics — the model scenarios wrap them behind a
+//! (`elimination`, `waiting`, and in `counting-service` the registry,
+//! ticket gate and rate limiter); the counters and networks underneath
+//! keep their raw `std` atomics — the model scenarios wrap them behind a
 //! [`crate::counter::BlockReserve`] boundary whose single `fetch_add` is
 //! trivially atomic either way.
+//!
+//! The one lock here is [`RwLock`], for the service registry's shards: a
+//! thread blocking inside an OS lock is invisible to the model's
+//! cooperative scheduler (it would trip the stall watchdog), so under an
+//! exploration acquisition spins on `try_read`/`try_write` with a
+//! voluntary yield between attempts, and "waiting for the shard lock" is
+//! an explored schedule decision. Outside one it is `parking_lot`'s.
+
+use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(feature = "model")]
 pub use counting_sim::model::{
@@ -70,4 +80,56 @@ pub fn park_poll(filled: impl Fn() -> bool) -> bool {
 #[must_use]
 pub fn mutation_enabled(_name: &str) -> bool {
     false
+}
+
+/// Scheduling-point label for a shard read-lock acquisition.
+const POINT_SHARD_READ: u64 = 0x10;
+/// Scheduling-point label for a shard write-lock acquisition.
+const POINT_SHARD_WRITE: u64 = 0x11;
+
+/// A reader–writer lock that cooperates with the interleaving model (see
+/// the module docs). API subset of [`parking_lot::RwLock`]: `new`,
+/// `read`, `write`.
+#[derive(Debug, Default)]
+pub struct RwLock<T>(parking_lot::RwLock<T>);
+
+impl<T> RwLock<T> {
+    /// Creates a lock guarding `value`.
+    pub fn new(value: T) -> Self {
+        Self(parking_lot::RwLock::new(value))
+    }
+
+    /// Acquires shared read access, yielding to the model scheduler
+    /// between attempts while an exploration is active.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        if in_model() {
+            // Lock hand-offs contain no shim-atomic op of their own, so
+            // without this explicit point the explorer could never
+            // interleave another thread between "decided to lock" and
+            // "holds the lock".
+            model_point(POINT_SHARD_READ);
+            loop {
+                if let Some(guard) = self.0.try_read() {
+                    return guard;
+                }
+                model_yield();
+            }
+        }
+        self.0.read()
+    }
+
+    /// Acquires exclusive write access, yielding to the model scheduler
+    /// between attempts while an exploration is active.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        if in_model() {
+            model_point(POINT_SHARD_WRITE);
+            loop {
+                if let Some(guard) = self.0.try_write() {
+                    return guard;
+                }
+                model_yield();
+            }
+        }
+        self.0.write()
+    }
 }

@@ -6,9 +6,6 @@
 //! How the publisher spends that interval is a scheduling decision, and
 //! the right answer depends on the machine:
 //!
-//! * [`WaitStrategy::Spin`] — a bounded busy-wait. Optimal when every
-//!   thread owns a core: the partner is genuinely running in parallel and
-//!   arrives within nanoseconds, so any syscall would only add latency.
 //! * [`WaitStrategy::SpinYield`] — spin, then (on an amortized fraction
 //!   of timeouts) `yield_now` once and spin again. A cheap hedge for mild
 //!   oversubscription, but fundamentally best-effort: the scheduler is
@@ -89,8 +86,6 @@ use parking_lot::{Condvar, Mutex};
 /// with before the strategy became pluggable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WaitStrategy {
-    /// Bounded busy-wait only. Best when threads do not outnumber cores.
-    Spin,
     /// Busy-wait, then one amortized `yield_now` and a second busy-wait.
     /// A best-effort hedge for mild oversubscription.
     #[default]
@@ -103,14 +98,12 @@ pub enum WaitStrategy {
 
 impl WaitStrategy {
     /// Every strategy, in escalation order — handy for experiment axes.
-    pub const ALL: [WaitStrategy; 3] =
-        [WaitStrategy::Spin, WaitStrategy::SpinYield, WaitStrategy::Park];
+    pub const ALL: [WaitStrategy; 2] = [WaitStrategy::SpinYield, WaitStrategy::Park];
 
     /// A short stable label used in tables, JSON output and CLI flags.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            WaitStrategy::Spin => "spin",
             WaitStrategy::SpinYield => "spin-yield",
             WaitStrategy::Park => "park",
         }
@@ -130,12 +123,9 @@ impl FromStr for WaitStrategy {
     /// underscore spelling `spin_yield`), case-insensitively.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
-            "spin" => Ok(WaitStrategy::Spin),
             "spin-yield" | "spin_yield" | "spinyield" => Ok(WaitStrategy::SpinYield),
             "park" => Ok(WaitStrategy::Park),
-            other => {
-                Err(format!("unknown wait strategy `{other}` (expected spin, spin-yield or park)"))
-            }
+            other => Err(format!("unknown wait strategy `{other}` (expected spin-yield or park)")),
         }
     }
 }

@@ -24,13 +24,12 @@ use parking_lot::RwLock;
 /// Longest tenant name the server accepts.
 pub const MAX_TENANT_LEN: usize = 64;
 
-/// Server tuning knobs. The service config decides which counting
-/// backend every tenant stream runs on, so one switch turns the whole
-/// server into a network-vs-central end-to-end comparison.
+/// Server tuning knobs. The service config sets the input width `w` of
+/// the `C(w, 16)` a contended tenant stream inflates to, so one field
+/// sweeps the whole server over the paper's depth.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Registry configuration (backend, input width `w` of its
-    /// `C(w, 16)`, elimination, shards).
+    /// Registry configuration (input width `w` of `C(w, 16)`, shards).
     pub service: ServiceConfig,
     /// Fixed worker-pool size. Each worker owns one connection at a
     /// time, so this is also the keep-alive connection capacity.

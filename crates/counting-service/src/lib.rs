@@ -10,22 +10,18 @@
 //!   names to counters created on first touch. Lookups of existing
 //!   tenants take one shard read lock; creation and eviction serialize
 //!   only their shard. A [`TenantCounter`] is born *compact* — one CAS
-//!   word, under a hundred bytes — and *inflates in place, once*, to
-//!   the service's configured backend when its CAS failures show
-//!   sustained contention; the hand-off publishes the backend before it
-//!   seals the word, so live handles never wait and the stream never
-//!   forks. Every tenant stream is drawn as contiguous
+//!   word, one 64-byte cache line — and *inflates in place, once*, to
+//!   an elimination arena over the paper's `C(w, 16)` when its CAS
+//!   failures show sustained contention; the hand-off publishes the arena
+//!   before it seals the word, so live handles never wait and the stream
+//!   never forks. Every tenant stream is drawn as contiguous
 //!   [`counting_runtime::BlockReserve`] blocks, so each tenant's
 //!   hand-out tiles `0..issued` for any batch-size mix — and eviction
 //!   records a watermark that re-creation resumes from (compact again),
 //!   so a tenant's values stay unique across its whole service lifetime.
-//! * [`ServiceConfig`] — the per-service construction policy: which
-//!   [`Backend`] a contended tenant inflates to (counting network,
-//!   diffracting tree, or central = never inflate), the network's input
-//!   width — the `w` of the paper's `C(w, t)` at `t = 16`, `C(4,16)` by
-//!   default — and whether/how to wrap it in an elimination arena
-//!   ([`counting_runtime::EliminationCounter`] with a chosen
-//!   [`counting_runtime::WaitStrategy`]).
+//! * [`ServiceConfig`] — the per-service construction policy: the input
+//!   width of every inflated tenant's network — the `w` of the paper's
+//!   `C(w, t)` at `t = 16`, `C(4,16)` by default — and the shard count.
 //! * Workload adapters on top of any tenant handle: [`IdGenerator`]
 //!   (batched id leases with local refill), [`TicketGate`]
 //!   (ticket-lock admission), [`RateLimiter`] (windowed token
@@ -35,17 +31,12 @@
 //!
 //! ```
 //! use counting_runtime::SharedCounter;
-//! use counting_service::{Backend, CounterService, ServiceConfig};
+//! use counting_service::{CounterService, ServiceConfig};
 //!
-//! // One service, many tenants: compact until contended, then
-//! // network-backed — C(w, 16) with `width` as w — and
-//! // elimination-wrapped.
-//! let service = CounterService::new(ServiceConfig {
-//!     backend: Backend::Network,
-//!     width: 8,
-//!     ..ServiceConfig::default()
-//! });
-//! assert_eq!(service.config().label(), "C(8,16)+elim[spin-yield]");
+//! // One service, many tenants: compact until contended, then an
+//! // elimination arena over C(w, 16) with `width` as w.
+//! let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
+//! assert_eq!(service.config().label(), "C(8,16)");
 //!
 //! // Per-flow accounting: each flow's stream is independent and dense.
 //! let flow = service.get_or_create("flows/10.0.0.7");
@@ -74,12 +65,9 @@ pub mod id_gen;
 pub mod model_scenarios;
 pub mod rate;
 pub mod registry;
-pub mod sync;
 pub mod ticket;
 
 pub use id_gen::{IdGenerator, DEFAULT_LEASE};
 pub use rate::RateLimiter;
-pub use registry::{
-    Backend, CounterService, EvictOutcome, ServiceConfig, TenantCounter, DEFAULT_SHARDS,
-};
+pub use registry::{CounterService, EvictOutcome, ServiceConfig, TenantCounter, DEFAULT_SHARDS};
 pub use ticket::TicketGate;

@@ -34,35 +34,31 @@ use counting_sim::model::Scenario;
 /// A model-thread body reporting `(window, admitted)` per request.
 type RateThread = Box<dyn FnOnce() -> Vec<(u64, bool)> + Send + 'static>;
 
-use crate::{Backend, CounterService, RateLimiter, ServiceConfig};
+use crate::{CounterService, RateLimiter, ServiceConfig};
 use counting_runtime::{CentralCounter, SharedCounter};
 
-/// A one-shard service over the centralized backend with no elimination
-/// arena: every interesting interleaving lives in the registry itself
-/// (shard lock, tenant word, watermark map), which is exactly what
-/// this suite explores. The arena has its own scenarios in
+/// A one-shard service whose tenants stay compact (two threads with one
+/// operation each never reach the inflation threshold): every
+/// interesting interleaving lives in the registry itself (shard lock,
+/// tenant word, watermark map), which is exactly what this suite
+/// explores. The arena has its own scenarios in
 /// `counting_runtime::model_scenarios`.
 fn tiny_service() -> Arc<CounterService> {
-    Arc::new(CounterService::new(ServiceConfig {
-        backend: Backend::Central,
-        elimination: false,
-        shards: 1,
-        ..ServiceConfig::default()
-    }))
+    Arc::new(CounterService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() }))
 }
 
 /// A tenant's compact-to-inflated hand-off under live handles: three
-/// threads reserve mixed-size blocks from one tenant that inflates (to a
-/// bare `C(2,16)`, whose own atomics are not scheduling points) on the
-/// first CAS collision. Whoever inflates, and wherever the others are
-/// when the seal lands, the values drawn must be exactly `0..watermark`.
+/// threads reserve mixed-size blocks from one tenant that inflates (to
+/// the arena over `C(2,16)`; the arena's atomics are scheduling points,
+/// the network's are not) on the first CAS collision. Whoever inflates,
+/// and wherever the others are when the seal lands, the values drawn
+/// must be exactly `0..watermark`.
 /// Three threads: the seal window opens only after one thread's CAS has
 /// failed, and with two, racing an increment into it takes a third
 /// preemption.
 #[must_use]
 pub fn inflate_handoff() -> Scenario<Vec<u64>> {
-    let config =
-        ServiceConfig { width: 2, elimination: false, shards: 1, ..ServiceConfig::default() };
+    let config = ServiceConfig { width: 2, shards: 1 };
     let tenant = CounterService::with_inflate_threshold(config, 1).get_or_create("tenant");
     let threads = [vec![2, 1], vec![1, 3], vec![3]]
         .into_iter()

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use counting_runtime::SharedCounter;
 
-use crate::sync::{in_model, model_yield, mutation_enabled, AtomicU64};
+use counting_runtime::sync::{in_model, model_yield, mutation_enabled, AtomicU64};
 
 /// How many times an admission decision re-reads the window epoch while
 /// a rollover is mid-install (or keeps losing races to one) before it

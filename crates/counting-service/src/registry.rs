@@ -19,11 +19,11 @@
 //!   values handed out, advanced by a CAS loop. Failed CASes are the
 //!   contention signal: counted beside the word, restarted every 1 024
 //!   issued values, and on crossing a fixed threshold they **inflate the
-//!   tenant in place, once, under live handles** to the backend its
-//!   [`ServiceConfig`] names (wrapped in an [`EliminationCounter`] arena
-//!   when `elimination`). A tenant touched by one thread at a time never
-//!   inflates, a [`Backend::Central`] tenant never does, and eviction
-//!   followed by re-creation is the only deflation.
+//!   tenant in place, once, under live handles** to the one inflated
+//!   form: an [`EliminationCounter`] arena (default configuration) over
+//!   `C(w, 16)`, built at inflation time. A tenant touched by one thread
+//!   at a time never inflates, and eviction followed by re-creation is
+//!   the only deflation.
 //! * **`C(w, t)` with `w < t`** — an inflated tenant pays for its
 //!   contention, not for its width. The paper's network has depth
 //!   `(lg²w + lg w)/2` whatever `t` is: the input width `w` need only
@@ -43,10 +43,10 @@
 //!   [`BlockReserve::reserved`], the cursor every reservation already
 //!   advances.
 //! * **A hand-off nobody waits for** — the one thread whose failure
-//!   crosses the threshold builds the backend, publishes it, and only
-//!   *then* seals the word (top bit, by CAS): a racing increment lands
-//!   below the seal or fails and sees it. A reserver that loads a sealed
-//!   word `F` serves `base + F + backend.reserve_block(..)`, so the
+//!   crosses the threshold builds the network and arena, publishes them,
+//!   and only *then* seals the word (top bit, by CAS): a racing increment
+//!   lands below the seal or fails and sees it. A reserver that loads a
+//!   sealed word `F` serves `base + F + backend.reserve_block(..)`, so the
 //!   stream tiles `0..F` from the word and `F..` from the backend: each
 //!   tenant's hand-out is exactly `0..issued` at every quiescent point
 //!   for *any* mix of batch sizes — what the per-tenant checks of
@@ -68,17 +68,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use balnet::Network;
-use counting::counting_network;
-use counting_runtime::{
-    BlockReserve, DiffractingCounter, EliminationConfig, EliminationCounter, NetworkCounter,
-    SharedCounter, WaitStrategy,
-};
-
+use counting::{counting_network, validate_counting_params};
 // The registry's control atomics and shard locks come through the
 // model-checking seam (std/parking_lot pass-throughs unless the `model`
 // feature routes them into counting-sim's interleaving explorer).
-use crate::sync::{mutation_enabled, AtomicU64, RwLock};
+use counting_runtime::sync::{mutation_enabled, AtomicU64, RwLock};
+use counting_runtime::{BlockReserve, EliminationCounter, NetworkCounter, SharedCounter};
+
 use crate::{IdGenerator, RateLimiter, TicketGate};
 
 /// Top bit of a tenant's word: set once, after the backend is published;
@@ -93,80 +89,35 @@ const SIGNAL_WINDOW_BITS: u32 = 10;
 /// now and then (requests microseconds apart, a CAS of nanoseconds) never.
 const INFLATE_THRESHOLD: u64 = 8;
 
-/// Exchanger slots per prism node of a [`Backend::Diffracting`] tenant.
-const DIFFRACTING_PRISM_SIZE: usize = 8;
-/// Spin budget of a diffracting prism while waiting for a partner.
-const DIFFRACTING_PRISM_SPIN: usize = 128;
-
-/// The `t` of every [`Backend::Network`] tenant's `C(w, t)` and the leaf
-/// count of a [`Backend::Diffracting`] tree. Depth does not depend on it
-/// and block reservations take their values from one cursor, not from the
+/// The `t` of every tenant's `C(w, t)`. Depth does not depend on it and
+/// block reservations take their values from one cursor, not from the
 /// exit wire, so nothing on the serving path has needed a second value
 /// (`t = w` is not a tie: `C(4,4)` read 5 % below `C(4,16)` on `hot-tenant`).
 const OUTPUT_WIDTH: usize = 16;
 
-/// Which counter construction backs every tenant of a service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// The paper's counting network `C(w, 16)` compiled to atomics
-    /// ([`NetworkCounter`]); `w` is [`ServiceConfig::width`].
-    Network,
-    /// A diffracting tree with 16 leaves ([`DiffractingCounter`]).
-    Diffracting,
-    /// The centralized hotspot: a compact tenant that never inflates.
-    Central,
-}
+/// What a contended tenant inflates to: the default elimination arena
+/// over `C(w, 16)`.
+type Inflated = EliminationCounter<NetworkCounter>;
 
-impl Backend {
-    /// Every backend, in the order experiment tables list them.
-    pub const ALL: [Backend; 3] = [Backend::Network, Backend::Diffracting, Backend::Central];
-
-    /// A short stable label used in tables and JSON output (the network
-    /// names its input width, so the label needs the config's `width`).
-    #[must_use]
-    pub fn label(self, width: usize) -> String {
-        match self {
-            Backend::Network => format!("C({width},{OUTPUT_WIDTH})"),
-            Backend::Diffracting => format!("DiffTree[{OUTPUT_WIDTH}]"),
-            Backend::Central => "central".to_owned(),
-        }
-    }
-}
-
-/// How a [`CounterService`] constructs each tenant's counter.
+/// The construction policy of a [`CounterService`]: the input width of
+/// every inflated tenant's `C(w, 16)` and the registry's shard count.
 ///
 /// The `..Default::default()` idiom keeps call sites readable:
 ///
 /// ```
-/// use counting_service::{Backend, ServiceConfig};
-/// use counting_runtime::WaitStrategy;
+/// use counting_service::ServiceConfig;
 ///
-/// let config = ServiceConfig {
-///     backend: Backend::Network,
-///     strategy: WaitStrategy::Park,
-///     ..ServiceConfig::default()
-/// };
-/// assert_eq!(config.width, 4);
-/// assert_eq!(config.label(), "C(4,16)+elim[park]");
+/// let config = ServiceConfig { width: 8, ..ServiceConfig::default() };
+/// assert_eq!(ServiceConfig::default().width, 4);
+/// assert_eq!(config.label(), "C(8,16)");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// The counter construction backing every tenant (default
-    /// [`Backend::Network`]).
-    pub backend: Backend,
-    /// The input width `w` of [`Backend::Network`]'s `C(w, 16)`: how many
+    /// The input width `w` of an inflated tenant's `C(w, 16)`: how many
     /// threads get a wire of their own, and the only parameter the depth
     /// depends on (default `4`, see the [module docs](self); one of `2`,
-    /// `4`, `8`, `16`; ignored by the other backends).
+    /// `4`, `8`, `16`).
     pub width: usize,
-    /// Whether to wrap each inflated tenant's backend in an
-    /// [`EliminationCounter`] arena (default `true`): colliding
-    /// same-tenant requests then merge into one combined reservation.
-    /// [`Backend::Central`] tenants never inflate, so never wrap.
-    pub elimination: bool,
-    /// The [`WaitStrategy`] of the elimination arena (default
-    /// [`WaitStrategy::SpinYield`]; ignored unless `elimination`).
-    pub strategy: WaitStrategy,
     /// Number of registry shards (default [`DEFAULT_SHARDS`]; must be
     /// `> 0`). More shards admit more parallel tenant *creations*;
     /// lookups of existing tenants share read locks either way.
@@ -179,30 +130,22 @@ pub const DEFAULT_SHARDS: usize = 16;
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            backend: Backend::Network,
             // The paper's w < t: depth from w = 4, the smallest width with
             // a ladder, two halves and a merger. Measured with two threads
             // on one tenant only; the effect on tenants that more than
             // four threads contend for is unverified.
             width: 4,
-            elimination: true,
-            strategy: WaitStrategy::default(),
             shards: DEFAULT_SHARDS,
         }
     }
 }
 
 impl ServiceConfig {
-    /// A short stable label naming backend, elimination wrapping and
-    /// strategy, used as the row key of `exp_service` tables.
+    /// The network an inflated tenant runs, `C(w,16)`: the row key of
+    /// the `exp_service` and `exp_server` tables.
     #[must_use]
     pub fn label(&self) -> String {
-        let base = self.backend.label(self.width);
-        if self.elimination && self.backend != Backend::Central {
-            format!("{base}+elim[{}]", self.strategy.label())
-        } else {
-            base
-        }
+        format!("C({},{OUTPUT_WIDTH})", self.width)
     }
 }
 
@@ -211,44 +154,26 @@ impl ServiceConfig {
 #[derive(Debug)]
 struct Blueprint {
     config: ServiceConfig,
-    /// Pre-built topology for [`Backend::Network`] tenants, so an
-    /// inflation pays one compilation, not one construction.
-    template: Option<Network>,
-    /// Contention count that inflates a tenant; `u64::MAX` is never.
+    /// Contention count that inflates a tenant.
     threshold: u64,
     /// Tenants inflated so far (a statistic: `std`, not the model shim).
     inflations: std::sync::atomic::AtomicU64,
 }
 
 impl Blueprint {
-    /// Builds the backend an inflating tenant switches to.
-    fn build_backend(&self) -> Box<dyn BlockReserve + Send + Sync> {
-        let backend: Box<dyn BlockReserve + Send + Sync> = match self.config.backend {
-            Backend::Network => Box::new(NetworkCounter::new(
-                self.config.backend.label(self.config.width),
-                self.template.as_ref().expect("network backend keeps a template"),
-            )),
-            Backend::Diffracting => Box::new(DiffractingCounter::new(
-                OUTPUT_WIDTH,
-                DIFFRACTING_PRISM_SIZE,
-                DIFFRACTING_PRISM_SPIN,
-            )),
-            Backend::Central => unreachable!("central tenants never inflate"),
-        };
-        if self.config.elimination {
-            let arena = EliminationConfig {
-                strategy: self.config.strategy,
-                ..EliminationConfig::default()
-            };
-            Box::new(EliminationCounter::with_config(backend, arena))
-        } else {
-            backend
-        }
+    /// Builds what an inflating tenant switches to. The network is built
+    /// here, once per inflation, so a service whose tenants never inflate
+    /// never builds one.
+    fn build_backend(&self) -> Box<Inflated> {
+        let network = counting_network(self.config.width, OUTPUT_WIDTH)
+            .expect("CounterService::new validated the width");
+        Box::new(EliminationCounter::new(NetworkCounter::new(self.config.label(), &network)))
     }
 }
 
 /// One tenant's counter: a single CAS word until it is contended, the
-/// service's configured backend afterwards, behind a value-stream offset.
+/// elimination arena over `C(w, 16)` afterwards, behind a value-stream
+/// offset.
 ///
 /// The offset (`base`) is the tenant's high-water mark from previous
 /// instance lifetimes: a freshly created tenant starts at `0`, a tenant
@@ -269,8 +194,8 @@ pub struct TenantCounter {
     contention: AtomicU64,
     blueprint: Arc<Blueprint>,
     /// The backend, published before the word is sealed: whoever sees the
-    /// seal finds it.
-    inflated: OnceLock<Box<dyn BlockReserve + Send + Sync>>,
+    /// seal finds it. A thin `Box`, so the compact tenant is one cache line.
+    inflated: OnceLock<Box<Inflated>>,
 }
 
 impl std::fmt::Debug for TenantCounter {
@@ -298,15 +223,15 @@ impl TenantCounter {
         self.base
     }
 
-    /// Whether this instance has inflated to the configured backend.
+    /// Whether this instance has inflated to the arena over `C(w, 16)`.
     #[must_use]
     pub fn is_inflated(&self) -> bool {
         self.word.load(Ordering::Acquire) & SEALED != 0
     }
 
     /// The backend; only for callers that saw the word sealed.
-    fn backend(&self) -> &(dyn BlockReserve + Send + Sync) {
-        &**self.inflated.get().expect("the backend is published before the word is sealed")
+    fn backend(&self) -> &Inflated {
+        self.inflated.get().expect("the backend is published before the word is sealed")
     }
 
     fn state_label(&self) -> String {
@@ -384,7 +309,7 @@ impl TenantCounter {
         }
     }
 
-    /// Switches the tenant to its configured backend while other handles
+    /// Switches the tenant to the arena over `C(w, 16)` while other handles
     /// keep reserving: build, publish, *then* seal. Until the seal lands
     /// everyone is still served by the word, so nobody waits for the build.
     fn inflate(&self) {
@@ -507,9 +432,9 @@ impl CounterService {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` is zero, or if [`Backend::Network`] is
-    /// selected and `C(config.width, 16)` does not exist: the paper's
-    /// rule wants `w` a power of two `>= 2` and `t` a multiple of it.
+    /// Panics if `config.shards` is zero, or if `C(config.width, 16)` does
+    /// not exist: the paper's rule wants `w` a power of two `>= 2` and `t`
+    /// a multiple of it.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         Self::with_inflate_threshold(config, INFLATE_THRESHOLD)
@@ -520,33 +445,19 @@ impl CounterService {
     /// and unit tests pass `1`, so the first collision inflates.
     pub(crate) fn with_inflate_threshold(config: ServiceConfig, threshold: u64) -> Self {
         assert!(config.shards > 0, "the registry needs at least one shard");
-        // Built here so a bad width is refused with the construction's own
-        // message, which names both w and t.
-        let template = (config.backend == Backend::Network).then(|| {
-            counting_network(config.width, OUTPUT_WIDTH).unwrap_or_else(|e| panic!("{e}"))
-        });
-        let threshold = if config.backend == Backend::Central { u64::MAX } else { threshold };
+        // Checked, not built: a bad width is refused here with the
+        // construction's own message (it names both w and t), and a
+        // service whose tenants never inflate builds no network at all.
+        validate_counting_params(config.width, OUTPUT_WIDTH).unwrap_or_else(|e| panic!("{e}"));
         let shards = (0..config.shards).map(|_| RwLock::new(ShardState::default())).collect();
         let inflations = std::sync::atomic::AtomicU64::new(0);
-        Self { blueprint: Arc::new(Blueprint { config, template, threshold, inflations }), shards }
+        Self { blueprint: Arc::new(Blueprint { config, threshold, inflations }), shards }
     }
 
     /// The service-wide construction policy.
     #[must_use]
     pub fn config(&self) -> ServiceConfig {
         self.blueprint.config
-    }
-
-    /// Balancers on the path of one reservation by an inflated tenant:
-    /// the depth of the network template, `(lg²w + lg w)/2`, or of the
-    /// diffracting tree; `None` for [`Backend::Central`], which has neither.
-    #[must_use]
-    pub fn depth(&self) -> Option<usize> {
-        match self.blueprint.config.backend {
-            Backend::Network => self.blueprint.template.as_ref().map(Network::depth),
-            Backend::Diffracting => Some(OUTPUT_WIDTH.ilog2() as usize),
-            Backend::Central => None,
-        }
     }
 
     /// How many tenant instances have inflated since the service started
@@ -743,41 +654,20 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    fn network_service(elimination: bool) -> CounterService {
-        CounterService::new(ServiceConfig {
-            backend: Backend::Network,
-            width: 4,
-            elimination,
-            ..ServiceConfig::default()
-        })
+    fn service() -> CounterService {
+        CounterService::new(ServiceConfig::default())
     }
 
     #[test]
-    fn config_labels_name_backend_and_wrapping() {
-        let raw = ServiceConfig { elimination: false, ..ServiceConfig::default() };
-        assert_eq!(raw.label(), "C(4,16)");
-        let elim = ServiceConfig { strategy: WaitStrategy::Park, ..ServiceConfig::default() };
-        assert_eq!(elim.label(), "C(4,16)+elim[park]");
-        assert_eq!(ServiceConfig { width: 8, ..raw }.label(), "C(8,16)");
-        assert_eq!(Backend::Diffracting.label(8), "DiffTree[16]");
-        assert_eq!(Backend::Central.label(8), "central");
-    }
-
-    #[test]
-    fn depth_follows_the_input_width_alone() {
-        let depth = |backend, width| {
-            CounterService::new(ServiceConfig { backend, width, ..Default::default() }).depth()
-        };
-        // (lg²w + lg w)/2 under t = 16; the tree has lg 16 levels.
-        let network: Vec<_> = [2, 4, 8, 16].map(|w| depth(Backend::Network, w)).into();
-        assert_eq!(network, [Some(1), Some(3), Some(6), Some(10)]);
-        assert_eq!(depth(Backend::Diffracting, 4), Some(4));
-        assert_eq!(depth(Backend::Central, 4), None);
+    fn a_compact_tenant_fits_one_cache_line() {
+        // The inflated form is a concrete type behind a thin `Box`; a fat
+        // `Box<dyn BlockReserve>` in the `OnceLock` would make this 72.
+        assert_eq!(std::mem::size_of::<TenantCounter>(), 64);
     }
 
     #[test]
     fn get_or_create_returns_the_same_instance() {
-        let service = network_service(false);
+        let service = service();
         let a = service.get_or_create("alpha");
         let b = service.get_or_create("alpha");
         assert!(Arc::ptr_eq(&a, &b), "one counter per tenant");
@@ -788,7 +678,7 @@ mod tests {
 
     #[test]
     fn tenant_streams_are_independent_and_exact_range() {
-        let service = network_service(false);
+        let service = service();
         let a = service.get_or_create("a");
         let b = service.get_or_create("b");
         let mut a_values = Vec::new();
@@ -807,37 +697,35 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_constructs_and_counts() {
-        for backend in Backend::ALL {
-            for elimination in [false, true] {
-                // Threshold 1: one counted collision inflates, so one
-                // thread can drive a tenant through its whole life.
-                let config = ServiceConfig { backend, width: 4, elimination, ..Default::default() };
-                let service = CounterService::with_inflate_threshold(config, 1);
-                let counter = service.get_or_create("t");
-                let mut values: Vec<u64> = (0..3).map(|i| counter.next(i)).collect();
-                assert_eq!(counter.describe(), "compact [tenant t @ 0]");
-                counter.note_contention();
-                let inflates = backend != Backend::Central;
-                assert_eq!(counter.is_inflated(), inflates, "{}", counter.describe());
-                assert_eq!(service.inflations(), u64::from(inflates));
-                assert_eq!(counter.describe().contains("elim"), inflates && elimination);
-                values.extend((3..6).map(|i| counter.next(i)));
-                counter.next_batch(0, 3, &mut values);
-                values.sort_unstable();
-                assert_eq!(values, (0..9).collect::<Vec<u64>>(), "{backend:?}/{elimination}");
-                // Eviction and re-creation is the only deflation.
-                drop(counter);
-                assert_eq!(service.evict_idle(), 1);
-                let revived = service.get_or_create("t");
-                assert_eq!((revived.is_inflated(), revived.base(), revived.next(0)), (false, 9, 9));
-            }
+    fn a_tenant_inflates_in_place_and_eviction_deflates_it() {
+        // Threshold 1: one counted collision inflates, so one thread can
+        // drive a tenant through its whole life. `new` only validates
+        // the width: every valid one must build its network here.
+        for width in [2, 4, 8, 16] {
+            let config = ServiceConfig { width, ..ServiceConfig::default() };
+            let service = CounterService::with_inflate_threshold(config, 1);
+            let counter = service.get_or_create("t");
+            let mut values: Vec<u64> = (0..3).map(|i| counter.next(i)).collect();
+            assert_eq!(counter.describe(), "compact [tenant t @ 0]");
+            counter.note_contention();
+            assert_eq!((counter.is_inflated(), service.inflations()), (true, 1));
+            let inflated = format!("C({width},16) + elim[4:spin-yield] [tenant t @ 0]");
+            assert_eq!(counter.describe(), inflated);
+            values.extend((3..6).map(|i| counter.next(i)));
+            counter.next_batch(0, 3, &mut values);
+            values.sort_unstable();
+            assert_eq!(values, (0..9).collect::<Vec<u64>>(), "{inflated}");
+            // Eviction and re-creation is the only deflation.
+            drop(counter);
+            assert_eq!(service.evict_idle(), 1);
+            let revived = service.get_or_create("t");
+            assert_eq!((revived.is_inflated(), revived.base(), revived.next(0)), (false, 9, 9));
         }
     }
 
     #[test]
     fn racing_get_or_create_yields_one_counter() {
-        let service = network_service(true);
+        let service = service();
         let handles: Vec<Arc<TenantCounter>> = std::thread::scope(|scope| {
             let workers: Vec<_> =
                 (0..8).map(|_| scope.spawn(|| service.get_or_create("contended"))).collect();
@@ -850,7 +738,7 @@ mod tests {
 
     #[test]
     fn eviction_requires_sole_ownership_and_resumes_the_stream() {
-        let service = network_service(false);
+        let service = service();
         let counter = service.get_or_create("churny");
         assert_eq!(counter.next(0), 0);
         assert_eq!(counter.next(1), 1);
@@ -868,7 +756,7 @@ mod tests {
 
     #[test]
     fn evict_idle_sweeps_only_idle_tenants() {
-        let service = network_service(false);
+        let service = service();
         let held = service.get_or_create("held");
         let _ = held.next(0);
         for name in ["idle-1", "idle-2", "idle-3"] {
@@ -885,7 +773,7 @@ mod tests {
 
     #[test]
     fn eviction_forgets_tenants_that_never_reserved() {
-        let service = network_service(true);
+        let service = service();
         let recorded = || service.shards.iter().map(|s| s.read().watermarks.len()).sum::<usize>();
         for i in 0..10_000 {
             drop(service.get_or_create(&format!("probe/{i}")));
@@ -962,7 +850,7 @@ mod tests {
 
     #[test]
     fn watermark_is_zero_for_unknown_tenants() {
-        let service = network_service(false);
+        let service = service();
         assert_eq!(service.watermark("never-seen"), 0);
     }
 
@@ -970,7 +858,7 @@ mod tests {
     fn restore_watermark_resumes_like_an_eviction() {
         // A "restarted process": fresh registry, watermark replayed from
         // durable state instead of recorded by an eviction.
-        let service = network_service(false);
+        let service = service();
         assert!(service.restore_watermark("stream", 7));
         assert_eq!(service.watermark("stream"), 7);
         let revived = service.get_or_create("stream");
@@ -991,7 +879,7 @@ mod tests {
 
     #[test]
     fn tenants_lists_live_names() {
-        let service = network_service(false);
+        let service = service();
         let _a = service.get_or_create("a");
         let _b = service.get_or_create("b");
         let names: HashSet<String> = service.tenants().into_iter().collect();

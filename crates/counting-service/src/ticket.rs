@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use counting_runtime::SharedCounter;
 
-use crate::sync::{mutation_enabled, AtomicU64};
+use counting_runtime::sync::{mutation_enabled, AtomicU64};
 
 /// A waiting-room gate: arrivals take a ticket from a shared counter and
 /// are admitted in ticket order as capacity opens.

@@ -12,10 +12,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use counting_networks::runtime::stress::ValueBitmap;
-use counting_networks::runtime::{SharedCounter, WaitStrategy};
-use counting_networks::service::{
-    Backend, CounterService, EvictOutcome, ServiceConfig, TenantCounter,
-};
+use counting_networks::runtime::SharedCounter;
+use counting_networks::service::{CounterService, EvictOutcome, ServiceConfig, TenantCounter};
 
 fn ops_scale() -> u64 {
     std::env::var("STRESS_TORTURE_OPS").ok().and_then(|s| s.parse().ok()).unwrap_or(25)
@@ -50,70 +48,59 @@ fn eviction_under_traffic_never_violates_per_tenant_uniqueness() {
     let threads = 8usize;
     let ops = ops_per_thread();
     let tenants = ["alpha", "beta", "gamma", "delta"];
-    for (backend, elimination) in
-        [(Backend::Network, false), (Backend::Network, true), (Backend::Central, false)]
-    {
-        let service = CounterService::new(ServiceConfig {
-            backend,
-            width: 8,
-            elimination,
-            strategy: WaitStrategy::SpinYield,
-            ..ServiceConfig::default()
-        });
-        let capacity = threads as u64 * ops * 3; // max k below is 3
-        let bitmaps: Vec<ValueBitmap> =
-            tenants.iter().map(|_| ValueBitmap::new(capacity)).collect();
-        let duplicates = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
-        let evictions = AtomicU64::new(0);
+    let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
+    let capacity = threads as u64 * ops * 3; // max k below is 3
+    let bitmaps: Vec<ValueBitmap> = tenants.iter().map(|_| ValueBitmap::new(capacity)).collect();
+    let duplicates = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let evictions = AtomicU64::new(0);
 
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|tid| {
-                    let (service, bitmaps, duplicates) = (&service, &bitmaps, &duplicates);
-                    scope.spawn(move || {
-                        let mut scratch = Vec::new();
-                        for op in 0..ops {
-                            // Deterministic tenant walk + mixed batch
-                            // sizes: per-tenant op counts end up unequal
-                            // and indivisible, which block reservations
-                            // absorb.
-                            let tenant = (op as usize + tid * 7) % tenants.len();
-                            let k = 1 + ((op as usize + tid) % 3);
-                            let counter = service.get_or_create(tenants[tenant]);
-                            scratch.clear();
-                            counter.next_batch(tid, k, &mut scratch);
-                            for &value in &scratch {
-                                if !bitmaps[tenant].mark(value) {
-                                    duplicates.fetch_add(1, Ordering::Relaxed);
-                                }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|tid| {
+                let (service, bitmaps, duplicates) = (&service, &bitmaps, &duplicates);
+                scope.spawn(move || {
+                    let mut scratch = Vec::new();
+                    for op in 0..ops {
+                        // Deterministic tenant walk + mixed batch
+                        // sizes: per-tenant op counts end up unequal
+                        // and indivisible, which block reservations
+                        // absorb.
+                        let tenant = (op as usize + tid * 7) % tenants.len();
+                        let k = 1 + ((op as usize + tid) % 3);
+                        let counter = service.get_or_create(tenants[tenant]);
+                        scratch.clear();
+                        counter.next_batch(tid, k, &mut scratch);
+                        for &value in &scratch {
+                            if !bitmaps[tenant].mark(value) {
+                                duplicates.fetch_add(1, Ordering::Relaxed);
                             }
-                            // The handle drops here — an eviction window.
                         }
-                    })
+                        // The handle drops here — an eviction window.
+                    }
                 })
-                .collect();
-            let (service, done, evictions) = (&service, &done, &evictions);
-            scope.spawn(move || {
-                while !done.load(Ordering::Acquire) {
-                    evictions.fetch_add(service.evict_idle() as u64, Ordering::Relaxed);
-                    std::thread::yield_now();
-                }
-            });
-            // Join first, stop the evictor, and only then propagate any
-            // worker panic — asserting before the flag flip would leave
-            // the evictor looping forever and turn a failure into a hang.
-            let results: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
-            done.store(true, Ordering::Release);
-            for result in results {
-                result.expect("worker panicked");
+            })
+            .collect();
+        let (service, done, evictions) = (&service, &done, &evictions);
+        scope.spawn(move || {
+            while !done.load(Ordering::Acquire) {
+                evictions.fetch_add(service.evict_idle() as u64, Ordering::Relaxed);
+                std::thread::yield_now();
             }
         });
-
-        assert_eq!(duplicates.load(Ordering::Relaxed), 0, "{backend:?}/{elimination}");
-        for (i, tenant) in tenants.iter().enumerate() {
-            assert_tenant_dense(tenant, &bitmaps[i], service.watermark(tenant));
+        // Join first, stop the evictor, and only then propagate any
+        // worker panic — asserting before the flag flip would leave
+        // the evictor looping forever and turn a failure into a hang.
+        let results: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        done.store(true, Ordering::Release);
+        for result in results {
+            result.expect("worker panicked");
         }
+    });
+
+    assert_eq!(duplicates.load(Ordering::Relaxed), 0);
+    for (i, tenant) in tenants.iter().enumerate() {
+        assert_tenant_dense(tenant, &bitmaps[i], service.watermark(tenant));
     }
 }
 
@@ -126,12 +113,7 @@ fn eviction_under_traffic_never_violates_per_tenant_uniqueness() {
 fn racing_get_or_create_on_one_tenant_yields_one_counter() {
     let threads = 8usize;
     let ops = ops_per_thread();
-    let service = CounterService::new(ServiceConfig {
-        backend: Backend::Network,
-        width: 8,
-        elimination: false,
-        ..ServiceConfig::default()
-    });
+    let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
     let capacity = threads as u64 * ops;
     let bitmap = ValueBitmap::new(capacity);
     let duplicates = AtomicU64::new(0);
@@ -188,12 +170,7 @@ fn racing_get_or_create_on_one_tenant_yields_one_counter() {
 fn id_generators_on_shared_tenants_stay_dense_after_lease_drain() {
     let threads = 6usize;
     let ids_per_thread = ops_per_thread();
-    let service = CounterService::new(ServiceConfig {
-        backend: Backend::Network,
-        width: 8,
-        elimination: true,
-        ..ServiceConfig::default()
-    });
+    let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
     let tenants = ["orders", "sessions"];
     let leases = [5usize, 8];
 
@@ -246,18 +223,12 @@ fn id_generators_on_shared_tenants_stay_dense_after_lease_drain() {
 /// hand-outs compose with every generic layer downstream.
 #[test]
 fn tenant_handles_compose_with_generic_consumers() {
-    let service = CounterService::new(ServiceConfig {
-        backend: Backend::Network,
-        width: 4,
-        elimination: false,
-        ..ServiceConfig::default()
-    });
+    let service = CounterService::new(ServiceConfig::default());
     let counter: Arc<TenantCounter> = service.get_or_create("composed");
-    // The Arc blanket impl: a shared handle is a SharedCounter.
     fn consume<C: SharedCounter>(counter: &C) -> u64 {
         counter.next(0)
     }
-    assert_eq!(consume(&counter), 0);
-    assert_eq!(consume(&counter), 1);
+    assert_eq!(consume(&*counter), 0);
+    assert_eq!(consume(&*counter), 1);
     assert_eq!(service.watermark("composed"), 2);
 }

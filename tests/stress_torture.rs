@@ -160,8 +160,8 @@ fn torture_matrix_mixed_batches_through_elimination_hand_out_the_exact_range() {
     // The restriction-lifting matrix with its waiting-strategy axis:
     // 8 threads, *random* batch sizes (`1..=8`, per-thread deterministic
     // streams), an op count with no divisibility relationship to any
-    // output width, all four counters, all six scenarios, all three
-    // waiting strategies (spin, spin-yield, park). Through the
+    // output width, all four counters, all six scenarios, both
+    // waiting strategies (spin-yield, park). Through the
     // elimination layer the uniqueness and exact-range online checks must
     // pass unconditionally — however the offers wait.
     let ops_per_thread = 24 * ops_scale() + 7; // deliberately not a multiple of anything
