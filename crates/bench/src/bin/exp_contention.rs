@@ -5,13 +5,15 @@
 //! and reports the measured amortized contention (stalls per token) under
 //! the lock-step schedule, next to the theoretical bounds. Also reports
 //! the greedy-hotspot adversary for the diffracting tree, where the
-//! difference matters most.
+//! difference matters most, and (E5e) whether `C(4,16)` in front of one
+//! shared cursor relieves it — the block path of an inflated tenant.
 //!
 //! Accepts an optional argument `--quick` to shrink the token counts (used
 //! in smoke tests).
 //!
 //! Run with: `cargo run --release -p bench --bin exp_contention`
 
+use baselines::central_balancer;
 use bench::{comparison_suite, Args, Table};
 use counting::{bitonic_contention_estimate, cwt_contention_bound, periodic_contention_estimate};
 use counting_sim::{measure_contention, SchedulerKind};
@@ -89,6 +91,32 @@ fn main() {
             format!("{:.1}", r.amortized_contention),
             format!("{:.1}", cwt_contention_bound(n, w, t)),
         ]);
+    }
+    println!("{}", table.to_markdown());
+
+    // The service's question: does a C(4,16) traversal in front of one
+    // shared cursor (a central balancer on its outputs) relieve it?
+    println!("## E5e — one cursor with and without C(4,{w}) in front, round-robin\n");
+    let concurrencies = [2usize, 4, 8, 16, 32, 64];
+    let mut header = vec!["network".to_owned()];
+    header.extend(concurrencies.iter().map(|n| format!("n={n}")));
+    let mut table = Table::new(header);
+    let cursor = central_balancer(w).expect("valid");
+    let network = counting::counting_network(4, w).expect("valid");
+    let with_cursor = network.cascade(&cursor).expect("C(4,16) has 16 outputs");
+    let rows = [
+        (format!("central_balancer({w})"), &cursor),
+        (format!("C(4,{w})"), &network),
+        (format!("C(4,{w}) + cursor"), &with_cursor),
+    ];
+    for (name, net) in rows {
+        let mut row = vec![name];
+        for &n in &concurrencies {
+            let m = tokens_per_process * n as u64;
+            let r = measure_contention(net, n, m, SchedulerKind::RoundRobin, 1);
+            row.push(format!("{:.1}", r.amortized_contention));
+        }
+        table.push_row(row);
     }
     println!("{}", table.to_markdown());
 }

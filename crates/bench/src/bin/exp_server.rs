@@ -1,7 +1,6 @@
 //! Experiment E17 — end-to-end serving: an open-loop load generator
 //! drives tens of thousands of simulated clients over real sockets
-//! against the `counting-server` HTTP admission service, once per
-//! input width of `C(w,16)`.
+//! against the `counting-server` HTTP admission service.
 //!
 //! Arrivals are open-loop (Poisson-ish: exponential inter-arrival gaps
 //! drawn from the seeded RNG, scheduled in advance, never gated on
@@ -35,12 +34,10 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use bench::{kilo_rate, service_width_sweep, Args, Table};
-use counting::counting_depth;
+use bench::{kilo_rate, Args, Table};
 use counting_runtime::{rate_over, MeasuredWindow};
 use counting_server::router::{LeaseBody, RateBody, StatusBody, TicketBody};
 use counting_server::{ClientConnection, CountingServer, ServerConfig};
-use counting_service::ServiceConfig;
 use serde::Serialize;
 
 /// Driver threads; also the server's worker-pool size (one keep-alive
@@ -75,20 +72,17 @@ const EP_LEASE: usize = 2;
 const EP_RATE: usize = 3;
 const EP_ADMIT: usize = 4;
 
-/// The whole JSON document: the seed plus one report per backend.
+/// The whole JSON document: the seed plus the run's report.
 #[derive(Debug, Serialize)]
 struct ServerJson {
     seed: u64,
     quick: bool,
-    reports: Vec<ServerReport>,
+    report: ServerReport,
 }
 
-/// One backend's end-to-end serving run.
+/// The end-to-end serving run.
 #[derive(Debug, Serialize)]
 struct ServerReport {
-    backend: String,
-    /// Balancers under one inflated reservation: `counting_depth(w)`.
-    depth: usize,
     clients: u64,
     drivers: usize,
     /// Simulated clients live at once at the high-water mark (a client
@@ -307,15 +301,13 @@ fn wait_until(start: Instant, due_us: u64) {
     }
 }
 
-fn run_backend(
-    service: ServiceConfig,
-    clients: u64,
-    horizon_us: u64,
-    poll_interval_us: u64,
-    seed: u64,
-) -> ServerReport {
-    let backend = service.label();
-    let config = ServerConfig { service, workers: DRIVERS, rate_limit: RATE_LIMIT, max_lease: 64 };
+fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> ServerReport {
+    let config = ServerConfig {
+        workers: DRIVERS,
+        rate_limit: RATE_LIMIT,
+        max_lease: 64,
+        ..ServerConfig::default()
+    };
     let server = CountingServer::start("127.0.0.1:0", config).expect("bind ephemeral port");
     let addr = server.local_addr();
 
@@ -539,7 +531,7 @@ fn run_backend(
         peak_active: peak_active.load(Ordering::Relaxed),
         elapsed,
     };
-    let report = verify(&server, backend, clients, waiting_total, outcome);
+    let report = verify(&server, clients, waiting_total, outcome);
     server.shutdown();
     report
 }
@@ -547,7 +539,6 @@ fn run_backend(
 /// Quiescent verification of everything the HTTP responses claimed.
 fn verify(
     server: &CountingServer,
-    backend: String,
     clients: u64,
     waiting_total: u64,
     outcome: RunOutcome,
@@ -659,8 +650,6 @@ fn verify(
         .collect();
 
     ServerReport {
-        backend,
-        depth: counting_depth(server.state().service().config().width),
         clients,
         drivers: DRIVERS,
         peak_active,
@@ -698,13 +687,6 @@ fn main() {
     let horizon_us: u64 = if quick { 1_000_000 } else { 2_500_000 };
     let poll_interval_us: u64 = if quick { 25_000 } else { 40_000 };
 
-    // The (w, t) sweep; quick runs drop C(2,16) and keep the default
-    // C(4,16) and C(16,16), because a row costs the whole horizon.
-    let mut configs = service_width_sweep();
-    if quick {
-        configs.retain(|config| config.width != 2);
-    }
-
     println!(
         "## E17 — end-to-end serving over HTTP: {clients} open-loop simulated clients \
          ({DRIVERS} driver connections, {QUEUE_TENANTS} queues fill-then-drain, \
@@ -712,8 +694,6 @@ fn main() {
     );
 
     let mut table = Table::new(vec![
-        "backend",
-        "depth",
         "req/s",
         "peak live",
         "ticket p99 µs",
@@ -721,45 +701,38 @@ fn main() {
         "lease p99 µs",
         "status",
     ]);
-    let mut reports = Vec::new();
-    for config in configs {
-        let report = run_backend(config, clients, horizon_us, poll_interval_us, seed);
-        let p99 = |ep: usize| report.endpoints[ep].p99_us.to_string();
-        let broken = report.violations.total() > 0;
-        table.push_row(vec![
-            report.backend.clone(),
-            report.depth.to_string(),
-            kilo_rate(report.aggregate_requests_per_second),
-            report.peak_active.to_string(),
-            p99(EP_TICKET),
-            p99(EP_STATUS),
-            p99(EP_LEASE),
-            if broken {
-                format!(
-                    "BROKEN(dup {}, range {}, rate {}, unadmitted {}, bound {})",
-                    report.violations.duplicates,
-                    report.violations.range_violations,
-                    report.violations.rate_over_admissions,
-                    report.violations.unadmitted_clients,
-                    report.violations.admission_bound_errors
-                )
-            } else {
-                "ok".to_owned()
-            },
-        ]);
-        println!(
-            "E17-aggregate backend={} clients={} peak_active={} requests={} rate={} violations={}",
-            report.backend,
-            report.clients,
-            report.peak_active,
-            report.total_requests,
-            report
-                .aggregate_requests_per_second
-                .map_or_else(|| "n/a".to_owned(), |r| format!("{r:.0}")),
-            report.violations.total()
-        );
-        reports.push(report);
-    }
+    let report = run(clients, horizon_us, poll_interval_us, seed);
+    let p99 = |ep: usize| report.endpoints[ep].p99_us.to_string();
+    let broken = report.violations.total() > 0;
+    table.push_row(vec![
+        kilo_rate(report.aggregate_requests_per_second),
+        report.peak_active.to_string(),
+        p99(EP_TICKET),
+        p99(EP_STATUS),
+        p99(EP_LEASE),
+        if broken {
+            format!(
+                "BROKEN(dup {}, range {}, rate {}, unadmitted {}, bound {})",
+                report.violations.duplicates,
+                report.violations.range_violations,
+                report.violations.rate_over_admissions,
+                report.violations.unadmitted_clients,
+                report.violations.admission_bound_errors
+            )
+        } else {
+            "ok".to_owned()
+        },
+    ]);
+    println!(
+        "E17-aggregate clients={} peak_active={} requests={} rate={} violations={}",
+        report.clients,
+        report.peak_active,
+        report.total_requests,
+        report
+            .aggregate_requests_per_second
+            .map_or_else(|| "n/a".to_owned(), |r| format!("{r:.0}")),
+        report.violations.total()
+    );
     println!("\n{}", table.to_markdown());
     println!(
         "Notes: arrivals are open-loop (exponential gaps from the seed), so the server\n\
@@ -772,17 +745,15 @@ fn main() {
     // The structural concurrency floor: all waiting clients are live at
     // once by construction, so a shortfall means the harness itself
     // broke (not the server).
-    for report in &reports {
-        assert!(
-            report.peak_active >= report.waiting_clients,
-            "peak_active {} below the structural floor of {} concurrently waiting clients",
-            report.peak_active,
-            report.waiting_clients
-        );
-    }
+    assert!(
+        report.peak_active >= report.waiting_clients,
+        "peak_active {} below the structural floor of {} concurrently waiting clients",
+        report.peak_active,
+        report.waiting_clients
+    );
 
-    let doc = ServerJson { seed, quick, reports };
-    let json = serde_json::to_string(&doc).expect("reports serialize");
+    let doc = ServerJson { seed, quick, report };
+    let json = serde_json::to_string(&doc).expect("report serializes");
     match json_path {
         Some(path) => {
             std::fs::write(path, &json).expect("write JSON report file");
@@ -791,9 +762,8 @@ fn main() {
         None => println!("{json}"),
     }
 
-    let broken = doc.reports.iter().filter(|r| r.violations.total() > 0).count();
-    if broken > 0 {
-        eprintln!("error: {broken} backend run(s) violated the serving contract over HTTP");
+    if broken {
+        eprintln!("error: the run violated the serving contract over HTTP");
         std::process::exit(1);
     }
 }

@@ -1,15 +1,13 @@
 //! Experiment E15 — the multi-tenant counter service under skewed
-//! serving traffic: 64 tenants × 8 threads drive a [`CounterService`]
-//! per input width of `C(w,16)`, with tenant popularity drawn from a Zipf
-//! distribution, mixed batch sizes, and a churn thread evicting idle
-//! tenants the whole time.
+//! serving traffic: 64 tenants × 8 threads drive a [`CounterService`],
+//! with tenant popularity drawn from a Zipf distribution, mixed batch
+//! sizes, and a churn thread evicting idle tenants the whole time.
 //!
 //! Every tenant's hand-out is checked against the Fetch&Increment
 //! contract — unique and exactly `0..watermark` at quiescence, across
-//! evictions — via one `ValueBitmap` per tenant; the table reports
-//! per-backend aggregate, hot/cold tenant rates and how many tenants
-//! the traffic inflated, and the JSON artifact carries the full
-//! per-tenant breakdown.
+//! evictions — via one `ValueBitmap` per tenant; the table reports the
+//! aggregate, hot/cold tenant rates and how many tenants the traffic
+//! inflated, and the JSON artifact carries the full per-tenant breakdown.
 //!
 //! Run with: `cargo run --release -p bench --bin exp_service
 //! [-- --quick] [--json <path>] [--seed <u64>]`
@@ -17,8 +15,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::{kilo_rate, service_width_sweep, Args, Table};
-use counting::counting_depth;
+use bench::{kilo_rate, Args, Table};
 use counting_runtime::{rate_over, MeasuredWindow, SharedCounter, ValueBitmap};
 use counting_service::{CounterService, ServiceConfig};
 use serde::Serialize;
@@ -31,19 +28,16 @@ const MAX_BATCH: usize = 4;
 /// reproducible from its recorded seed alone.
 const DEFAULT_SEED: u64 = 0xE15;
 
-/// The whole JSON document: the seed plus one report per backend.
+/// The whole JSON document: the seed plus the run's report.
 #[derive(Debug, Serialize)]
 struct ServiceJson {
     seed: u64,
-    reports: Vec<BackendReport>,
+    report: ServiceReport,
 }
 
-/// One backend row of the matrix.
+/// The run over `ServiceConfig::default()`.
 #[derive(Debug, Serialize)]
-struct BackendReport {
-    backend: String,
-    /// Balancers under one inflated reservation: `counting_depth(w)`.
-    depth: usize,
+struct ServiceReport {
     tenants: usize,
     threads: usize,
     ops_per_thread: u64,
@@ -115,16 +109,10 @@ fn pick_tenant(cumulative: &[f64], rng: &mut u64) -> usize {
     cumulative.partition_point(|&c| c <= r).min(cumulative.len() - 1)
 }
 
-/// Drives one service configuration through the skewed-tenant workload
-/// and verifies every tenant's stream.
-fn run_backend(
-    config: ServiceConfig,
-    tenants: usize,
-    threads: usize,
-    ops_per_thread: u64,
-    seed: u64,
-) -> BackendReport {
-    let service = CounterService::new(config);
+/// Drives the default service through the skewed-tenant workload and
+/// verifies every tenant's stream.
+fn run(tenants: usize, threads: usize, ops_per_thread: u64, seed: u64) -> ServiceReport {
+    let service = CounterService::new(ServiceConfig::default());
     let names: Vec<String> = (0..tenants).map(|i| format!("tenant-{i:03}")).collect();
     let cumulative = zipf_cumulative(tenants);
 
@@ -214,9 +202,7 @@ fn run_backend(
         });
     }
 
-    BackendReport {
-        backend: config.label(),
-        depth: counting_depth(config.width),
+    ServiceReport {
         tenants,
         threads,
         ops_per_thread,
@@ -253,8 +239,6 @@ fn main() {
     );
 
     let mut table = Table::new(vec![
-        "backend",
-        "depth",
         "values/s",
         "hot tenant /s",
         "median /s",
@@ -263,67 +247,54 @@ fn main() {
         "inflated",
         "status",
     ]);
-    let mut reports = Vec::new();
-    for config in service_width_sweep() {
-        let report = run_backend(config, tenants, threads, ops_per_thread, seed);
-        // Degenerate-window tenants (None) are excluded from the skew
-        // percentiles rather than counted as zero-rate.
-        let mut rates: Vec<f64> =
-            report.tenant_stats.iter().filter_map(|t| t.values_per_second).collect();
-        rates.sort_by(|a, b| a.total_cmp(b));
-        let skew_cell = |rate: Option<f64>, decimals: usize| {
-            rate.map_or_else(|| "n/a".to_owned(), |r| format!("{:.decimals$}k", r / 1_000.0))
-        };
-        let broken =
-            report.duplicates > 0 || report.out_of_range > 0 || report.range_violations > 0;
-        table.push_row(vec![
-            report.backend.clone(),
-            report.depth.to_string(),
-            kilo_rate(report.aggregate_values_per_second),
-            skew_cell(rates.last().copied(), 1),
-            skew_cell(rates.get(rates.len() / 2).copied(), 1),
-            skew_cell(rates.first().copied(), 2),
-            report.evictions.to_string(),
-            format!("{}/{} ({}×)", report.inflated_tenants, report.tenants, report.inflations),
-            if broken {
-                format!(
-                    "BROKEN(dup {}, oor {}, range {})",
-                    report.duplicates, report.out_of_range, report.range_violations
-                )
-            } else {
-                "ok".to_owned()
-            },
-        ]);
-        println!(
-            "E15-aggregate backend={} rate={} evictions={} duplicates={} out_of_range={} \
-             range_violations={}",
-            report.backend,
-            report
-                .aggregate_values_per_second
-                .map_or_else(|| "n/a".to_owned(), |r| format!("{r:.0}")),
-            report.evictions,
-            report.duplicates,
-            report.out_of_range,
-            report.range_violations
-        );
-        reports.push(report);
-    }
+    let report = run(tenants, threads, ops_per_thread, seed);
+    // Degenerate-window tenants (None) are excluded from the skew
+    // percentiles rather than counted as zero-rate.
+    let mut rates: Vec<f64> =
+        report.tenant_stats.iter().filter_map(|t| t.values_per_second).collect();
+    rates.sort_by(|a, b| a.total_cmp(b));
+    let skew_cell = |rate: Option<f64>, decimals: usize| {
+        rate.map_or_else(|| "n/a".to_owned(), |r| format!("{:.decimals$}k", r / 1_000.0))
+    };
+    let broken = report.duplicates > 0 || report.out_of_range > 0 || report.range_violations > 0;
+    table.push_row(vec![
+        kilo_rate(report.aggregate_values_per_second),
+        skew_cell(rates.last().copied(), 1),
+        skew_cell(rates.get(rates.len() / 2).copied(), 1),
+        skew_cell(rates.first().copied(), 2),
+        report.evictions.to_string(),
+        format!("{}/{} ({}×)", report.inflated_tenants, report.tenants, report.inflations),
+        if broken {
+            format!(
+                "BROKEN(dup {}, oor {}, range {})",
+                report.duplicates, report.out_of_range, report.range_violations
+            )
+        } else {
+            "ok".to_owned()
+        },
+    ]);
+    println!(
+        "E15-aggregate rate={} evictions={} duplicates={} out_of_range={} range_violations={}",
+        report.aggregate_values_per_second.map_or_else(|| "n/a".to_owned(), |r| format!("{r:.0}")),
+        report.evictions,
+        report.duplicates,
+        report.out_of_range,
+        report.range_violations
+    );
     println!("\n{}", table.to_markdown());
     println!(
         "Notes: every tenant stream is drawn through contiguous block reservations, so\n\
          each tenant's hand-out must tile 0..watermark exactly — across idle-tenant\n\
          evictions, whose watermark hand-over is what the churn thread exercises. The\n\
          hot/median/cold columns show the Zipf skew surviving into per-tenant rates.\n\
-         Tenants start as one CAS word and inflate to the arena over the row's network\n\
-         under sustained contention: `inflated` is how many ended the run inflated and\n\
-         (n×) how many inflations it saw (eviction deflates).\n\
-         `depth` is the balancers under one inflated reservation: it follows the input\n\
-         width w of C(w,16) alone, (lg²w + lg w)/2. On a host with fewer cpus than the\n\
-         8 threads the rates say little about it: few tenants inflate at all.\n"
+         Tenants start as one CAS word and inflate to the elimination arena over one\n\
+         cursor under sustained contention: `inflated` is how many ended the run\n\
+         inflated and (n×) how many inflations it saw (eviction deflates). On a host\n\
+         with fewer cpus than the 8 threads few tenants inflate at all.\n"
     );
 
-    let doc = ServiceJson { seed, reports };
-    let json = serde_json::to_string(&doc).expect("reports serialize");
+    let doc = ServiceJson { seed, report };
+    let json = serde_json::to_string(&doc).expect("report serializes");
     match json_path {
         Some(path) => {
             std::fs::write(path, &json).expect("write JSON report file");
@@ -335,13 +306,8 @@ fn main() {
     // Correctness gate: any duplicate or non-dense tenant stream fails
     // the process (CI runs this binary in the smoke job), after the JSON
     // was written for forensics.
-    let broken = doc
-        .reports
-        .iter()
-        .filter(|r| r.duplicates > 0 || r.out_of_range > 0 || r.range_violations > 0)
-        .count();
-    if broken > 0 {
-        eprintln!("error: {broken} backend run(s) violated the per-tenant counting contract");
+    if broken {
+        eprintln!("error: the run violated the per-tenant counting contract");
         std::process::exit(1);
     }
 }

@@ -22,5 +22,5 @@ pub mod suite;
 pub mod table;
 
 pub use args::Args;
-pub use suite::{comparison_suite, service_width_sweep, NamedNetwork};
+pub use suite::{comparison_suite, NamedNetwork};
 pub use table::{kilo_rate, Table};

@@ -4,7 +4,6 @@
 use balnet::Network;
 use baselines::{bitonic_counting_network, diffracting_tree, periodic_counting_network};
 use counting::counting_network;
-use counting_service::ServiceConfig;
 
 /// A network together with the name used in result tables.
 #[derive(Debug, Clone)]
@@ -42,15 +41,6 @@ pub fn comparison_suite(w: usize) -> Vec<NamedNetwork> {
         NamedNetwork::new(format!("Periodic[{w}]"), periodic_counting_network(w).expect("valid")),
         NamedNetwork::new(format!("DiffTree[{w}]"), diffracting_tree(w).expect("valid")),
     ]
-}
-
-/// The `(w, t)` sweep of the service experiments (E15, E17) at a fixed
-/// `t = 16`: tenants inflating to the elimination arena over `C(2,16)`,
-/// `C(4,16)` and `C(16,16)` — the paper's "depth depends on `w` only",
-/// as rows on the product path.
-#[must_use]
-pub fn service_width_sweep() -> Vec<ServiceConfig> {
-    [2, 4, 16].map(|width| ServiceConfig { width, ..ServiceConfig::default() }).into()
 }
 
 #[cfg(test)]

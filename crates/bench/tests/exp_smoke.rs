@@ -202,12 +202,12 @@ fn exp_elimination_quick_writes_json_file_and_honors_strategy_flag() {
 }
 
 #[test]
-fn exp_service_quick_passes_its_gate_at_every_width() {
+fn exp_service_quick_passes_its_gate() {
     // The E15 gate: 64 tenants × 8 threads under Zipf-skewed popularity
     // with idle-tenant churn — every tenant's hand-out must be unique
     // and exact-range (the binary exits nonzero otherwise, which
     // run_quick rejects), and the JSON must carry per-tenant plus
-    // aggregate rates at every input width of the (w, t) sweep.
+    // aggregate rates.
     let path = std::env::temp_dir().join(format!("exp_service_smoke_{}.json", std::process::id()));
     let path_str = path.to_str().expect("utf-8 temp path");
     let stdout = run_quick(env!("CARGO_BIN_EXE_exp_service"), &["--quick", "--json", path_str]);
@@ -216,22 +216,16 @@ fn exp_service_quick_passes_its_gate_at_every_width() {
     assert!(stdout.contains("## E15"), "missing section heading:\n{stdout}");
     assert!(
         !stdout.lines().any(|l| l.starts_with("| ") && l.contains("BROKEN")),
-        "service matrix reported a violation:\n{stdout}"
+        "service table reported a violation:\n{stdout}"
+    );
+    assert!(
+        stdout.lines().any(|l| l.starts_with("E15-aggregate rate=")),
+        "missing machine-readable aggregate line:\n{stdout}"
     );
     let json = std::fs::read_to_string(&path).expect("JSON file written");
-    // Depth follows w alone: (lg²w + lg w)/2 = 1, 3, 10 at t = 16.
-    for (network, depth) in [("C(2,16)", 1), ("C(4,16)", 3), ("C(16,16)", 10)] {
-        let backend = format!("backend={network} ");
-        assert!(
-            stdout.lines().any(|l| l.starts_with("E15-aggregate") && l.contains(&backend)),
-            "missing aggregate line for {backend}:\n{stdout}"
-        );
-        let report = format!("\"backend\":\"{network}\",\"depth\":{depth},");
-        assert!(json.contains(&report), "missing report {report}: {json}");
-    }
-    assert!(json.starts_with('{'), "reports must be wrapped with the seed: {json}");
+    assert!(json.starts_with('{'), "the report must be wrapped with the seed: {json}");
     assert!(json.contains("\"seed\":3605"), "missing recorded seed: {json}");
-    assert!(json.contains("\"reports\":["), "missing report array: {json}");
+    assert!(json.contains("\"report\":{"), "missing report: {json}");
     assert!(json.contains("\"tenant_stats\":["), "missing per-tenant stats: {json}");
     assert!(json.contains("\"aggregate_values_per_second\":"), "missing aggregate rate: {json}");
     assert!(json.contains("\"tenant\":\"tenant-063\""), "missing the 64th tenant: {json}");
@@ -261,7 +255,7 @@ fn exp_server_quick_sustains_the_client_fleet_with_zero_violations() {
     let json = std::fs::read_to_string(&path).expect("JSON file written");
     // 0xE17 = 3607: the default seed must be recorded verbatim.
     assert!(json.contains("\"seed\":3607"), "missing recorded seed: {json}");
-    assert!(json.contains("\"reports\":["), "missing report array: {json}");
+    assert!(json.contains("\"report\":{"), "missing report: {json}");
     assert!(json.contains("\"peak_active\":"), "missing concurrency high-water mark: {json}");
     assert!(json.contains("\"endpoints\":["), "missing per-endpoint reports: {json}");
     assert!(json.contains("\"buckets\":["), "missing latency histograms: {json}");

@@ -141,11 +141,10 @@ pub struct Node {
 
 fn local_service() -> CounterService {
     // A node's global uniqueness comes from disjoint leased blocks, so the
-    // registry's watermark machinery (not a network) is what the protocol
-    // leans on. One thread drives a node and never fails a CAS, so its
-    // tenant stays a compact word; the service builds a network only for
-    // a tenant that inflates, so none is ever built here.
-    CounterService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() })
+    // registry's watermark machinery is what the protocol leans on. One
+    // thread drives a node and never fails a CAS, so its tenant stays a
+    // compact word and no arena is ever built here.
+    CounterService::new(ServiceConfig { shards: 1 })
 }
 
 fn due(last: Option<u64>, now: u64, every: u64) -> bool {

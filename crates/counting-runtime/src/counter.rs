@@ -67,10 +67,15 @@ pub trait SharedCounter: Sync {
 /// The centralized counters implement this with the same state as their
 /// `next` path, so block and per-value operations may be mixed freely on
 /// one instance. The network-backed counters ([`NetworkCounter`],
-/// [`crate::DiffractingCounter`]) pay one structure traversal per block —
-/// preserving the paper's contention-diffusing traffic shape — and then
-/// draw the block from a dedicated contiguous cursor, a *separate* value
-/// stream from their per-wire stride dispensers. On those counters an
+/// [`crate::DiffractingCounter`]) pay one structure traversal per block
+/// and then draw the block from a dedicated contiguous cursor, a
+/// *separate* value stream from their per-wire stride dispensers. The
+/// traversal does not spread the blocks: every one still meets on that
+/// cursor, and on the paper's stall measure (E5e in `exp_contention`)
+/// `C(4,16)` in front of a central balancer stalls 66.0 times per token
+/// at n = 64 against 62.5 for the central balancer alone, with no relief
+/// at any n from 2 to 64. A [`CentralCounter`] is the same cursor without
+/// the traversal. On those counters an
 /// instance must be driven either through `next`/`next_batch` or through
 /// `reserve_block`, never both; the elimination layer enforces this by
 /// taking ownership of the counter it wraps.
@@ -167,12 +172,13 @@ impl SharedCounter for NetworkCounter {
 impl BlockReserve for NetworkCounter {
     fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
         assert!(k > 0, "a block reservation needs at least one value");
-        // One traversal per block keeps the network's contention-diffusing
-        // role (threads are paced through the balancer fabric exactly as
-        // for a stride reservation); the value range itself comes from
-        // the contiguous cursor, which is what makes mixed-size blocks
-        // tile. The elimination layer keeps this cursor cold by merging
-        // colliding requests upstream.
+        // The traversal paces callers through the balancers exactly as a
+        // stride reservation does, but its exit wire is not read: mixed-size
+        // blocks tile only from one contiguous cursor. Pacing gives that
+        // cursor no relief (E5e: `C(4,16)` + cursor stalls 1.0/2.8/6.9/
+        // 15.0/32.0/66.0 per token at n = 2..64, the cursor alone 1.0/3.0/
+        // 6.9/14.9/30.7/62.5); only an elimination arena upstream, merging
+        // colliding requests, takes load off it.
         let wire = thread_id % self.network.input_width();
         let _ = self.network.traverse(wire);
         // Relaxed: the single cursor's modification order makes blocks

@@ -24,12 +24,10 @@ use parking_lot::RwLock;
 /// Longest tenant name the server accepts.
 pub const MAX_TENANT_LEN: usize = 64;
 
-/// Server tuning knobs. The service config sets the input width `w` of
-/// the `C(w, 16)` a contended tenant stream inflates to, so one field
-/// sweeps the whole server over the paper's depth.
+/// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Registry configuration (input width `w` of `C(w, 16)`, shards).
+    /// Registry configuration (the shard count).
     pub service: ServiceConfig,
     /// Fixed worker-pool size. Each worker owns one connection at a
     /// time, so this is also the keep-alive connection capacity.
@@ -92,7 +90,6 @@ pub struct AppState {
 impl std::fmt::Debug for AppState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppState")
-            .field("backend", &self.service.config().label())
             .field("rate_limit", &self.rate_limit)
             .field("max_lease", &self.max_lease)
             .finish_non_exhaustive()

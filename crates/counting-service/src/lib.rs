@@ -11,17 +11,19 @@
 //!   tenants take one shard read lock; creation and eviction serialize
 //!   only their shard. A [`TenantCounter`] is born *compact* — one CAS
 //!   word, one 64-byte cache line — and *inflates in place, once*, to
-//!   an elimination arena over the paper's `C(w, 16)` when its CAS
-//!   failures show sustained contention; the hand-off publishes the arena
-//!   before it seals the word, so live handles never wait and the stream
-//!   never forks. Every tenant stream is drawn as contiguous
+//!   an elimination arena over one padded cursor when its CAS failures
+//!   show sustained contention; the hand-off publishes the arena before
+//!   it seals the word, so live handles never wait and the stream never
+//!   forks. Every tenant stream is drawn as contiguous
 //!   [`counting_runtime::BlockReserve`] blocks, so each tenant's
 //!   hand-out tiles `0..issued` for any batch-size mix — and eviction
 //!   records a watermark that re-creation resumes from (compact again),
 //!   so a tenant's values stay unique across its whole service lifetime.
-//! * [`ServiceConfig`] — the per-service construction policy: the input
-//!   width of every inflated tenant's network — the `w` of the paper's
-//!   `C(w, t)` at `t = 16`, `C(4,16)` by default — and the shard count.
+//!   No counting network sits under a block: on the paper's stall
+//!   measure a `C(4,16)` in front of the cursor gives it no relief at
+//!   any n from 2 to 64 (E5e, see the [registry docs](registry)).
+//! * [`ServiceConfig`] — the per-service construction policy: the shard
+//!   count.
 //! * Workload adapters on top of any tenant handle: [`IdGenerator`]
 //!   (batched id leases with local refill), [`TicketGate`]
 //!   (ticket-lock admission), [`RateLimiter`] (windowed token
@@ -34,9 +36,8 @@
 //! use counting_service::{CounterService, ServiceConfig};
 //!
 //! // One service, many tenants: compact until contended, then an
-//! // elimination arena over C(w, 16) with `width` as w.
-//! let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
-//! assert_eq!(service.config().label(), "C(8,16)");
+//! // elimination arena over one cursor.
+//! let service = CounterService::new(ServiceConfig::default());
 //!
 //! // Per-flow accounting: each flow's stream is independent and dense.
 //! let flow = service.get_or_create("flows/10.0.0.7");

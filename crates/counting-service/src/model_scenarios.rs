@@ -44,13 +44,13 @@ use counting_runtime::{CentralCounter, SharedCounter};
 /// explores. The arena has its own scenarios in
 /// `counting_runtime::model_scenarios`.
 fn tiny_service() -> Arc<CounterService> {
-    Arc::new(CounterService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() }))
+    Arc::new(CounterService::new(ServiceConfig { shards: 1 }))
 }
 
 /// A tenant's compact-to-inflated hand-off under live handles: three
 /// threads reserve mixed-size blocks from one tenant that inflates (to
-/// the arena over `C(2,16)`; the arena's atomics are scheduling points,
-/// the network's are not) on the first CAS collision. Whoever inflates,
+/// the arena over its cursor; the arena's atomics are scheduling points,
+/// the cursor's are not) on the first CAS collision. Whoever inflates,
 /// and wherever the others are when the seal lands, the values drawn
 /// must be exactly `0..watermark`.
 /// Three threads: the seal window opens only after one thread's CAS has
@@ -58,8 +58,8 @@ fn tiny_service() -> Arc<CounterService> {
 /// preemption.
 #[must_use]
 pub fn inflate_handoff() -> Scenario<Vec<u64>> {
-    let config = ServiceConfig { width: 2, shards: 1 };
-    let tenant = CounterService::with_inflate_threshold(config, 1).get_or_create("tenant");
+    let service = CounterService::with_inflate_threshold(ServiceConfig { shards: 1 }, 1);
+    let tenant = service.get_or_create("tenant");
     let threads = [vec![2, 1], vec![1, 3], vec![3]]
         .into_iter()
         .enumerate()

@@ -13,37 +13,32 @@
 //!   shard: readers of different tenants proceed in parallel, and even
 //!   readers of the *same* shard share the lock. Writes (tenant creation
 //!   and eviction) serialize only their own shard.
-//! * **Two-state tenants** — a counting network pays for its depth only
-//!   when many threads meet on one counter, and most tenants are cold. A
+//! * **Two-state tenants** — most tenants are cold, and a contended one
+//!   needs a place where colliding requests can merge. A
 //!   [`TenantCounter`] is born **compact**: one atomic word counting the
 //!   values handed out, advanced by a CAS loop. Failed CASes are the
 //!   contention signal: counted beside the word, restarted every 1 024
 //!   issued values, and on crossing a fixed threshold they **inflate the
 //!   tenant in place, once, under live handles** to the one inflated
-//!   form: an [`EliminationCounter`] arena (default configuration) over
-//!   `C(w, 16)`, built at inflation time. A tenant touched by one thread
-//!   at a time never inflates, and eviction followed by re-creation is
-//!   the only deflation.
-//! * **`C(w, t)` with `w < t`** — an inflated tenant pays for its
-//!   contention, not for its width. The paper's network has depth
-//!   `(lg²w + lg w)/2` whatever `t` is: the input width `w` need only
-//!   cover the threads that really meet on one tenant, and the output
-//!   width is free: every service uses `t = 16`, and
-//!   [`ServiceConfig::width`] is `w`. The default is `C(4,16)`, depth 3,
-//!   where the old `C(16,16)` put 10 balancers under every reservation —
-//!   on the two-thread benchmark host that width alone was half of a
-//!   threefold `hot-tenant` gain. `w = 4` is the smallest width that
-//!   still has every part of the construction (a ladder, two recursive
-//!   halves, a merger). It is verified only there, with two threads on
-//!   one tenant: with more than four, `thread_id % 4` shares two
-//!   first-layer balancers where `C(16,16)` had eight, and what that
-//!   costs is unmeasured — set `width` higher on such a host.
+//!   form: the default [`EliminationCounter`] arena over one padded
+//!   cursor (a [`CentralCounter`]), built at inflation time. A tenant
+//!   touched by one thread at a time never inflates, and eviction
+//!   followed by re-creation is the only deflation.
+//! * **No network under a block** — a tenant hands out contiguous blocks
+//!   of any size, and mixed sizes break the step property, so every
+//!   block comes from one cursor: a `C(w, t)` in front of it could only
+//!   pace the callers, never spread them. The paper's stall measure says
+//!   pacing buys nothing (E5e in `exp_contention`): stalls per token at
+//!   n = 2/4/8/16/32/64 read 1.0/3.0/6.9/14.9/30.7/62.5 on a central
+//!   balancer alone and 1.0/2.8/6.9/15.0/32.0/66.0 with `C(4,16)` in
+//!   front. So the arena, which merges colliding requests before they
+//!   reach the cursor, is the only relief a contended tenant gets.
 //! * **One count per value** — an inflated instance keeps no count of its
 //!   own: `issued` is the sealed word's `F` plus the backend's
 //!   [`BlockReserve::reserved`], the cursor every reservation already
 //!   advances.
 //! * **A hand-off nobody waits for** — the one thread whose failure
-//!   crosses the threshold builds the network and arena, publishes them,
+//!   crosses the threshold builds the arena and cursor, publishes them,
 //!   and only *then* seals the word (top bit, by CAS): a racing increment
 //!   lands below the seal or fails and sees it. A reserver that loads a
 //!   sealed word `F` serves `base + F + backend.reserve_block(..)`, so the
@@ -68,12 +63,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use counting::{counting_network, validate_counting_params};
 // The registry's control atomics and shard locks come through the
 // model-checking seam (std/parking_lot pass-throughs unless the `model`
 // feature routes them into counting-sim's interleaving explorer).
 use counting_runtime::sync::{mutation_enabled, AtomicU64, RwLock};
-use counting_runtime::{BlockReserve, EliminationCounter, NetworkCounter, SharedCounter};
+use counting_runtime::{BlockReserve, CentralCounter, EliminationCounter, SharedCounter};
 
 use crate::{IdGenerator, RateLimiter, TicketGate};
 
@@ -89,35 +83,22 @@ const SIGNAL_WINDOW_BITS: u32 = 10;
 /// now and then (requests microseconds apart, a CAS of nanoseconds) never.
 const INFLATE_THRESHOLD: u64 = 8;
 
-/// The `t` of every tenant's `C(w, t)`. Depth does not depend on it and
-/// block reservations take their values from one cursor, not from the
-/// exit wire, so nothing on the serving path has needed a second value
-/// (`t = w` is not a tie: `C(4,4)` read 5 % below `C(4,16)` on `hot-tenant`).
-const OUTPUT_WIDTH: usize = 16;
-
 /// What a contended tenant inflates to: the default elimination arena
-/// over `C(w, 16)`.
-type Inflated = EliminationCounter<NetworkCounter>;
+/// over one padded cursor.
+type Inflated = EliminationCounter<CentralCounter>;
 
-/// The construction policy of a [`CounterService`]: the input width of
-/// every inflated tenant's `C(w, 16)` and the registry's shard count.
-///
-/// The `..Default::default()` idiom keeps call sites readable:
+/// The construction policy of a [`CounterService`]: the registry's shard
+/// count. Every tenant is built the same way, so nothing else is left to
+/// choose.
 ///
 /// ```
-/// use counting_service::ServiceConfig;
+/// use counting_service::{CounterService, ServiceConfig, DEFAULT_SHARDS};
 ///
-/// let config = ServiceConfig { width: 8, ..ServiceConfig::default() };
-/// assert_eq!(ServiceConfig::default().width, 4);
-/// assert_eq!(config.label(), "C(8,16)");
+/// assert_eq!(ServiceConfig::default().shards, DEFAULT_SHARDS);
+/// assert_eq!(CounterService::new(ServiceConfig { shards: 4 }).shard_count(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// The input width `w` of an inflated tenant's `C(w, 16)`: how many
-    /// threads get a wire of their own, and the only parameter the depth
-    /// depends on (default `4`, see the [module docs](self); one of `2`,
-    /// `4`, `8`, `16`).
-    pub width: usize,
     /// Number of registry shards (default [`DEFAULT_SHARDS`]; must be
     /// `> 0`). More shards admit more parallel tenant *creations*;
     /// lookups of existing tenants share read locks either way.
@@ -129,23 +110,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self {
-            // The paper's w < t: depth from w = 4, the smallest width with
-            // a ladder, two halves and a merger. Measured with two threads
-            // on one tenant only; the effect on tenants that more than
-            // four threads contend for is unverified.
-            width: 4,
-            shards: DEFAULT_SHARDS,
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// The network an inflated tenant runs, `C(w,16)`: the row key of
-    /// the `exp_service` and `exp_server` tables.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!("C({},{OUTPUT_WIDTH})", self.width)
+        Self { shards: DEFAULT_SHARDS }
     }
 }
 
@@ -153,26 +118,14 @@ impl ServiceConfig {
 /// service (a handle may outlive the service that issued it).
 #[derive(Debug)]
 struct Blueprint {
-    config: ServiceConfig,
     /// Contention count that inflates a tenant.
     threshold: u64,
     /// Tenants inflated so far (a statistic: `std`, not the model shim).
     inflations: std::sync::atomic::AtomicU64,
 }
 
-impl Blueprint {
-    /// Builds what an inflating tenant switches to. The network is built
-    /// here, once per inflation, so a service whose tenants never inflate
-    /// never builds one.
-    fn build_backend(&self) -> Box<Inflated> {
-        let network = counting_network(self.config.width, OUTPUT_WIDTH)
-            .expect("CounterService::new validated the width");
-        Box::new(EliminationCounter::new(NetworkCounter::new(self.config.label(), &network)))
-    }
-}
-
 /// One tenant's counter: a single CAS word until it is contended, the
-/// elimination arena over `C(w, 16)` afterwards, behind a value-stream
+/// elimination arena over one cursor afterwards, behind a value-stream
 /// offset.
 ///
 /// The offset (`base`) is the tenant's high-water mark from previous
@@ -223,7 +176,7 @@ impl TenantCounter {
         self.base
     }
 
-    /// Whether this instance has inflated to the arena over `C(w, 16)`.
+    /// Whether this instance has inflated to the arena over its cursor.
     #[must_use]
     pub fn is_inflated(&self) -> bool {
         self.word.load(Ordering::Acquire) & SEALED != 0
@@ -309,11 +262,12 @@ impl TenantCounter {
         }
     }
 
-    /// Switches the tenant to the arena over `C(w, 16)` while other handles
+    /// Switches the tenant to the arena over its cursor while other handles
     /// keep reserving: build, publish, *then* seal. Until the seal lands
     /// everyone is still served by the word, so nobody waits for the build.
     fn inflate(&self) {
-        let published = self.inflated.set(self.blueprint.build_backend());
+        let backend = Box::new(EliminationCounter::new(CentralCounter::new()));
+        let published = self.inflated.set(backend);
         assert!(published.is_ok(), "the threshold is reached once");
         self.blueprint.inflations.fetch_add(1, Ordering::Relaxed);
         let mut word = self.word.load(Ordering::Relaxed);
@@ -432,9 +386,7 @@ impl CounterService {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` is zero, or if `C(config.width, 16)` does
-    /// not exist: the paper's rule wants `w` a power of two `>= 2` and `t`
-    /// a multiple of it.
+    /// Panics if `config.shards` is zero.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         Self::with_inflate_threshold(config, INFLATE_THRESHOLD)
@@ -445,19 +397,9 @@ impl CounterService {
     /// and unit tests pass `1`, so the first collision inflates.
     pub(crate) fn with_inflate_threshold(config: ServiceConfig, threshold: u64) -> Self {
         assert!(config.shards > 0, "the registry needs at least one shard");
-        // Checked, not built: a bad width is refused here with the
-        // construction's own message (it names both w and t), and a
-        // service whose tenants never inflate builds no network at all.
-        validate_counting_params(config.width, OUTPUT_WIDTH).unwrap_or_else(|e| panic!("{e}"));
         let shards = (0..config.shards).map(|_| RwLock::new(ShardState::default())).collect();
         let inflations = std::sync::atomic::AtomicU64::new(0);
-        Self { blueprint: Arc::new(Blueprint { config, threshold, inflations }), shards }
-    }
-
-    /// The service-wide construction policy.
-    #[must_use]
-    pub fn config(&self) -> ServiceConfig {
-        self.blueprint.config
+        Self { blueprint: Arc::new(Blueprint { threshold, inflations }), shards }
     }
 
     /// How many tenant instances have inflated since the service started
@@ -683,8 +625,8 @@ mod tests {
         let b = service.get_or_create("b");
         let mut a_values = Vec::new();
         let mut b_values = Vec::new();
-        // Mixed batch sizes and an op count with no divisibility relation
-        // to the network width: block reservations tile regardless.
+        // Mixed batch sizes and an odd op count: block reservations tile
+        // regardless.
         for (i, k) in [3usize, 1, 7, 2, 5].into_iter().enumerate() {
             a.next_batch(i, k, &mut a_values);
             b_values.push(b.next(i));
@@ -699,28 +641,24 @@ mod tests {
     #[test]
     fn a_tenant_inflates_in_place_and_eviction_deflates_it() {
         // Threshold 1: one counted collision inflates, so one thread can
-        // drive a tenant through its whole life. `new` only validates
-        // the width: every valid one must build its network here.
-        for width in [2, 4, 8, 16] {
-            let config = ServiceConfig { width, ..ServiceConfig::default() };
-            let service = CounterService::with_inflate_threshold(config, 1);
-            let counter = service.get_or_create("t");
-            let mut values: Vec<u64> = (0..3).map(|i| counter.next(i)).collect();
-            assert_eq!(counter.describe(), "compact [tenant t @ 0]");
-            counter.note_contention();
-            assert_eq!((counter.is_inflated(), service.inflations()), (true, 1));
-            let inflated = format!("C({width},16) + elim[4:spin-yield] [tenant t @ 0]");
-            assert_eq!(counter.describe(), inflated);
-            values.extend((3..6).map(|i| counter.next(i)));
-            counter.next_batch(0, 3, &mut values);
-            values.sort_unstable();
-            assert_eq!(values, (0..9).collect::<Vec<u64>>(), "{inflated}");
-            // Eviction and re-creation is the only deflation.
-            drop(counter);
-            assert_eq!(service.evict_idle(), 1);
-            let revived = service.get_or_create("t");
-            assert_eq!((revived.is_inflated(), revived.base(), revived.next(0)), (false, 9, 9));
-        }
+        // drive a tenant through its whole life.
+        let service = CounterService::with_inflate_threshold(ServiceConfig::default(), 1);
+        let counter = service.get_or_create("t");
+        let mut values: Vec<u64> = (0..3).map(|i| counter.next(i)).collect();
+        assert_eq!(counter.describe(), "compact [tenant t @ 0]");
+        counter.note_contention();
+        assert_eq!((counter.is_inflated(), service.inflations()), (true, 1));
+        let inflated = "central fetch_add + elim[4:spin-yield] [tenant t @ 0]";
+        assert_eq!(counter.describe(), inflated);
+        values.extend((3..6).map(|i| counter.next(i)));
+        counter.next_batch(0, 3, &mut values);
+        values.sort_unstable();
+        assert_eq!(values, (0..9).collect::<Vec<u64>>());
+        // Eviction and re-creation is the only deflation.
+        drop(counter);
+        assert_eq!(service.evict_idle(), 1);
+        let revived = service.get_or_create("t");
+        assert_eq!((revived.is_inflated(), revived.base(), revived.next(0)), (false, 9, 9));
     }
 
     #[test]
@@ -832,10 +770,9 @@ mod tests {
             [run(0), other.join().expect("no panic")].concat()
         });
         // The benchmark's `hot-tenant` shape and its oracle: the default
-        // tenant inflated, once, to the arena over C(4,16) ...
+        // tenant inflated, once, to the arena over one cursor ...
         assert!(tenant.is_inflated(), "2^16 contended ops each did not inflate the tenant");
-        let described = tenant.describe();
-        assert!(described.contains("C(4,16)") && described.contains("elim["), "{described}");
+        assert_eq!(tenant.describe(), "central fetch_add + elim[4:spin-yield] [tenant pair @ 0]");
         blocks.sort_unstable();
         let mut next = 0;
         for (start, k) in blocks {
@@ -844,7 +781,7 @@ mod tests {
         }
         // ... and the watermark, which past the seal is the backend's
         // cursor and nothing else, equals the values observed: every
-        // later reservation went through arena, network and cursor.
+        // later reservation went through arena and cursor.
         assert_eq!((tenant.watermark(), service.inflations()), (next, 1));
     }
 
@@ -889,18 +826,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = CounterService::new(ServiceConfig { shards: 0, ..ServiceConfig::default() });
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_width_rejected() {
-        let _ = CounterService::new(ServiceConfig { width: 6, ..ServiceConfig::default() });
-    }
-
-    #[test]
-    #[should_panic(expected = "got w = 32, t = 16")]
-    fn width_above_the_output_width_rejected() {
-        let _ = CounterService::new(ServiceConfig { width: 32, ..ServiceConfig::default() });
+        let _ = CounterService::new(ServiceConfig { shards: 0 });
     }
 }

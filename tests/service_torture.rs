@@ -48,7 +48,7 @@ fn eviction_under_traffic_never_violates_per_tenant_uniqueness() {
     let threads = 8usize;
     let ops = ops_per_thread();
     let tenants = ["alpha", "beta", "gamma", "delta"];
-    let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
+    let service = CounterService::new(ServiceConfig::default());
     let capacity = threads as u64 * ops * 3; // max k below is 3
     let bitmaps: Vec<ValueBitmap> = tenants.iter().map(|_| ValueBitmap::new(capacity)).collect();
     let duplicates = AtomicU64::new(0);
@@ -113,7 +113,7 @@ fn eviction_under_traffic_never_violates_per_tenant_uniqueness() {
 fn racing_get_or_create_on_one_tenant_yields_one_counter() {
     let threads = 8usize;
     let ops = ops_per_thread();
-    let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
+    let service = CounterService::new(ServiceConfig::default());
     let capacity = threads as u64 * ops;
     let bitmap = ValueBitmap::new(capacity);
     let duplicates = AtomicU64::new(0);
@@ -170,7 +170,7 @@ fn racing_get_or_create_on_one_tenant_yields_one_counter() {
 fn id_generators_on_shared_tenants_stay_dense_after_lease_drain() {
     let threads = 6usize;
     let ids_per_thread = ops_per_thread();
-    let service = CounterService::new(ServiceConfig { width: 8, ..ServiceConfig::default() });
+    let service = CounterService::new(ServiceConfig::default());
     let tenants = ["orders", "sessions"];
     let leases = [5usize, 8];
 
