@@ -88,6 +88,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<ReadOutcome> {
         Ok(0) => return Ok(ReadOutcome::Closed),
         Ok(_) => {}
         Err(e) if is_timeout(&e) => return Ok(ReadOutcome::Idle),
+        Err(e) if is_malformed(&e) => return Ok(ReadOutcome::Malformed(e.to_string())),
         Err(e) => return Err(e),
     }
     let (method, target, version) = match parse_request_line(line.trim_end()) {
@@ -110,6 +111,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<ReadOutcome> {
             Err(e) if is_timeout(&e) => {
                 return Ok(ReadOutcome::Malformed("timed out mid-headers".to_owned()))
             }
+            Err(e) if is_malformed(&e) => return Ok(ReadOutcome::Malformed(e.to_string())),
             Err(e) => return Err(e),
         };
         head_bytes += n;
@@ -166,7 +168,9 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<ReadOutcome> {
 }
 
 /// Reads one CRLF-terminated head line, capped at [`MAX_HEAD_BYTES`].
-/// Returns the number of bytes consumed (0 at clean EOF).
+/// Returns the number of bytes consumed (0 at clean EOF); a line that is
+/// not UTF-8 or outgrows the cap is an [`io::ErrorKind::InvalidData`]
+/// error, which [`read_request`] reports as [`ReadOutcome::Malformed`].
 fn read_head_line<R: BufRead>(reader: &mut R, out: &mut String) -> io::Result<usize> {
     let mut buf = Vec::new();
     loop {
@@ -223,6 +227,12 @@ fn drain_body<R: BufRead>(reader: &mut R, mut remaining: u64) -> io::Result<()> 
 
 fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+/// Whether `e` is a head line [`read_head_line`] refused: the peer's
+/// bytes, not the connection, are at fault.
+fn is_malformed(e: &io::Error) -> bool {
+    e.kind() == io::ErrorKind::InvalidData
 }
 
 /// A response ready to serialize: status code plus a JSON body.
@@ -359,6 +369,21 @@ mod tests {
     fn oversized_heads_are_rejected() {
         let huge = format!("GET /x HTTP/1.1\r\nPad: {}\r\n\r\n", "y".repeat(MAX_HEAD_BYTES));
         assert!(matches!(parse(&huge), ReadOutcome::Malformed(_)));
+    }
+
+    #[test]
+    fn non_utf8_head_lines_are_malformed_not_fatal() {
+        let raw: &[u8] = b"GET /ticket/\xff HTTP/1.1\r\n\r\n";
+        let out = read_request(&mut BufReader::new(raw)).expect("a 400, not a dropped socket");
+        assert!(matches!(out, ReadOutcome::Malformed(_)), "{out:?}");
+    }
+
+    #[test]
+    fn a_head_line_over_the_cap_across_buffer_fills_is_malformed() {
+        let huge = format!("GET /x HTTP/1.1\r\nPad: {}\r\n\r\n", "y".repeat(2 * MAX_HEAD_BYTES));
+        let mut reader = BufReader::with_capacity(64, huge.as_bytes());
+        let out = read_request(&mut reader).expect("a 400, not a dropped socket");
+        assert!(matches!(out, ReadOutcome::Malformed(_)), "{out:?}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! thread loop into connections.
 //!
 //! Every endpoint is a thin transport over a [`counting_service`]
-//! adapter, so the serving path inherits the paper's guarantees
-//! (unique, dense values from the counting network) end to end:
+//! adapter, so the serving path inherits the Fetch&Increment contract
+//! (unique, dense values from each tenant's counter) end to end:
 //!
 //! - `GET /ticket/{tenant}` — draw a waiting-room ticket
 //!   ([`counting_service::TicketGate::acquire`])
@@ -17,8 +17,10 @@
 //! fixed worker-thread pool (see [`server`] for why there is no async
 //! runtime), a hand-rolled request parser covering exactly the subset
 //! the endpoints need ([`http`]), and JSON bodies serialized with the
-//! vendored `serde_json`. The interesting concurrency stays where the
-//! paper puts it: in the counting network behind the registry.
+//! vendored `serde_json`. The interesting concurrency stays in the
+//! registry's tenant counters: one CAS word each, inflated to an
+//! elimination arena over a cursor once its CAS failures prove enough
+//! contenders.
 //!
 //! # Quickstart
 //!

@@ -5,6 +5,7 @@
 //! just the in-process counter.
 
 use std::collections::HashSet;
+use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 
 use counting_server::client::ClientConnection;
@@ -156,4 +157,23 @@ fn shutdown_under_load_joins_every_worker() {
         stop.store(true, Ordering::Relaxed);
     });
     assert!(std::net::TcpListener::bind(addr).is_ok(), "port released after shutdown");
+}
+
+/// Bytes the head parser refuses are the client's fault: a request line
+/// that is not UTF-8 gets a 400 and counts as a client error before the
+/// server closes the connection.
+#[test]
+fn a_non_utf8_request_line_gets_a_400_and_counts_as_a_client_error() {
+    let server = CountingServer::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    // The request line alone: nothing unread is left behind to make the
+    // server's close a reset.
+    stream.write_all(b"GET /ticket/\xff HTTP/1.1\r\n").expect("send");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("the server answers, then closes");
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{text}");
+    assert!(text.contains("Connection: close\r\n"), "{text}");
+    assert_eq!(server.stats().client_errors.load(Ordering::Relaxed), 1);
+    server.shutdown();
 }

@@ -14,8 +14,8 @@ pub const DEFAULT_LEASE: usize = 32;
 /// on the hot path; a lease amortizes it: one `next_batch` reserves
 /// [`Self::lease_size`] ids, and the following `lease_size - 1` calls to
 /// [`Self::next_id`] are pure local pops. This is the id-allocation shape
-/// of real services (block-leasing sequence generators), and on a
-/// network-backed counter each refill costs a *single* traversal.
+/// of real services (block-leasing sequence generators), and each
+/// refill costs a *single* reservation on the shared counter.
 ///
 /// A generator is an intentionally `!Sync` per-thread object (its lease
 /// buffer needs `&mut`); every thread holds its own, all backed by the

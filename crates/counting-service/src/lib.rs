@@ -12,9 +12,9 @@
 //!   only their shard. A [`TenantCounter`] is born *compact* — one CAS
 //!   word, one 64-byte cache line — and *inflates in place, once*, to
 //!   an elimination arena over one padded cursor when its CAS failures
-//!   show sustained contention; the hand-off publishes the arena before
-//!   it seals the word, so live handles never wait and the stream never
-//!   forks. Every tenant stream is drawn as contiguous
+//!   prove at least [`INFLATE_CONTENDERS`] contenders; the hand-off
+//!   publishes the arena before it seals the word, so live handles never
+//!   wait and the stream never forks. Every tenant stream is drawn as contiguous
 //!   [`counting_runtime::BlockReserve`] blocks, so each tenant's
 //!   hand-out tiles `0..issued` for any batch-size mix — and eviction
 //!   records a watermark that re-creation resumes from (compact again),
@@ -70,5 +70,7 @@ pub mod ticket;
 
 pub use id_gen::{IdGenerator, DEFAULT_LEASE};
 pub use rate::RateLimiter;
-pub use registry::{CounterService, EvictOutcome, ServiceConfig, TenantCounter, DEFAULT_SHARDS};
+pub use registry::{
+    CounterService, EvictOutcome, ServiceConfig, TenantCounter, DEFAULT_SHARDS, INFLATE_CONTENDERS,
+};
 pub use ticket::TicketGate;

@@ -18,11 +18,12 @@ const ROLLOVER_RETRIES: usize = 16;
 /// A fixed-window rate limiter backed by a shared counter.
 ///
 /// Classic token buckets serialize every request on one decremented
-/// word. This limiter inverts the scheme to fit a counting network:
-/// every request *takes a value* from the tenant's counter (the
-/// contention-diffused operation), and admission compares that value
-/// against the window's base watermark — request number `base + i` of a
-/// window is admitted iff `i < limit`. On an exact-range dispenser the
+/// word. This limiter inverts the scheme so the decision is a
+/// Fetch&Increment: every request *takes a value* from the tenant's
+/// counter (which merges colliding requests once enough of them
+/// contend), and admission compares that value against the window's
+/// base watermark — request number `base + i` of a window is admitted
+/// iff `i < limit`. On an exact-range dispenser the
 /// first `limit` requests of each window pass and the rest are shed.
 ///
 /// Windows are identified by an explicit caller-supplied index (e.g.

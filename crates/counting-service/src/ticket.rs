@@ -12,10 +12,11 @@ use counting_runtime::sync::{mutation_enabled, AtomicU64};
 /// are admitted in ticket order as capacity opens.
 ///
 /// This is the classic ticket-lock shape scaled out — the `waitingroom`
-/// admission pattern: the *ticket dispenser* is the contended structure,
-/// so backing it with a counting network diffuses the arrival hotspot,
-/// while admission itself is a single monotone cursor that only the
-/// (rarely contended) capacity-release path advances.
+/// admission pattern: the *ticket dispenser* is the contended structure
+/// (a tenant counter: one CAS word, the elimination arena over a cursor
+/// once enough arrivals collide), while admission itself is a single
+/// monotone cursor that only the (rarely contended) capacity-release
+/// path advances.
 ///
 /// Because tenant counters hand out block-reserved values, tickets at
 /// quiescence are exactly `0..dispensed`: admitting `n` more tickets
