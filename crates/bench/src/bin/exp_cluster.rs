@@ -2,10 +2,10 @@
 //! faults: every cell of a node-count × fault-plan × churn-plan sweep
 //! runs the block-lease protocol through the deterministic
 //! discrete-event simulation ([`counting_cluster::run_sim`]) and checks
-//! global uniqueness plus the exact-range invariant at quiescence. A
-//! second axis replays the same protocol behind a *replicated*
-//! coordinator (3 or 5 replicas, leader lease + quorum append) while
-//! replica crashes and split-brain-shaped partitions fire.
+//! global uniqueness plus the exact-range invariant at quiescence. The
+//! coordinator is a replica group (leader lease + quorum append): one
+//! replica in the first axis, 3 or 5 in a second axis where replica
+//! crashes and split-brain-shaped partitions fire.
 //!
 //! Everything in a cell — demand schedule, crash/restart/join/leave
 //! plan, replica crash and partition windows, per-hop
@@ -62,8 +62,8 @@ struct ClusterJson {
 #[derive(Debug, Serialize)]
 struct ClusterCellReport {
     workers: u64,
-    /// Coordinator replicas backing the cell (1 = the single durable
-    /// coordinator, 3/5 = the replicated quorum log).
+    /// Members of the coordinator's replica group (1 commits its own
+    /// appends; 3/5 survive replica crashes and partitions).
     replicas: u64,
     fault: String,
     churn: String,
@@ -216,7 +216,7 @@ fn main() {
         ChurnLevel { label: "churny", crashes: 2, joins: 1, leaves: 1 },
     ];
     let (demand_per_node, horizon) = if quick { (60, 3_000) } else { (200, 8_000) };
-    // The replicated-coordinator axis: fixed 4 workers under the lossy
+    // The replica-group axis: fixed 4 workers under the lossy
     // (and, in the full sweep, chaos) plan with worker churn, one
     // replica crash/restart and split-brain-shaped partition windows.
     let replica_counts: &[u64] = &[3, 5];
@@ -293,8 +293,9 @@ fn main() {
          global uniqueness, and at quiescence the coordinator's truncated grants plus\n\
          its free-list must tile 0..cursor exactly — across message loss, duplication,\n\
          reordering, crash-restarts (watermark recovery) and membership churn. The\n\
-         `rN` cells run the same protocol behind N coordinator replicas (leader lease\n\
-         + quorum append) while replica crashes and leader-isolating partitions fire.\n\
+         coordinator is a replica group (leader lease + quorum append): one replica in\n\
+         the plain cells, N in the `rN` cells, where replica crashes and\n\
+         leader-isolating partitions fire.\n\
          The rate column is per *virtual* kilotick: deterministic, host-independent.\n"
     );
 

@@ -29,8 +29,9 @@
 //!   resolved with a recovery query the coordinator answers from its
 //!   grant log — or **tombstones**, so the in-doubt id can never be
 //!   granted later;
-//! * membership is versioned in epochs, committed by a worker quorum,
-//!   and propagated down a heap-shaped tree over the member list
+//! * membership is versioned in epochs, committed through the
+//!   coordinator's log, and propagated down a heap-shaped tree over the
+//!   member list
 //!   ([`message::next_hop`]); lease traffic rides the same tree with a
 //!   direct-send fallback, and a heartbeat failure detector drives
 //!   epoch changes;
@@ -51,12 +52,13 @@
 //! tiling at quiescence ([`check`]). Every run replays byte-identically
 //! from its seed.
 //!
-//! The coordinator runs in two deployments: a single durable point
-//! (this crate's first iteration — it survives restarts but is never
-//! crashed), or **replicated** across 3/5 replicas by a leader-leased
-//! quorum log ([`replica`]) that keeps the same guarantees through
-//! coordinator crashes and network partitions. Workers are oblivious to
-//! the difference: they address the virtual coordinator id either way.
+//! The coordinator is one state machine: a **replica group** running a
+//! leader-leased quorum log ([`replica`]) over the durable state
+//! ([`coordinator`]). Three or five replicas keep the guarantees
+//! through coordinator crashes and network partitions; a group of one
+//! commits its own appends and is the unreplicated deployment. Workers
+//! are oblivious to the group size: they address the virtual
+//! coordinator id either way.
 
 #![warn(missing_docs)]
 
@@ -70,7 +72,7 @@ pub mod sim;
 pub mod transport;
 
 pub use check::GlobalChecker;
-pub use coordinator::{Coordinator, CoordinatorDurable};
+pub use coordinator::CoordinatorDurable;
 pub use live::{run_live, LiveReport};
 pub use message::{next_hop, Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
 pub use node::{Node, NodeDurable, ProtocolConfig};

@@ -13,7 +13,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use crate::check::GlobalChecker;
-use crate::coordinator::{Coordinator, CoordinatorDurable};
+use crate::coordinator::CoordinatorDurable;
 use crate::message::{Envelope, NodeId, COORDINATOR};
 use crate::node::{Node, ProtocolConfig};
 use crate::replica::{replica_id, Replica};
@@ -96,32 +96,9 @@ fn worker_loop(
     }
 }
 
-/// What a control thread hands back when stopped: `(is_leader, term,
+/// What a replica thread hands back when stopped: `(is_leader, term,
 /// commit, durable state)`. The audit runs against the maximum.
-type ControlFinal = (bool, u64, u64, CoordinatorDurable);
-
-fn coordinator_loop(
-    mut coordinator: Coordinator,
-    start: Instant,
-    transport: ChannelTransport,
-    net_rx: &Receiver<Envelope>,
-    ctl_rx: &Receiver<Ctl>,
-) -> ControlFinal {
-    let mut outbox = Vec::new();
-    loop {
-        let now = now_ms(start);
-        while let Ok(env) = net_rx.try_recv() {
-            coordinator.on_message(now, env);
-        }
-        if let Ok(Ctl::Stop) = ctl_rx.try_recv() {
-            return (true, 0, 0, coordinator.durable().clone());
-        }
-        coordinator.on_tick(now);
-        coordinator.drain_outbox(&mut outbox);
-        transport.send_all(&mut outbox);
-        std::thread::sleep(LOOP_PAUSE);
-    }
-}
+type ReplicaFinal = (bool, u64, u64, CoordinatorDurable);
 
 fn replica_loop(
     mut replica: Replica,
@@ -129,7 +106,7 @@ fn replica_loop(
     transport: ChannelTransport,
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
-) -> ControlFinal {
+) -> ReplicaFinal {
     let mut outbox = Vec::new();
     loop {
         let now = now_ms(start);
@@ -210,18 +187,17 @@ impl Audit {
 /// `demand_per_node` requests each over real threads and channels, then
 /// drain, seal, and face the global audit.
 ///
-/// With `replicas == 1` the control plane is one plain [`Coordinator`]
-/// thread. Otherwise the coordinator is replicated across `replicas`
-/// threads (see [`crate::replica`]): a router thread fans the virtual
-/// coordinator id out to the group, a leader is elected live, and the
-/// final audit runs against the leader's committed state.
+/// The coordinator is a group of `replicas` replica threads (see
+/// [`crate::replica`]; 1 is a group of one): a router thread fans the
+/// virtual coordinator id out to the group, a leader is elected live,
+/// and the final audit runs against the leader's committed state.
 ///
 /// # Panics
 ///
 /// Panics if `replicas` is zero or a cluster thread panicked.
 #[must_use]
 pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport {
-    assert!(replicas >= 1, "a cluster needs at least one coordinator");
+    assert!(replicas >= 1, "a coordinator group needs at least one replica");
     // Millisecond-scale timing: brisk heartbeats, a failure detector
     // slack enough that a busy scheduler cannot fake a death.
     let config = ProtocolConfig {
@@ -231,11 +207,9 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
         lease_ticks: 200,
         ..ProtocolConfig::default()
     };
-    let replicated = replicas > 1;
     let start = Instant::now();
     let ids: Vec<NodeId> = (1..=workers).collect();
-    let replica_ids: Vec<NodeId> =
-        if replicated { (0..replicas).map(replica_id).collect() } else { Vec::new() };
+    let replica_ids: Vec<NodeId> = (0..replicas).map(replica_id).collect();
     let mut members = vec![COORDINATOR];
     members.extend(&ids);
 
@@ -257,23 +231,14 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
         (transport.clone(), net_rxs.remove(&id).expect("registered above"), ctl_rx)
     };
     let mut handles = Vec::new();
-    let mut control_handles = Vec::new();
-    if replicated {
-        let (transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
-        handles
-            .push(std::thread::spawn(move || router_loop(replicas, transport, &net_rx, &ctl_rx)));
-        for (r, &id) in (0..).zip(&replica_ids) {
-            let replica = Replica::new(r, replicas, &ids, config);
-            let (transport, net_rx, ctl_rx) = endpoint(id);
-            control_handles.push(std::thread::spawn(move || {
-                replica_loop(replica, start, transport, &net_rx, &ctl_rx)
-            }));
-        }
-    } else {
-        let coordinator = Coordinator::new(config, &ids);
-        let (transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
-        control_handles.push(std::thread::spawn(move || {
-            coordinator_loop(coordinator, start, transport, &net_rx, &ctl_rx)
+    let (transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
+    handles.push(std::thread::spawn(move || router_loop(replicas, transport, &net_rx, &ctl_rx)));
+    let mut replica_handles = Vec::new();
+    for (r, &id) in (0..).zip(&replica_ids) {
+        let replica = Replica::new(r, replicas, &ids, config);
+        let (transport, net_rx, ctl_rx) = endpoint(id);
+        replica_handles.push(std::thread::spawn(move || {
+            replica_loop(replica, start, transport, &net_rx, &ctl_rx)
         }));
     }
     for &id in &ids {
@@ -307,14 +272,12 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
         per_node: BTreeMap::new(),
         sealed: 0,
     };
-    if replicated {
-        // Grants cannot flow before the first election; draining
-        // immediately would abandon the backlog. Wait for the hand-out
-        // stream to serve every demand (or stall past the deadline)
-        // before sealing.
-        let expected = workers * demand_per_node;
-        audit.pump(&up_rx, |a| a.checker.handed() >= expected);
-    }
+    // Grants cannot flow before the first election; draining
+    // immediately would abandon the backlog. Wait for the hand-out
+    // stream to serve every demand (or stall past the deadline) before
+    // sealing.
+    let expected = workers * demand_per_node;
+    audit.pump(&up_rx, |a| a.checker.handed() >= expected);
 
     // Drain and wait for every worker to seal.
     for &id in &ids {
@@ -339,13 +302,13 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
     while let Ok(up) = up_rx.try_recv() {
         audit.on(up);
     }
-    // The audit runs against the control plane's authoritative state:
-    // the leader's, falling back to the highest (term, commit) replica.
-    let (_, _, _, coordinator) = control_handles
+    // The audit runs against the group's authoritative state: the
+    // leader's, falling back to the highest (term, commit) replica.
+    let (_, _, _, coordinator) = replica_handles
         .into_iter()
-        .map(|h| h.join().expect("control thread must not panic"))
+        .map(|h| h.join().expect("replica thread must not panic"))
         .max_by_key(|(leader, term, commit, _)| (*leader, *term, *commit))
-        .expect("at least one control thread");
+        .expect("at least one replica thread");
     let Audit { checker, mut violations, per_node, .. } = audit;
     if all_sealed {
         violations.extend(checker.finalize(&coordinator));

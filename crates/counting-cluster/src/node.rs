@@ -48,9 +48,9 @@ pub struct ProtocolConfig {
     /// Tree-routed attempts per request before falling back to a
     /// direct send (routes around dead relays).
     pub tree_attempts: u32,
-    /// Replicated coordinator only ([`crate::replica`]): how long a
-    /// follower's append ack keeps counting toward the leader's lease,
-    /// and (doubled, plus a per-replica stagger) the election timeout.
+    /// Coordinator group ([`crate::replica`]): how long a follower's
+    /// append ack keeps counting toward the leader's lease, and
+    /// (doubled, plus a per-replica stagger) the election timeout.
     pub lease_ticks: u64,
 }
 

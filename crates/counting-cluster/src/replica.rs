@@ -1,9 +1,10 @@
-//! The replicated coordinator: a leader-leased quorum log.
+//! The coordinator: a replica group running a leader-leased quorum log.
 //!
-//! A [`Replica`] group replaces the single durable
-//! [`Coordinator`](crate::coordinator::Coordinator) with 3 or 5 copies of the same
-//! state machine, each applying the same command log. The consensus
-//! core is a deliberately small Raft subset:
+//! A [`Replica`] group is the cluster's only control plane: 1, 3 or 5
+//! copies of the same state machine, each applying the same command
+//! log. A group of one elects itself, commits its own appends and never
+//! loses its lease; 3 or 5 survive replica crashes and partitions. The
+//! consensus core is a deliberately small Raft subset:
 //!
 //! * **terms** — every replica holds a monotonic term; any message from
 //!   a higher term forces a step-down, any from a lower term is inert;
@@ -36,9 +37,10 @@
 //! successor will not have.
 //!
 //! The durable state machine being replicated is exactly
-//! [`CoordinatorDurable`]; applying a committed [`Command`] calls the
-//! same pure transition helpers the standalone coordinator uses, so a
-//! quorum replaying the same log reaches bit-identical state.
+//! [`CoordinatorDurable`]; applying a committed [`Command`] calls its
+//! pure transition helpers, so a quorum replaying the same log reaches
+//! bit-identical state. Epochs commit through the log like every other
+//! change; no worker acknowledgement gates a grant.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -260,11 +262,14 @@ pub struct Replica {
     acked_at: BTreeMap<NodeId, u64>,
     last_append: Option<u64>,
     // Leader-only worker-facing volatile state (failure detector and
-    // membership rebroadcast), mirroring the standalone coordinator.
+    // membership rebroadcast).
     last_heard: BTreeMap<NodeId, u64>,
     worker_acks: BTreeSet<NodeId>,
     last_broadcast: Option<u64>,
     outbox: Vec<Outgoing>,
+    /// Calibration mutation: skip grant deduplication, so a duplicated
+    /// request double-allocates and leaks the first block.
+    no_dedup: bool,
     /// Calibration mutation: a leader whose lease lapsed keeps serving
     /// lease requests from its local copy, off the log.
     split_brain: bool,
@@ -322,9 +327,16 @@ impl Replica {
             worker_acks: BTreeSet::new(),
             last_broadcast: None,
             outbox: Vec::new(),
+            no_dedup: false,
             split_brain: false,
             commit_before_quorum: false,
         }
+    }
+
+    /// Enables the grant-dedup calibration mutation
+    /// ([`crate::sim::Mutation::GrantNoDedup`]).
+    pub fn enable_grant_no_dedup(&mut self) {
+        self.no_dedup = true;
     }
 
     /// Enables the stale-leader calibration mutation
@@ -754,7 +766,7 @@ impl Replica {
     fn apply_one(&mut self, now: u64, cmd: Command, respond: bool) {
         match cmd {
             Command::Lease { node, req_id, want } => {
-                let reply = match self.coord.lease_answer(node, req_id, false) {
+                let reply = match self.coord.lease_answer(node, req_id, self.no_dedup) {
                     Some(LeaseAnswer::Regrant(block)) => {
                         Message::LeaseGrant { node, req_id, base: block.base, len: block.len }
                     }
@@ -852,7 +864,9 @@ impl Replica {
                     self.send_worker(node, Message::RecoverNone { node, req_id });
                     return;
                 }
-                if let Some(block) = self.coord.grants.get(&(node, req_id)).copied() {
+                let recorded =
+                    if self.no_dedup { None } else { self.coord.grants.get(&(node, req_id)) };
+                if let Some(&block) = recorded {
                     self.send_worker(
                         node,
                         Message::LeaseGrant { node, req_id, base: block.base, len: block.len },
@@ -1055,6 +1069,116 @@ mod tests {
         replicas[leader].on_message(now, env);
         let outs = drain(replicas);
         settle(replicas, now, outs)
+    }
+
+    fn grant_of(out: &[Outgoing]) -> Option<(NodeId, u64, Block)> {
+        out.iter().find_map(|o| match o.env.msg {
+            Message::LeaseGrant { node, req_id, base, len } => {
+                Some((node, req_id, Block { base, len }))
+            }
+            _ => None,
+        })
+    }
+
+    /// A group of one, elected, coordinating workers 1 and 2; returns
+    /// it with the tick it took office.
+    fn lone_leader() -> (Vec<Replica>, u64) {
+        let mut rs = group(1);
+        assert_eq!(elect_leader(&mut rs, 0), 0);
+        let now = rs[0].election_timeout();
+        rs[0].take_outbox();
+        (rs, now)
+    }
+
+    #[test]
+    fn duplicate_requests_get_the_same_block() {
+        let (mut rs, t) = lone_leader();
+        let lease = |req_id| Message::LeaseRequest { node: 1, req_id, want: 16 };
+        let first = grant_of(&client(&mut rs, 0, t + 1, lease(0))).expect("granted");
+        let second = grant_of(&client(&mut rs, 0, t + 2, lease(0))).expect("re-sent");
+        assert_eq!(first, second, "dedup re-sends the recorded grant");
+        assert_eq!(rs[0].coord().cursor, 16, "one allocation, not two");
+        let third = grant_of(&client(&mut rs, 0, t + 3, lease(1))).expect("granted");
+        assert_eq!(third.2.base, 16, "fresh ids allocate fresh disjoint blocks");
+    }
+
+    #[test]
+    fn recovery_tombstones_unknown_requests_forever() {
+        let (mut rs, t) = lone_leader();
+        let out = client(&mut rs, 0, t + 1, Message::RecoverQuery { node: 1, req_id: 0 });
+        assert!(out
+            .iter()
+            .any(|o| matches!(o.env.msg, Message::RecoverNone { node: 1, req_id: 0 })));
+        // The late duplicate of the original request must NOT allocate:
+        // the recovery answer said "never granted".
+        let out = client(&mut rs, 0, t + 2, Message::LeaseRequest { node: 1, req_id: 0, want: 8 });
+        assert!(grant_of(&out).is_none());
+        assert_eq!(rs[0].coord().cursor, 0);
+    }
+
+    #[test]
+    fn seal_truncates_grants_and_recycles_the_tail() {
+        let (mut rs, t) = lone_leader();
+        client(&mut rs, 0, t + 1, Message::LeaseRequest { node: 1, req_id: 0, want: 10 });
+        // The worker consumed 4 of its 10, then drained.
+        let seal = Message::Return { node: 1, watermark: 4, leaving: false };
+        let out = client(&mut rs, 0, t + 2, seal.clone());
+        assert!(out
+            .iter()
+            .any(|o| matches!(o.env.msg, Message::ReturnAck { node: 1, watermark: 4 })));
+        assert_eq!(rs[0].coord().free, vec![Block { base: 4, len: 6 }]);
+        // Idempotent: a duplicated Return frees nothing new.
+        client(&mut rs, 0, t + 3, seal);
+        assert_eq!(rs[0].coord().free, vec![Block { base: 4, len: 6 }]);
+        // The tail is re-leased before the cursor moves.
+        let out = client(&mut rs, 0, t + 4, Message::LeaseRequest { node: 2, req_id: 0, want: 6 });
+        assert_eq!(grant_of(&out).expect("granted").2, Block { base: 4, len: 6 });
+        assert_eq!(rs[0].coord().cursor, 10);
+    }
+
+    #[test]
+    fn leave_removes_the_member_and_sealed_ids_never_return() {
+        let (mut rs, t) = lone_leader();
+        let epoch_before = rs[0].coord().epoch;
+        client(&mut rs, 0, t + 1, Message::Return { node: 1, watermark: 0, leaving: true });
+        assert!(!rs[0].coord().members.contains(&1));
+        assert_eq!(rs[0].coord().epoch, epoch_before + 1);
+        // Late heartbeats and joins from the sealed id are inert.
+        client(&mut rs, 0, t + 2, Message::Heartbeat { node: 1, epoch: 1 });
+        client(&mut rs, 0, t + 3, Message::Join { node: 1 });
+        assert!(!rs[0].coord().members.contains(&1));
+        // And its lease requests get a tombstoned no.
+        let out = client(&mut rs, 0, t + 4, Message::LeaseRequest { node: 1, req_id: 5, want: 8 });
+        assert!(grant_of(&out).is_none());
+    }
+
+    #[test]
+    fn failure_detector_evicts_silent_workers_and_heartbeat_readmits() {
+        let (mut rs, t) = lone_leader();
+        let fail_after = ProtocolConfig::default().fail_after;
+        // Worker 2 stays silent past fail_after; worker 1 keeps
+        // heartbeating.
+        client(&mut rs, 0, t + fail_after - 1, Message::Heartbeat { node: 1, epoch: 1 });
+        rs[0].on_tick(t + fail_after + 1);
+        assert!(rs[0].coord().members.contains(&1));
+        assert!(!rs[0].coord().members.contains(&2), "silent worker declared dead");
+        let epoch_after_death = rs[0].coord().epoch;
+        // The "dead" worker was only partitioned: its next heartbeat
+        // re-admits it under a fresh epoch.
+        client(&mut rs, 0, t + fail_after + 2, Message::Heartbeat { node: 2, epoch: 1 });
+        assert!(rs[0].coord().members.contains(&2));
+        assert_eq!(rs[0].coord().epoch, epoch_after_death + 1);
+    }
+
+    #[test]
+    fn no_dedup_mutation_double_allocates() {
+        let (mut rs, t) = lone_leader();
+        rs[0].enable_grant_no_dedup();
+        let lease = Message::LeaseRequest { node: 1, req_id: 0, want: 8 };
+        client(&mut rs, 0, t + 1, lease.clone());
+        client(&mut rs, 0, t + 2, lease);
+        assert_eq!(rs[0].coord().cursor, 16, "the duplicate allocated a second block");
+        assert_eq!(rs[0].coord().grants.len(), 1, "…and the first block's record leaked");
     }
 
     #[test]

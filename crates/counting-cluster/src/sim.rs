@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 use counting_sim::des::{EventQueue, Fate, FaultPlan, PartitionWindow, SimRng};
 
 use crate::check::GlobalChecker;
-use crate::coordinator::{Coordinator, CoordinatorDurable};
+use crate::coordinator::CoordinatorDurable;
 use crate::message::{Envelope, NodeId, Outgoing, COORDINATOR};
 use crate::node::{Node, NodeDurable, ProtocolConfig};
 use crate::replica::{replica_id, Replica, ReplicaDurable, REPLICA_BASE};
@@ -50,18 +50,18 @@ pub enum Mutation {
     /// local registry, so its stream restarts at zero and re-hands old
     /// values — caught online as a uniqueness violation.
     SkipRecovery,
-    /// The coordinator forgets grant deduplication: a duplicated or
-    /// retried request allocates a second block and the first grant
+    /// The coordinator leader forgets grant deduplication: a duplicated
+    /// or retried request allocates a second block and the first grant
     /// record leaks — caught at quiescence as an exact-range gap (or a
     /// grant/hand-out mismatch when the first block was partly
     /// consumed).
     GrantNoDedup,
-    /// Replicated mode: a leader whose lease lapsed keeps serving lease
-    /// requests from its local state, off the log — a partition makes
-    /// two leaders allocate the same blocks, caught online as a
+    /// Two or more replicas: a leader whose lease lapsed keeps serving
+    /// lease requests from its local state, off the log — a partition
+    /// makes two leaders allocate the same blocks, caught online as a
     /// uniqueness violation.
     SplitBrainDoubleGrant,
-    /// Replicated mode: the leader treats its own ack as a commit
+    /// Two or more replicas: the leader treats its own ack as a commit
     /// quorum; a partitioned minority leader's grants are truncated
     /// away on heal — caught at quiescence as exact-range violations.
     CommitBeforeQuorum,
@@ -112,16 +112,17 @@ pub struct ClusterSimConfig {
     pub joins: u64,
     /// Graceful leaves scheduled mid-run.
     pub leaves: u64,
-    /// Coordinator replicas: `<= 1` runs the single durable
-    /// coordinator, `>= 2` the replicated quorum log
-    /// ([`crate::replica`]; 3 or 5 are the realistic sizes).
+    /// Members of the coordinator's replica group
+    /// ([`crate::replica`]). 1 is a group that commits its own appends;
+    /// 3 or 5 survive replica crashes and partitions; 0 runs a group of
+    /// one, like 1.
     pub replicas: u64,
     /// Replica crash events scheduled (each with a deterministic
-    /// restart); replicated mode only.
+    /// restart); groups of two or more only.
     pub replica_crashes: u64,
     /// Partition windows scheduled, each isolating one replica from the
     /// rest of the group (workers keep reaching both sides — the
-    /// split-brain shape); replicated mode only.
+    /// split-brain shape); groups of two or more only.
     pub partitions: u64,
     /// Protocol timing/sizing.
     pub protocol: ProtocolConfig,
@@ -211,9 +212,9 @@ pub struct SimStats {
     pub events: u64,
     /// Hops cut by an active partition window.
     pub severed: u64,
-    /// Replica crash events that fired (replicated mode).
+    /// Replica crash events that fired.
     pub replica_crashes: u64,
-    /// Replica restart events that fired (replicated mode).
+    /// Replica restart events that fired.
     pub replica_restarts: u64,
 }
 
@@ -270,33 +271,23 @@ enum ReplicaSlot {
     Down(ReplicaDurable),
 }
 
-/// The coordination side of the cluster: one durable coordinator, or a
-/// replicated group behind the virtual coordinator id.
-enum Control {
-    Single(Box<Coordinator>),
-    Replicated {
-        /// Indexed by replica index.
-        replicas: Vec<ReplicaSlot>,
-        /// Round-robin cursor fanning coordinator-addressed hops over
-        /// the group.
-        rotation: u64,
-    },
+/// An up replica slot holding `replica` with the run's calibration
+/// mutation switched on.
+fn armed(mut replica: Replica, mutation: Option<Mutation>) -> ReplicaSlot {
+    match mutation {
+        Some(Mutation::GrantNoDedup) => replica.enable_grant_no_dedup(),
+        Some(Mutation::SplitBrainDoubleGrant) => replica.enable_split_brain(),
+        Some(Mutation::CommitBeforeQuorum) => replica.enable_commit_before_quorum(),
+        Some(Mutation::SkipRecovery) | None => {}
+    }
+    ReplicaSlot::Up(Box::new(replica))
 }
 
-impl Control {
-    fn slot_mut(&mut self, index: u64) -> Option<&mut ReplicaSlot> {
-        match self {
-            Control::Single(_) => None,
-            Control::Replicated { replicas, .. } => replicas.get_mut(usize::try_from(index).ok()?),
-        }
-    }
-
-    /// Replica `index`, when the group exists and that member is up.
-    fn replica_mut(&mut self, index: u64) -> Option<&mut Replica> {
-        match self.slot_mut(index)? {
-            ReplicaSlot::Up(replica) => Some(replica),
-            ReplicaSlot::Down(_) => None,
-        }
+/// Replica `index` of the group, when that member is up.
+fn up_replica(replicas: &mut [ReplicaSlot], index: u64) -> Option<&mut Replica> {
+    match replicas.get_mut(usize::try_from(index).ok()?)? {
+        ReplicaSlot::Up(replica) => Some(replica),
+        ReplicaSlot::Down(_) => None,
     }
 }
 
@@ -306,7 +297,11 @@ const TICK_EVERY: u64 = 5;
 
 struct Harness {
     config: ClusterSimConfig,
-    control: Control,
+    /// The coordinator group, indexed by replica index.
+    replicas: Vec<ReplicaSlot>,
+    /// Round-robin cursor fanning coordinator-addressed hops over the
+    /// group.
+    rotation: u64,
     slots: std::collections::BTreeMap<NodeId, Slot>,
     left: std::collections::BTreeSet<NodeId>,
     queue: EventQueue<Ev>,
@@ -340,17 +335,15 @@ impl Harness {
     }
 
     /// Routes one outgoing hop through the partition schedule and the
-    /// fault plan. `from` is the physical sender (a worker id, the
-    /// coordinator, or a replica id) — partitions cut physical links.
+    /// fault plan. `from` is the physical sender (a worker id or a
+    /// replica id) — partitions cut physical links.
     fn transmit(&mut self, now: u64, from: NodeId, out: Outgoing) {
         let mut hop = out.hop;
         if hop == COORDINATOR {
-            if let Control::Replicated { replicas, rotation } = &mut self.control {
-                // The virtual coordinator id fans out round-robin over
-                // the group; a follower forwards to its leader hint.
-                hop = replica_id(*rotation % replicas.len() as u64);
-                *rotation += 1;
-            }
+            // The virtual coordinator id fans out round-robin over the
+            // group; a follower forwards to its leader hint.
+            hop = replica_id(self.rotation % self.replicas.len() as u64);
+            self.rotation += 1;
         }
         self.stats.sent += 1;
         let info = || format!("hop n{}: {}", hop, out.env.msg);
@@ -408,17 +401,8 @@ impl Harness {
         self.transmit_all(now, id, outgoing);
     }
 
-    fn flush_coordinator(&mut self, now: u64) {
-        let Control::Single(coordinator) = &mut self.control else {
-            return;
-        };
-        let mut outgoing = std::mem::take(&mut self.outgoing);
-        coordinator.drain_outbox(&mut outgoing);
-        self.transmit_all(now, COORDINATOR, outgoing);
-    }
-
     fn flush_replica(&mut self, now: u64, index: u64) {
-        let Some(replica) = self.control.replica_mut(index) else {
+        let Some(replica) = up_replica(&mut self.replicas, index) else {
             return;
         };
         let mut outgoing = std::mem::take(&mut self.outgoing);
@@ -441,14 +425,11 @@ impl Harness {
     /// Hands one arrived hop to the state machine that owns `hop`, or
     /// loses it when that machine is down.
     fn deliver(&mut self, now: u64, hop: NodeId, env: Envelope) {
+        // Id 0 never arrives: transmit resolves it to a replica.
         let up = if hop >= REPLICA_BASE {
-            self.control.replica_mut(hop - REPLICA_BASE).is_some()
+            up_replica(&mut self.replicas, hop - REPLICA_BASE).is_some()
         } else {
-            // Id 0 only arrives in single-coordinator mode (the
-            // replicated transmit path resolves it to a physical
-            // replica before scheduling delivery), and that
-            // coordinator is never crashed.
-            hop == COORDINATOR || matches!(self.slots.get(&hop), Some(Slot::Up(_)))
+            matches!(self.slots.get(&hop), Some(Slot::Up(_)))
         };
         if !up {
             self.stats.lost += 1;
@@ -459,15 +440,10 @@ impl Harness {
         self.record(now, "deliver", hop, || env.msg.to_string());
         if hop >= REPLICA_BASE {
             let index = hop - REPLICA_BASE;
-            if let Some(replica) = self.control.replica_mut(index) {
+            if let Some(replica) = up_replica(&mut self.replicas, index) {
                 replica.on_message(now, env);
             }
             self.flush_replica(now, index);
-        } else if hop == COORDINATOR {
-            if let Control::Single(coordinator) = &mut self.control {
-                coordinator.on_message(now, env);
-            }
-            self.flush_coordinator(now);
         } else {
             if let Some(Slot::Up(node)) = self.slots.get_mut(&hop) {
                 node.on_message(now, env);
@@ -476,21 +452,18 @@ impl Harness {
         }
     }
 
-    /// The state the quiescence audit runs against: the single
-    /// coordinator's, or the best replica's — the current leader, else
-    /// the highest `(term, commit)` survivor.
+    /// The state the quiescence audit runs against: the best
+    /// replica's — the current leader, else the highest `(term, commit)`
+    /// survivor.
     fn authoritative_coord(&self) -> Option<&CoordinatorDurable> {
-        match &self.control {
-            Control::Single(coordinator) => Some(coordinator.durable()),
-            Control::Replicated { replicas, .. } => replicas
-                .iter()
-                .filter_map(|slot| match slot {
-                    ReplicaSlot::Up(r) => Some(r),
-                    ReplicaSlot::Down(_) => None,
-                })
-                .max_by_key(|r| (r.is_leader(), r.term(), r.commit()))
-                .map(|r| r.coord()),
-        }
+        self.replicas
+            .iter()
+            .filter_map(|slot| match slot {
+                ReplicaSlot::Up(r) => Some(r),
+                ReplicaSlot::Down(_) => None,
+            })
+            .max_by_key(|r| (r.is_leader(), r.term(), r.commit()))
+            .map(|r| r.coord())
     }
 
     /// Every worker (founders, joiners, leavers) is up and
@@ -516,25 +489,10 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
     let mut member_bootstrap = vec![COORDINATOR];
     member_bootstrap.extend(&founders);
 
-    let control = if config.replicas > 1 {
-        let mut replicas = Vec::new();
-        for index in 0..config.replicas {
-            let mut replica = Replica::new(index, config.replicas, &founders, config.protocol);
-            match config.mutation {
-                Some(Mutation::SplitBrainDoubleGrant) => replica.enable_split_brain(),
-                Some(Mutation::CommitBeforeQuorum) => replica.enable_commit_before_quorum(),
-                _ => {}
-            }
-            replicas.push(ReplicaSlot::Up(Box::new(replica)));
-        }
-        Control::Replicated { replicas, rotation: 0 }
-    } else {
-        let mut coordinator = Coordinator::new(config.protocol, &founders);
-        if config.mutation == Some(Mutation::GrantNoDedup) {
-            coordinator.enable_grant_no_dedup();
-        }
-        Control::Single(Box::new(coordinator))
-    };
+    let group = config.replicas.max(1);
+    let replicas: Vec<ReplicaSlot> = (0..group)
+        .map(|index| armed(Replica::new(index, group, &founders, config.protocol), config.mutation))
+        .collect();
 
     let mut slots = std::collections::BTreeMap::new();
     for &id in &founders {
@@ -582,9 +540,9 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         let at = plan_rng.range(horizon / 4, (horizon * 3) / 4);
         queue.push(at, Ev::Leave { node });
     }
-    // Replica fault plan. These draws come *after* every legacy draw
-    // and are guarded by the counts, so single-coordinator configs see
-    // byte-identical rng streams to earlier releases.
+    // Replica fault plan. These draws come *after* every worker draw, so
+    // they never shift the worker plan, and a group of one skips them:
+    // its only replica is never crashed or cut off.
     let lease = config.protocol.lease_ticks.max(1);
     for _ in 0..config.replica_crashes {
         if config.replicas <= 1 {
@@ -622,7 +580,8 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
 
     let mut harness = Harness {
         config,
-        control,
+        replicas,
+        rotation: 0,
         slots,
         left: std::collections::BTreeSet::new(),
         queue,
@@ -638,8 +597,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         outgoing: Vec::new(),
         handouts: Vec::new(),
     };
-    harness.flush_coordinator(0);
-    for index in 0..config.replicas {
+    for index in 0..group {
         harness.flush_replica(0, index);
     }
 
@@ -652,12 +610,8 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         harness.stats.events += 1;
         match ev {
             Ev::Tick => {
-                if let Control::Single(coordinator) = &mut harness.control {
-                    coordinator.on_tick(now);
-                }
-                harness.flush_coordinator(now);
-                for index in 0..config.replicas {
-                    if let Some(replica) = harness.control.replica_mut(index) {
+                for index in 0..group {
+                    if let Some(replica) = up_replica(&mut harness.replicas, index) {
                         replica.on_tick(now);
                     }
                     harness.flush_replica(now, index);
@@ -738,7 +692,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 }
             }
             Ev::ReplicaCrash { index } => {
-                if let Some(slot) = harness.control.slot_mut(index) {
+                if let Some(slot) = harness.replicas.get_mut(index as usize) {
                     if let ReplicaSlot::Up(replica) = slot {
                         *slot = ReplicaSlot::Down(replica.durable().clone());
                         harness.stats.replica_crashes += 1;
@@ -747,24 +701,17 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 }
             }
             Ev::ReplicaRestart { index } => {
-                if let Some(slot) = harness.control.slot_mut(index) {
+                if let Some(slot) = harness.replicas.get_mut(index as usize) {
                     if let ReplicaSlot::Down(durable) = slot {
-                        let mut replica = Replica::restart(
+                        let replica = Replica::restart(
                             index,
-                            config.replicas,
+                            group,
                             &founders,
                             config.protocol,
                             durable.clone(),
                             now,
                         );
-                        match config.mutation {
-                            Some(Mutation::SplitBrainDoubleGrant) => replica.enable_split_brain(),
-                            Some(Mutation::CommitBeforeQuorum) => {
-                                replica.enable_commit_before_quorum();
-                            }
-                            _ => {}
-                        }
-                        *slot = ReplicaSlot::Up(Box::new(replica));
+                        *slot = armed(replica, config.mutation);
                         harness.stats.replica_restarts += 1;
                         harness.record(now, "replica-restart", replica_id(index), String::new);
                         harness.flush_replica(now, index);

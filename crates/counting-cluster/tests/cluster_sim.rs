@@ -40,11 +40,10 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 
 #[test]
 fn golden_fingerprints_pin_every_virtual_time_decision() {
-    // Recorded on the commit before the simulator's untraced path was
-    // made allocation-free; any change to rng draw order, `(at, seq)`
-    // pop order, a counter or a trace string moves these.
+    // Any change to rng draw order, `(at, seq)` pop order, a counter or
+    // a trace string moves these.
     const GOLDEN: [(u64, u64); 3] =
-        [(1, 0x20F6_4BF6_5F5E_F6C8), (3, 0x03A1_6178_7A95_68B0), (5, 0x5EF6_48B8_52F4_D1C0)];
+        [(1, 0xC3FA_0148_5F0D_A2A8), (3, 0x03A1_6178_7A95_68B0), (5, 0x5EF6_48B8_52F4_D1C0)];
     let measured = GOLDEN.map(|(replicas, _)| {
         let mut hash = 0xCBF2_9CE4_8422_2325;
         for seed in 1..=8 {
@@ -198,6 +197,41 @@ fn pinned_grant_no_dedup_counterexample_is_caught_at_finalize() {
         "the pinned schedule must actually duplicate a hop: {:?}",
         report.stats
     );
+}
+
+#[test]
+fn pinned_grant_no_dedup_counterexample_is_caught_behind_three_replicas() {
+    // The mutation lives on the replica leader, so it must be caught
+    // behind a real quorum too, not only in a group of one.
+    let mutated = ClusterSimConfig {
+        replicas: 3,
+        replica_crashes: 1,
+        partitions: 1,
+        mutation: Some(Mutation::GrantNoDedup),
+        ..torture()
+    };
+    let report = run_sim(&mutated, PINNED_SEED);
+    assert!(
+        report.violations.iter().any(|v| v.contains("exact-range")),
+        "a double-allocated grant leaks a block; the finalize audit must \
+         report the gap, got: {:?}",
+        report.violations
+    );
+
+    // The fixed protocol survives the very same schedule.
+    let clean = run_sim(&ClusterSimConfig { mutation: None, ..mutated }, PINNED_SEED);
+    assert!(clean.converged, "{:?}", clean.violations);
+    assert_eq!(clean.violations, Vec::<String>::new());
+}
+
+#[test]
+fn zero_replicas_run_a_group_of_one() {
+    for seed in [1, PINNED_SEED] {
+        let one = run_sim(&ClusterSimConfig { replicas: 1, record_trace: true, ..torture() }, seed);
+        let zero =
+            run_sim(&ClusterSimConfig { replicas: 0, record_trace: true, ..torture() }, seed);
+        assert_eq!(zero, one, "seed={seed}");
+    }
 }
 
 #[test]
