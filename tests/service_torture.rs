@@ -163,6 +163,87 @@ fn racing_get_or_create_on_one_tenant_yields_one_counter() {
     assert_eq!(service.watermark("hot"), capacity, "every op handed out exactly one value");
 }
 
+/// A tenant's slot holds both its live instance and its resume
+/// watermark, so this is the race a merged slot could break: workers
+/// reserve while one thread sweeps idle tenants and another restores
+/// stale and fresh marks on the same names, and no stream may rewind. A
+/// fresh mark is one just read, so it never exceeds what will have been
+/// handed out; a stale one is the mark read a pass earlier.
+#[test]
+fn restore_watermark_racing_traffic_never_rewinds_a_stream() {
+    let threads = 4usize;
+    // Long enough that a restore which can lower a mark forks a stream
+    // in most runs at the default scale.
+    let ops = ops_per_thread() * 32;
+    let tenants = ["north", "south", "east", "west"];
+    let service = CounterService::new(ServiceConfig::default());
+    let capacity = threads as u64 * ops * 3; // max k below is 3
+    let bitmaps: Vec<ValueBitmap> = tenants.iter().map(|_| ValueBitmap::new(capacity)).collect();
+    let duplicates = AtomicU64::new(0);
+    let (restoring, done) = (AtomicBool::new(false), AtomicBool::new(false));
+
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|tid| {
+                let (service, bitmaps, duplicates) = (&service, &bitmaps, &duplicates);
+                let restoring = &restoring;
+                scope.spawn(move || {
+                    // Traffic starts once the restorer runs, or a short
+                    // run would finish before the race begins.
+                    while !restoring.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    let mut scratch = Vec::new();
+                    for op in 0..ops as usize {
+                        let tenant = (op + tid * 3) % tenants.len();
+                        scratch.clear();
+                        service.get_or_create(tenants[tenant]).next_batch(
+                            tid,
+                            1 + (op + tid) % 3,
+                            &mut scratch,
+                        );
+                        for &value in &scratch {
+                            if !bitmaps[tenant].mark(value) {
+                                duplicates.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        let (service, restoring, done) = (&service, &restoring, &done);
+        scope.spawn(move || {
+            while !done.load(Ordering::Acquire) {
+                service.evict_idle();
+                std::thread::yield_now();
+            }
+        });
+        scope.spawn(move || {
+            let mut stale = [0u64; 4];
+            while !done.load(Ordering::Acquire) {
+                for (name, stale) in tenants.iter().zip(&mut stale) {
+                    let fresh = service.watermark(name);
+                    service.restore_watermark(name, fresh);
+                    service.restore_watermark(name, *stale);
+                    *stale = fresh;
+                }
+                restoring.store(true, Ordering::Release);
+                std::thread::yield_now();
+            }
+        });
+        let results: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        done.store(true, Ordering::Release);
+        for result in results {
+            result.expect("worker panicked");
+        }
+    });
+
+    assert_eq!(duplicates.load(Ordering::Relaxed), 0, "a stream was rewound");
+    for (i, tenant) in tenants.iter().enumerate() {
+        assert_tenant_dense(tenant, &bitmaps[i], service.watermark(tenant));
+    }
+}
+
 /// Adapters ride the same per-tenant guarantees: per-thread id
 /// generators on shared tenants lease blocks concurrently, and after
 /// draining the unconsumed lease tails every tenant's id space is dense.
