@@ -15,8 +15,6 @@
 //!   an online duplicate; values conjured outside any grant as a
 //!   membership miss.
 
-use std::collections::HashSet;
-
 use crate::coordinator::CoordinatorDurable;
 use crate::message::{Block, NodeId};
 
@@ -28,7 +26,11 @@ const MAX_DETAILED: usize = 8;
 /// docs](self).
 #[derive(Debug, Default)]
 pub struct GlobalChecker {
-    seen: HashSet<u64>,
+    /// Bit `v % 64` of word `v / 64` is set once value `v` was handed
+    /// out. Values are dense below the coordinator's cursor, so the
+    /// bitmap grows to that range and no further.
+    seen: Vec<u64>,
+    unique: u64,
     handed: u64,
 }
 
@@ -43,11 +45,24 @@ impl GlobalChecker {
     /// if the value was already handed out (by any node).
     pub fn record(&mut self, node: NodeId, value: u64, at: u64) -> Option<String> {
         self.handed += 1;
-        if self.seen.insert(value) {
+        let word = (value / 64) as usize;
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        let bit = 1 << (value % 64);
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.unique += 1;
             None
         } else {
             Some(format!("uniqueness: value {value} handed out again by n{node} at t{at}"))
         }
+    }
+
+    /// Whether `value` was handed out.
+    fn contains(&self, value: u64) -> bool {
+        let word = usize::try_from(value / 64).ok().and_then(|word| self.seen.get(word));
+        word.is_some_and(|word| word >> (value % 64) & 1 == 1)
     }
 
     /// Values handed out, counting repeats.
@@ -59,7 +74,7 @@ impl GlobalChecker {
     /// Distinct values handed out.
     #[must_use]
     pub fn unique(&self) -> u64 {
-        self.seen.len() as u64
+        self.unique
     }
 
     /// The quiescence audit against the coordinator's durable state;
@@ -117,7 +132,7 @@ impl GlobalChecker {
                 continue;
             }
             for value in block.base..block.end() {
-                if !self.seen.contains(&value) {
+                if !self.contains(value) {
                     missing += 1;
                     if missing <= MAX_DETAILED {
                         violations.push(format!(
@@ -176,6 +191,30 @@ mod tests {
         assert!(violation.contains("value 5"), "{violation}");
         assert_eq!(checker.handed(), 3);
         assert_eq!(checker.unique(), 2);
+    }
+
+    #[test]
+    fn the_bitmap_is_exact_across_word_boundaries() {
+        let mut checker = GlobalChecker::new();
+        for (at, value) in [63, 64, 65, 127, 128, 1 << 20].into_iter().enumerate() {
+            assert!(checker.record(1, value, at as u64).is_none(), "{value} is fresh");
+        }
+        let violation = checker.record(2, 64, 9).expect("duplicate at a word boundary");
+        assert_eq!(violation, "uniqueness: value 64 handed out again by n2 at t9");
+        assert_eq!((checker.handed(), checker.unique()), (7, 6));
+        // 126 is granted beside handed-out neighbours but never handed.
+        let coordinator = coordinator_state(
+            129,
+            vec![(1, 0, Block { base: 63, len: 3 }), (1, 1, Block { base: 126, len: 3 })],
+            vec![],
+            vec![(1, 6)],
+        );
+        let missing: Vec<String> = checker
+            .finalize(&coordinator)
+            .into_iter()
+            .filter(|v| v.contains("was never handed out"))
+            .collect();
+        assert_eq!(missing, ["exact-range: granted value 126 was never handed out"]);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! bit-identical state. Epochs commit through the log like every other
 //! change; no worker acknowledgement gates a grant.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Error, Serialize, Value};
@@ -229,6 +229,18 @@ pub struct ReplicaDurable {
     pub log: Vec<LogEntry>,
 }
 
+/// The leader's replication bookkeeping for one peer, reset when it
+/// takes office.
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    /// The next log index to send.
+    next: u64,
+    /// The longest log prefix the peer acknowledged holding.
+    matched: u64,
+    /// When the peer last acknowledged an append (the lease clock).
+    acked_at: u64,
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Role {
     Follower,
@@ -256,14 +268,13 @@ pub struct Replica {
     role: Role,
     leader_hint: Option<NodeId>,
     last_leader_contact: u64,
-    // Leader-only replication bookkeeping.
-    next: BTreeMap<NodeId, u64>,
-    matched: BTreeMap<NodeId, u64>,
-    acked_at: BTreeMap<NodeId, u64>,
+    // Leader-only replication bookkeeping, indexed by replica index
+    // (this replica's own entry is unused).
+    progress: Vec<Progress>,
     last_append: Option<u64>,
     // Leader-only worker-facing volatile state (failure detector and
-    // membership rebroadcast).
-    last_heard: BTreeMap<NodeId, u64>,
+    // membership rebroadcast). `last_heard` is indexed by worker id.
+    last_heard: Vec<Option<u64>>,
     worker_acks: BTreeSet<NodeId>,
     last_broadcast: Option<u64>,
     outbox: Vec<Outgoing>,
@@ -319,11 +330,9 @@ impl Replica {
             role: Role::Follower,
             leader_hint: None,
             last_leader_contact: now,
-            next: BTreeMap::new(),
-            matched: BTreeMap::new(),
-            acked_at: BTreeMap::new(),
+            progress: vec![Progress::default(); count as usize],
             last_append: None,
-            last_heard: BTreeMap::new(),
+            last_heard: Vec::new(),
             worker_acks: BTreeSet::new(),
             last_broadcast: None,
             outbox: Vec::new(),
@@ -412,19 +421,26 @@ impl Replica {
         self.config.lease_ticks * 2 + self.index * self.config.heartbeat_every
     }
 
+    /// The other members' replication progress.
+    fn followers(&self) -> impl Iterator<Item = &Progress> {
+        let own = self.index as usize;
+        self.progress.iter().enumerate().filter(move |&(i, _)| i != own).map(|(_, p)| p)
+    }
+
+    /// Peer `peer`'s replication progress (`None` for an id outside the
+    /// group).
+    fn progress_of(&mut self, peer: NodeId) -> Option<&mut Progress> {
+        let index = usize::try_from(peer.checked_sub(REPLICA_BASE)?).ok()?;
+        self.progress.get_mut(index)
+    }
+
     /// Whether a majority acked an append recently enough that no other
     /// replica can have been elected (their election timeouts exceed
     /// the lease).
     fn lease_valid(&self, now: u64) -> bool {
         let fresh = self
-            .peers
-            .iter()
-            .filter(|&&p| p != self.id)
-            .filter(|&&p| {
-                self.acked_at
-                    .get(&p)
-                    .is_some_and(|&at| now.saturating_sub(at) <= self.config.lease_ticks)
-            })
+            .followers()
+            .filter(|p| now.saturating_sub(p.acked_at) <= self.config.lease_ticks)
             .count();
         1 + fresh >= self.quorum()
     }
@@ -513,18 +529,10 @@ impl Replica {
     fn become_leader(&mut self, now: u64) {
         self.role = Role::Leader;
         self.leader_hint = Some(self.id);
-        self.next.clear();
-        self.matched.clear();
-        self.acked_at.clear();
-        for &peer in &self.peers {
-            if peer != self.id {
-                self.next.insert(peer, self.durable.log.len() as u64);
-                self.matched.insert(peer, 0);
-                // Lease grace: the election itself proved a quorum is
-                // reachable moments ago.
-                self.acked_at.insert(peer, now);
-            }
-        }
+        // Lease grace: the election itself proved a quorum is reachable
+        // moments ago.
+        let next = self.durable.log.len() as u64;
+        self.progress.fill(Progress { next, matched: 0, acked_at: now });
         // The term barrier: commits every earlier-term entry once
         // replicated, and gives an otherwise-idle term a commit point.
         self.durable.log.push(LogEntry { term: self.durable.term, cmd: Command::Noop });
@@ -532,8 +540,8 @@ impl Replica {
         self.send_appends(now);
         // Failure-detector grace for every worker, then re-announce the
         // membership so workers find the new leader's epoch view.
-        for worker in self.coord.members.clone() {
-            self.last_heard.insert(worker, now);
+        for &worker in &self.coord.members {
+            hear(&mut self.last_heard, worker, now);
         }
         self.worker_acks.clear();
         self.broadcast_membership(now);
@@ -549,7 +557,7 @@ impl Replica {
     }
 
     fn send_append_to(&mut self, peer: NodeId) {
-        let index = self.next.get(&peer).copied().unwrap_or(0);
+        let index = self.progress_of(peer).map_or(0, |p| p.next);
         let index = index.min(self.durable.log.len() as u64);
         let entry = self.durable.log.get(index as usize).cloned();
         let prev_term = if index == 0 { 0 } else { self.durable.log[index as usize - 1].term };
@@ -689,21 +697,24 @@ impl Replica {
                 if !matches!(self.role, Role::Leader) || term != self.durable.term {
                     return;
                 }
-                self.acked_at.insert(follower, now);
+                let log_len = self.durable.log.len() as u64;
+                let Some(peer) = self.progress_of(follower) else {
+                    return;
+                };
+                peer.acked_at = now;
                 if ok {
-                    let have = self.matched.get(&follower).copied().unwrap_or(0);
-                    if matched > have {
-                        self.matched.insert(follower, matched);
-                    }
-                    let next = self.next.entry(follower).or_insert(0);
-                    *next = (*next).max(matched);
-                    self.maybe_advance_commit(now);
+                    peer.matched = peer.matched.max(matched);
+                    peer.next = peer.next.max(matched);
                 } else {
                     // The follower's committed prefix always matches:
                     // resume from its hint.
-                    self.next.insert(follower, matched);
+                    peer.next = matched;
                 }
-                if self.next.get(&follower).copied().unwrap_or(0) < self.durable.log.len() as u64 {
+                let behind = peer.next < log_len;
+                if ok {
+                    self.maybe_advance_commit(now);
+                }
+                if behind {
                     self.send_append_to(follower);
                 }
             }
@@ -735,12 +746,13 @@ impl Replica {
     }
 
     fn maybe_advance_commit(&mut self, now: u64) {
-        // The leader's own log always matches itself; collect every
-        // replica's matched length and take the quorum-th largest.
-        let mut lens: Vec<u64> = self.matched.values().copied().collect();
-        lens.push(self.durable.log.len() as u64);
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        let candidate = lens.get(self.quorum() - 1).copied().unwrap_or(0);
+        // The leader's own log always matches itself. The candidate is
+        // the quorum-th largest matched length over every replica: the
+        // largest length at least a quorum of replicas hold.
+        let own = self.durable.log.len() as u64;
+        let lens = || self.followers().map(|p| p.matched).chain([own]);
+        let held_by_quorum = |len: u64| lens().filter(|&l| l >= len).count() >= self.quorum();
+        let candidate = lens().filter(|&len| held_by_quorum(len)).max().unwrap_or(0);
         // Only entries of the current term commit by counting — the
         // Raft commit rule; earlier terms ride along underneath.
         if candidate > self.commit
@@ -797,7 +809,9 @@ impl Replica {
             }
             Command::Admit { node } => {
                 if self.coord.admit(node) {
-                    self.last_heard.entry(node).or_insert(now);
+                    if heard_at(&self.last_heard, node).is_none() {
+                        hear(&mut self.last_heard, node, now);
+                    }
                     if respond {
                         self.epoch_changed(now);
                         self.send_membership_direct(node);
@@ -807,7 +821,9 @@ impl Replica {
             Command::Evict { node } => {
                 if self.coord.evict(node) {
                     self.coord.bump_epoch();
-                    self.last_heard.remove(&node);
+                    if let Some(heard) = self.last_heard.get_mut(node as usize) {
+                        *heard = None;
+                    }
                     if respond {
                         self.epoch_changed(now);
                     }
@@ -895,7 +911,7 @@ impl Replica {
                 }
             }
             Message::Heartbeat { node, epoch } => {
-                self.last_heard.insert(node, now);
+                hear(&mut self.last_heard, node, now);
                 if !self.coord.members.contains(&node) {
                     if !self.coord.sealed.contains_key(&node) {
                         self.propose(now, Command::Admit { node });
@@ -905,7 +921,7 @@ impl Replica {
                 }
             }
             Message::Join { node } => {
-                self.last_heard.insert(node, now);
+                hear(&mut self.last_heard, node, now);
                 if self.coord.members.contains(&node) {
                     self.send_membership_direct(node);
                 } else if !self.coord.sealed.contains_key(&node) {
@@ -947,7 +963,7 @@ impl Replica {
         let tail = self.durable.log.len() as u64 - 1;
         for i in 0..self.peers.len() {
             let peer = self.peers[i];
-            if peer != self.id && self.next.get(&peer).copied().unwrap_or(0) == tail {
+            if peer != self.id && self.progress[i].next == tail {
                 self.send_append_to(peer);
             }
         }
@@ -963,7 +979,7 @@ impl Replica {
             .iter()
             .copied()
             .filter(|worker| {
-                let heard = self.last_heard.get(worker).copied().unwrap_or(0);
+                let heard = heard_at(&self.last_heard, *worker).unwrap_or(0);
                 now.saturating_sub(heard) >= self.config.fail_after
             })
             .collect();
@@ -1011,6 +1027,20 @@ impl Replica {
     fn send_replica(&mut self, to: NodeId, msg: Message) {
         self.outbox.push(Outgoing { hop: to, env: Envelope { src: self.id, dst: to, msg } });
     }
+}
+
+/// When the failure detector last heard from `worker`.
+fn heard_at(last_heard: &[Option<u64>], worker: NodeId) -> Option<u64> {
+    *last_heard.get(usize::try_from(worker).ok()?)?
+}
+
+/// Records that the failure detector heard from `worker` at `now`.
+fn hear(last_heard: &mut Vec<Option<u64>>, worker: NodeId, now: u64) {
+    let index = worker as usize;
+    if index >= last_heard.len() {
+        last_heard.resize(index + 1, None);
+    }
+    last_heard[index] = Some(now);
 }
 
 fn due(last: Option<u64>, now: u64, every: u64) -> bool {

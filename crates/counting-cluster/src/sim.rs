@@ -6,8 +6,9 @@
 //! from forked [`SimRng`] streams, and events resolve through a
 //! [`counting_sim::des::EventQueue`] keyed by `(tick, insertion seq)` —
 //! so two runs with the same seed produce byte-identical traces, and any
-//! counterexample replays exactly. All cross-node state lives in
-//! `BTreeMap`s ordered by node id; nothing iterates a hash map.
+//! counterexample replays exactly. Cross-node state lives in `Vec`s
+//! indexed by node id (worker slots) or replica index, always iterated
+//! in id order; nothing iterates a hash map.
 //!
 //! A run has two phases: the **torture window** (`0..horizon` ticks)
 //! where demand flows and the fault plan applies to every hop, and the
@@ -21,7 +22,7 @@
 //! [`ClusterSimConfig::record_trace`]; a hop's fate is a `Copy`
 //! [`Fate`] and its envelope moves into the single delivery (only a
 //! duplicate clones); the pre-drawn plan sits in the queue's sorted
-//! schedule beside a heap of just the in-flight hops (merged by
+//! schedule beside a tick ring of just the in-flight hops (merged by
 //! `(at, seq)`, see [`counting_sim::des`]); and every flush drains a
 //! state machine's outbox into scratch `Vec`s the harness owns for the
 //! whole run. No virtual-time decision depends on any of it — golden
@@ -283,6 +284,14 @@ fn armed(mut replica: Replica, mutation: Option<Mutation>) -> ReplicaSlot {
     ReplicaSlot::Up(Box::new(replica))
 }
 
+/// Worker `id`'s state machine, when that worker is up.
+fn up_node(slots: &mut [Option<Slot>], id: NodeId) -> Option<&mut Node> {
+    match slots.get_mut(usize::try_from(id).ok()?)? {
+        Some(Slot::Up(node)) => Some(node),
+        _ => None,
+    }
+}
+
 /// Replica `index` of the group, when that member is up.
 fn up_replica(replicas: &mut [ReplicaSlot], index: u64) -> Option<&mut Replica> {
     match replicas.get_mut(usize::try_from(index).ok()?)? {
@@ -302,7 +311,9 @@ struct Harness {
     /// Round-robin cursor fanning coordinator-addressed hops over the
     /// group.
     rotation: u64,
-    slots: std::collections::BTreeMap<NodeId, Slot>,
+    /// Worker slots indexed by id (index 0, the coordinator's id, stays
+    /// `None`; so does a joiner's until it joins).
+    slots: Vec<Option<Slot>>,
     left: std::collections::BTreeSet<NodeId>,
     queue: EventQueue<Ev>,
     fault_rng: SimRng,
@@ -382,7 +393,7 @@ impl Harness {
 
     /// Flushes a worker's outbox and hand-outs after it ran.
     fn flush_node(&mut self, now: u64, id: NodeId) {
-        let Some(Slot::Up(node)) = self.slots.get_mut(&id) else {
+        let Some(node) = up_node(&mut self.slots, id) else {
             return;
         };
         let mut outgoing = std::mem::take(&mut self.outgoing);
@@ -415,7 +426,7 @@ impl Harness {
     /// next runs.
     fn step_workers(&mut self, now: u64, step: fn(&mut Node, u64)) {
         for id in 1..=self.config.workers + self.config.joins {
-            if let Some(Slot::Up(node)) = self.slots.get_mut(&id) {
+            if let Some(node) = up_node(&mut self.slots, id) {
                 step(node, now);
             }
             self.flush_node(now, id);
@@ -429,7 +440,7 @@ impl Harness {
         let up = if hop >= REPLICA_BASE {
             up_replica(&mut self.replicas, hop - REPLICA_BASE).is_some()
         } else {
-            matches!(self.slots.get(&hop), Some(Slot::Up(_)))
+            up_node(&mut self.slots, hop).is_some()
         };
         if !up {
             self.stats.lost += 1;
@@ -445,7 +456,7 @@ impl Harness {
             }
             self.flush_replica(now, index);
         } else {
-            if let Some(Slot::Up(node)) = self.slots.get_mut(&hop) {
+            if let Some(node) = up_node(&mut self.slots, hop) {
                 node.on_message(now, env);
             }
             self.flush_node(now, hop);
@@ -470,7 +481,7 @@ impl Harness {
     /// sealed-acknowledged.
     fn done(&self) -> bool {
         self.draining
-            && self.slots.values().all(|slot| match slot {
+            && self.slots.iter().flatten().all(|slot| match slot {
                 Slot::Up(node) => node.is_sealed_acked(),
                 Slot::Down(_) => false,
             })
@@ -494,10 +505,10 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         .map(|index| armed(Replica::new(index, group, &founders, config.protocol), config.mutation))
         .collect();
 
-    let mut slots = std::collections::BTreeMap::new();
+    let mut slots: Vec<Option<Slot>> = (0..=config.workers + config.joins).map(|_| None).collect();
     for &id in &founders {
         let node = Node::bootstrap(id, config.protocol, member_bootstrap.clone());
-        slots.insert(id, Slot::Up(Box::new(node)));
+        slots[id as usize] = Some(Slot::Up(Box::new(node)));
     }
 
     let mut queue = EventQueue::new();
@@ -623,32 +634,29 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
             }
             Ev::Deliver { hop, env } => harness.deliver(now, hop, env),
             Ev::Demand { node } => {
-                let servable = matches!(harness.slots.get(&node), Some(Slot::Up(_)))
-                    && !harness.left.contains(&node)
-                    && !harness.draining;
-                if servable {
-                    if let Some(Slot::Up(n)) = harness.slots.get_mut(&node) {
+                let servable = !harness.left.contains(&node) && !harness.draining;
+                match up_node(&mut harness.slots, node) {
+                    Some(n) if servable => {
                         n.demand(now, 1);
+                        harness.flush_node(now, node);
                     }
-                    harness.flush_node(now, node);
-                } else {
-                    harness.stats.demand_skipped += 1;
+                    _ => harness.stats.demand_skipped += 1,
                 }
             }
             Ev::Crash { node } => {
-                let crashed = match harness.slots.get(&node) {
-                    Some(Slot::Up(n)) if !harness.left.contains(&node) => Some(n.durable().clone()),
+                let crashed = match up_node(&mut harness.slots, node) {
+                    Some(n) if !harness.left.contains(&node) => Some(n.durable().clone()),
                     _ => None,
                 };
                 if let Some(durable) = crashed {
-                    harness.slots.insert(node, Slot::Down(durable));
+                    harness.slots[node as usize] = Some(Slot::Down(durable));
                     harness.stats.crashes += 1;
                     harness.record(now, "crash", node, String::new);
                 }
             }
             Ev::Restart { node } => {
-                let durable = match harness.slots.get(&node) {
-                    Some(Slot::Down(d)) => Some(d.clone()),
+                let durable = match harness.slots.get(node as usize) {
+                    Some(Some(Slot::Down(d))) => Some(d.clone()),
                     _ => None,
                 };
                 if let Some(durable) = durable {
@@ -657,34 +665,25 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                     if harness.draining {
                         revived.begin_drain(now);
                     }
-                    harness.slots.insert(node, Slot::Up(Box::new(revived)));
+                    harness.slots[node as usize] = Some(Slot::Up(Box::new(revived)));
                     harness.stats.restarts += 1;
                     harness.record(now, "restart", node, String::new);
                     harness.flush_node(now, node);
                 }
             }
             Ev::Join { node } => {
-                if let std::collections::btree_map::Entry::Vacant(slot) = harness.slots.entry(node)
-                {
-                    slot.insert(Slot::Up(Box::new(Node::fresh(node, config.protocol))));
+                if let Some(slot @ None) = harness.slots.get_mut(node as usize) {
+                    *slot = Some(Slot::Up(Box::new(Node::fresh(node, config.protocol))));
                     harness.stats.joins += 1;
                     harness.record(now, "join", node, String::new);
                 }
             }
             Ev::Leave { node } => {
-                let eligible = match harness.slots.get(&node) {
-                    Some(Slot::Up(n)) => {
-                        !harness.left.contains(&node)
-                            && n.is_joined()
-                            && !harness.draining
-                            && !n.durable().sealed
-                    }
-                    _ => false,
-                };
-                if eligible {
-                    if let Some(Slot::Up(n)) = harness.slots.get_mut(&node) {
-                        n.begin_leave(now);
-                    }
+                let eligible = !harness.left.contains(&node) && !harness.draining;
+                let leaving = up_node(&mut harness.slots, node)
+                    .filter(|n| eligible && n.is_joined() && !n.durable().sealed);
+                if let Some(n) = leaving {
+                    n.begin_leave(now);
                     harness.left.insert(node);
                     harness.stats.leaves += 1;
                     harness.record(now, "leave", node, String::new);
@@ -736,7 +735,8 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         let stuck: Vec<String> = harness
             .slots
             .iter()
-            .filter_map(|(id, slot)| match slot {
+            .enumerate()
+            .filter_map(|(id, slot)| match slot.as_ref()? {
                 Slot::Up(node) if !node.is_sealed_acked() => Some(format!("n{id} unsealed")),
                 Slot::Down(_) => Some(format!("n{id} down")),
                 Slot::Up(_) => None,

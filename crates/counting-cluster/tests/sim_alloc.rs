@@ -56,5 +56,5 @@ fn untraced_simulation_stays_within_its_allocation_budget() {
         "untraced run_sim, 20 seeds: {per_event:.2} allocations per event, {:.1} per value",
         allocations / handed as f64
     );
-    assert!(per_event <= 0.5, "{per_event:.2} allocations per event exceeds the 0.5 budget");
+    assert!(per_event <= 0.15, "{per_event:.2} allocations per event exceeds the 0.15 budget");
 }

@@ -23,14 +23,24 @@
 //! the same tick. The cluster harness in `counting-cluster` wires its
 //! node state machines, churn plan and invariant checker on top.
 //!
-//! The queue keeps two halves. Everything pushed before the first
-//! [`EventQueue::pop`] — a harness's whole pre-drawn plan, thousands of
-//! demand and churn events — is the **planned schedule**: sorted once
-//! by `(at, seq)` and consumed from a `Vec`. Everything pushed
-//! afterwards — in-flight hops, the next tick: tens of entries — lives
-//! in a small binary heap. `pop` takes whichever head has the smaller
-//! `(at, seq)`; sequence numbers are unique across both halves, so the
-//! merged order is exactly that of one heap holding everything.
+//! The queue orders only `(at, seq, slot)` keys; payloads wait in a
+//! slab and are moved once in and once out. The keys live in two
+//! places. Everything pushed before the first [`EventQueue::pop`] — a
+//! harness's whole pre-drawn plan, thousands of demand and churn events
+//! — is the **plan**: one `Vec` sorted once by `(at, seq)`. Everything
+//! pushed afterwards that is due fewer than `RING` (64) ticks after
+//! `now` — in-flight hops, the next tick — goes to the **tick ring**, a
+//! FIFO per tick at `at % RING`. The ring's invariant: every key in it
+//! has `now <= at < now + RING`, so a bucket holds a single `at`, and
+//! because `seq` only grows its FIFO order is `seq` order. A runtime
+//! event due `RING` or more ticks ahead (no shipped harness schedules
+//! one: every delay is bounded well below it) is binary-search-inserted
+//! into the plan instead. `pop` takes the smaller `(at, seq)` of the
+//! plan's head and the first non-empty bucket from `now`; sequence
+//! numbers are unique, so the merged order is exactly that of one
+//! sorted list holding everything.
+
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -184,47 +194,39 @@ impl PartitionWindow {
     }
 }
 
-/// One scheduled entry: ordering key only — the payload never
-/// participates in comparisons, so `E` needs no `Ord`.
-#[derive(Debug)]
-struct Entry<E> {
+/// How many ticks ahead of `now` the tick ring reaches; a runtime push
+/// due this far ahead or further joins the sorted plan.
+const RING: u64 = 64;
+
+/// One scheduled event's ordering key; its payload waits in the slab at
+/// `slot`. `(at, seq)` is unique, so `slot` never decides an order and
+/// `E` needs no `Ord`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: u64,
     seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, the queue pops the
-        // earliest (time, seq) first.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
+    slot: usize,
 }
 
 /// A deterministic discrete-event queue: events pop in `(time, insertion
 /// sequence)` order, so same-tick events resolve in the order they were
 /// scheduled — never by allocation address or hash order. See the
-/// [module docs](self) for the planned-schedule / in-flight-heap split.
+/// [module docs](self) for the plan / tick-ring split.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Pushed before the first pop; from then on sorted latest-first,
-    /// so the earliest entry pops off the back.
-    planned: Vec<Entry<E>>,
-    /// Pushed after the first pop.
-    heap: std::collections::BinaryHeap<Entry<E>>,
-    /// Whether the first pop has happened (`planned` is sorted and
-    /// closed to pushes).
+    /// Payloads, addressed by `Key::slot`; `free` lists the empty
+    /// slots, so a warmed-up queue never allocates.
+    slab: Vec<Option<E>>,
+    free: Vec<usize>,
+    /// Pushed before the first pop, plus runtime pushes due `RING` or
+    /// more ticks ahead; from the first pop on sorted latest-first, so
+    /// the earliest key pops off the back.
+    plan: Vec<Key>,
+    /// Runtime pushes due in `now..now + RING`, one FIFO per tick at
+    /// `at % RING`.
+    ring: Vec<VecDeque<Key>>,
+    in_ring: usize,
+    /// Whether the first pop has happened (`plan` is sorted).
     started: bool,
     next_seq: u64,
     now: u64,
@@ -241,8 +243,11 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            planned: Vec::new(),
-            heap: std::collections::BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            plan: Vec::new(),
+            ring: (0..RING).map(|_| VecDeque::new()).collect(),
+            in_ring: 0,
             started: false,
             next_seq: 0,
             now: 0,
@@ -258,13 +263,13 @@ impl<E> EventQueue<E> {
     /// The number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.planned.len() + self.heap.len()
+        self.plan.len() + self.in_ring
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.planned.is_empty() && self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedules `event` at absolute virtual time `at` (clamped forward
@@ -273,11 +278,22 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: u64, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at: at.max(self.now), seq, event };
-        if self.started {
-            self.heap.push(entry);
+        let slot = if let Some(slot) = self.free.pop() {
+            self.slab[slot] = Some(event);
+            slot
         } else {
-            self.planned.push(entry);
+            self.slab.push(Some(event));
+            self.slab.len() - 1
+        };
+        let key = Key { at: at.max(self.now), seq, slot };
+        if !self.started {
+            self.plan.push(key);
+        } else if key.at - self.now < RING {
+            self.ring[(key.at % RING) as usize].push_back(key);
+            self.in_ring += 1;
+        } else {
+            let index = self.plan.partition_point(|planned| *planned > key);
+            self.plan.insert(index, key);
         }
         seq
     }
@@ -286,19 +302,27 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
         if !self.started {
             self.started = true;
-            // `Entry`'s order is reversed (earliest is greatest), so an
-            // ascending sort leaves the earliest entry at the back.
-            self.planned.sort_unstable();
+            self.plan.sort_unstable_by(|a, b| b.cmp(a));
         }
-        // `(at, seq)` is unique, so the two heads never tie; an empty
-        // half (`None`) orders below every entry.
-        let entry = if self.planned.last() > self.heap.peek() {
-            self.planned.pop()?
-        } else {
-            self.heap.pop()?
+        let planned = self.plan.last().copied();
+        // The ring's earliest key: the first non-empty bucket from `now`,
+        // searched no further than the plan's head.
+        let limit = planned.map_or(u64::MAX, |key| key.at);
+        let bucket = (self.now..=self.now.saturating_add(RING - 1))
+            .take_while(|&at| self.in_ring > 0 && at <= limit)
+            .map(|at| (at % RING) as usize)
+            .find(|&bucket| !self.ring[bucket].is_empty());
+        let key = match bucket {
+            Some(bucket) if planned.is_none_or(|head| self.ring[bucket][0] < head) => {
+                self.in_ring -= 1;
+                self.ring[bucket].pop_front().expect("the bucket was found non-empty")
+            }
+            _ => self.plan.pop()?,
         };
-        self.now = entry.at;
-        Some((entry.at, entry.seq, entry.event))
+        self.now = key.at;
+        let event = self.slab[key.slot].take().expect("a pending key's slot holds its event");
+        self.free.push(key.slot);
+        Some((key.at, key.seq, event))
     }
 }
 
@@ -417,20 +441,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         // The model is a flat list of `(clamped at, seq)` popped by
-        // minimum. `planned` forces pushes before the first pop, the
-        // narrow tick range forces same-tick ties across the two halves
-        // and pushes into the past, the trailing pops drain the rest.
+        // minimum. `planned` forces pushes before the first pop; a
+        // runtime push lands up to one `RING` before `now` (clamped into
+        // the present), inside the ring, or up to two `RING`s ahead (the
+        // far insert into the plan), so ties cross every half and a long
+        // run wraps the ring several times; the trailing pops drain the
+        // rest.
         #[test]
         fn queue_pops_like_a_sorted_reference(
-            planned in collection::vec(0u64..12, 0..10),
-            ops in collection::vec((any::<bool>(), 0u64..12), 0..60),
+            planned in collection::vec(0u64..3 * RING, 0..20),
+            ops in collection::vec((any::<bool>(), 0u64..3 * RING), 0..400),
         ) {
             let mut queue = EventQueue::new();
             let mut reference: Vec<(u64, u64)> = Vec::new();
-            let mut now = 0;
+            let mut now = 0u64;
             let pushes = planned.into_iter().map(|at| (true, at));
-            for (push, at) in pushes.chain(ops).chain([(false, 0); 70]) {
+            for (push, offset) in pushes.chain(ops).chain([(false, 0); 420]) {
                 if push {
+                    let at = now.saturating_sub(RING) + offset;
                     let seq = queue.push(at, ());
                     reference.push((at.max(now), seq));
                 } else {
