@@ -3,16 +3,14 @@
 //! uniform-`k` `next_batch` fast path at 8 threads — the layer buys the
 //! unconditional exact-range guarantee, not a slowdown. All variants run
 //! through the stress driver so every cell pays the same online
-//! invariant-checking overhead and the rates stay comparable. The parked
-//! variant prices the `Park` waiting strategy against the default
-//! spin-yield on the same workload.
+//! invariant-checking overhead and the rates stay comparable.
 
 use std::time::Duration;
 
 use counting::counting_network;
 use counting_runtime::{
-    run_stress, Batching, CentralCounter, EliminationConfig, EliminationCounter, NetworkCounter,
-    Scenario, StressConfig, WaitStrategy,
+    run_stress, Batching, CentralCounter, EliminationCounter, NetworkCounter, Scenario,
+    StressConfig,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -53,15 +51,6 @@ fn bench_elimination(c: &mut Criterion) {
     group.bench_function("C(16,16) mixed-k elim", |b| {
         b.iter(|| {
             let counter = EliminationCounter::new(NetworkCounter::new("C(16,16)", &net));
-            run_stress(&counter, &steady(mixed))
-        });
-    });
-    group.bench_function("C(16,16) mixed-k elim park", |b| {
-        b.iter(|| {
-            let counter = EliminationCounter::with_config(
-                NetworkCounter::new("C(16,16)", &net),
-                EliminationConfig { strategy: WaitStrategy::Park, ..EliminationConfig::default() },
-            );
             run_stress(&counter, &steady(mixed))
         });
     });

@@ -30,7 +30,6 @@ use bench::{Args, Table};
 use counting_sim::model::{explore, replay, Counterexample, ExploreReport, ModelConfig, Scenario};
 
 use counting_runtime::model_scenarios::{arena_pair, arena_probe, arena_trio, arena_trio_mutated};
-use counting_runtime::WaitStrategy;
 use counting_service::model_scenarios::{
     evict_handoff, evict_handoff_mutated, inflate_handoff, inflate_handoff_mutated, rate_straddle,
     rate_straddle_mutated, rate_torn_base_mutated, ticket_admit_bound, ticket_admit_bound_mutated,
@@ -154,8 +153,7 @@ fn main() {
     );
 
     let rows = vec![
-        run_clean(&config, "arena: pair (spin-yield)", || arena_pair(WaitStrategy::SpinYield)),
-        run_clean(&config, "arena: pair (park)", || arena_pair(WaitStrategy::Park)),
+        run_clean(&config, "arena: pair", arena_pair),
         run_clean(&config, "arena: trio, one slot", arena_trio),
         run_clean(&config, "arena: two-slot probe window", arena_probe),
         run_mutation(&config, "arena: skip CLAIMED (seeded)", arena_trio_mutated, arena_trio),

@@ -338,7 +338,6 @@ impl Model {
                     max_k: MAX_BATCH,
                     seed: DEFAULT_SEED,
                     probe: DEFAULT_PROBE,
-                    park: false,
                 };
                 simulate_arena(&config).combining_factor
             })

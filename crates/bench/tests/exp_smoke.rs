@@ -97,18 +97,9 @@ fn exp_stress_quick_prints_tables_and_json() {
     );
 }
 
-/// One shared `--quick` run of `exp_elimination`, reused by every test
-/// that only reads its stdout — the binary now drives the 48-cell E14c
-/// matrix (whose park cells sleep on futile offers), so re-spawning it
-/// per assertion would triple the suite's wall-clock for nothing.
-fn exp_elimination_quick_stdout() -> &'static str {
-    static STDOUT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-    STDOUT.get_or_init(|| run_quick(env!("CARGO_BIN_EXE_exp_elimination"), &["--quick"]))
-}
-
 #[test]
 fn exp_elimination_quick_prints_tables_and_passes_its_gate() {
-    let stdout = exp_elimination_quick_stdout();
+    let stdout = run_quick(env!("CARGO_BIN_EXE_exp_elimination"), &["--quick"]);
     assert!(stdout.lines().any(|l| l.starts_with("| ")), "no Markdown table:\n{stdout}");
     assert!(stdout.lines().any(|l| l.starts_with("## ")), "no section heading:\n{stdout}");
     // Demonstration cells (raw mixed-size strides) may report gaps, but
@@ -118,83 +109,23 @@ fn exp_elimination_quick_prints_tables_and_passes_its_gate() {
         !stdout.lines().any(|l| l.starts_with("| ") && l.contains("BROKEN")),
         "elimination matrix reported an unexpected violation:\n{stdout}"
     );
-    // All three tables are present: the rate matrix, the
-    // measured-vs-model arena statistics, and the strategy comparison.
+    // Both tables are present: the rate matrix and the measured-vs-model
+    // arena statistics.
     assert!(stdout.contains("E14b"), "missing arena statistics table:\n{stdout}");
     assert!(stdout.contains("model (counting-sim)"), "missing model row:\n{stdout}");
-    assert!(stdout.contains("E14c"), "missing waiting-strategy table:\n{stdout}");
 }
 
 #[test]
-fn exp_elimination_quick_park_out_merges_spin_yield_when_oversubscribed() {
-    // The E14c gate: parking exists to make arena rendezvous land when
-    // runnable worker threads outnumber cpus (a spinning waiter owns its
-    // only core, so its partner can never arrive). On such a box the
-    // aggregate park merge rate across the 4-counter × 6-scenario matrix
-    // must beat spin-yield's; on a box with enough cores the comparison
-    // is not meaningful (spinning already rendezvouses) and only the
-    // matrix's zero-violation gate applies (enforced by the exit status).
-    // The assertion requires *strong* oversubscription (threads ≥ 2 ×
-    // cpus): under mild oversubscription (e.g. 8 threads on 6 cpus) most
-    // spinning waiters still have a genuinely parallel partner, the two
-    // aggregates converge, and a strict inequality over quick-mode
-    // sample sizes would flake.
-    let stdout = exp_elimination_quick_stdout();
-    let marker = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("E14c-oversubscribed="))
-        .expect("missing E14c-oversubscribed line");
-    let field = |key: &str| -> u64 {
-        marker
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("missing {key} in marker line: {marker}"))
-            .parse()
-            .expect("marker field parses")
-    };
-    let (threads, cpus) = (field("threads"), field("cpus"));
-    assert_eq!(marker.starts_with("true"), threads > cpus, "flag must match the counts");
-    let strongly_oversubscribed = threads >= 2 * cpus;
-    let rate = |strategy: &str| -> f64 {
-        let prefix = format!("E14c-aggregate strategy={strategy} merge_rate=");
-        stdout
-            .lines()
-            .find_map(|l| l.strip_prefix(&prefix))
-            .unwrap_or_else(|| panic!("missing aggregate line for {strategy}:\n{stdout}"))
-            .trim()
-            .parse()
-            .expect("merge rate parses")
-    };
-    let park = rate("park");
-    let spin_yield = rate("spin-yield");
-    assert!((0.0..=1.0).contains(&park) && (0.0..=1.0).contains(&spin_yield));
-    if strongly_oversubscribed {
-        assert!(
-            park > spin_yield,
-            "threads ({threads}) ≥ 2 × cpus ({cpus}), so park ({park}) must out-merge \
-             spin-yield ({spin_yield}):\n{stdout}"
-        );
-    }
-}
-
-#[test]
-fn exp_elimination_quick_writes_json_file_and_honors_strategy_flag() {
+fn exp_elimination_quick_writes_json_file() {
     let path =
         std::env::temp_dir().join(format!("exp_elimination_smoke_{}.json", std::process::id()));
     let path_str = path.to_str().expect("utf-8 temp path");
-    let stdout = run_quick(
-        env!("CARGO_BIN_EXE_exp_elimination"),
-        &["--quick", "--json", path_str, "--strategy", "park"],
-    );
+    let stdout = run_quick(env!("CARGO_BIN_EXE_exp_elimination"), &["--quick", "--json", path_str]);
     assert!(stdout.contains("JSON written to"), "missing file notice:\n{stdout}");
-    assert!(stdout.contains("strategy park"), "E14 heading must name the strategy:\n{stdout}");
     let json = std::fs::read_to_string(&path).expect("JSON file written");
-    assert!(json.contains("\"strategy\":\"park\""), "missing selected strategy: {json}");
     assert!(json.contains("\"stress\":["), "missing stress reports: {json}");
     assert!(json.contains("\"arena_measured\":["), "missing measured arena stats: {json}");
     assert!(json.contains("\"arena_model\":{"), "missing model report: {json}");
-    assert!(json.contains("\"strategy_matrix\":["), "missing E14c matrix: {json}");
-    assert!(json.contains("\"strategy_aggregates\":["), "missing E14c aggregates: {json}");
     // The elimination-path reports must be exact; raw mixed-stride
     // demonstrations may gap but must never duplicate.
     assert_every_report_has_zero(&json, "duplicates");
@@ -463,16 +394,19 @@ fn exp_stress_quick_writes_json_file() {
 #[test]
 fn exp_stress_rejects_a_misspelt_flag_and_names_the_known_ones() {
     // Strict flag parsing (`bench::args`): `--quik` must not silently run
-    // the full-size matrix.
-    let output = Command::new(env!("CARGO_BIN_EXE_exp_stress"))
-        .arg("--quik")
-        .output()
-        .expect("binary should spawn");
-    assert_eq!(output.status.code(), Some(2), "a misspelt flag is a usage error");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("`--quik`"), "offending flag not echoed:\n{stderr}");
-    assert!(stderr.contains("--quick") && stderr.contains("--json"), "known flags:\n{stderr}");
-    assert!(output.stdout.is_empty(), "no experiment may have started");
+    // the full-size matrix, and the removed `--strategy park` must not
+    // silently run the arena it no longer selects.
+    for (exe, args, bad) in [
+        (env!("CARGO_BIN_EXE_exp_stress"), &["--quik"][..], "`--quik`"),
+        (env!("CARGO_BIN_EXE_exp_elimination"), &["--quick", "--strategy", "park"], "`--strategy`"),
+    ] {
+        let output = Command::new(exe).args(args).output().expect("binary should spawn");
+        assert_eq!(output.status.code(), Some(2), "{exe}: a bad flag is a usage error");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(bad), "{exe}: offending flag not echoed:\n{stderr}");
+        assert!(stderr.contains("--quick") && stderr.contains("--json"), "known flags:\n{stderr}");
+        assert!(output.stdout.is_empty(), "{exe}: no experiment may have started");
+    }
 }
 
 /// Smoke for the interleaving checker: only compiled when the bench

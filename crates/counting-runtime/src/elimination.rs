@@ -37,29 +37,20 @@
 //! deposit (bounded by the partner's single reservation, exactly like the
 //! prism's `CAPTURED` state).
 //!
-//! # Waiting strategies
+//! # Waiting
 //!
-//! *How* the publisher of an offer waits for a partner is pluggable — a
-//! [`WaitStrategy`] chosen per arena (see [`crate::waiting`] for the full
-//! trade-off discussion):
+//! A publisher waits by spin-then-yield: one burst of up to `spin` loads
+//! ([`DEFAULT_SPIN`] in the arena `new` builds), then, on every 8th of
+//! its own timeouts, one `yield_now` and a second burst. The burst catches a
+//! partner running on another core within nanoseconds; the amortized
+//! yield is a best-effort hedge for threads that outnumber cores (the
+//! scheduler may decline it, so there most offers still expire).
 //!
-//! * [`WaitStrategy::SpinYield`] (the default) spins, then adds one
-//!   amortized `yield_now` and a second spin burst — a best-effort hedge
-//!   that the scheduler may decline, so on an oversubscribed box most
-//!   offers still expire unclaimed;
-//! * [`WaitStrategy::Park`] sleeps on a `parking_lot`-backed
-//!   [`crate::waiting::ParkTable`] seat keyed by the arena slot, and the
-//!   claimer wakes the sleeper right after depositing `FILLED(base)` —
-//!   the robust choice when runnable threads outnumber cpus, because the
-//!   publisher *surrenders* its core to the potential partner instead of
-//!   hoping the scheduler hands it over.
-//!
-//! Offering is **adaptive** regardless of strategy: successful merges
-//! refund offering credit while futile timeouts drain it (parked
-//! timeouts drain faster — they cost a sleep, not just a spin burst), so
-//! a workload whose collisions land keeps the arena hot, and one where
-//! they cannot quiets down to near-solo fast-path cost, with a periodic
-//! retry to re-detect contention.
+//! Offering is **adaptive**: successful merges refund offering credit
+//! while futile timeouts drain it, so a workload whose collisions land
+//! keeps the arena hot, and one where they cannot quiets down to
+//! near-solo fast-path cost, with a periodic retry to re-detect
+//! contention.
 //!
 //! The credit obeys a **break-even rule**. A merged pair saves one inner
 //! reservation; a futile offer costs one spin burst, which under
@@ -77,15 +68,22 @@
 //! # Multi-slot probing
 //!
 //! Each operation owns a *home* slot (a Fibonacci hash of its thread id)
-//! and probes a window of up to [`EliminationConfig::probe`] adjacent
-//! slots: the capture scan claims the first published offer it finds, and
-//! a publisher whose home slot is busy spills its offer into the next
-//! empty slot of the window. The window width is driven by the same
-//! merge-credit score that gates offering — while credit is high
-//! (collisions land in home slots) the window stays at 1 and the fast
-//! path costs a single load; as futile timeouts drain the credit the
-//! window widens toward the configured maximum, trading a few extra loads
-//! for a better chance of meeting a partner parked one slot over.
+//! and probes a window of adjacent slots: the capture scan claims the
+//! first published offer it finds, and a publisher whose home slot is
+//! busy spills its offer into the next empty slot of the window. The
+//! window is driven by the same merge-credit score that gates offering:
+//! while credit remains it is 1 and the fast path costs a single load;
+//! once futile timeouts have drained the credit it widens to
+//! [`DEFAULT_PROBE`] slots (clamped to the arena), trading one extra load
+//! for a chance of meeting a partner waiting one slot over.
+//!
+//! The window is fixed at 2 because the service's inflation threshold
+//! rests on it. E15 derives `n*` from `counting-sim`'s arena model in this
+//! geometry (4 slots, 4 rounds of patience, blocks of 1..=4), and the
+//! model's operations per reservation κ(n) move with the window: a window
+//! of 1 gives κ(1..=4) = 1 and derives `n*` = 5, a window of 2 gives
+//! κ(4) = 2 and derives 4 (`INFLATE_CONTENDERS`), and a window of 4
+//! derives 3. `counting_sim::elimination`'s tests pin the κ half of that.
 //!
 //! A finding recorded, not fixed: with no more threads than slots the
 //! Fibonacci hash gives every thread a *private* home slot, and while
@@ -99,13 +97,39 @@
 //! slot, so `threads / 2` slots saturate a steady workload; the default
 //! of [`DEFAULT_SLOTS`] suits the 8-thread torture configurations used
 //! throughout this repository. `counting-sim::elimination` models the
-//! same protocol deterministically — including parked waiters, as offers
-//! that skip rounds instead of losing patience — so measured collision
-//! rates can be compared against schedule-controlled predictions.
+//! same protocol deterministically, so measured collision rates can be
+//! compared against schedule-controlled predictions.
+//!
+//! # Worked example: a captured offer
+//!
+//! Two threads collide on a one-slot arena whose huge spin bound stands
+//! in for "wait until captured". Whichever arrives second captures the
+//! first one's offer and makes **one** reservation of `3 + 5 = 8`:
+//!
+//! ```
+//! use counting_runtime::{CentralCounter, EliminationCounter, SharedCounter};
+//!
+//! let counter = EliminationCounter::with_arena(CentralCounter::new(), 1, 2_000_000_000);
+//! let (first, second) = std::thread::scope(|scope| {
+//!     let first = scope.spawn(|| {
+//!         let mut out = Vec::new();
+//!         counter.next_batch(0, 3, &mut out); // offers 3, waits
+//!         out
+//!     });
+//!     std::thread::sleep(std::time::Duration::from_millis(100));
+//!     let mut out = Vec::new();
+//!     counter.next_batch(1, 5, &mut out); // captures, reserves 8, deposits
+//!     (first.join().expect("no panic"), out)
+//! });
+//! assert_eq!((counter.collisions(), counter.fallbacks()), (2, 0), "both sides merged");
+//! let mut all = [first, second].concat();
+//! all.sort();
+//! assert_eq!(all, (0..8).collect::<Vec<u64>>(), "the block tiles 0..8 exactly");
+//! assert_eq!(counter.into_inner().next(0), 8, "the inner counter moved exactly once");
+//! ```
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
 
@@ -114,25 +138,20 @@ use crate::counter::{BlockReserve, SharedCounter};
 // on, in which case every operation is a scheduling point of the
 // exhaustive interleaving explorer (see crate::sync).
 use crate::sync::{AtomicI64, AtomicU64};
-use crate::waiting::{ParkTable, WaitStrategy};
 
-/// Default number of exchanger slots in the arena.
+/// Number of exchanger slots in the arena [`EliminationCounter::new`]
+/// builds.
 pub const DEFAULT_SLOTS: usize = 4;
-/// Default spin bound while waiting for a collision partner (the bound of
-/// one spin burst; what follows a fruitless burst is the
-/// [`WaitStrategy`]'s business). Kept small: a timed-out offer must cost
-/// only short bursts on top of the solo reservation, keeping the layer at
-/// parity with the raw fast path when no partner ever shows up.
+/// Spin bound of [`EliminationCounter::new`]'s arena while waiting for a
+/// collision partner (the bound of one spin burst). Kept small: a
+/// timed-out offer must cost only short bursts on top of the solo
+/// reservation, keeping the layer at parity with the raw fast path when
+/// no partner ever shows up.
 pub const DEFAULT_SPIN: usize = 16;
-/// Default maximum probe window: how many adjacent slots an operation is
-/// willing to scan for a partner (and to spill its offer into) once the
-/// merge-credit score says home-slot collisions are not landing.
+/// The widest probe window: how many adjacent slots an operation scans
+/// for a partner (and spills its offer into) once the merge-credit score
+/// says home-slot collisions are not landing.
 pub const DEFAULT_PROBE: usize = 2;
-/// Default time a [`WaitStrategy::Park`] offer sleeps before retracting.
-/// Sized to cover a few scheduler timeslices on an oversubscribed box —
-/// the partner must get scheduled *and* reach the arena within this
-/// window for the rendezvous to land.
-pub const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_millis(3);
 
 const TAG_MASK: u64 = 0b11;
 const EMPTY: u64 = 0b00;
@@ -146,57 +165,13 @@ fn pack(payload: u64, tag: u64) -> u64 {
     (payload << 2) | tag
 }
 
-/// Geometry and waiting policy of one elimination arena, consumed by
-/// [`EliminationCounter::with_config`].
-///
-/// The `..Default::default()` idiom keeps call sites readable:
-///
-/// ```
-/// use counting_runtime::{EliminationConfig, WaitStrategy};
-///
-/// let config = EliminationConfig { strategy: WaitStrategy::Park, ..EliminationConfig::default() };
-/// assert_eq!(config.slots, counting_runtime::elimination::DEFAULT_SLOTS);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EliminationConfig {
-    /// Number of exchanger slots ([`DEFAULT_SLOTS`]; must be `> 0`).
-    pub slots: usize,
-    /// Iterations of one partner-wait spin burst ([`DEFAULT_SPIN`]; `0`
-    /// disables offering entirely, so every operation either captures an
-    /// already-published offer or reserves solo).
-    pub spin: usize,
-    /// How a published offer waits for its partner (default
-    /// [`WaitStrategy::SpinYield`]).
-    pub strategy: WaitStrategy,
-    /// Maximum probe window in slots ([`DEFAULT_PROBE`]; must be `> 0`,
-    /// values beyond `slots` are clamped). The *effective* window adapts
-    /// between `1` and this bound with the merge-credit score (see the
-    /// module docs).
-    pub probe: usize,
-    /// How long a [`WaitStrategy::Park`] offer sleeps before retracting
-    /// ([`DEFAULT_PARK_TIMEOUT`]; ignored by the spinning strategies).
-    pub park_timeout: Duration,
-}
-
-impl Default for EliminationConfig {
-    fn default() -> Self {
-        Self {
-            slots: DEFAULT_SLOTS,
-            spin: DEFAULT_SPIN,
-            strategy: WaitStrategy::default(),
-            probe: DEFAULT_PROBE,
-            park_timeout: DEFAULT_PARK_TIMEOUT,
-        }
-    }
-}
-
 /// An elimination/combining layer in front of a [`BlockReserve`] counter.
 ///
 /// Implements [`SharedCounter`] (and [`BlockReserve`], so layers compose):
 /// every operation — `next`, `next_batch` with *any* `k` — routes through
 /// the arena and ends in a contiguous block reservation, merged with a
 /// partner's when a collision succeeds. See the module docs for the
-/// protocol, the waiting strategies and the guarantee.
+/// protocol and the guarantee.
 ///
 /// The layer takes ownership of the counter it wraps: on network-backed
 /// counters the block cursor is a value stream disjoint from the stride
@@ -206,11 +181,10 @@ impl Default for EliminationConfig {
 pub struct EliminationCounter<C: BlockReserve> {
     inner: C,
     slots: Box<[CachePadded<AtomicU64>]>,
-    config: EliminationConfig,
-    /// Parking seats for [`WaitStrategy::Park`], one per slot (allocated
-    /// unconditionally — a seat is two pointer-sized primitives — so the
-    /// strategy never changes the arena's shape).
-    parking: ParkTable,
+    /// Iterations of one partner-wait spin burst (`0` disables offering
+    /// entirely, so every operation either captures an already-published
+    /// offer or reserves solo).
+    spin: usize,
     /// Outcome counts, one shard per slot, summed on read: every solo
     /// operation bumps one, so they stay off the line of the read-mostly
     /// fields above, and a thread with a home slot of its own writes a
@@ -218,8 +192,8 @@ pub struct EliminationCounter<C: BlockReserve> {
     stats: Box<[CachePadded<SlotStats>]>,
     /// Adaptive offering score: merges replenish it, futile timeouts
     /// drain it; offers are only published while it is positive (see
-    /// [`Self::should_offer`]) and the probe window widens as it drains
-    /// (see [`Self::probe_window`]).
+    /// [`Self::should_offer`]) and the probe window widens once it is
+    /// drained (see [`Self::probe_window`]).
     score: CachePadded<AtomicI64>,
 }
 
@@ -235,19 +209,18 @@ struct SlotStats {
     fallbacks: AtomicU64,
 }
 
-/// One in this many timed-out [`WaitStrategy::SpinYield`] offers yields
-/// the core before retracting. Yielding is what lets a partner run at all
-/// when threads outnumber cores, but it is a syscall (~0.5 µs even when
-/// the scheduler declines), so it is amortized over several offers
-/// instead of paid on every one.
+/// One in this many timed-out offers yields the core before retracting.
+/// Yielding is what lets a partner run at all when threads outnumber
+/// cores, but it is a syscall (~0.5 µs even when the scheduler declines),
+/// so it is amortized over several offers instead of paid on every one.
 const YIELD_PERIOD: u64 = 8;
 
 thread_local! {
-    /// Per-waiter [`WaitStrategy::SpinYield`] timeout count, driving the
-    /// amortized-yield cadence. Thread-local on purpose: every waiter
-    /// yields on exactly every [`YIELD_PERIOD`]-th of *its own* timeouts.
-    /// (Shared across arenas on one thread — the cadence is a fairness
-    /// guarantee per thread, not an arena statistic.)
+    /// Per-waiter timeout count, driving the amortized-yield cadence.
+    /// Thread-local on purpose: every waiter yields on exactly every
+    /// [`YIELD_PERIOD`]-th of *its own* timeouts. (Shared across arenas on
+    /// one thread — the cadence is a fairness guarantee per thread, not an
+    /// arena statistic.)
     static YIELD_TICKS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -261,52 +234,34 @@ const INITIAL_SCORE: i64 = 256;
 /// arena stays hot only while collisions actually land.
 const MERGE_BONUS: i64 = 1;
 
-/// How much offering credit one futile *parked* timeout drains. A parked
-/// miss costs a whole [`EliminationConfig::park_timeout`] sleep where a
-/// spinning miss costs a burst of loads, so the arena must conclude much
-/// sooner that nobody is coming.
-const PARK_TIMEOUT_PENALTY: i64 = 16;
-
 /// With the score drained, one in this many solo operations still
 /// publishes an offer, so a quiet arena re-detects partner populations
 /// (e.g. after a burst arrives or the scheduler starts cooperating).
 const OFFER_RETRY_PERIOD: u64 = 64;
 
 impl<C: BlockReserve> EliminationCounter<C> {
-    /// Wraps `inner` with the default arena ([`EliminationConfig`]).
+    /// Wraps `inner` with the arena the service builds: [`DEFAULT_SLOTS`]
+    /// slots and a spin bound of [`DEFAULT_SPIN`].
     #[must_use]
     pub fn new(inner: C) -> Self {
-        Self::with_config(inner, EliminationConfig::default())
+        Self::with_arena(inner, DEFAULT_SLOTS, DEFAULT_SPIN)
     }
 
     /// Wraps `inner` with `slots` exchanger slots and a partner-wait spin
-    /// bound of `spin` iterations per burst, keeping the default
-    /// [`WaitStrategy::SpinYield`] waiting and probe window (equivalent
-    /// to [`Self::with_config`] with only those two fields changed).
+    /// bound of `spin` iterations per burst. Tests and model scenarios use
+    /// it for one- and two-slot arenas with tiny (or huge) spin bounds.
     ///
     /// # Panics
     ///
     /// Panics if `slots` is zero.
     #[must_use]
     pub fn with_arena(inner: C, slots: usize, spin: usize) -> Self {
-        Self::with_config(inner, EliminationConfig { slots, spin, ..EliminationConfig::default() })
-    }
-
-    /// Wraps `inner` with a fully specified arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.slots` or `config.probe` is zero.
-    #[must_use]
-    pub fn with_config(inner: C, config: EliminationConfig) -> Self {
-        assert!(config.slots > 0, "the arena needs at least one slot");
-        assert!(config.probe > 0, "the probe window needs at least one slot");
+        assert!(slots > 0, "the arena needs at least one slot");
         Self {
             inner,
-            slots: (0..config.slots).map(|_| CachePadded::new(AtomicU64::new(EMPTY))).collect(),
-            parking: ParkTable::new(config.slots),
-            config,
-            stats: (0..config.slots)
+            slots: (0..slots).map(|_| CachePadded::new(AtomicU64::new(EMPTY))).collect(),
+            spin,
+            stats: (0..slots)
                 .map(|_| SlotStats { collisions: AtomicU64::new(0), fallbacks: AtomicU64::new(0) })
                 .map(CachePadded::new)
                 .collect(),
@@ -326,24 +281,6 @@ impl<C: BlockReserve> EliminationCounter<C> {
     #[must_use]
     pub fn into_inner(self) -> C {
         self.inner
-    }
-
-    /// The arena's geometry and waiting policy.
-    #[must_use]
-    pub fn config(&self) -> EliminationConfig {
-        self.config
-    }
-
-    /// The number of exchanger slots in the arena.
-    #[must_use]
-    pub fn arena_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The waiting strategy published offers use.
-    #[must_use]
-    pub fn strategy(&self) -> WaitStrategy {
-        self.config.strategy
     }
 
     /// Operations that merged with a partner (both sides counted, so the
@@ -368,25 +305,21 @@ impl<C: BlockReserve> EliminationCounter<C> {
         thread_id.wrapping_mul(0x9E37_79B9) % self.slots.len()
     }
 
-    /// The effective probe window, in slots. Driven by the merge-credit
-    /// score: while credit is high, collisions are landing in home slots
-    /// and the window stays at 1 (the fast path costs one load); as
-    /// futile timeouts drain the credit the window widens — half the
-    /// configured maximum while some credit remains, the full maximum
-    /// once it is gone — to look for partners parked a slot over.
+    /// The effective probe window, in slots: 1 while the merge-credit
+    /// score is positive (collisions are landing in home slots and the
+    /// fast path costs one load), [`DEFAULT_PROBE`] clamped to the arena
+    /// once futile timeouts have drained it, to look for partners waiting
+    /// a slot over.
     fn probe_window(&self) -> usize {
-        let limit = self.config.probe.min(self.slots.len());
+        let limit = DEFAULT_PROBE.min(self.slots.len());
         if limit <= 1 {
             return limit;
         }
         // Acquire: this load feeds a control decision (how many slots the
         // capture scan visits), so it must observe the credits published
         // by other threads' merges, not an arbitrarily stale value.
-        let score = self.score.load(Ordering::Acquire);
-        if score > INITIAL_SCORE / 2 {
+        if self.score.load(Ordering::Acquire) > 0 {
             1
-        } else if score > 0 {
-            limit.div_ceil(2)
         } else {
             limit
         }
@@ -415,14 +348,14 @@ impl<C: BlockReserve> EliminationCounter<C> {
         self.score.fetch_add(MERGE_BONUS, Ordering::AcqRel);
     }
 
-    /// Drains offering credit after a futile timeout, floored so a cold
-    /// phase of any length digs a hole of bounded depth: re-detection
-    /// takes at most `INITIAL_SCORE` merged retries, however long the
-    /// arena sat quiet.
-    fn drain_score(&self, penalty: i64) {
+    /// Drains one unit of offering credit after a futile timeout, floored
+    /// so a cold phase of any length digs a hole of bounded depth:
+    /// re-detection takes at most `INITIAL_SCORE` merged retries, however
+    /// long the arena sat quiet.
+    fn drain_score(&self) {
         // AcqRel/Release: the drained credit gates other threads'
         // offer/probe decisions, so it must publish (see credit_merge).
-        if self.score.fetch_sub(penalty, Ordering::AcqRel) <= -INITIAL_SCORE {
+        if self.score.fetch_sub(1, Ordering::AcqRel) <= -INITIAL_SCORE {
             self.score.store(-INITIAL_SCORE, Ordering::Release);
         }
     }
@@ -437,8 +370,8 @@ impl<C: BlockReserve> EliminationCounter<C> {
     }
 
     /// Tries to capture the offer observed in slot `idx` and combine with
-    /// it: one reservation for the sum, the waiter's share deposited back
-    /// (waking its parked publisher if this arena parks), ours returned.
+    /// it: one reservation for the sum, the waiter's share deposited back,
+    /// ours returned.
     fn try_capture(&self, idx: usize, observed: u64, thread_id: usize, k: usize) -> Option<u64> {
         let slot = &self.slots[idx];
         if crate::sync::mutation_enabled("arena-skip-claimed") {
@@ -460,11 +393,6 @@ impl<C: BlockReserve> EliminationCounter<C> {
         // sub-block (it arrived first), we take the rest.
         let base = self.inner.reserve_block(thread_id, partner_k + k);
         slot.store(pack(base, FILLED), Ordering::Release);
-        if self.config.strategy == WaitStrategy::Park {
-            // The deposit is observable (Release store above), so the
-            // seat's lock/notify pair cannot let the sleeper miss it.
-            self.parking.unpark(idx);
-        }
         self.credit_merge(idx);
         Some(base + partner_k as u64)
     }
@@ -473,7 +401,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
     /// partner deposited during the burst.
     fn spin_burst(&self, idx: usize) -> Option<u64> {
         let slot = &self.slots[idx];
-        for _ in 0..self.config.spin {
+        for _ in 0..self.spin {
             let word = slot.load(Ordering::Acquire);
             if word & TAG_MASK == FILLED {
                 return Some(self.take_fill(idx, word));
@@ -483,59 +411,40 @@ impl<C: BlockReserve> EliminationCounter<C> {
         None
     }
 
-    /// Waits for a partner to fill the offer we published in slot `idx`,
-    /// according to the arena's [`WaitStrategy`]. Returns the merged base
-    /// on success and `None` once the offer has been retracted (the
-    /// caller then reserves solo). An offer captured concurrently with
-    /// its timeout is *obligated* and waits for the deposit.
+    /// Waits for a partner to fill the offer we published in slot `idx`
+    /// (see "Waiting" in the module docs). Returns the merged base on
+    /// success and `None` once the offer has been retracted (the caller
+    /// then reserves solo). An offer captured concurrently with its
+    /// timeout is *obligated* and waits for the deposit.
     fn wait_for_fill(&self, idx: usize, offer: u64) -> Option<u64> {
-        let slot = &self.slots[idx];
-        // First burst — common to all strategies: catches partners that
-        // arrive in parallel on another core within nanoseconds.
+        // The first burst catches partners that arrive in parallel on
+        // another core within nanoseconds.
         if let Some(base) = self.spin_burst(idx) {
             return Some(base);
         }
-        match self.config.strategy {
-            WaitStrategy::SpinYield => {
-                self.drain_score(1);
-                // A fraction of timeouts hands the core to a potential
-                // partner (spinning alone can never rendezvous when
-                // threads outnumber cores) and gives the returned-from-
-                // yield slice one more burst. The cadence is per-waiter:
-                // counted in a shared word, other threads' timeouts could
-                // keep one thread permanently off the period boundary and
-                // starve its yields.
-                let tick = YIELD_TICKS.with(|t| {
-                    let tick = t.get();
-                    t.set(tick.wrapping_add(1));
-                    tick
-                });
-                if tick.is_multiple_of(YIELD_PERIOD) {
-                    crate::sync::model_yield();
-                    if let Some(base) = self.spin_burst(idx) {
-                        return Some(base);
-                    }
-                }
-            }
-            WaitStrategy::Park => {
-                // Sleep until the claimer's unpark (or the timeout). The
-                // park *is* the rendezvous mechanism here: the surrendered
-                // core is exactly what the partner needs to reach us.
-                let filled = || slot.load(Ordering::Acquire) & TAG_MASK == FILLED;
-                if self.parking.park_until(idx, self.config.park_timeout, filled) {
-                    let word = slot.load(Ordering::Acquire);
-                    return Some(self.take_fill(idx, word));
-                }
-                // Only a *futile* park pays the heavy penalty — a claimed
-                // one was the strategy working as intended (and earns the
-                // merge bonus in take_fill above).
-                self.drain_score(PARK_TIMEOUT_PENALTY);
+        self.drain_score();
+        // A fraction of timeouts hands the core to a potential partner
+        // (spinning alone can never rendezvous when threads outnumber
+        // cores) and gives the returned-from-yield slice one more burst.
+        // The cadence is per-waiter: counted in a shared word, other
+        // threads' timeouts could keep one thread permanently off the
+        // period boundary and starve its yields.
+        let tick = YIELD_TICKS.with(|t| {
+            let tick = t.get();
+            t.set(tick.wrapping_add(1));
+            tick
+        });
+        if tick.is_multiple_of(YIELD_PERIOD) {
+            crate::sync::model_yield();
+            if let Some(base) = self.spin_burst(idx) {
+                return Some(base);
             }
         }
         // Timed out: retract the offer — unless a partner claimed it
         // concurrently, in which case the combined reservation is already
         // being made on our behalf and we must take the deposit (cf. the
         // prism's CAPTURED state).
+        let slot = &self.slots[idx];
         if slot.compare_exchange(offer, EMPTY, Ordering::AcqRel, Ordering::Acquire).is_err() {
             return Some(self.await_obligated_fill(idx));
         }
@@ -547,20 +456,6 @@ impl<C: BlockReserve> EliminationCounter<C> {
     /// its one `reserve_block` call.
     fn await_obligated_fill(&self, idx: usize) -> u64 {
         let slot = &self.slots[idx];
-        if self.config.strategy == WaitStrategy::Park {
-            let filled = || slot.load(Ordering::Acquire) & TAG_MASK == FILLED;
-            loop {
-                let word = slot.load(Ordering::Acquire);
-                if word & TAG_MASK == FILLED {
-                    return self.take_fill(idx, word);
-                }
-                // The seat's check-under-lock makes a missed wakeup
-                // impossible; the timeout only re-arms the loop if the
-                // partner is descheduled mid-reservation for longer than
-                // one park interval.
-                let _ = self.parking.park_until(idx, self.config.park_timeout, filled);
-            }
-        }
         let mut spins = 0u32;
         loop {
             let word = slot.load(Ordering::Acquire);
@@ -609,7 +504,7 @@ impl<C: BlockReserve> EliminationCounter<C> {
 
         // Publish our own offer in the first empty slot of the window and
         // wait for a capturer.
-        if self.config.spin > 0 && self.should_offer(home) {
+        if self.spin > 0 && self.should_offer(home) {
             let offer = pack(k as u64, OFFER);
             for i in 0..window {
                 let idx = (home + i) % self.slots.len();
@@ -664,12 +559,7 @@ impl<C: BlockReserve> SharedCounter for EliminationCounter<C> {
     }
 
     fn describe(&self) -> String {
-        format!(
-            "{} + elim[{}:{}]",
-            self.inner.describe(),
-            self.slots.len(),
-            self.config.strategy.label()
-        )
+        format!("{} + elim[{}]", self.inner.describe(), self.slots.len())
     }
 }
 
@@ -693,7 +583,6 @@ mod tests {
     use counting::counting_network;
     use std::collections::HashSet;
     use std::sync::Mutex;
-    use std::time::Instant;
 
     fn assert_exact_range(values: &[u64]) {
         let m = values.len() as u64;
@@ -702,31 +591,12 @@ mod tests {
         assert!(values.iter().all(|&v| v < m), "values must tile 0..{m}");
     }
 
-    /// A Park-strategy arena with the given geometry and timeout.
-    fn park_counter<C: BlockReserve>(
-        inner: C,
-        slots: usize,
-        spin: usize,
-        park_timeout: Duration,
-    ) -> EliminationCounter<C> {
-        EliminationCounter::with_config(
-            inner,
-            EliminationConfig {
-                slots,
-                spin,
-                strategy: WaitStrategy::Park,
-                park_timeout,
-                ..EliminationConfig::default()
-            },
-        )
-    }
-
     // --- deterministic collide / merge / split --------------------------
 
     #[test]
     fn parked_waiter_and_capturer_split_one_contiguous_block() {
-        // A waiter parks its offer of 3 (a huge spin bound stands in for a
-        // preempted thread); a second caller captures it with a request of
+        // A waiter publishes an offer of 3 (a huge spin bound stands in for
+        // a preempted thread); a second caller captures it with a request of
         // 5. One combined reservation of 8 must be split gap-free: the
         // waiter takes 0..3, the capturer 3..8, and the inner cursor moved
         // exactly once.
@@ -755,7 +625,7 @@ mod tests {
     #[test]
     fn capturing_a_planted_offer_merges_and_deposits_the_first_sub_block() {
         // Drive the claim path deterministically: plant an OFFER word of
-        // size 4 as if a waiter had parked it, then call with k = 2. The
+        // size 4 as if a waiter had published it, then call with k = 2. The
         // call must capture, reserve 6 in one block, deposit base 0 for
         // the "waiter" and keep 4..6 for itself.
         let counter = EliminationCounter::with_arena(CentralCounter::new(), 1, 64);
@@ -816,136 +686,21 @@ mod tests {
         assert_eq!(counter.collisions(), 1);
     }
 
-    // --- park / unpark protocol -----------------------------------------
-
-    #[test]
-    fn parked_offer_is_woken_by_its_claimer() {
-        // Park strategy with a one-minute timeout: completing at all
-        // proves the waiter was *woken* by the claimer's unpark rather
-        // than saved by its own timeout, and the merged split must be
-        // identical to the spinning protocol's.
-        let counter = park_counter(CentralCounter::new(), 1, 4, Duration::from_secs(60));
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                let mut out = Vec::new();
-                counter.next_batch(0, 3, &mut out);
-                out
-            });
-            while counter.slots[0].load(Ordering::Acquire) & TAG_MASK != OFFER {
-                std::thread::yield_now();
-            }
-            let mut capturer = Vec::new();
-            counter.next_batch(1, 5, &mut capturer);
-            let waiter = waiter.join().expect("waiter panicked");
-            assert_eq!(waiter, vec![0, 1, 2]);
-            assert_eq!(capturer, vec![3, 4, 5, 6, 7]);
-        });
-        assert!(start.elapsed() < Duration::from_secs(50), "the wakeup must beat the timeout");
-        assert_eq!(counter.collisions(), 2);
-        assert_eq!(counter.fallbacks(), 0);
-        assert_eq!(
-            counter.score.load(Ordering::Relaxed),
-            INITIAL_SCORE + 2 * MERGE_BONUS,
-            "a claimed park earns the merge bonus and pays no timeout penalty"
-        );
-        assert_eq!(counter.slots[0].load(Ordering::Relaxed), EMPTY, "the slot was recycled");
-        assert_eq!(counter.inner().next(0), 8, "exactly one combined reservation");
-    }
-
-    #[test]
-    fn park_timeout_retracts_the_offer_and_reserves_solo() {
-        // No partner ever arrives: the parked offer must wake by timeout,
-        // retract, and fall back to a solo reservation.
-        let timeout = Duration::from_millis(2);
-        let counter = park_counter(CentralCounter::new(), 1, 2, timeout);
-        let start = Instant::now();
-        let mut out = Vec::new();
-        counter.next_batch(0, 2, &mut out);
-        assert!(start.elapsed() >= timeout, "the operation must actually have slept");
-        assert_eq!(out, vec![0, 1]);
-        assert_eq!(counter.collisions(), 0);
-        assert_eq!(counter.fallbacks(), 1);
-        assert_eq!(counter.slots[0].load(Ordering::Relaxed), EMPTY, "the offer was retracted");
-        assert_eq!(
-            counter.score.load(Ordering::Relaxed),
-            INITIAL_SCORE - PARK_TIMEOUT_PENALTY,
-            "a futile park drains the heavy penalty exactly once"
-        );
-    }
-
-    #[test]
-    fn spurious_wakeups_while_parked_re_check_and_keep_waiting() {
-        // Unparking the seat without depositing anything must not break
-        // the protocol: the waiter re-checks the slot word, sees its offer
-        // still pending, and parks again until the real claim arrives.
-        let counter = park_counter(CentralCounter::new(), 1, 2, Duration::from_secs(60));
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                let mut out = Vec::new();
-                counter.next_batch(0, 3, &mut out);
-                out
-            });
-            while counter.slots[0].load(Ordering::Acquire) & TAG_MASK != OFFER {
-                std::thread::yield_now();
-            }
-            for _ in 0..20 {
-                counter.parking.unpark(0);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            assert!(!waiter.is_finished(), "spurious wakeups must not complete the offer");
-            let mut capturer = Vec::new();
-            counter.next_batch(1, 5, &mut capturer);
-            assert_eq!(waiter.join().expect("waiter panicked"), vec![0, 1, 2]);
-            assert_eq!(capturer, vec![3, 4, 5, 6, 7]);
-        });
-        assert_eq!(counter.collisions(), 2);
-        assert_eq!(counter.fallbacks(), 0);
-    }
-
-    #[test]
-    fn parked_collisions_land_under_real_oversubscribed_concurrency() {
-        // The whole point of Park: rendezvous must work even when all
-        // threads share one core, because a sleeping publisher hands its
-        // core to the partner. 8 threads hammering one small arena must
-        // merge, whatever the host's cpu count.
-        let counter = park_counter(CentralCounter::new(), 4, 16, DEFAULT_PARK_TIMEOUT);
-        let all = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for tid in 0..8 {
-                let counter = &counter;
-                let all = &all;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    for op in 0..1_000 {
-                        counter.next_batch(tid, 1 + (op + tid) % 4, &mut local);
-                    }
-                    all.lock().expect("not poisoned").extend(local);
-                });
-            }
-        });
-        assert_exact_range(&all.into_inner().expect("not poisoned"));
-        assert!(counter.collisions() > 0, "8 parked threads must merge at least sometimes");
-    }
-
     // --- multi-slot probing ----------------------------------------------
 
     #[test]
     fn drained_credit_widens_the_capture_scan_to_adjacent_slots() {
-        // An offer parked two slots away from the caller's home: with the
-        // merge-credit score drained the probe window covers the whole
-        // arena and the capture scan must find and merge with it.
-        let counter = EliminationCounter::with_config(
-            CentralCounter::new(),
-            EliminationConfig { slots: 4, spin: 0, probe: 4, ..EliminationConfig::default() },
-        );
+        // An offer waiting one slot away from the caller's home: with the
+        // merge-credit score drained the probe window is two slots wide
+        // and the capture scan must find and merge with it.
+        let counter = EliminationCounter::with_arena(CentralCounter::new(), 4, 0);
         counter.score.store(0, Ordering::Relaxed);
-        counter.slots[2].store(pack(3, OFFER), Ordering::Release);
+        counter.slots[1].store(pack(3, OFFER), Ordering::Release);
         let mut out = Vec::new();
         counter.next_batch(0, 2, &mut out); // home slot of thread 0 is slot 0
         assert_eq!(out, vec![3, 4], "the probed capture keeps the tail of the merged block");
-        let word = counter.slots[2].load(Ordering::Acquire);
-        assert_eq!(word & TAG_MASK, FILLED, "the waiter's share was deposited two slots over");
+        let word = counter.slots[1].load(Ordering::Acquire);
+        assert_eq!(word & TAG_MASK, FILLED, "the waiter's share was deposited one slot over");
         assert_eq!(counter.collisions(), 1);
         assert_eq!(counter.fallbacks(), 0);
     }
@@ -953,36 +708,25 @@ mod tests {
     #[test]
     fn high_credit_keeps_the_probe_window_at_one_slot() {
         // A fresh arena (full merge credit) must *not* pay for wide scans:
-        // an offer two slots away is invisible and the call goes solo.
-        let counter = EliminationCounter::with_config(
-            CentralCounter::new(),
-            EliminationConfig { slots: 4, spin: 0, probe: 4, ..EliminationConfig::default() },
-        );
-        counter.slots[2].store(pack(3, OFFER), Ordering::Release);
+        // an offer one slot away is invisible and the call goes solo.
+        let counter = EliminationCounter::with_arena(CentralCounter::new(), 4, 0);
+        counter.slots[1].store(pack(3, OFFER), Ordering::Release);
         let mut out = Vec::new();
         counter.next_batch(0, 2, &mut out);
         assert_eq!(out, vec![0, 1], "a narrow window reserves solo");
         assert_eq!(counter.collisions(), 0);
         assert_eq!(counter.fallbacks(), 1);
-        let word = counter.slots[2].load(Ordering::Acquire);
-        assert_eq!(word & TAG_MASK, OFFER, "the distant offer was never touched");
+        let word = counter.slots[1].load(Ordering::Acquire);
+        assert_eq!(word & TAG_MASK, OFFER, "the neighbouring offer was never touched");
     }
 
     #[test]
     fn offers_spill_into_the_adjacent_slot_when_home_is_busy() {
         // Thread 0's home slot is occupied by a pair mid-merge (CLAIMED):
         // with probing, its offer lands in the next slot of the window,
-        // where thread 1 (whose home *is* slot 1) captures it.
-        let counter = EliminationCounter::with_config(
-            CentralCounter::new(),
-            EliminationConfig {
-                slots: 4,
-                spin: 2,
-                probe: 2,
-                strategy: WaitStrategy::Park,
-                park_timeout: Duration::from_secs(60),
-            },
-        );
+        // where thread 1 (whose home *is* slot 1) captures it. The huge
+        // spin bound keeps the offer published until it is captured.
+        let counter = EliminationCounter::with_arena(CentralCounter::new(), 4, 2_000_000_000);
         counter.score.store(0, Ordering::Relaxed); // widen the window
         counter.slots[0].store(CLAIMED, Ordering::Release);
         std::thread::scope(|scope| {
@@ -1005,16 +749,13 @@ mod tests {
 
     #[test]
     fn probe_window_clamps_to_the_arena_size() {
-        let counter = EliminationCounter::with_config(
-            CentralCounter::new(),
-            EliminationConfig { slots: 2, probe: 64, ..EliminationConfig::default() },
-        );
+        let counter = EliminationCounter::with_arena(CentralCounter::new(), 1, 8);
         counter.score.store(-INITIAL_SCORE, Ordering::Relaxed);
-        assert_eq!(counter.probe_window(), 2, "the window never exceeds the slot count");
-        counter.score.store(INITIAL_SCORE, Ordering::Relaxed);
-        assert_eq!(counter.probe_window(), 1, "full credit narrows to the home slot");
-        counter.score.store(INITIAL_SCORE / 4, Ordering::Relaxed);
-        assert_eq!(counter.probe_window(), 1, "partial credit: half of the clamped window");
+        assert_eq!(counter.probe_window(), 1, "the window never exceeds the slot count");
+        let counter = EliminationCounter::new(CentralCounter::new());
+        assert_eq!(counter.probe_window(), 1, "credit narrows the window to the home slot");
+        counter.score.store(0, Ordering::Relaxed);
+        assert_eq!(counter.probe_window(), DEFAULT_PROBE, "drained credit widens it");
     }
 
     // --- the offering controller and the layout it relies on -------------
@@ -1059,7 +800,7 @@ mod tests {
         let read_mostly = [
             std::mem::offset_of!(Arena, inner),
             std::mem::offset_of!(Arena, slots),
-            std::mem::offset_of!(Arena, config),
+            std::mem::offset_of!(Arena, spin),
         ]
         .map(field);
         // ... and the words operations write.
@@ -1076,7 +817,7 @@ mod tests {
 
     #[test]
     fn preemption_hostile_schedule_preserves_the_exact_range() {
-        // One slot, a wait bound of 1, and threads that park mid-stream
+        // One slot, a wait bound of 1, and threads that sleep mid-stream
         // (sleeping stands in for preemption) so offers routinely expire
         // and retraction races with capture. Whatever mix of merge,
         // obligated wait and solo fallback results, the mixed-size values
@@ -1111,94 +852,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn preemption_hostile_park_schedule_preserves_the_exact_range() {
-        // The Park mirror of the schedule above, in the style of the PR 2
-        // prism tests: a single slot shared by 8 threads on (possibly) one
-        // core, a tiny park timeout so offers expire while their
-        // publishers sleep, and forced mid-stream sleeps so retraction
-        // races with capture and obligated parked waits all occur.
-        let counter = park_counter(CentralCounter::new(), 1, 1, Duration::from_micros(200));
-        let threads = 8;
-        let per_thread = 400;
-        let all = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for tid in 0..threads {
-                let counter = &counter;
-                let all = &all;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    for op in 0..per_thread {
-                        counter.next_batch(tid, 1 + (op * 7 + tid) % 5, &mut local);
-                        if op % 64 == tid * 8 {
-                            std::thread::sleep(std::time::Duration::from_micros(50));
-                        }
-                    }
-                    all.lock().expect("not poisoned").extend(local);
-                });
-            }
-        });
-        let values = all.into_inner().expect("not poisoned");
-        assert_exact_range(&values);
-        assert_eq!(
-            counter.collisions() + counter.fallbacks(),
-            (threads * per_thread) as u64,
-            "every operation is exactly one of merged or solo"
-        );
-        assert_eq!(counter.slots[0].load(Ordering::Relaxed), EMPTY, "the slot drained");
-    }
-
     // --- the lifted restriction, on every counter -----------------------
 
     #[test]
     fn mixed_batches_tile_exactly_on_every_wrapped_counter() {
         // The exact mixed-size workload that breaks raw stride
         // reservations: random k per op, op count not divisible by any
-        // output width. Through the layer — under every waiting strategy —
-        // every counter must hand out exactly 0..m.
-        type Make = fn(WaitStrategy) -> Box<dyn SharedCounter>;
-        fn config(strategy: WaitStrategy) -> EliminationConfig {
-            EliminationConfig { strategy, ..EliminationConfig::default() }
-        }
-        let make: [Make; 4] = [
-            |s| {
-                let net = counting_network(8, 24).expect("valid");
-                Box::new(EliminationCounter::with_config(
-                    NetworkCounter::new("C(8,24)", &net),
-                    config(s),
-                ))
-            },
-            |s| {
-                Box::new(EliminationCounter::with_config(
-                    DiffractingCounter::new(8, 4, 32),
-                    config(s),
-                ))
-            },
-            |s| Box::new(EliminationCounter::with_config(CentralCounter::new(), config(s))),
-            |s| Box::new(EliminationCounter::with_config(LockCounter::new(), config(s))),
+        // output width. Through the layer every counter must hand out
+        // exactly 0..m.
+        let net = counting_network(8, 24).expect("valid");
+        let counters: [Box<dyn SharedCounter>; 4] = [
+            Box::new(EliminationCounter::new(NetworkCounter::new("C(8,24)", &net))),
+            Box::new(EliminationCounter::new(DiffractingCounter::new(8, 4, 32))),
+            Box::new(EliminationCounter::new(CentralCounter::new())),
+            Box::new(EliminationCounter::new(LockCounter::new())),
         ];
-        for strategy in WaitStrategy::ALL {
-            for factory in make {
-                let counter = factory(strategy);
-                let threads = 8;
-                let batches = 101; // deliberately not a multiple of anything
-                let all = Mutex::new(Vec::new());
-                std::thread::scope(|scope| {
-                    for tid in 0..threads {
-                        let counter = counter.as_ref();
-                        let all = &all;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            for op in 0..batches {
-                                counter.next_batch(tid, 1 + (op * 13 + tid * 5) % 9, &mut local);
-                            }
-                            all.lock().expect("not poisoned").extend(local);
-                        });
-                    }
-                });
-                let values = all.into_inner().expect("not poisoned");
-                assert_exact_range(&values);
-            }
+        for counter in counters {
+            let threads = 8;
+            let batches = 101; // deliberately not a multiple of anything
+            let all = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for tid in 0..threads {
+                    let counter = counter.as_ref();
+                    let all = &all;
+                    scope.spawn(move || {
+                        let mut local = Vec::new();
+                        for op in 0..batches {
+                            counter.next_batch(tid, 1 + (op * 13 + tid * 5) % 9, &mut local);
+                        }
+                        all.lock().expect("not poisoned").extend(local);
+                    });
+                }
+            });
+            assert_exact_range(&all.into_inner().expect("not poisoned"));
         }
     }
 
@@ -1229,21 +915,17 @@ mod tests {
             }
             assert_eq!(counter.reserved(), next, "{}", counter.describe());
         }
-        /// The bare counter, then under each strategy's arena.
+        /// The bare counter, then under the arena.
         fn check<C: BlockReserve>(inner: impl Fn() -> C) {
             drive(&inner(), 0);
-            for strategy in WaitStrategy::ALL {
-                let park_timeout = Duration::from_micros(200);
-                let config = EliminationConfig { strategy, park_timeout, ..Default::default() };
-                let arena = EliminationCounter::with_config(inner(), config);
-                // A planted offer of 4 captured with k = 2 is one inner
-                // reservation of 6: counted once, for both partners.
-                arena.slots[0].store(pack(4, OFFER), Ordering::Release);
-                assert_eq!(arena.reserve_block(0, 2), 4);
-                arena.slots[0].store(EMPTY, Ordering::Release); // the planted waiter takes 0..4
-                assert_eq!((arena.reserved(), arena.collisions()), (6, 1));
-                drive(&arena, 6);
-            }
+            let arena = EliminationCounter::new(inner());
+            // A planted offer of 4 captured with k = 2 is one inner
+            // reservation of 6: counted once, for both partners.
+            arena.slots[0].store(pack(4, OFFER), Ordering::Release);
+            assert_eq!(arena.reserve_block(0, 2), 4);
+            arena.slots[0].store(EMPTY, Ordering::Release); // the planted waiter takes 0..4
+            assert_eq!((arena.reserved(), arena.collisions()), (6, 1));
+            drive(&arena, 6);
         }
         let net = counting_network(4, 16).expect("valid");
         check(|| NetworkCounter::new("C(4,16)", &net));
@@ -1290,32 +972,18 @@ mod tests {
     }
 
     #[test]
-    fn describe_names_inner_arena_and_strategy() {
+    fn describe_names_inner_and_arena() {
         let counter = EliminationCounter::with_arena(CentralCounter::new(), 2, 8);
-        assert_eq!(counter.describe(), "central fetch_add + elim[2:spin-yield]");
-        assert_eq!(counter.arena_slots(), 2);
-        assert_eq!(counter.strategy(), WaitStrategy::SpinYield);
-        assert_eq!(counter.config().spin, 8);
-        let parked = park_counter(CentralCounter::new(), 3, 8, DEFAULT_PARK_TIMEOUT);
-        assert_eq!(parked.describe(), "central fetch_add + elim[3:park]");
-        assert_eq!(parked.strategy(), WaitStrategy::Park);
-        let inner = parked.into_inner();
-        assert_eq!(inner.describe(), "central fetch_add");
+        assert_eq!(counter.describe(), "central fetch_add + elim[2]");
+        let default = EliminationCounter::new(CentralCounter::new());
+        assert_eq!(default.describe(), format!("central fetch_add + elim[{DEFAULT_SLOTS}]"));
+        assert_eq!(default.into_inner().describe(), "central fetch_add");
     }
 
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_slots_rejected() {
         let _ = EliminationCounter::with_arena(CentralCounter::new(), 0, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "probe window needs at least one slot")]
-    fn zero_probe_rejected() {
-        let _ = EliminationCounter::with_config(
-            CentralCounter::new(),
-            EliminationConfig { probe: 0, ..EliminationConfig::default() },
-        );
     }
 
     #[test]

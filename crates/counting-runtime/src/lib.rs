@@ -31,13 +31,9 @@
 //!   [`BlockReserve`] counter: colliding `next_batch` callers merge their
 //!   requests into one combined contiguous reservation and split it back
 //!   gap-free, making the exact-range guarantee hold for **mixed** batch
-//!   sizes and arbitrary operation counts. The arena probes a small
-//!   window of adjacent slots before falling back to a solo reservation.
-//! * [`waiting`] — pluggable rendezvous waiting: [`WaitStrategy`]
-//!   selects how a published offer waits for its partner
-//!   (spin-then-yield, or parking on a `parking_lot`-backed [`ParkTable`]
-//!   keyed by arena slot, woken by the claimer). Parking is what makes
-//!   collisions land when runnable threads outnumber cpus.
+//!   sizes and arbitrary operation counts. A published offer waits by
+//!   spin-then-yield, and the arena probes a window of up to two adjacent
+//!   slots before falling back to a solo reservation.
 //!
 //! Concurrency-correctness notes: every balancer traversal is a single
 //! atomic `fetch_add` (so balancer state transitions are linearizable per
@@ -79,23 +75,14 @@
 //! ```
 //!
 //! Wrap any [`BlockReserve`] counter in the elimination arena for
-//! gap-free **mixed-size** batching, picking the [`WaitStrategy`] that
-//! matches your thread-to-core ratio:
+//! gap-free **mixed-size** batching:
 //!
 //! ```
 //! use counting::counting_network;
-//! use counting_runtime::{
-//!     EliminationConfig, EliminationCounter, NetworkCounter, SharedCounter, WaitStrategy,
-//! };
+//! use counting_runtime::{EliminationCounter, NetworkCounter, SharedCounter};
 //!
 //! let net = counting_network(4, 8).expect("valid parameters");
-//! let config = EliminationConfig {
-//!     // Park surrenders the publisher's core to its potential partner —
-//!     // the robust choice when runnable threads outnumber cpus.
-//!     strategy: WaitStrategy::Park,
-//!     ..EliminationConfig::default()
-//! };
-//! let counter = EliminationCounter::with_config(NetworkCounter::new("C(4,8)", &net), config);
+//! let counter = EliminationCounter::new(NetworkCounter::new("C(4,8)", &net));
 //!
 //! // Any mix of batch sizes tiles the value space exactly.
 //! let mut values = Vec::new();
@@ -104,7 +91,7 @@
 //! }
 //! values.sort();
 //! assert_eq!(values, (0..13).collect::<Vec<u64>>(), "exact range, no gaps");
-//! assert!(counter.describe().ends_with("elim[4:park]"));
+//! assert!(counter.describe().ends_with("elim[4]"));
 //! ```
 
 #![warn(missing_docs)]
@@ -118,15 +105,13 @@ pub mod model_scenarios;
 pub mod stress;
 pub mod sync;
 pub mod throughput;
-pub mod waiting;
 
 pub use compiled::CompiledNetwork;
 pub use counter::{BlockReserve, CentralCounter, LockCounter, NetworkCounter, SharedCounter};
 pub use diffracting::DiffractingCounter;
-pub use elimination::{EliminationConfig, EliminationCounter};
+pub use elimination::EliminationCounter;
 pub use stress::{run_stress, Batching, Scenario, StressConfig, StressReport, ValueBitmap};
 pub use throughput::{
     measure_batched_throughput, measure_throughput, rate_over, MeasuredWindow,
     ThroughputMeasurement, MIN_MEASURED_WINDOW,
 };
-pub use waiting::{ParkTable, WaitStrategy};

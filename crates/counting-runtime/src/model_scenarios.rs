@@ -6,8 +6,7 @@
 //! one or two iterations) so the schedule space stays exhaustively
 //! explorable within a small preemption budget, while still crossing
 //! every protocol edge — publish, capture, `CLAIMED` hand-off, deposit,
-//! timeout retraction, the obligated-fill wait, and (for
-//! [`WaitStrategy::Park`]) the modeled park/unpark rendezvous.
+//! timeout retraction and the obligated-fill wait.
 //!
 //! The quiescence check shared by every scenario asserts the arena's
 //! whole contract at once:
@@ -26,13 +25,11 @@
 //! This is the calibration that proves the checker has teeth.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use counting_sim::model::Scenario;
 
 use crate::counter::{CentralCounter, SharedCounter};
-use crate::elimination::{EliminationConfig, EliminationCounter};
-use crate::waiting::WaitStrategy;
+use crate::elimination::EliminationCounter;
 
 /// The arena under test: the elimination layer over the centralized
 /// counter. The inner counter's single `fetch_add` is trivially atomic,
@@ -40,14 +37,11 @@ use crate::waiting::WaitStrategy;
 /// exactly the cells the model shims instrument.
 pub type ModelArena = EliminationCounter<CentralCounter>;
 
-/// A minimal, fully explorable arena: geometry from the arguments, park
-/// timeout collapsed to zero (the modeled park ignores wall-clock time
-/// anyway — see [`crate::waiting::ParkTable::park_until`]).
-fn tiny_arena(slots: usize, spin: usize, probe: usize, strategy: WaitStrategy) -> Arc<ModelArena> {
-    Arc::new(EliminationCounter::with_config(
-        CentralCounter::new(),
-        EliminationConfig { slots, spin, probe, strategy, park_timeout: Duration::from_millis(0) },
-    ))
+/// A minimal, fully explorable arena of `slots` slots and a spin bound
+/// of `spin` iterations (a two-slot arena probes both slots once its
+/// credit is drained).
+fn tiny_arena(slots: usize, spin: usize) -> Arc<ModelArena> {
+    Arc::new(EliminationCounter::with_arena(CentralCounter::new(), slots, spin))
 }
 
 /// One worker thread performing a single `next_batch(thread_id, k)` and
@@ -103,11 +97,10 @@ fn quiescence_check(
 /// Two threads, one slot: the canonical rendezvous. Thread 0 batches 3,
 /// thread 1 batches 5; every schedule must tile `0..8`. Exercises
 /// publish → capture → deposit, the timeout retraction, and the
-/// retract-vs-capture race (obligated fill), under the given waiting
-/// strategy.
+/// retract-vs-capture race (obligated fill).
 #[must_use]
-pub fn arena_pair(strategy: WaitStrategy) -> Scenario<Vec<u64>> {
-    let counter = tiny_arena(1, 2, 1, strategy);
+pub fn arena_pair() -> Scenario<Vec<u64>> {
+    let counter = tiny_arena(1, 2);
     let threads = vec![batcher(&counter, 0, 3), batcher(&counter, 1, 5)];
     Scenario::new(threads, quiescence_check(counter, 8))
 }
@@ -118,7 +111,7 @@ pub fn arena_pair(strategy: WaitStrategy) -> Scenario<Vec<u64>> {
 /// tile `0..6`.
 #[must_use]
 pub fn arena_trio() -> Scenario<Vec<u64>> {
-    let counter = tiny_arena(1, 1, 1, WaitStrategy::SpinYield);
+    let counter = tiny_arena(1, 1);
     let threads = vec![batcher(&counter, 0, 1), batcher(&counter, 1, 2), batcher(&counter, 2, 3)];
     Scenario::new(threads, quiescence_check(counter, 6))
 }
@@ -132,13 +125,13 @@ pub fn arena_trio_mutated() -> Scenario<Vec<u64>> {
     arena_trio().with_mutation("arena-skip-claimed")
 }
 
-/// Two slots with a two-slot probe window: thread ids 0 and 2 share home
+/// Two slots, so a two-slot probe window: thread ids 0 and 2 share home
 /// slot 0, thread 1 homes on slot 1, so captures must walk the window
 /// and publishes must skip busy slots. Batches of 2, 2 and 1 must tile
 /// `0..5`.
 #[must_use]
 pub fn arena_probe() -> Scenario<Vec<u64>> {
-    let counter = tiny_arena(2, 1, 2, WaitStrategy::SpinYield);
+    let counter = tiny_arena(2, 1);
     let threads = vec![batcher(&counter, 0, 2), batcher(&counter, 1, 2), batcher(&counter, 2, 1)];
     Scenario::new(threads, quiescence_check(counter, 5))
 }

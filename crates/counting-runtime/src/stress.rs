@@ -23,13 +23,9 @@
 //! Operations are either uniformly batched or, via [`Batching::Mixed`],
 //! drawn from the deterministic mixed-size stream shared with
 //! `counting-sim`'s arena model — the workload that requires the
-//! elimination layer ([`crate::elimination`]) for gap-free hand-outs.
-//! When the counter under test is an elimination-wrapped one, its
-//! [`crate::waiting::WaitStrategy`] forms a third matrix axis next to
-//! batching and scenario (the strategy is carried by the counter and
-//! named by its `describe()` string): the torture suite and
-//! `exp_elimination`'s E14c table drive the full counter × scenario ×
-//! strategy grid.
+//! elimination layer ([`crate::elimination`]) for gap-free hand-outs;
+//! the torture suite drives every elimination-wrapped counter through
+//! every scenario.
 //!
 //! All scenarios exclude thread start-up from the measured window via a
 //! start barrier, so the reported rates are steady-state.

@@ -9,14 +9,14 @@
 //! With the feature **on**, the atomics come from
 //! [`counting_sim::model`]: every load/store/RMW/CAS becomes a scheduling
 //! point of the exhaustive interleaving explorer, and the hooks
-//! ([`in_model`], [`model_yield`], [`park_poll`], [`mutation_enabled`])
-//! let wait loops and park/unpark cooperate with the DFS scheduler.
+//! ([`in_model`], [`model_yield`], [`mutation_enabled`]) let wait loops
+//! cooperate with the DFS scheduler.
 //! Outside an active exploration the shim atomics pass through to `std`
 //! behavior, so a feature-on build still runs the ordinary test suite
 //! unchanged.
 //!
 //! Only the modules named in the model suite import through this seam
-//! (`elimination`, `waiting`, and in `counting-service` the registry,
+//! (`elimination`, and in `counting-service` the registry,
 //! ticket gate and rate limiter); the counters and networks underneath
 //! keep their raw `std` atomics — the model scenarios wrap them behind a
 //! [`crate::counter::BlockReserve`] boundary whose single `fetch_add` is
@@ -33,7 +33,7 @@ use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(feature = "model")]
 pub use counting_sim::model::{
-    in_model, model_point, model_yield, mutation_enabled, park_poll, AtomicI64, AtomicU64,
+    in_model, model_point, model_yield, mutation_enabled, AtomicI64, AtomicU64,
 };
 
 #[cfg(not(feature = "model"))]
@@ -62,15 +62,6 @@ pub fn model_yield() {
 #[cfg(not(feature = "model"))]
 #[inline(always)]
 pub fn model_point(_label: u64) {}
-
-/// The model analogue of a timed park; without the `model` feature it
-/// degenerates to one probe of the condition (never reached in practice —
-/// callers gate it behind [`in_model`]).
-#[cfg(not(feature = "model"))]
-#[inline]
-pub fn park_poll(filled: impl Fn() -> bool) -> bool {
-    filled()
-}
 
 /// Whether a named seeded protocol mutation is active. Always `false`
 /// without the `model` feature: mutations exist only inside model

@@ -22,7 +22,6 @@
 #![cfg(feature = "model")]
 
 use counting_runtime::model_scenarios::{arena_pair, arena_probe, arena_trio, arena_trio_mutated};
-use counting_runtime::WaitStrategy;
 use counting_sim::model::{explore, replay, ModelConfig};
 
 /// Exploration must finish (no budget exhaustion) and find nothing.
@@ -44,13 +43,8 @@ fn assert_clean(config: &ModelConfig, name: &str, factory: impl FnMut() -> Scena
 type Scenario = counting_sim::model::Scenario<Vec<u64>>;
 
 #[test]
-fn pair_is_clean_under_every_strategy() {
-    let config = ModelConfig::with_preemptions(2);
-    for (strategy, name) in
-        [(WaitStrategy::SpinYield, "pair/spin-yield"), (WaitStrategy::Park, "pair/park")]
-    {
-        assert_clean(&config, name, || arena_pair(strategy));
-    }
+fn pair_is_clean_with_two_preemptions() {
+    assert_clean(&ModelConfig::with_preemptions(2), "pair", arena_pair);
 }
 
 #[test]

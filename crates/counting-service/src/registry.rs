@@ -815,7 +815,7 @@ mod tests {
         assert_eq!(counter.describe(), "compact [tenant t @ 0]");
         counter.note_contention(2, 3);
         assert_eq!((counter.is_inflated(), service.inflations()), (true, 1));
-        let inflated = "central fetch_add + elim[4:spin-yield] [tenant t @ 0]";
+        let inflated = "central fetch_add + elim[4] [tenant t @ 0]";
         assert_eq!(counter.describe(), inflated);
         values.extend((3..6).map(|i| counter.next(i)));
         counter.next_batch(0, 3, &mut values);
@@ -1018,7 +1018,7 @@ mod tests {
         // its oracle: the tenant inflated, once, to the arena over one
         // cursor ...
         assert!(tenant.is_inflated(), "64 rounds of 2^16 contended ops did not inflate it");
-        assert_eq!(tenant.describe(), "central fetch_add + elim[4:spin-yield] [tenant pair @ 0]");
+        assert_eq!(tenant.describe(), "central fetch_add + elim[4] [tenant pair @ 0]");
         // ... and the watermark, which past the seal is the backend's
         // cursor and nothing else, equals the values observed: every
         // later reservation went through arena and cursor.

@@ -21,9 +21,14 @@
 //! * The slot protocol itself: offer, pairwise capture, combined
 //!   reservation, split, and timeout fallback, mirrored here as
 //!   round-based state transitions — including the runtime's multi-slot
-//!   probe window ([`ArenaConfig::probe`]) and its `Park` waiting
-//!   strategy, modeled as offers that skip rounds instead of losing
-//!   patience ([`ArenaConfig::park`]).
+//!   probe window ([`ArenaConfig::probe`]).
+//!
+//! The probe window is what E15's inflation threshold rests on. In E15's
+//! geometry (4 slots, 4 rounds of patience, blocks of 1..=4, seed
+//! `0xE15`) the model's operations per reservation κ(n) are: with a
+//! window of 1, κ(1..=4) = 1, and the recorded readings derive `n*` = 5;
+//! with the runtime's window of 2, κ(4) = 2 and they derive 4; with a
+//! window of 4 they derive 3. A test below pins the κ values.
 
 use serde::Serialize;
 
@@ -61,9 +66,6 @@ pub struct ArenaConfig {
     pub slots: usize,
     /// Rounds a published offer waits for a partner before the process
     /// gives up and reserves solo (`0` = never offer, always go solo).
-    /// With [`Self::park`] set, patience is wall-clock rather than
-    /// round-counted and this field only keeps its `0 = never offer`
-    /// meaning.
     pub spin_rounds: usize,
     /// Operations per process.
     pub ops_per_process: u64,
@@ -78,15 +80,6 @@ pub struct ArenaConfig {
     /// probes the full window (an upper envelope, like its collision
     /// rate). Must be `>= 1`.
     pub probe: usize,
-    /// Models the runtime's `Park` waiting strategy: a parked offer
-    /// *skips rounds* instead of losing patience — it stays claimable as
-    /// long as any process is still making progress, because a sleeping
-    /// publisher's wall-clock timeout dwarfs the partner's arrival time.
-    /// Only when every live process is parked (nobody left to claim
-    /// anybody) does the longest-waiting offer time out and retire solo,
-    /// one per round — the model's stand-in for the wall-clock
-    /// `park_timeout` expiring in a quiescent system.
-    pub park: bool,
 }
 
 /// The outcome of one arena-model run.
@@ -142,9 +135,7 @@ enum ProcState {
 ///   that, the first free slot of the window receives the process's own
 ///   offer (patience = `spin_rounds`); a fully busy window reserves solo;
 /// * a waiting process loses one round of patience; at zero it retracts
-///   the offer and reserves solo. With [`ArenaConfig::park`] the offer
-///   skips rounds instead (see the field docs) and only times out when
-///   every live process is parked.
+///   the offer and reserves solo.
 ///
 /// # Panics
 ///
@@ -163,7 +154,7 @@ pub fn simulate_arena(config: &ArenaConfig) -> ArenaReport {
         (0..n).map(|p| batch_size_sequence(config.seed, p as u64, config.max_k)).collect();
     let mut remaining: Vec<u64> = vec![config.ops_per_process; n];
     let mut state = vec![ProcState::Idle; n];
-    // Slot occupancy: the parked process id and its offered size.
+    // Slot occupancy: the waiting process id and its offered size.
     let mut slot_offer: Vec<Option<(usize, usize)>> = vec![None; config.slots];
     // Slot choice per process: a per-process counter hashed like the
     // runtime's slot hint, so processes revisit different slots over time.
@@ -185,39 +176,12 @@ pub fn simulate_arena(config: &ArenaConfig) -> ArenaReport {
     let window = config.probe.min(config.slots);
     let mut round = 0usize;
     while remaining.iter().any(|&r| r > 0) || state.iter().any(|s| *s != ProcState::Idle) {
-        if config.park {
-            // Parked offers only expire when nobody is left to claim
-            // them: every live process is waiting. Retire the
-            // lowest-indexed waiter (the model's deterministic stand-in
-            // for "longest parked"), one per round, which restores
-            // progress and bounds the run.
-            let stalled = state.iter().enumerate().all(|(p, s)| match s {
-                ProcState::Waiting { .. } => true,
-                ProcState::Idle => remaining[p] == 0,
-            });
-            if stalled {
-                if let Some(p) = state.iter().position(|s| matches!(s, ProcState::Waiting { .. })) {
-                    let ProcState::Waiting { slot, .. } = state[p] else { unreachable!() };
-                    let (_, k) = slot_offer[slot].take().expect("offer present");
-                    reserve(k as u64, &mut bases, &mut cursor);
-                    reservations += 1;
-                    fallbacks += 1;
-                    state[p] = ProcState::Idle;
-                    round += 1;
-                    continue;
-                }
-            }
-        }
         for offset in 0..n {
             // Rotate who moves first each round.
             let p = (round + offset) % n;
             match state[p] {
                 ProcState::Waiting { slot, patience } => {
-                    if config.park {
-                        // Round-skipping: a parked offer keeps its
-                        // patience while the system is live (the stall
-                        // check above is the only way it expires).
-                    } else if patience == 0 {
+                    if patience == 0 {
                         // Timeout: retract the offer, reserve solo.
                         let (_, k) = slot_offer[slot].take().expect("offer present");
                         reserve(k as u64, &mut bases, &mut cursor);
@@ -316,7 +280,6 @@ mod tests {
             max_k: 8,
             seed: 42,
             probe: 1,
-            park: false,
         }
     }
 
@@ -383,38 +346,33 @@ mod tests {
     }
 
     #[test]
-    fn parked_offers_outlast_impatience_and_raise_the_collision_rate() {
-        // Two processes whose hashed home slots never coincide in
-        // lock-step: a spinning offer with one round of patience expires
-        // before the partner's probe ever reaches it (rate exactly 0),
-        // while a parked offer stays claimable until the partner's home
-        // walks onto its slot.
-        let spinning = simulate_arena(&config(2, 4, 1));
-        let parked = simulate_arena(&ArenaConfig { park: true, ..config(2, 4, 1) });
-        assert_eq!(spinning.collisions, 0, "mismatched homes: impatient offers never meet");
-        assert!(
-            parked.collision_rate > 0.2,
-            "round-skipping offers must catch the walking partner: {parked:?}"
-        );
-        assert!(parked.is_exact_range);
-        assert_eq!(parked.collisions + parked.fallbacks, parked.ops);
-    }
-
-    #[test]
-    fn a_lone_parked_process_times_out_and_terminates() {
-        // One process, park mode: every offer stalls the whole system, so
-        // the quiescence rule must retire it (solo) and the run must end.
-        let report = simulate_arena(&ArenaConfig { park: true, ..config(1, 2, 4) });
-        assert_eq!(report.collisions, 0, "no partner ever exists");
-        assert_eq!(report.fallbacks, report.ops);
-        assert!(report.is_exact_range);
+    fn the_probe_window_decides_kappa_at_four_processes() {
+        // E15's geometry, with literals: `counting-sim` cannot see the
+        // runtime's constants. A window of 2 (the runtime's) merges at
+        // n = 4 but not at n = 3; a window of 1 merges at neither, which
+        // would move the `n*` E15 derives from 4 to 5.
+        let kappa = |processes, probe| {
+            simulate_arena(&ArenaConfig {
+                processes,
+                slots: 4,
+                spin_rounds: 4,
+                ops_per_process: 1024,
+                max_k: 4,
+                seed: 0xE15,
+                probe,
+            })
+            .combining_factor
+        };
+        assert!(kappa(3, 2) < 1.1, "window 2, n = 3: {}", kappa(3, 2));
+        assert!(kappa(4, 2) > 1.9, "window 2, n = 4: {}", kappa(4, 2));
+        assert!(kappa(4, 1) < 1.1, "window 1, n = 4: {}", kappa(4, 1));
     }
 
     #[test]
     fn wider_probe_windows_find_partners_across_slots() {
         // Two processes over four slots with hashed homes: a window of 1
         // only merges when the homes collide, a full-width window always
-        // finds the parked partner.
+        // finds the waiting partner.
         let narrow = simulate_arena(&config(2, 4, 8));
         let wide = simulate_arena(&ArenaConfig { probe: 4, ..config(2, 4, 8) });
         assert!(

@@ -102,9 +102,6 @@ pub struct ModelConfig {
     /// Safety valve: stop exploring (with `complete = false`) after this
     /// many executions.
     pub max_executions: u64,
-    /// How many poll rounds a modeled park ([`park_poll`]) waits before
-    /// reporting a timeout — the model analogue of a park timeout.
-    pub park_spins: usize,
     /// Whether to prune decision points whose abstract state (shim-atomic
     /// values + per-thread progress + remaining budget) was already
     /// explored.
@@ -113,13 +110,7 @@ pub struct ModelConfig {
 
 impl Default for ModelConfig {
     fn default() -> Self {
-        Self {
-            preemptions: 2,
-            max_steps: 20_000,
-            max_executions: 500_000,
-            park_spins: 3,
-            state_hashing: true,
-        }
+        Self { preemptions: 2, max_steps: 20_000, max_executions: 500_000, state_hashing: true }
     }
 }
 
@@ -312,7 +303,6 @@ struct ExecInner {
     cells: Mutex<Vec<Arc<CellState>>>,
     mutations: Mutex<HashSet<&'static str>>,
     max_steps: usize,
-    park_spins: usize,
 }
 
 thread_local! {
@@ -353,7 +343,6 @@ impl ExecInner {
             cells: Mutex::new(Vec::new()),
             mutations: Mutex::new(HashSet::new()),
             max_steps: config.max_steps,
-            park_spins: config.park_spins,
         }
     }
 
@@ -709,22 +698,6 @@ pub fn model_point(label: u64) {
         });
         exec.pause(tid, false);
     }
-}
-
-/// The model analogue of parking on a timeout: polls `filled` with a
-/// voluntary yield between rounds, for [`ModelConfig::park_spins`]
-/// rounds; returns whether the condition was observed (`false` models
-/// the park timing out). Outside the model it degenerates to a single
-/// probe (callers seam it behind [`in_model`], so that path is unused).
-pub fn park_poll(filled: impl Fn() -> bool) -> bool {
-    let spins = current_exec().map_or(1, |(exec, _)| exec.park_spins);
-    for _ in 0..spins {
-        if filled() {
-            return true;
-        }
-        model_yield();
-    }
-    filled()
 }
 
 /// Whether the named seeded mutation is active in this execution. Always

@@ -17,8 +17,8 @@ use counting_networks::efficient::counting_network;
 use counting_networks::net::Network;
 use counting_networks::runtime::stress::{run_stress, Batching, Scenario, StressConfig};
 use counting_networks::runtime::{
-    CentralCounter, DiffractingCounter, EliminationConfig, EliminationCounter, LockCounter,
-    NetworkCounter, SharedCounter, WaitStrategy,
+    CentralCounter, DiffractingCounter, EliminationCounter, LockCounter, NetworkCounter,
+    SharedCounter,
 };
 
 const THREADS: usize = 8;
@@ -115,74 +115,55 @@ fn torture_matrix_batched_hands_out_the_exact_range() {
 }
 
 /// The four counters of the elimination matrix, each wrapped in the
-/// arena layer (fresh per run) with the given waiting strategy.
-fn elimination_counters(strategy: WaitStrategy) -> Vec<CounterFactory> {
-    fn arena(strategy: WaitStrategy) -> EliminationConfig {
-        EliminationConfig { strategy, ..EliminationConfig::default() }
-    }
+/// arena layer (fresh per run).
+fn elimination_counters() -> Vec<CounterFactory> {
     vec![
         (
-            format!("C(8,24)+elim/{strategy}"),
-            Box::new(move || {
+            "C(8,24)+elim".to_owned(),
+            Box::new(|| {
                 let net = counting_network(8, 24).expect("valid");
-                Box::new(EliminationCounter::with_config(
-                    NetworkCounter::new("C(8,24)", &net),
-                    arena(strategy),
-                ))
+                Box::new(EliminationCounter::new(NetworkCounter::new("C(8,24)", &net)))
             }),
         ),
         (
-            format!("prism DiffTree[8]+elim/{strategy}"),
-            Box::new(move || {
-                Box::new(EliminationCounter::with_config(
-                    DiffractingCounter::new(8, 4, 64),
-                    arena(strategy),
-                ))
-            }),
+            "prism DiffTree[8]+elim".to_owned(),
+            Box::new(|| Box::new(EliminationCounter::new(DiffractingCounter::new(8, 4, 64)))),
         ),
         (
-            format!("central+elim/{strategy}"),
-            Box::new(move || {
-                Box::new(EliminationCounter::with_config(CentralCounter::new(), arena(strategy)))
-            }),
+            "central+elim".to_owned(),
+            Box::new(|| Box::new(EliminationCounter::new(CentralCounter::new()))),
         ),
         (
-            format!("mutex+elim/{strategy}"),
-            Box::new(move || {
-                Box::new(EliminationCounter::with_config(LockCounter::new(), arena(strategy)))
-            }),
+            "mutex+elim".to_owned(),
+            Box::new(|| Box::new(EliminationCounter::new(LockCounter::new()))),
         ),
     ]
 }
 
 #[test]
 fn torture_matrix_mixed_batches_through_elimination_hand_out_the_exact_range() {
-    // The restriction-lifting matrix with its waiting-strategy axis:
-    // 8 threads, *random* batch sizes (`1..=8`, per-thread deterministic
-    // streams), an op count with no divisibility relationship to any
-    // output width, all four counters, all six scenarios, both
-    // waiting strategies (spin-yield, park). Through the
-    // elimination layer the uniqueness and exact-range online checks must
-    // pass unconditionally — however the offers wait.
+    // The restriction-lifting matrix: 8 threads, *random* batch sizes
+    // (`1..=8`, per-thread deterministic streams), an op count with no
+    // divisibility relationship to any output width, all four counters,
+    // all six scenarios. Through the elimination layer the uniqueness
+    // and exact-range online checks must pass unconditionally.
     let ops_per_thread = 24 * ops_scale() + 7; // deliberately not a multiple of anything
-    for strategy in WaitStrategy::ALL {
-        for (name, make) in elimination_counters(strategy) {
-            for scenario in scenarios() {
-                let config = StressConfig {
-                    threads: THREADS,
-                    ops_per_thread,
-                    batch: Batching::Mixed { max_k: 8, seed: 0xE11A },
-                    scenario,
-                    record_tokens: false,
-                };
-                let report = run_stress(make().as_ref(), &config);
-                assert!(
-                    report.is_exact_range(),
-                    "{name} with mixed batches under {} broke the counting contract: {report:?}",
-                    scenario.label()
-                );
-                assert_eq!(report.total_values, config.total_values());
-            }
+    for (name, make) in elimination_counters() {
+        for scenario in scenarios() {
+            let config = StressConfig {
+                threads: THREADS,
+                ops_per_thread,
+                batch: Batching::Mixed { max_k: 8, seed: 0xE11A },
+                scenario,
+                record_tokens: false,
+            };
+            let report = run_stress(make().as_ref(), &config);
+            assert!(
+                report.is_exact_range(),
+                "{name} with mixed batches under {} broke the counting contract: {report:?}",
+                scenario.label()
+            );
+            assert_eq!(report.total_values, config.total_values());
         }
     }
 }
