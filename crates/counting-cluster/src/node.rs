@@ -269,6 +269,13 @@ impl Node {
         self.backlog
     }
 
+    /// Whether a send or a hand-out waits to be drained: a driver may
+    /// skip the flush of a node without output.
+    #[must_use]
+    pub fn has_output(&self) -> bool {
+        !self.outbox.is_empty() || !self.handouts.is_empty()
+    }
+
     /// Appends the sends decided since the last call to `into`; the
     /// outbox keeps its capacity, so a reused `into` never allocates.
     pub fn drain_outbox(&mut self, into: &mut Vec<Outgoing>) {

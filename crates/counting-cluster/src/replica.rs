@@ -275,6 +275,11 @@ pub struct Replica {
     // Leader-only worker-facing volatile state (failure detector and
     // membership rebroadcast). `last_heard` is indexed by worker id.
     last_heard: Vec<Option<u64>>,
+    /// No member can have been silent for `fail_after` before this
+    /// tick: the earliest `heard + fail_after` of the last scan. `hear`
+    /// only moves times forward, so it can only be early (one extra
+    /// scan), never late; a member set that grows resets it to 0.
+    silence_deadline: u64,
     worker_acks: BTreeSet<NodeId>,
     last_broadcast: Option<u64>,
     outbox: Vec<Outgoing>,
@@ -333,6 +338,7 @@ impl Replica {
             progress: vec![Progress::default(); count as usize],
             last_append: None,
             last_heard: Vec::new(),
+            silence_deadline: 0,
             worker_acks: BTreeSet::new(),
             last_broadcast: None,
             outbox: Vec::new(),
@@ -394,6 +400,13 @@ impl Replica {
     #[must_use]
     pub fn durable(&self) -> &ReplicaDurable {
         &self.durable
+    }
+
+    /// Whether a send waits to be drained: a driver may skip the flush
+    /// of a replica without output.
+    #[must_use]
+    pub fn has_output(&self) -> bool {
+        !self.outbox.is_empty()
     }
 
     /// Appends the sends decided since the last call to `into`; the
@@ -471,7 +484,13 @@ impl Replica {
                     self.send_appends(now);
                 }
                 self.detect_dead_workers(now);
-                if due(self.last_broadcast, now, self.config.retry_after) {
+                // On the leader `worker_acks ⊆ members`: an ack counts
+                // only from a member at the current epoch, and every
+                // epoch change (the only way members change) clears the
+                // acks. So equal sizes mean every member acked.
+                debug_assert!(self.worker_acks.is_subset(&self.coord.members));
+                let all_acked = self.worker_acks.len() == self.coord.members.len();
+                if !all_acked && due(self.last_broadcast, now, self.config.retry_after) {
                     let unacked: Vec<NodeId> = self
                         .coord
                         .members
@@ -479,12 +498,10 @@ impl Replica {
                         .copied()
                         .filter(|w| !self.worker_acks.contains(w))
                         .collect();
-                    if !unacked.is_empty() {
-                        for worker in unacked {
-                            self.send_membership_direct(worker);
-                        }
-                        self.last_broadcast = Some(now);
+                    for worker in unacked {
+                        self.send_membership_direct(worker);
                     }
+                    self.last_broadcast = Some(now);
                 }
             }
         }
@@ -533,6 +550,7 @@ impl Replica {
         // moments ago.
         let next = self.durable.log.len() as u64;
         self.progress.fill(Progress { next, matched: 0, acked_at: now });
+        self.silence_deadline = 0;
         // The term barrier: commits every earlier-term entry once
         // replicated, and gives an otherwise-idle term a commit point.
         self.durable.log.push(LogEntry { term: self.durable.term, cmd: Command::Noop });
@@ -809,6 +827,7 @@ impl Replica {
             }
             Command::Admit { node } => {
                 if self.coord.admit(node) {
+                    self.silence_deadline = 0;
                     if heard_at(&self.last_heard, node).is_none() {
                         hear(&mut self.last_heard, node, now);
                     }
@@ -972,17 +991,25 @@ impl Replica {
         self.maybe_advance_commit(now);
     }
 
+    /// Proposes evicting every member silent for `fail_after`; between
+    /// scans it waits for `silence_deadline`.
     fn detect_dead_workers(&mut self, now: u64) {
-        let dead: Vec<NodeId> = self
-            .coord
-            .members
-            .iter()
-            .copied()
-            .filter(|worker| {
-                let heard = heard_at(&self.last_heard, *worker).unwrap_or(0);
-                now.saturating_sub(heard) >= self.config.fail_after
-            })
-            .collect();
+        if now < self.silence_deadline {
+            return;
+        }
+        let fail_after = self.config.fail_after;
+        let mut deadline = u64::MAX;
+        let mut dead = Vec::new();
+        for &worker in &self.coord.members {
+            let heard = heard_at(&self.last_heard, worker).unwrap_or(0);
+            if now.saturating_sub(heard) >= fail_after {
+                dead.push(worker);
+            }
+            deadline = deadline.min(heard.saturating_add(fail_after));
+        }
+        // Set before proposing, so a reset by a commit inside `propose`
+        // wins.
+        self.silence_deadline = deadline;
         for worker in dead {
             self.propose(now, Command::Evict { node: worker });
         }

@@ -23,9 +23,10 @@
 //! [`Fate`] and its envelope moves into the single delivery (only a
 //! duplicate clones); the pre-drawn plan sits in the queue's sorted
 //! schedule beside a tick ring of just the in-flight hops (merged by
-//! `(at, seq)`, see [`counting_sim::des`]); and every flush drains a
-//! state machine's outbox into scratch `Vec`s the harness owns for the
-//! whole run. No virtual-time decision depends on any of it — golden
+//! `(at, seq)`, see [`counting_sim::des`]); every flush drains a state
+//! machine's outbox into scratch `Vec`s the harness owns for the whole
+//! run, and a machine with nothing to send or hand out is not flushed
+//! at all. No virtual-time decision depends on any of it — golden
 //! fingerprints in `tests/cluster_sim.rs` pin the draw order, pop
 //! order, [`SimStats`] and trace, `tests/sim_alloc.rs` the allocations.
 //!
@@ -391,9 +392,10 @@ impl Harness {
         self.outgoing = outgoing;
     }
 
-    /// Flushes a worker's outbox and hand-outs after it ran.
+    /// Flushes a worker's outbox and hand-outs after it ran; a worker
+    /// with nothing to flush costs one check.
     fn flush_node(&mut self, now: u64, id: NodeId) {
-        let Some(node) = up_node(&mut self.slots, id) else {
+        let Some(node) = up_node(&mut self.slots, id).filter(|node| node.has_output()) else {
             return;
         };
         let mut outgoing = std::mem::take(&mut self.outgoing);
@@ -413,7 +415,7 @@ impl Harness {
     }
 
     fn flush_replica(&mut self, now: u64, index: u64) {
-        let Some(replica) = up_replica(&mut self.replicas, index) else {
+        let Some(replica) = up_replica(&mut self.replicas, index).filter(|r| r.has_output()) else {
             return;
         };
         let mut outgoing = std::mem::take(&mut self.outgoing);

@@ -36,7 +36,10 @@
 //! event due `RING` or more ticks ahead (no shipped harness schedules
 //! one: every delay is bounded well below it) is binary-search-inserted
 //! into the plan instead. `pop` takes the smaller `(at, seq)` of the
-//! plan's head and the first non-empty bucket from `now`; sequence
+//! plan's head and the first non-empty bucket from `now`, found in one
+//! step from a 64-bit occupancy mask (bit `b` set while bucket `b`
+//! holds a key: rotated so bit 0 is `now`'s bucket, its trailing zeros
+//! are the ticks to the next due key); sequence
 //! numbers are unique, so the merged order is exactly that of one
 //! sorted list holding everything.
 
@@ -195,8 +198,9 @@ impl PartitionWindow {
 }
 
 /// How many ticks ahead of `now` the tick ring reaches; a runtime push
-/// due this far ahead or further joins the sorted plan.
-const RING: u64 = 64;
+/// due this far ahead or further joins the sorted plan. One bit per
+/// bucket in `EventQueue::occupied`, so it is the width of a `u64`.
+const RING: u64 = u64::BITS as u64;
 
 /// One scheduled event's ordering key; its payload waits in the slab at
 /// `slot`. `(at, seq)` is unique, so `slot` never decides an order and
@@ -226,6 +230,8 @@ pub struct EventQueue<E> {
     /// `at % RING`.
     ring: Vec<VecDeque<Key>>,
     in_ring: usize,
+    /// Bit `b` is set exactly while `ring[b]` is non-empty.
+    occupied: u64,
     /// Whether the first pop has happened (`plan` is sorted).
     started: bool,
     next_seq: u64,
@@ -248,6 +254,7 @@ impl<E> EventQueue<E> {
             plan: Vec::new(),
             ring: (0..RING).map(|_| VecDeque::new()).collect(),
             in_ring: 0,
+            occupied: 0,
             started: false,
             next_seq: 0,
             now: 0,
@@ -289,8 +296,10 @@ impl<E> EventQueue<E> {
         if !self.started {
             self.plan.push(key);
         } else if key.at - self.now < RING {
-            self.ring[(key.at % RING) as usize].push_back(key);
+            let bucket = key.at % RING;
+            self.ring[bucket as usize].push_back(key);
             self.in_ring += 1;
+            self.occupied |= 1 << bucket;
         } else {
             let index = self.plan.partition_point(|planned| *planned > key);
             self.plan.insert(index, key);
@@ -305,17 +314,21 @@ impl<E> EventQueue<E> {
             self.plan.sort_unstable_by(|a, b| b.cmp(a));
         }
         let planned = self.plan.last().copied();
-        // The ring's earliest key: the first non-empty bucket from `now`,
-        // searched no further than the plan's head.
-        let limit = planned.map_or(u64::MAX, |key| key.at);
-        let bucket = (self.now..=self.now.saturating_add(RING - 1))
-            .take_while(|&at| self.in_ring > 0 && at <= limit)
-            .map(|at| (at % RING) as usize)
-            .find(|&bucket| !self.ring[bucket].is_empty());
+        // The ring's earliest key: the first occupied bucket from `now`.
+        // Every ring key is due in `now..now + RING`, so the rotated
+        // mask's trailing zeros are its distance from `now` in ticks.
+        let bucket = (self.occupied != 0).then(|| {
+            let ahead = self.occupied.rotate_right((self.now % RING) as u32).trailing_zeros();
+            ((self.now + u64::from(ahead)) % RING) as usize
+        });
         let key = match bucket {
             Some(bucket) if planned.is_none_or(|head| self.ring[bucket][0] < head) => {
                 self.in_ring -= 1;
-                self.ring[bucket].pop_front().expect("the bucket was found non-empty")
+                let key = self.ring[bucket].pop_front().expect("an occupied bucket holds a key");
+                if self.ring[bucket].is_empty() {
+                    self.occupied &= !(1 << bucket);
+                }
+                key
             }
             _ => self.plan.pop()?,
         };
