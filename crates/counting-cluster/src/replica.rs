@@ -1227,6 +1227,52 @@ mod tests {
         assert_eq!(rs[0].coord().epoch, epoch_after_death + 1);
     }
 
+    /// Ticks the lone leader every 5 ticks from `from` until `worker`
+    /// leaves the membership; returns that tick. `beat` heartbeats
+    /// worker 1 on every tick first, when set.
+    fn evicted_at(rs: &mut [Replica], worker: NodeId, from: u64, beat: bool) -> u64 {
+        (1..400)
+            .map(|k| from + 5 * k)
+            .find(|&now| {
+                if beat {
+                    client(rs, 0, now, Message::Heartbeat { node: 1, epoch: rs[0].coord().epoch });
+                }
+                rs[0].on_tick(now);
+                rs[0].take_outbox();
+                !rs[0].coord().members.contains(&worker)
+            })
+            .expect("the silent worker is evicted")
+    }
+
+    #[test]
+    fn the_failure_detector_deadline_evicts_on_the_full_scan_tick() {
+        let (mut rs, t) = lone_leader();
+        let fail_after = ProtocolConfig::default().fail_after;
+        // The first tick a full scan would find `heard` silent for
+        // `fail_after` ticks.
+        let full_scan = |heard: u64, from: u64| {
+            (1..).map(|k| from + 5 * k).find(|&now| now - heard >= fail_after).expect("some tick")
+        };
+        // Taking office heard every member at `t`; worker 1 keeps
+        // beating, worker 2 stays silent.
+        let first = evicted_at(&mut rs, 2, t, true);
+        assert_eq!(first, full_scan(t, t));
+        assert!(rs[0].coord().members.contains(&1));
+        // Worker 1, last heard at `first`, falls silent too; then the
+        // group is empty, so the deadline is "never" until someone is
+        // admitted.
+        let gone = evicted_at(&mut rs, 1, first, false);
+        assert_eq!(gone, full_scan(first, first));
+        rs[0].on_tick(gone + 5);
+        assert!(rs[0].coord().members.is_empty());
+        // Admitting re-arms the deadline: the rejoined worker is
+        // evicted exactly when a full scan would evict it.
+        let back = gone + 7;
+        client(&mut rs, 0, back, Message::Heartbeat { node: 2, epoch: 1 });
+        assert!(rs[0].coord().members.contains(&2), "the heartbeat re-admitted worker 2");
+        assert_eq!(evicted_at(&mut rs, 2, gone + 5, false), full_scan(back, gone + 5));
+    }
+
     #[test]
     fn no_dedup_mutation_double_allocates() {
         let (mut rs, t) = lone_leader();
