@@ -9,15 +9,17 @@
 //! the same [`GlobalChecker`] the simulation uses.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::check::GlobalChecker;
 use crate::coordinator::CoordinatorDurable;
-use crate::message::{Envelope, NodeId, COORDINATOR};
+use crate::message::{Envelope, NodeId, Outgoing, COORDINATOR};
 use crate::node::{Node, ProtocolConfig};
 use crate::replica::{replica_id, Replica};
-use crate::transport::{ChannelTransport, Transport};
+use crate::transport::{ChannelTransport, CoordinatorRoute, Transport};
 
 /// The outcome of a [`run_live`] cluster lifetime.
 #[derive(Debug)]
@@ -32,6 +34,10 @@ pub struct LiveReport {
     pub violations: Vec<String>,
     /// The coordinator's final cursor.
     pub cursor: u64,
+    /// Hops the workers and replicas handed to the transport. A
+    /// coordinator-addressed envelope counts once, as in the simulation's
+    /// `SimStats::sent`, although the router thread re-sends it.
+    pub hops: u64,
 }
 
 /// Control messages the harness sends its worker threads.
@@ -58,14 +64,37 @@ fn now_ms(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
+/// What every participant thread shares: the cluster's start instant,
+/// the coordinator route replicas teach and the router reads, and the
+/// hop count.
+#[derive(Clone)]
+struct Shared {
+    start: Instant,
+    route: Arc<Mutex<CoordinatorRoute>>,
+    hops: Arc<AtomicU64>,
+}
+
+impl Shared {
+    fn route(&self) -> std::sync::MutexGuard<'_, CoordinatorRoute> {
+        self.route.lock().expect("no thread panics while routing")
+    }
+
+    /// Counts and sends a drained outbox.
+    fn send_all(&self, transport: &ChannelTransport, outbox: &mut Vec<Outgoing>) {
+        self.hops.fetch_add(outbox.len() as u64, Ordering::Relaxed);
+        transport.send_all(outbox);
+    }
+}
+
 fn worker_loop(
     mut node: Node,
-    start: Instant,
-    transport: ChannelTransport,
+    shared: &Shared,
+    transport: &ChannelTransport,
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
     up_tx: &Sender<Up>,
 ) {
+    let start = shared.start;
     let id = node.id();
     let mut sealed_reported = false;
     let (mut outbox, mut handouts) = (Vec::new(), Vec::new());
@@ -83,7 +112,7 @@ fn worker_loop(
         }
         node.on_tick(now);
         node.drain_outbox(&mut outbox);
-        transport.send_all(&mut outbox);
+        shared.send_all(transport, &mut outbox);
         node.drain_handouts(&mut handouts);
         for value in handouts.drain(..) {
             let _ = up_tx.send(Up::Hand(id, value));
@@ -102,14 +131,14 @@ type ReplicaFinal = (bool, u64, u64, CoordinatorDurable);
 
 fn replica_loop(
     mut replica: Replica,
-    start: Instant,
-    transport: ChannelTransport,
+    shared: &Shared,
+    transport: &ChannelTransport,
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
 ) -> ReplicaFinal {
     let mut outbox = Vec::new();
     loop {
-        let now = now_ms(start);
+        let now = now_ms(shared.start);
         while let Ok(env) = net_rx.try_recv() {
             replica.on_message(now, env);
         }
@@ -123,25 +152,32 @@ fn replica_loop(
         }
         replica.on_tick(now);
         replica.drain_outbox(&mut outbox);
-        transport.send_all(&mut outbox);
+        if !outbox.is_empty() {
+            let mut route = shared.route();
+            for out in &outbox {
+                route.observe(replica.id(), out);
+            }
+        }
+        shared.send_all(transport, &mut outbox);
         std::thread::sleep(LOOP_PAUSE);
     }
 }
 
-/// The router thread standing in for the virtual coordinator id:
-/// everything workers address to id 0 is fanned out round-robin across
-/// the replica group (a follower forwards to its leader hint).
+/// The router thread standing in for the virtual coordinator id: it
+/// resolves everything workers address to id 0 with the same
+/// [`CoordinatorRoute`] the simulation uses, which the replica threads
+/// teach with what they send. Heartbeats and membership acks go to the
+/// guessed leader; every other kind rotates over the group, and a
+/// follower forwards what it cannot serve to its leader hint.
 fn router_loop(
-    replicas: u64,
-    transport: ChannelTransport,
+    shared: &Shared,
+    transport: &ChannelTransport,
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
 ) {
-    let mut rotation = 0u64;
     loop {
         while let Ok(env) = net_rx.try_recv() {
-            let target = replica_id(rotation % replicas);
-            rotation += 1;
+            let target = shared.route().pick(&env.msg);
             transport.send(target, env);
         }
         if let Ok(Ctl::Stop) = ctl_rx.try_recv() {
@@ -207,7 +243,12 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
         lease_ticks: 200,
         ..ProtocolConfig::default()
     };
-    let start = Instant::now();
+    let shared = Shared {
+        start: Instant::now(),
+        route: Arc::new(Mutex::new(CoordinatorRoute::new(replicas))),
+        hops: Arc::new(AtomicU64::new(0)),
+    };
+    let start = shared.start;
     let ids: Vec<NodeId> = (1..=workers).collect();
     let replica_ids: Vec<NodeId> = (0..replicas).map(replica_id).collect();
     let mut members = vec![COORDINATOR];
@@ -228,25 +269,26 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
     let mut endpoint = |id: NodeId| {
         let (ctl_tx, ctl_rx) = channel();
         ctl_txs.insert(id, ctl_tx);
-        (transport.clone(), net_rxs.remove(&id).expect("registered above"), ctl_rx)
+        let net_rx = net_rxs.remove(&id).expect("registered above");
+        (shared.clone(), transport.clone(), net_rx, ctl_rx)
     };
     let mut handles = Vec::new();
-    let (transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
-    handles.push(std::thread::spawn(move || router_loop(replicas, transport, &net_rx, &ctl_rx)));
+    let (router, transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
+    handles.push(std::thread::spawn(move || router_loop(&router, &transport, &net_rx, &ctl_rx)));
     let mut replica_handles = Vec::new();
     for (r, &id) in (0..).zip(&replica_ids) {
         let replica = Replica::new(r, replicas, &ids, config);
-        let (transport, net_rx, ctl_rx) = endpoint(id);
+        let (shared, transport, net_rx, ctl_rx) = endpoint(id);
         replica_handles.push(std::thread::spawn(move || {
-            replica_loop(replica, start, transport, &net_rx, &ctl_rx)
+            replica_loop(replica, &shared, &transport, &net_rx, &ctl_rx)
         }));
     }
     for &id in &ids {
         let node = Node::bootstrap(id, config, members.clone());
-        let (transport, net_rx, ctl_rx) = endpoint(id);
+        let (shared, transport, net_rx, ctl_rx) = endpoint(id);
         let up_tx = up_tx.clone();
         handles.push(std::thread::spawn(move || {
-            worker_loop(node, start, transport, &net_rx, &ctl_rx, &up_tx);
+            worker_loop(node, &shared, &transport, &net_rx, &ctl_rx, &up_tx);
         }));
     }
 
@@ -320,6 +362,7 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
         per_node,
         violations,
         cursor: coordinator.cursor,
+        hops: shared.hops.load(Ordering::Relaxed),
     }
 }
 

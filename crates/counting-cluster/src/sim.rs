@@ -44,6 +44,7 @@ use crate::coordinator::CoordinatorDurable;
 use crate::message::{Envelope, NodeId, Outgoing, COORDINATOR};
 use crate::node::{Node, NodeDurable, ProtocolConfig};
 use crate::replica::{replica_id, Replica, ReplicaDurable, REPLICA_BASE};
+use crate::transport::CoordinatorRoute;
 
 /// A deliberately-injected protocol bug, used to calibrate the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -309,9 +310,9 @@ struct Harness {
     config: ClusterSimConfig,
     /// The coordinator group, indexed by replica index.
     replicas: Vec<ReplicaSlot>,
-    /// Round-robin cursor fanning coordinator-addressed hops over the
-    /// group.
-    rotation: u64,
+    /// Resolves coordinator-addressed hops to a replica: liveness kinds
+    /// to the guessed leader, the rest round-robin over the group.
+    route: CoordinatorRoute,
     /// Worker slots indexed by id (index 0, the coordinator's id, stays
     /// `None`; so does a joiner's until it joins).
     slots: Vec<Option<Slot>>,
@@ -350,13 +351,8 @@ impl Harness {
     /// fault plan. `from` is the physical sender (a worker id or a
     /// replica id) — partitions cut physical links.
     fn transmit(&mut self, now: u64, from: NodeId, out: Outgoing) {
-        let mut hop = out.hop;
-        if hop == COORDINATOR {
-            // The virtual coordinator id fans out round-robin over the
-            // group; a follower forwards to its leader hint.
-            hop = replica_id(self.rotation % self.replicas.len() as u64);
-            self.rotation += 1;
-        }
+        self.route.observe(from, &out);
+        let hop = if out.hop == COORDINATOR { self.route.pick(&out.env.msg) } else { out.hop };
         self.stats.sent += 1;
         let info = || format!("hop n{}: {}", hop, out.env.msg);
         self.record(now, "send", out.env.src, info);
@@ -445,6 +441,7 @@ impl Harness {
             up_node(&mut self.slots, hop).is_some()
         };
         if !up {
+            self.route.lost(hop);
             self.stats.lost += 1;
             self.record(now, "lost", hop, || env.msg.to_string());
             return;
@@ -594,7 +591,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
     let mut harness = Harness {
         config,
         replicas,
-        rotation: 0,
+        route: CoordinatorRoute::new(group),
         slots,
         left: std::collections::BTreeSet::new(),
         queue,
