@@ -78,4 +78,4 @@ pub use message::{next_hop, Block, Envelope, Message, NodeId, Outgoing, COORDINA
 pub use node::{Node, NodeDurable, ProtocolConfig};
 pub use replica::{replica_id, Command, LogEntry, Replica, ReplicaDurable, REPLICA_BASE};
 pub use sim::{run_sim, ClusterSimConfig, ClusterTrace, Mutation, SimReport, SimStats, TraceEvent};
-pub use transport::{ChannelTransport, CoordinatorRoute, Transport};
+pub use transport::{ChannelTransport, Transport};

@@ -272,7 +272,7 @@ impl Node {
     /// Whether a send or a hand-out waits to be drained: a driver may
     /// skip the flush of a node without output.
     #[must_use]
-    pub fn has_output(&self) -> bool {
+    pub(crate) fn has_output(&self) -> bool {
         !self.outbox.is_empty() || !self.handouts.is_empty()
     }
 

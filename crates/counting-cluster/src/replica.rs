@@ -27,9 +27,12 @@
 //! pre-vote or leadership transfer.
 //!
 //! Workers never learn any of this: they keep addressing the virtual
-//! [`COORDINATOR`] id 0. The transport (simulated or live) fans those
-//! envelopes out to some replica; a follower forwards them to its
-//! leader hint — except a [`Message::RecoverQuery`] it can answer
+//! [`COORDINATOR`] id 0. The transport (simulated or live) resolves
+//! that id with one `CoordinatorRoute` (`transport.rs`): heartbeats
+//! and membership acks, which only the leader consumes, go to the
+//! replica it last saw speaking for the group; every other kind rotates
+//! over the group. A follower forwards what reaches it to its leader
+//! hint — except a [`Message::RecoverQuery`] it can answer
 //! *positively* from committed state, which needs no new commit — and
 //! the leader drives every client answer through the log: the grant,
 //! seal, tombstone or membership change is sent only after the entry
@@ -405,7 +408,7 @@ impl Replica {
     /// Whether a send waits to be drained: a driver may skip the flush
     /// of a replica without output.
     #[must_use]
-    pub fn has_output(&self) -> bool {
+    pub(crate) fn has_output(&self) -> bool {
         !self.outbox.is_empty()
     }
 

@@ -357,6 +357,7 @@ impl Harness {
         let info = || format!("hop n{}: {}", hop, out.env.msg);
         self.record(now, "send", out.env.src, info);
         if self.partitions.iter().any(|w| w.severs(now, from, hop)) {
+            self.route.lost(hop);
             self.stats.severed += 1;
             self.record(now, "sever", out.env.src, info);
             return;

@@ -10,8 +10,8 @@
 //! intercepts every hop to apply the fault plan.
 //!
 //! Both drivers resolve the virtual [`COORDINATOR`] id with one
-//! [`CoordinatorRoute`]: the simulation in its hop routing, `run_live`
-//! in its router thread.
+//! `CoordinatorRoute`: the simulation in its hop routing, `run_live` in
+//! its router thread.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::Sender;
@@ -34,10 +34,13 @@ use crate::replica::{replica_id, REPLICA_BASE};
 /// ([`Self::observe`]): a replica speaking as the coordinator, or a
 /// follower forwarding a worker's envelope to its leader hint. It
 /// forgets the guess when a hop to that replica is lost because the
-/// replica is down ([`Self::lost`]). In a group of one, the guess and
-/// the rotation both pick replica 0.
+/// replica is down or a partition cut it off ([`Self::lost`]): a leader
+/// the group cannot reach is about to lose its lease, and heartbeats
+/// that keep reaching it would starve its successor's failure
+/// detector. In a group of one, the guess and the rotation both pick
+/// replica 0.
 #[derive(Debug, Clone)]
-pub struct CoordinatorRoute {
+pub(crate) struct CoordinatorRoute {
     group: u64,
     rotation: u64,
     leader: Option<NodeId>,
@@ -47,13 +50,13 @@ impl CoordinatorRoute {
     /// A route over a group of `group` replicas (0 acts as 1), with no
     /// guess yet.
     #[must_use]
-    pub fn new(group: u64) -> Self {
+    pub(crate) fn new(group: u64) -> Self {
         Self { group: group.max(1), rotation: 0, leader: None }
     }
 
     /// The replica a coordinator-addressed `msg` goes to: the guessed
     /// leader for liveness kinds, else the next replica in rotation.
-    pub fn pick(&mut self, msg: &Message) -> NodeId {
+    pub(crate) fn pick(&mut self, msg: &Message) -> NodeId {
         let liveness = matches!(msg, Message::Heartbeat { .. } | Message::MembershipAck { .. });
         match self.leader {
             Some(leader) if liveness => leader,
@@ -68,7 +71,7 @@ impl CoordinatorRoute {
     /// Learns from one hop that `from` hands to the transport. Only a
     /// replica's hops teach anything: one speaking as the coordinator
     /// leads, and one forwarding a worker's envelope names its leader.
-    pub fn observe(&mut self, from: NodeId, out: &Outgoing) {
+    pub(crate) fn observe(&mut self, from: NodeId, out: &Outgoing) {
         if from < REPLICA_BASE {
             return;
         }
@@ -80,8 +83,8 @@ impl CoordinatorRoute {
     }
 
     /// Forgets the guess when a hop to `hop` was lost because that
-    /// replica is down.
-    pub fn lost(&mut self, hop: NodeId) {
+    /// replica is down or cut off from the sender.
+    pub(crate) fn lost(&mut self, hop: NodeId) {
         if self.leader == Some(hop) {
             self.leader = None;
         }

@@ -45,7 +45,7 @@ fn golden_fingerprints_pin_every_virtual_time_decision() {
     // liveness traffic started going to the guessed leader; r1 did not
     // move (a group of one has no other replica to pick).
     const GOLDEN: [(u64, u64); 3] =
-        [(1, 0xC3FA_0148_5F0D_A2A8), (3, 0x0D9D_B58E_31B7_ECC3), (5, 0x5F62_8EC5_54B6_C91D)];
+        [(1, 0xC3FA_0148_5F0D_A2A8), (3, 0x0873_FBD2_7B03_A2B6), (5, 0x23F0_590A_01A2_A41B)];
     let measured = GOLDEN.map(|(replicas, _)| {
         let mut hash = 0xCBF2_9CE4_8422_2325;
         for seed in 1..=8 {
@@ -66,7 +66,7 @@ fn golden_fingerprints_pin_every_virtual_time_decision() {
 #[test]
 fn liveness_traffic_is_not_forwarded_through_followers() {
     // Message economy on the benchmark cell: heartbeats and membership
-    // acks go to the guessed leader, so a value costs 3.45 hops here;
+    // acks go to the guessed leader, so a value costs 3.46 hops here;
     // when two of every three heartbeats landed on a follower and were
     // forwarded, it cost 4.45.
     let (mut sent, mut handed) = (0, 0);
