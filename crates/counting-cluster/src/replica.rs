@@ -281,7 +281,8 @@ pub struct Replica {
     /// No member can have been silent for `fail_after` before this
     /// tick: the earliest `heard + fail_after` of the last scan. `hear`
     /// only moves times forward, so it can only be early (one extra
-    /// scan), never late; a member set that grows resets it to 0.
+    /// scan), never late; a member set that grows, and taking office,
+    /// reset it to 0.
     silence_deadline: u64,
     worker_acks: BTreeSet<NodeId>,
     last_broadcast: Option<u64>,

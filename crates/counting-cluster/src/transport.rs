@@ -164,21 +164,22 @@ mod tests {
     const HEARTBEAT: Message = Message::Heartbeat { node: 1, epoch: 1 };
     const ACK: Message = Message::MembershipAck { node: 1, epoch: 1 };
     const LEASE: Message = Message::LeaseRequest { node: 1, req_id: 0, want: 8 };
+    const GRANT: Message = Message::LeaseGrant { node: 1, req_id: 0, base: 0, len: 8 };
 
     #[test]
     fn a_replica_speaking_as_the_coordinator_becomes_the_guess() {
         let mut route = CoordinatorRoute::new(3);
         // A worker relaying the coordinator's broadcast teaches nothing.
-        route.observe(2, &out(3, COORDINATOR, 3, Message::Join { node: 3 }));
+        route.observe(2, &out(3, COORDINATOR, 3, GRANT));
         assert_eq!(route.pick(&HEARTBEAT), replica_id(0), "no guess yet: rotation");
-        route.observe(replica_id(2), &out(1, COORDINATOR, 1, Message::Join { node: 1 }));
+        route.observe(replica_id(2), &out(1, COORDINATOR, 1, GRANT));
         assert_eq!(route.pick(&HEARTBEAT), replica_id(2));
     }
 
     #[test]
     fn liveness_kinds_go_to_the_guess() {
         let mut route = CoordinatorRoute::new(5);
-        route.observe(replica_id(3), &out(1, COORDINATOR, 1, ACK));
+        route.observe(replica_id(3), &out(1, COORDINATOR, 1, GRANT));
         for _ in 0..5 {
             assert_eq!(route.pick(&HEARTBEAT), replica_id(3));
             assert_eq!(route.pick(&ACK), replica_id(3));
@@ -200,7 +201,7 @@ mod tests {
     #[test]
     fn a_hop_lost_to_the_guessed_replica_forgets_it() {
         let mut route = CoordinatorRoute::new(3);
-        route.observe(replica_id(1), &out(1, COORDINATOR, 1, ACK));
+        route.observe(replica_id(1), &out(1, COORDINATOR, 1, GRANT));
         route.lost(replica_id(2));
         assert_eq!(route.pick(&HEARTBEAT), replica_id(1), "another replica's loss is kept");
         route.lost(replica_id(1));
@@ -211,7 +212,7 @@ mod tests {
     #[test]
     fn request_kinds_rotate_past_the_guess() {
         let mut route = CoordinatorRoute::new(3);
-        route.observe(replica_id(1), &out(1, COORDINATOR, 1, ACK));
+        route.observe(replica_id(1), &out(1, COORDINATOR, 1, GRANT));
         let requests = [
             LEASE,
             Message::Return { node: 1, watermark: 4, leaving: false },
@@ -232,7 +233,7 @@ mod tests {
             for msg in [HEARTBEAT, LEASE, ACK, LEASE] {
                 assert_eq!(route.pick(&msg), replica_id(0));
             }
-            route.observe(replica_id(0), &out(1, COORDINATOR, 1, ACK));
+            route.observe(replica_id(0), &out(1, COORDINATOR, 1, GRANT));
             route.lost(replica_id(0));
             assert_eq!(route.pick(&HEARTBEAT), replica_id(0));
         }
