@@ -120,6 +120,8 @@ impl NodeDurable {
 pub struct Node {
     config: ProtocolConfig,
     durable: NodeDurable,
+    /// Values in `durable.ledger`, which only grows (one push site).
+    ledger_total: u64,
     service: CounterService,
     counter: Arc<TenantCounter>,
     view_epoch: u64,
@@ -203,9 +205,11 @@ impl Node {
             debug_assert!(restored, "no tenant can be live in a fresh registry");
         }
         let counter = service.get_or_create(CLUSTER_TENANT);
+        let ledger_total = durable.ledger.iter().map(|b| b.len).sum();
         Self {
             config,
             durable,
+            ledger_total,
             service,
             counter,
             view_epoch: 0,
@@ -341,6 +345,7 @@ impl Node {
                 match self.durable.pending {
                     Some(p) if p.req_id == req_id => {
                         self.durable.ledger.push(Block { base, len });
+                        self.ledger_total += len;
                         self.durable.pending = None;
                         self.recovering = false;
                         self.attempts = 0;
@@ -466,19 +471,17 @@ impl Node {
         }
     }
 
-    /// Total values in the ledger.
-    fn ledger_total(&self) -> u64 {
-        self.durable.ledger.iter().map(|b| b.len).sum()
-    }
-
     /// Maps a local stream index through the ledger to a global value.
+    /// The stream is served in order, so the index almost always falls
+    /// in the newest block: search from the back.
     fn map_global(&self, idx: u64) -> u64 {
-        let mut rem = idx;
-        for block in &self.durable.ledger {
-            if rem < block.len {
-                return block.base + rem;
+        let mut end = self.ledger_total;
+        for block in self.durable.ledger.iter().rev() {
+            let start = end - block.len;
+            if idx >= start {
+                return block.base + (idx - start);
             }
-            rem -= block.len;
+            end = start;
         }
         unreachable!("callers check idx < ledger_total")
     }
@@ -486,7 +489,7 @@ impl Node {
     /// Serves backlog from the ledger, then requests more if demand
     /// outruns it.
     fn pump(&mut self, now: u64) {
-        let total = self.ledger_total();
+        let total = self.ledger_total;
         while self.backlog > 0 && !self.durable.sealed {
             // The registry watermark is the node's local stream cursor;
             // after an honest restart it resumes exactly at the durable
@@ -516,7 +519,7 @@ impl Node {
         {
             return;
         }
-        let available = self.ledger_total().saturating_sub(self.counter.watermark());
+        let available = self.ledger_total.saturating_sub(self.counter.watermark());
         let deficit = self.backlog.saturating_sub(available);
         if deficit == 0 {
             return;

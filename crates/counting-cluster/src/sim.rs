@@ -427,8 +427,10 @@ impl Harness {
         for id in 1..=self.config.workers + self.config.joins {
             if let Some(node) = up_node(&mut self.slots, id) {
                 step(node, now);
+                if node.has_output() {
+                    self.flush_node(now, id);
+                }
             }
-            self.flush_node(now, id);
         }
     }
 
@@ -624,8 +626,10 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 for index in 0..group {
                     if let Some(replica) = up_replica(&mut harness.replicas, index) {
                         replica.on_tick(now);
+                        if replica.has_output() {
+                            harness.flush_replica(now, index);
+                        }
                     }
-                    harness.flush_replica(now, index);
                 }
                 harness.step_workers(now, Node::on_tick);
                 if !harness.done() {

@@ -61,6 +61,7 @@ impl SimRng {
     }
 
     /// The next raw 64-bit draw.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
@@ -71,6 +72,7 @@ impl SimRng {
     }
 
     /// A uniform draw in `0..n` (`0` when `n == 0`).
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             0
@@ -81,6 +83,7 @@ impl SimRng {
 
     /// A uniform draw in `min..=max` (saturating to `min` when the
     /// bounds cross).
+    #[inline]
     pub fn range(&mut self, min: u64, max: u64) -> u64 {
         if max <= min {
             min
@@ -90,6 +93,7 @@ impl SimRng {
     }
 
     /// `true` with probability `per_mille / 1000`.
+    #[inline]
     pub fn chance(&mut self, per_mille: u32) -> bool {
         self.below(1000) < u64::from(per_mille)
     }
@@ -139,6 +143,7 @@ impl FaultPlan {
     /// Decides the fate of one message. The draw order is fixed — drop,
     /// then duplicate, then one delay per copy (the first copy's first)
     /// — so a decision stream is stable for a given RNG state.
+    #[inline]
     pub fn decide(&self, rng: &mut SimRng) -> Fate {
         if rng.chance(self.drop_per_mille) {
             return Fate::Dropped;
