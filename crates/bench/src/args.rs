@@ -1,6 +1,8 @@
 //! Strict flag parsing for the `exp_*` binaries: a flag the binary does
 //! not know is an error (exit status 2), never silently ignored — a
-//! typo'd `--quik` must not run the full-size experiment.
+//! typo'd `--quik` must not run the full-size experiment. A flag given
+//! twice is an error too: `--seed 1 --seed 2` must not quietly run one of
+//! the two.
 
 use std::{fmt::Display, str::FromStr};
 
@@ -10,8 +12,9 @@ pub struct Args(Vec<String>);
 
 impl Args {
     /// Reads the process arguments; `switches` take no value, `valued`
-    /// flags take one. Exits with status 2, naming the offending argument
-    /// and every known flag, on anything else.
+    /// flags take one, and each may be given once. Exits with status 2,
+    /// naming the offending argument (and every known flag when it is
+    /// unknown), on anything else.
     #[must_use]
     pub fn from_env(switches: &[&str], valued: &[&str]) -> Self {
         Self::check(std::env::args().skip(1).collect(), switches, valued)
@@ -19,6 +22,7 @@ impl Args {
     }
 
     fn check(argv: Vec<String>, switches: &[&str], valued: &[&str]) -> Result<Self, String> {
+        let mut seen = Vec::new();
         let mut rest = argv.iter().map(String::as_str);
         while let Some(arg) = rest.next() {
             if valued.contains(&arg) {
@@ -28,6 +32,10 @@ impl Args {
                 let known = [switches, valued].concat().join(" ");
                 return Err(format!("unknown argument `{arg}`; known flags: [{known}]"));
             }
+            if seen.contains(&arg) {
+                return Err(format!("`{arg}` given more than once"));
+            }
+            seen.push(arg);
         }
         Ok(Self(argv))
     }
@@ -87,5 +95,8 @@ mod tests {
         assert!(check(&["stray"]).is_err(), "positionals are not accepted");
         assert!(check(&["--json"]).expect_err("no value").contains("--json requires a value"));
         assert!(check(&["--json", "--quick"]).is_err(), "a flag is not a value");
+        let err = check(&["--seed", "1", "--seed", "2"]).expect_err("one seed only");
+        assert!(err.contains("`--seed` given more than once"), "{err}");
+        assert!(check(&["--quick", "--quick"]).is_err(), "a switch is given once too");
     }
 }

@@ -25,7 +25,7 @@
 //! [--trace-dir <dir>]`
 
 use bench::args::fail;
-use bench::{Args, Table};
+use bench::{emit_json, Args, Table};
 use counting_cluster::{run_sim, ClusterSimConfig, Mutation};
 use counting_sim::des::FaultPlan;
 use serde::Serialize;
@@ -300,14 +300,7 @@ fn main() {
     );
 
     let doc = ClusterJson { seed, mutation: mutation.map(|m| m.flag().to_owned()), reports };
-    let json = serde_json::to_string(&doc).expect("reports serialize");
-    match json_path {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write JSON report file");
-            println!("JSON written to {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit_json(&doc, json_path);
 
     let broken: Vec<&ClusterCellReport> =
         doc.reports.iter().filter(|r| !r.violations.is_empty() || !r.converged).collect();

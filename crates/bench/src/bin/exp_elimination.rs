@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release -p bench --bin exp_elimination
 //! [-- --quick] [--json <path>] [--seed <u64>]`
 
-use bench::{kilo_rate, Args, Table};
+use bench::{emit_json, kilo_rate, Args, Table};
 use counting::counting_network;
 use counting_runtime::elimination::{DEFAULT_PROBE, DEFAULT_SLOTS, DEFAULT_SPIN};
 use counting_runtime::{
@@ -247,14 +247,7 @@ fn main() {
     );
 
     let json = EliminationJson { seed, stress, arena_measured: measured, arena_model: model };
-    let json = serde_json::to_string(&json).expect("reports serialize");
-    match json_path {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write JSON report file");
-            println!("JSON written to {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit_json(&json, json_path);
 
     // Gate: any BROKEN cell (a non-demonstration violation) fails the
     // process after the JSON was written for forensics.

@@ -26,7 +26,7 @@
 //! exp_model [-- --quick] [--preemptions <n>] [--json <path>]
 //! [--trace-dir <dir>]`
 
-use bench::{Args, Table};
+use bench::{emit_json, Args, Table};
 use counting_sim::model::{explore, replay, Counterexample, ExploreReport, ModelConfig, Scenario};
 
 use counting_runtime::model_scenarios::{arena_pair, arena_probe, arena_trio, arena_trio_mutated};
@@ -240,14 +240,7 @@ fn main() {
         }
     }
 
-    let json = serde_json::to_string(&rows).expect("rows serialize");
-    match &json_path {
-        Some(path) => {
-            std::fs::write(path, &json).expect("JSON file is writable");
-            println!("JSON written to {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit_json(&rows, json_path);
 
     let failures: Vec<&Row> = rows.iter().filter(|r| !r.passed()).collect();
     if !failures.is_empty() {

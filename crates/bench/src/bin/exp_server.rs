@@ -23,9 +23,10 @@
 //! tickets and lease ids must be unique and exactly dense (`0..n`), no
 //! rate window may over-admit its budget, and every waiting client must
 //! eventually be admitted with the final bound equal to the dispensed
-//! count. Per-endpoint latencies land in log₂-bucketed histograms
-//! (table + JSON artifact). Exits nonzero on any violation, after the
-//! JSON is written.
+//! count. Per-endpoint request counts land in the JSON artifact; serving
+//! latency is measured by the benchmark's `http-closed` and `http-open`
+//! workloads, not here. Exits nonzero on any violation, after the JSON is
+//! written.
 //!
 //! Run with: `cargo run --release -p bench --bin exp_server
 //! [-- --quick] [--json <path>] [--seed <u64>] [--clients <n>]`
@@ -34,7 +35,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use bench::{kilo_rate, Args, Table};
+use bench::{emit_json, kilo_rate, Args, Table};
 use counting_runtime::{rate_over, MeasuredWindow};
 use counting_server::router::{LeaseBody, RateBody, StatusBody, TicketBody};
 use counting_server::{ClientConnection, CountingServer, ServerConfig};
@@ -57,14 +58,11 @@ const RATE_WINDOW_US: u64 = 100_000;
 /// small enough that the drain takes many calls (exercising repeated
 /// clamped releases), large enough to finish promptly.
 const ADMIT_BATCH: u64 = 64;
-/// Histogram bucket count: bucket `i` holds latencies in
-/// `[2^i, 2^(i+1))` µs, the last bucket catches everything slower.
-const HIST_BUCKETS: usize = 24;
 /// Default `--seed`: every arrival time, batch size, and window index
 /// derives from it, so a run is reproducible from its JSON alone.
 const DEFAULT_SEED: u64 = 0xE17;
 
-/// Endpoint families, indexed into the latency histograms.
+/// Endpoint families, indexed into the per-endpoint request counts.
 const ENDPOINTS: [&str; 5] = ["ticket", "status", "lease", "rate", "admit"];
 const EP_TICKET: usize = 0;
 const EP_STATUS: usize = 1;
@@ -119,26 +117,13 @@ impl Violations {
     }
 }
 
-/// Per-endpoint request count, rate, and latency distribution.
+/// Per-endpoint request count and rate.
 #[derive(Debug, Serialize)]
 struct EndpointReport {
     endpoint: String,
     requests: u64,
     /// `None` when the measured window was degenerate.
     requests_per_second: Option<f64>,
-    p50_us: u64,
-    p90_us: u64,
-    p99_us: u64,
-    /// Non-empty log₂ buckets: `le_us` is the bucket's inclusive upper
-    /// bound in µs.
-    buckets: Vec<HistBucket>,
-}
-
-/// One non-empty histogram bucket.
-#[derive(Debug, Serialize)]
-struct HistBucket {
-    le_us: u64,
-    count: u64,
 }
 
 /// xorshift64* — the deterministic RNG behind arrivals and batch sizes.
@@ -206,45 +191,8 @@ impl Ord for Pending {
     }
 }
 
-/// Driver-local latency histograms, merged after the join.
-struct Histograms([[u64; HIST_BUCKETS]; ENDPOINTS.len()]);
-
-impl Histograms {
-    fn new() -> Self {
-        Self([[0; HIST_BUCKETS]; ENDPOINTS.len()])
-    }
-
-    fn record(&mut self, endpoint: usize, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        let bucket = (64 - us.max(1).leading_zeros() as usize).min(HIST_BUCKETS) - 1;
-        self.0[endpoint][bucket] += 1;
-    }
-
-    fn merge(&mut self, other: &Histograms) {
-        for (mine, theirs) in self.0.iter_mut().zip(other.0.iter()) {
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                *m += t;
-            }
-        }
-    }
-}
-
-/// The bucket upper bound (µs) under which fraction `q` of samples fall.
-fn percentile(buckets: &[u64; HIST_BUCKETS], q: f64) -> u64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let target = (total as f64 * q).ceil() as u64;
-    let mut seen = 0;
-    for (i, &count) in buckets.iter().enumerate() {
-        seen += count;
-        if seen >= target {
-            return 1u64 << (i + 1);
-        }
-    }
-    1u64 << HIST_BUCKETS
-}
+/// Requests sent per endpoint family, indexed like [`ENDPOINTS`].
+type Requests = [u64; ENDPOINTS.len()];
 
 /// Everything the drivers observe over HTTP, merged after the join.
 #[derive(Default)]
@@ -279,8 +227,7 @@ impl Observations {
 
 struct RunOutcome {
     observations: Observations,
-    histograms: Histograms,
-    total_requests: u64,
+    requests: Requests,
     peak_active: u64,
     elapsed: Duration,
 }
@@ -333,8 +280,7 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
     let window = MeasuredWindow::new(DRIVERS);
     let start = Instant::now();
 
-    let (mut observations, mut histograms, mut total_requests) =
-        (Observations::new(), Histograms::new(), 0u64);
+    let (mut observations, mut requests) = (Observations::new(), Requests::default());
 
     std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(DRIVERS);
@@ -347,8 +293,7 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
                 let guard = FinishedGuard(finished);
                 let mut conn = ClientConnection::new(addr);
                 let mut obs = Observations::new();
-                let mut hist = Histograms::new();
-                let mut requests = 0u64;
+                let mut requests = Requests::default();
                 let mut rng = (seed ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(tid as u64 + 1) | 1;
 
                 // This driver owns every client with id ≡ tid (mod DRIVERS).
@@ -382,12 +327,10 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
                         Family::Waiting => {
                             if c.step == 0 {
                                 let tenant = c.id % QUEUE_TENANTS as u64;
-                                let sent = Instant::now();
                                 let resp = conn
                                     .get(&format!("/ticket/queue-{tenant}"))
                                     .expect("ticket request");
-                                hist.record(EP_TICKET, sent.elapsed());
-                                requests += 1;
+                                requests[EP_TICKET] += 1;
                                 assert_eq!(resp.status, 200, "{}", resp.body);
                                 let body: TicketBody =
                                     serde_json::from_str(&resp.body).expect("ticket body");
@@ -404,12 +347,10 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
                             } else {
                                 let tenant = c.id % QUEUE_TENANTS as u64;
                                 let ticket = c.ticket.expect("polling implies a ticket");
-                                let sent = Instant::now();
                                 let resp = conn
                                     .get(&format!("/status/queue-{tenant}?ticket={ticket}"))
                                     .expect("status poll");
-                                hist.record(EP_STATUS, sent.elapsed());
-                                requests += 1;
+                                requests[EP_STATUS] += 1;
                                 assert_eq!(resp.status, 200, "{}", resp.body);
                                 let body: StatusBody =
                                     serde_json::from_str(&resp.body).expect("status body");
@@ -428,12 +369,10 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
                         Family::Lease => {
                             let tenant = c.id % LEASE_TENANTS as u64;
                             let k = 1 + xorshift(&mut rng) % 8;
-                            let sent = Instant::now();
                             let resp = conn
                                 .get(&format!("/lease/ids-{tenant}?k={k}"))
                                 .expect("lease request");
-                            hist.record(EP_LEASE, sent.elapsed());
-                            requests += 1;
+                            requests[EP_LEASE] += 1;
                             assert_eq!(resp.status, 200, "{}", resp.body);
                             let body: LeaseBody =
                                 serde_json::from_str(&resp.body).expect("lease body");
@@ -453,12 +392,10 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
                             // The window derives from the *scheduled* time,
                             // so the index stream is seed-reproducible.
                             let w = due / RATE_WINDOW_US;
-                            let sent = Instant::now();
                             let resp = conn
                                 .get(&format!("/rate/api-{tenant}?window={w}"))
                                 .expect("rate request");
-                            hist.record(EP_RATE, sent.elapsed());
-                            requests += 1;
+                            requests[EP_RATE] += 1;
                             assert_eq!(resp.status, 200, "{}", resp.body);
                             let body: RateBody =
                                 serde_json::from_str(&resp.body).expect("rate body");
@@ -478,7 +415,7 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
                 }
                 window.exit();
                 drop(guard);
-                (obs, hist, requests)
+                (obs, requests)
             }));
         }
 
@@ -488,7 +425,6 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
         let (tickets_drawn, admitted_seen, finished) = (&tickets_drawn, &admitted_seen, &finished);
         let controller = scope.spawn(move || {
             let mut conn = ClientConnection::new(addr);
-            let mut hist = Histograms::new();
             let mut requests = 0u64;
             while tickets_drawn.load(Ordering::Acquire) < waiting_total
                 && finished.load(Ordering::Acquire) < DRIVERS
@@ -499,35 +435,31 @@ fn run(clients: u64, horizon_us: u64, poll_interval_us: u64, seed: u64) -> Serve
                 && finished.load(Ordering::Acquire) < DRIVERS
             {
                 for tenant in 0..QUEUE_TENANTS {
-                    let sent = Instant::now();
                     let resp = conn
                         .get(&format!("/admit/queue-{tenant}?n={ADMIT_BATCH}"))
                         .expect("admit request");
-                    hist.record(EP_ADMIT, sent.elapsed());
                     requests += 1;
                     assert_eq!(resp.status, 200, "{}", resp.body);
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
-            (hist, requests)
+            requests
         });
 
         for worker in workers {
-            let (obs, hist, requests) = worker.join().expect("driver thread panicked");
+            let (obs, driver_requests) = worker.join().expect("driver thread panicked");
             observations.merge(obs);
-            histograms.merge(&hist);
-            total_requests += requests;
+            for (total, driver) in requests.iter_mut().zip(driver_requests) {
+                *total += driver;
+            }
         }
-        let (hist, requests) = controller.join().expect("controller thread panicked");
-        histograms.merge(&hist);
-        total_requests += requests;
+        requests[EP_ADMIT] += controller.join().expect("controller thread panicked");
     });
     let elapsed = window.elapsed();
 
     let outcome = RunOutcome {
         observations,
-        histograms,
-        total_requests,
+        requests,
         peak_active: peak_active.load(Ordering::Relaxed),
         elapsed,
     };
@@ -543,7 +475,7 @@ fn verify(
     waiting_total: u64,
     outcome: RunOutcome,
 ) -> ServerReport {
-    let RunOutcome { observations, histograms, total_requests, peak_active, elapsed } = outcome;
+    let RunOutcome { observations, requests, peak_active, elapsed } = outcome;
     let mut duplicates = 0u64;
     let mut range_violations = 0u64;
 
@@ -626,26 +558,14 @@ fn verify(
         unadmitted_clients += waiting_total.saturating_sub(tickets_total);
     }
 
+    let total_requests = requests.iter().sum();
     let endpoints = ENDPOINTS
         .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let buckets = &histograms.0[i];
-            let requests: u64 = buckets.iter().sum();
-            EndpointReport {
-                endpoint: (*name).to_owned(),
-                requests,
-                requests_per_second: rate_over(requests, elapsed),
-                p50_us: percentile(buckets, 0.50),
-                p90_us: percentile(buckets, 0.90),
-                p99_us: percentile(buckets, 0.99),
-                buckets: buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &count)| count > 0)
-                    .map(|(b, &count)| HistBucket { le_us: 1u64 << (b + 1), count })
-                    .collect(),
-            }
+        .zip(requests)
+        .map(|(name, requests)| EndpointReport {
+            endpoint: (*name).to_owned(),
+            requests,
+            requests_per_second: rate_over(requests, elapsed),
         })
         .collect();
 
@@ -693,23 +613,12 @@ fn main() {
          {LEASE_TENANTS} lease tenants, {RATE_TENANTS} rate tenants @ limit {RATE_LIMIT})\n"
     );
 
-    let mut table = Table::new(vec![
-        "req/s",
-        "peak live",
-        "ticket p99 µs",
-        "status p99 µs",
-        "lease p99 µs",
-        "status",
-    ]);
+    let mut table = Table::new(vec!["req/s", "peak live", "status"]);
     let report = run(clients, horizon_us, poll_interval_us, seed);
-    let p99 = |ep: usize| report.endpoints[ep].p99_us.to_string();
     let broken = report.violations.total() > 0;
     table.push_row(vec![
         kilo_rate(report.aggregate_requests_per_second),
         report.peak_active.to_string(),
-        p99(EP_TICKET),
-        p99(EP_STATUS),
-        p99(EP_LEASE),
         if broken {
             format!(
                 "BROKEN(dup {}, range {}, rate {}, unadmitted {}, bound {})",
@@ -738,8 +647,7 @@ fn main() {
         "Notes: arrivals are open-loop (exponential gaps from the seed), so the server\n\
          never back-pressures the schedule. Waiting rooms fill completely before the\n\
          controller drains them through clamped /admit batches — every waiting client\n\
-         is concurrently live at the fill/drain turn, which is what `peak live` floors.\n\
-         Latency percentiles are log2-bucket upper bounds, per endpoint.\n"
+         is concurrently live at the fill/drain turn, which is what `peak live` floors.\n"
     );
 
     // The structural concurrency floor: all waiting clients are live at
@@ -753,14 +661,7 @@ fn main() {
     );
 
     let doc = ServerJson { seed, quick, report };
-    let json = serde_json::to_string(&doc).expect("report serializes");
-    match json_path {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write JSON report file");
-            println!("JSON written to {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit_json(&doc, json_path);
 
     if broken {
         eprintln!("error: the run violated the serving contract over HTTP");

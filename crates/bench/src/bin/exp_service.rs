@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bench::{kilo_rate, Args, Table};
+use bench::{emit_json, kilo_rate, Args, Table};
 use counting_runtime::elimination::{DEFAULT_PROBE, DEFAULT_SLOTS};
 use counting_runtime::{
     rate_over, BlockReserve, CentralCounter, EliminationCounter, MeasuredWindow, SharedCounter,
@@ -502,14 +502,7 @@ fn main() {
     );
 
     let doc = ServiceJson { seed, report, n_star: crossover_section(quick, seed) };
-    let json = serde_json::to_string(&doc).expect("report serializes");
-    match json_path {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write JSON report file");
-            println!("JSON written to {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit_json(&doc, json_path);
 
     // Correctness gate: any duplicate or non-dense tenant stream fails
     // the process (CI runs this binary in the smoke job), after the JSON

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release -p bench --bin exp_stress [-- --quick]
 //! [--json <path>]`
 
-use bench::{comparison_suite, kilo_rate, Args, Table};
+use bench::{comparison_suite, emit_json, kilo_rate, Args, Table};
 use counting_runtime::{
     run_stress, Batching, CentralCounter, DiffractingCounter, LockCounter, NetworkCounter,
     Scenario, SharedCounter, StressConfig, StressReport,
@@ -150,14 +150,7 @@ fn main() {
          centralized counters must show 0, the network counters may show more.\n"
     );
 
-    let json = serde_json::to_string(&reports).expect("reports serialize");
-    match json_path {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write JSON report file");
-            println!("JSON written to {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit_json(&reports, json_path);
 
     // The matrix doubles as a correctness gate: a broken cell must fail
     // the process (CI runs this binary as a dedicated step), after the

@@ -178,7 +178,7 @@ fn exp_server_quick_sustains_the_client_fleet_with_zero_violations() {
     // must be unique and dense, no rate window may over-admit, and every
     // waiting client must eventually be admitted (the binary exits
     // nonzero otherwise, which run_quick rejects). The JSON carries the
-    // per-endpoint latency histograms CI uploads as an artifact.
+    // per-endpoint request counts CI uploads as an artifact.
     let path = std::env::temp_dir().join(format!("exp_server_smoke_{}.json", std::process::id()));
     let path_str = path.to_str().expect("utf-8 temp path");
     let stdout = run_quick(env!("CARGO_BIN_EXE_exp_server"), &["--quick", "--json", path_str]);
@@ -194,8 +194,7 @@ fn exp_server_quick_sustains_the_client_fleet_with_zero_violations() {
     assert!(json.contains("\"report\":{"), "missing report: {json}");
     assert!(json.contains("\"peak_active\":"), "missing concurrency high-water mark: {json}");
     assert!(json.contains("\"endpoints\":["), "missing per-endpoint reports: {json}");
-    assert!(json.contains("\"buckets\":["), "missing latency histograms: {json}");
-    assert!(json.contains("\"p99_us\":"), "missing latency percentiles: {json}");
+    assert!(json.contains("\"endpoint\":\"admit\",\"requests\":"), "missing admit count: {json}");
     for field in [
         "duplicates",
         "range_violations",
@@ -393,19 +392,44 @@ fn exp_stress_quick_writes_json_file() {
 
 #[test]
 fn exp_stress_rejects_a_misspelt_flag_and_names_the_known_ones() {
-    // Strict flag parsing (`bench::args`): `--quik` must not silently run
-    // the full-size matrix, and the removed `--strategy park` must not
-    // silently run the arena it no longer selects.
+    // Strict flag parsing (`bench::args`), for every binary of the
+    // default build: `--quik` must not silently run the full-size
+    // experiment, the removed `--strategy park` must not silently run the
+    // arena it no longer selects, and a repeated flag must not quietly
+    // run its first value.
+    let quik = &["--quik"][..];
     for (exe, args, bad) in [
-        (env!("CARGO_BIN_EXE_exp_stress"), &["--quik"][..], "`--quik`"),
-        (env!("CARGO_BIN_EXE_exp_elimination"), &["--quick", "--strategy", "park"], "`--strategy`"),
+        (env!("CARGO_BIN_EXE_exp_depth"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_contention"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_blocks"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_smoothing"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_sorting"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_ablation"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_throughput"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_stress"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_elimination"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_service"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_server"), quik, "unknown argument `--quik`"),
+        (env!("CARGO_BIN_EXE_exp_cluster"), quik, "unknown argument `--quik`"),
+        (
+            env!("CARGO_BIN_EXE_exp_elimination"),
+            &["--quick", "--strategy", "park"],
+            "unknown argument `--strategy`",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_cluster"),
+            &["--quick", "--seed", "1", "--seed", "2"],
+            "`--seed` given more than once",
+        ),
     ] {
         let output = Command::new(exe).args(args).output().expect("binary should spawn");
-        assert_eq!(output.status.code(), Some(2), "{exe}: a bad flag is a usage error");
+        assert_eq!(output.status.code(), Some(2), "{exe} {args:?}: a usage error");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(stderr.contains(bad), "{exe}: offending flag not echoed:\n{stderr}");
-        assert!(stderr.contains("--quick") && stderr.contains("--json"), "known flags:\n{stderr}");
-        assert!(output.stdout.is_empty(), "{exe}: no experiment may have started");
+        assert!(stderr.contains(bad), "{exe} {args:?}: offending flag not echoed:\n{stderr}");
+        if bad.starts_with("unknown") {
+            assert!(stderr.contains("known flags: ["), "{exe}: known flags not named:\n{stderr}");
+        }
+        assert!(output.stdout.is_empty(), "{exe} {args:?}: no experiment may have started");
     }
 }
 

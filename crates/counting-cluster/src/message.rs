@@ -6,14 +6,10 @@
 //! acknowledgement kinds are idempotent, membership carries an epoch
 //! that makes stale copies inert, and the replication kinds
 //! (`vote-request` / `vote-reply` / `append` / `append-ack`) carry terms
-//! that make stale copies inert. [`Message`] implements the vendored
-//! `serde` traits by hand (the derive stub only covers named-field
-//! structs and unit enums), which is the wire-format seam a socket
-//! transport will use; the in-memory transports move the enum directly.
+//! that make stale copies inert. Both drivers move the enum itself, so
+//! a message has no wire encoding; traces record its `Display` form.
 
 use std::fmt;
-
-use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::replica::LogEntry;
 
@@ -25,7 +21,7 @@ pub type NodeId = u64;
 pub const COORDINATOR: NodeId = 0;
 
 /// One contiguous run of global values, `base..base + len`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block {
     /// First value of the run.
     pub base: u64,
@@ -186,8 +182,8 @@ pub enum Message {
 }
 
 impl Message {
-    /// A short stable tag naming the message kind (used as the serde
-    /// discriminant and in traces).
+    /// A short stable tag naming the message kind; its `Display` form
+    /// starts with it.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
@@ -243,179 +239,6 @@ impl fmt::Display for Message {
             Message::AppendAck { term, follower, matched, ok } => {
                 write!(f, "append-ack t{term} f{follower} m{matched} ok={ok}")
             }
-        }
-    }
-}
-
-fn obj(kind: &str, fields: Vec<(String, Value)>) -> Value {
-    let mut entries = vec![("kind".to_owned(), Value::Str(kind.to_owned()))];
-    entries.extend(fields);
-    Value::Object(entries)
-}
-
-fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
-    let inner = value.get(name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))?;
-    T::from_value(inner)
-}
-
-impl Serialize for Message {
-    fn to_value(&self) -> Value {
-        let kind = self.kind();
-        match self {
-            Message::LeaseRequest { node, req_id, want } => obj(
-                kind,
-                vec![
-                    ("node".into(), node.to_value()),
-                    ("req_id".into(), req_id.to_value()),
-                    ("want".into(), want.to_value()),
-                ],
-            ),
-            Message::LeaseGrant { node, req_id, base, len } => obj(
-                kind,
-                vec![
-                    ("node".into(), node.to_value()),
-                    ("req_id".into(), req_id.to_value()),
-                    ("base".into(), base.to_value()),
-                    ("len".into(), len.to_value()),
-                ],
-            ),
-            Message::RecoverQuery { node, req_id } | Message::RecoverNone { node, req_id } => obj(
-                kind,
-                vec![("node".into(), node.to_value()), ("req_id".into(), req_id.to_value())],
-            ),
-            Message::Heartbeat { node, epoch } | Message::MembershipAck { node, epoch } => obj(
-                kind,
-                vec![("node".into(), node.to_value()), ("epoch".into(), epoch.to_value())],
-            ),
-            Message::Join { node } => obj(kind, vec![("node".into(), node.to_value())]),
-            Message::Membership { epoch, members } => obj(
-                kind,
-                vec![("epoch".into(), epoch.to_value()), ("members".into(), members.to_value())],
-            ),
-            Message::Return { node, watermark, leaving } => obj(
-                kind,
-                vec![
-                    ("node".into(), node.to_value()),
-                    ("watermark".into(), watermark.to_value()),
-                    ("leaving".into(), leaving.to_value()),
-                ],
-            ),
-            Message::ReturnAck { node, watermark } => obj(
-                kind,
-                vec![("node".into(), node.to_value()), ("watermark".into(), watermark.to_value())],
-            ),
-            Message::VoteRequest { term, candidate, log_len, last_term } => obj(
-                kind,
-                vec![
-                    ("term".into(), term.to_value()),
-                    ("candidate".into(), candidate.to_value()),
-                    ("log_len".into(), log_len.to_value()),
-                    ("last_term".into(), last_term.to_value()),
-                ],
-            ),
-            Message::VoteReply { term, voter, granted } => obj(
-                kind,
-                vec![
-                    ("term".into(), term.to_value()),
-                    ("voter".into(), voter.to_value()),
-                    ("granted".into(), granted.to_value()),
-                ],
-            ),
-            Message::Append { term, leader, index, prev_term, entry, commit } => obj(
-                kind,
-                vec![
-                    ("term".into(), term.to_value()),
-                    ("leader".into(), leader.to_value()),
-                    ("index".into(), index.to_value()),
-                    ("prev_term".into(), prev_term.to_value()),
-                    ("entry".into(), entry.to_value()),
-                    ("commit".into(), commit.to_value()),
-                ],
-            ),
-            Message::AppendAck { term, follower, matched, ok } => obj(
-                kind,
-                vec![
-                    ("term".into(), term.to_value()),
-                    ("follower".into(), follower.to_value()),
-                    ("matched".into(), matched.to_value()),
-                    ("ok".into(), ok.to_value()),
-                ],
-            ),
-        }
-    }
-}
-
-impl Deserialize for Message {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let kind: String = field(value, "kind")?;
-        match kind.as_str() {
-            "lease-request" => Ok(Message::LeaseRequest {
-                node: field(value, "node")?,
-                req_id: field(value, "req_id")?,
-                want: field(value, "want")?,
-            }),
-            "lease-grant" => Ok(Message::LeaseGrant {
-                node: field(value, "node")?,
-                req_id: field(value, "req_id")?,
-                base: field(value, "base")?,
-                len: field(value, "len")?,
-            }),
-            "recover-query" => Ok(Message::RecoverQuery {
-                node: field(value, "node")?,
-                req_id: field(value, "req_id")?,
-            }),
-            "recover-none" => Ok(Message::RecoverNone {
-                node: field(value, "node")?,
-                req_id: field(value, "req_id")?,
-            }),
-            "heartbeat" => Ok(Message::Heartbeat {
-                node: field(value, "node")?,
-                epoch: field(value, "epoch")?,
-            }),
-            "join" => Ok(Message::Join { node: field(value, "node")? }),
-            "membership" => Ok(Message::Membership {
-                epoch: field(value, "epoch")?,
-                members: field(value, "members")?,
-            }),
-            "membership-ack" => Ok(Message::MembershipAck {
-                node: field(value, "node")?,
-                epoch: field(value, "epoch")?,
-            }),
-            "return" => Ok(Message::Return {
-                node: field(value, "node")?,
-                watermark: field(value, "watermark")?,
-                leaving: field(value, "leaving")?,
-            }),
-            "return-ack" => Ok(Message::ReturnAck {
-                node: field(value, "node")?,
-                watermark: field(value, "watermark")?,
-            }),
-            "vote-request" => Ok(Message::VoteRequest {
-                term: field(value, "term")?,
-                candidate: field(value, "candidate")?,
-                log_len: field(value, "log_len")?,
-                last_term: field(value, "last_term")?,
-            }),
-            "vote-reply" => Ok(Message::VoteReply {
-                term: field(value, "term")?,
-                voter: field(value, "voter")?,
-                granted: field(value, "granted")?,
-            }),
-            "append" => Ok(Message::Append {
-                term: field(value, "term")?,
-                leader: field(value, "leader")?,
-                index: field(value, "index")?,
-                prev_term: field(value, "prev_term")?,
-                entry: field(value, "entry")?,
-                commit: field(value, "commit")?,
-            }),
-            "append-ack" => Ok(Message::AppendAck {
-                term: field(value, "term")?,
-                follower: field(value, "follower")?,
-                matched: field(value, "matched")?,
-                ok: field(value, "ok")?,
-            }),
-            other => Err(Error::custom(format!("unknown message kind `{other}`"))),
         }
     }
 }
@@ -491,7 +314,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_message_kind_round_trips_through_serde() {
+    fn every_message_kind_renders_under_its_tag() {
         let messages = vec![
             Message::LeaseRequest { node: 3, req_id: 7, want: 16 },
             Message::LeaseGrant { node: 3, req_id: 7, base: 128, len: 16 },
@@ -527,18 +350,9 @@ mod tests {
             Message::AppendAck { term: 3, follower: (1 << 32) + 2, matched: 13, ok: false },
         ];
         for msg in messages {
-            let round = Message::from_value(&msg.to_value()).expect("round trip");
-            assert_eq!(round, msg);
             assert!(!msg.kind().is_empty());
-            assert!(!format!("{msg}").is_empty());
+            assert!(format!("{msg}").starts_with(msg.kind()), "{msg}");
         }
-    }
-
-    #[test]
-    fn unknown_kind_is_rejected() {
-        let bad = Value::Object(vec![("kind".to_owned(), Value::Str("nope".to_owned()))]);
-        assert!(Message::from_value(&bad).is_err());
-        assert!(Message::from_value(&Value::Null).is_err());
     }
 
     #[test]

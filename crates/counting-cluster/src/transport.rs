@@ -4,8 +4,7 @@
 //! [`Outgoing`] hops, and a driver flushes it through a [`Transport`].
 //! [`ChannelTransport`] is the in-memory implementation used by the
 //! live-thread harness ([`crate::live`]); a socket transport would
-//! implement the same trait, serializing [`crate::message::Message`]
-//! through its hand-written serde impls. The deterministic simulation
+//! implement the same trait. The deterministic simulation
 //! deliberately bypasses the trait: it *is* the network, so it
 //! intercepts every hop to apply the fault plan.
 //!

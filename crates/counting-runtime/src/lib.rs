@@ -19,7 +19,8 @@
 //! * [`throughput`] — a measurement harness that drives any
 //!   [`SharedCounter`] with `n` threads and reports operations per second,
 //!   reproducing the shape of the paper's throughput comparison
-//!   (experiment E7 in `DESIGN.md`).
+//!   (experiment E7 in `REPRODUCING.md`). Its measured window and
+//!   [`rate_over`] also time the stress, service and serving experiments.
 //! * [`stress`] — an adversarial real-thread workload driver (steady,
 //!   bursty, skewed, churn, oscillating and NUMA-style pinned scenarios)
 //!   with online invariant checking: a sharded atomic [`ValueBitmap`]
@@ -112,6 +113,5 @@ pub use diffracting::DiffractingCounter;
 pub use elimination::EliminationCounter;
 pub use stress::{run_stress, Batching, Scenario, StressConfig, StressReport, ValueBitmap};
 pub use throughput::{
-    measure_batched_throughput, measure_throughput, rate_over, MeasuredWindow,
-    ThroughputMeasurement, MIN_MEASURED_WINDOW,
+    measure_throughput, rate_over, MeasuredWindow, ThroughputMeasurement, MIN_MEASURED_WINDOW,
 };

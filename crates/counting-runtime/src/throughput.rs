@@ -4,7 +4,10 @@
 //! references) measures how many Fetch&Increment operations per second a
 //! counter sustains as the number of concurrent processes grows. This
 //! module drives any [`SharedCounter`] with `n` threads performing a fixed
-//! number of operations each and reports the aggregate rate.
+//! number of `next` calls each and reports the aggregate rate. The
+//! [`MeasuredWindow`] and [`rate_over`] it is built from are shared with
+//! the [`stress`](crate::stress) driver and the service and serving
+//! experiments.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -99,7 +102,7 @@ pub struct ThroughputMeasurement {
     pub counter: String,
     /// Number of threads that drove the counter.
     pub threads: usize,
-    /// Values obtained per thread (for batched runs, batches × k).
+    /// Values obtained per thread.
     pub ops_per_thread: u64,
     /// Total values obtained across all threads.
     pub total_ops: u64,
@@ -126,30 +129,6 @@ pub fn measure_throughput<C: SharedCounter + ?Sized>(
     threads: usize,
     ops_per_thread: u64,
 ) -> ThroughputMeasurement {
-    measure(counter, threads, ops_per_thread, 1)
-}
-
-/// Like [`measure_throughput`], but each of the `batches_per_thread`
-/// operations reserves `k` values via [`SharedCounter::next_batch`] — the
-/// combining fast path. The reported totals and rate count *values*, so
-/// the numbers are directly comparable with [`measure_throughput`].
-#[must_use]
-pub fn measure_batched_throughput<C: SharedCounter + ?Sized>(
-    counter: &C,
-    threads: usize,
-    batches_per_thread: u64,
-    k: usize,
-) -> ThroughputMeasurement {
-    assert!(k > 0, "batch size must be at least 1");
-    measure(counter, threads, batches_per_thread, k)
-}
-
-fn measure<C: SharedCounter + ?Sized>(
-    counter: &C,
-    threads: usize,
-    ops_per_thread: u64,
-    k: usize,
-) -> ThroughputMeasurement {
     assert!(threads > 0, "at least one thread is required");
     let window = MeasuredWindow::new(threads);
     std::thread::scope(|scope| {
@@ -157,30 +136,22 @@ fn measure<C: SharedCounter + ?Sized>(
             let window = &window;
             scope.spawn(move || {
                 window.enter();
-                if k == 1 {
-                    for _ in 0..ops_per_thread {
-                        // The value is intentionally discarded; the side
-                        // effect of advancing the shared counter is the
-                        // workload.
-                        let _ = counter.next(tid);
-                    }
-                } else {
-                    let mut batch = Vec::with_capacity(k);
-                    for _ in 0..ops_per_thread {
-                        batch.clear();
-                        counter.next_batch(tid, k, &mut batch);
-                    }
+                for _ in 0..ops_per_thread {
+                    // The value is intentionally discarded; the side
+                    // effect of advancing the shared counter is the
+                    // workload.
+                    let _ = counter.next(tid);
                 }
                 window.exit();
             });
         }
     });
     let elapsed = window.elapsed();
-    let total_ops = threads as u64 * ops_per_thread * k as u64;
+    let total_ops = threads as u64 * ops_per_thread;
     ThroughputMeasurement {
         counter: counter.describe(),
         threads,
-        ops_per_thread: ops_per_thread * k as u64,
+        ops_per_thread,
         total_ops,
         elapsed,
         ops_per_second: rate_over(total_ops, elapsed),
@@ -215,25 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_measurement_counts_values_not_batches() {
-        let counter = CentralCounter::new();
-        let m = measure_batched_throughput(&counter, 4, 250, 8);
-        assert_eq!(m.total_ops, 4 * 250 * 8);
-        assert_eq!(m.ops_per_thread, 2_000);
-        // All values really were reserved.
-        assert_eq!(counter.next(0), 8_000);
-    }
-
-    #[test]
-    fn batched_network_measurement_runs() {
-        let net = counting_network(8, 8).expect("valid");
-        let counter = NetworkCounter::new("C(8,8)", &net);
-        let m = measure_batched_throughput(&counter, 4, 100, 4);
-        assert_eq!(m.total_ops, 1_600);
-        assert!(m.ops_per_second.expect("window long enough to measure") > 0.0);
-    }
-
-    #[test]
     fn degenerate_windows_yield_no_rate() {
         assert_eq!(rate_over(1_000, Duration::ZERO), None);
         assert_eq!(rate_over(1_000, Duration::from_nanos(999)), None);
@@ -246,12 +198,5 @@ mod tests {
     fn zero_threads_rejected() {
         let counter = CentralCounter::new();
         let _ = measure_throughput(&counter, 0, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be at least 1")]
-    fn zero_batch_rejected() {
-        let counter = CentralCounter::new();
-        let _ = measure_batched_throughput(&counter, 1, 10, 0);
     }
 }
