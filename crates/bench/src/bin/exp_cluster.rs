@@ -292,7 +292,7 @@ fn main() {
         "Notes: every value handed out anywhere in the cluster is checked online for\n\
          global uniqueness, and at quiescence the coordinator's truncated grants plus\n\
          its free-list must tile 0..cursor exactly — across message loss, duplication,\n\
-         reordering, crash-restarts (watermark recovery) and membership churn. The\n\
+         reordering, crash-restarts (watermark recovery) and join/leave churn. The\n\
          coordinator is a replica group (leader lease + quorum append): one replica in\n\
          the plain cells, N in the `rN` cells, where replica crashes and\n\
          leader-isolating partitions fire.\n\

@@ -177,8 +177,6 @@ mod tests {
             grants: grants.into_iter().map(|(n, r, b)| ((n, r), b)).collect(),
             tombstones: BTreeSet::new(),
             sealed: sealed.into_iter().collect(),
-            epoch: 1,
-            members: BTreeSet::new(),
         }
     }
 

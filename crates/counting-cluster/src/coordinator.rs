@@ -5,15 +5,15 @@
 //! a free-list, deduplicating by `(node, request id)` so a retried or
 //! duplicated request re-sends the recorded grant instead of allocating
 //! twice, and tombstoning in-doubt ids so a recovery answer of "never
-//! granted" stays true forever. It versions membership in epochs.
-//! Sealing (a worker's final `Return`) truncates the worker's grants at
+//! granted" stays true forever. It keeps no member list: a worker is
+//! any unsealed id that asks for a lease. Sealing (a worker's final `Return`) truncates the worker's grants at
 //! its consumed watermark and recycles the tail through the free-list —
 //! which is exactly what makes the global stream end range-tiled.
 //!
 //! This module holds only that state and its pure transitions. The
-//! state machine that drives them — the log, the membership broadcast,
-//! the failure detector — is the replica group ([`crate::replica`]),
-//! which also runs a coordinator of one.
+//! state machine that drives them — the log, the leader's answers — is
+//! the replica group ([`crate::replica`]), which also runs a
+//! coordinator of one.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,8 +25,7 @@ use crate::message::{Block, NodeId};
 /// group ([`crate::replica`]): every replica applies committed log
 /// entries through the pure transition helpers below
 /// ([`Self::lease_answer`], [`Self::lease_grant`], [`Self::seal`],
-/// [`Self::admit`], [`Self::evict`], [`Self::tombstone`],
-/// [`Self::bump_epoch`]), so a quorum of replicas applying the same
+/// [`Self::tombstone`]), so a quorum of replicas applying the same
 /// command sequence reaches the same durable state bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordinatorDurable {
@@ -44,10 +43,6 @@ pub struct CoordinatorDurable {
     pub tombstones: BTreeSet<(NodeId, u64)>,
     /// Sealed workers and their final consumed watermarks.
     pub sealed: BTreeMap<NodeId, u64>,
-    /// Current membership epoch.
-    pub epoch: u64,
-    /// Current worker members (the coordinator itself is implicit).
-    pub members: BTreeSet<NodeId>,
 }
 
 /// The already-decided part of a lease request: an answer that re-sends
@@ -62,18 +57,21 @@ pub enum LeaseAnswer {
 }
 
 impl CoordinatorDurable {
-    /// The bootstrap state: epoch 1 with `workers` as founding members,
-    /// nothing allocated.
+    /// The bootstrap state: nothing allocated, nothing sealed.
+    ///
+    /// `workers` is ignored. The coordinator keeps no member list — the
+    /// grant log and the seals decide every value, and a worker is any
+    /// unsealed id that asks — so founders and joiners start alike. The
+    /// parameter stays so existing callers keep compiling.
     #[must_use]
     pub fn initial(workers: &[NodeId]) -> Self {
+        let _ = workers;
         Self {
             cursor: 0,
             free: Vec::new(),
             grants: BTreeMap::new(),
             tombstones: BTreeSet::new(),
             sealed: BTreeMap::new(),
-            epoch: 1,
-            members: workers.iter().copied().collect(),
         }
     }
 
@@ -168,32 +166,6 @@ impl CoordinatorDurable {
         }
         let at = self.free.partition_point(|b| b.base < block.base);
         self.free.insert(at, block);
-    }
-
-    /// Adds `node` to the membership and bumps the epoch; a no-op
-    /// (returning `false`) when the node is already a member or sealed
-    /// — sealed ids never return.
-    pub fn admit(&mut self, node: NodeId) -> bool {
-        if self.members.contains(&node) || self.sealed.contains_key(&node) {
-            return false;
-        }
-        self.members.insert(node);
-        self.bump_epoch();
-        true
-    }
-
-    /// Removes `node` from the membership *without* bumping the epoch
-    /// (so a batch of evictions can share one bump); returns whether it
-    /// was a member.
-    pub fn evict(&mut self, node: NodeId) -> bool {
-        self.members.remove(&node)
-    }
-
-    /// Advances the membership epoch (the durable half of an epoch
-    /// change; broadcast and ack tracking are the leader's volatile
-    /// concern).
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
     }
 
     /// Permanently bars `(node, req_id)` from allocation.

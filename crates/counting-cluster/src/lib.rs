@@ -12,7 +12,7 @@
 //! ## The block-lease protocol
 //!
 //! A durable **coordinator** owns the global value space as a cursor
-//! plus a free-list and leases **disjoint contiguous blocks** to member
+//! plus a free-list and leases **disjoint contiguous blocks** to worker
 //! nodes ([`coordinator`]). Each **node** ([`node`]) serves local demand
 //! from its leased blocks through its tenant registry — the node's local
 //! stream index maps through its block ledger to a global value — and
@@ -29,13 +29,12 @@
 //!   resolved with a recovery query the coordinator answers from its
 //!   grant log — or **tombstones**, so the in-doubt id can never be
 //!   granted later;
-//! * membership is versioned in epochs, committed through the
-//!   coordinator's log, and propagated down a heap-shaped tree over the
-//!   member list
-//!   ([`message::next_hop`]); lease traffic rides the same tree with a
-//!   direct-send fallback, and a heartbeat failure detector drives
-//!   epoch changes;
-//! * a leaving (or draining) node returns its unconsumed lease tail;
+//! * there is no worker membership: a worker is any unsealed id that
+//!   asks for a lease, so a join is a fresh id that starts asking and
+//!   every request goes straight to the coordinator id — no
+//!   heartbeats, no epochs, no failure detector, no relay tree;
+//! * a leaving (or draining) node returns its unconsumed lease tail —
+//!   that final `Return` is the leave, and it seals the id for good;
 //!   the coordinator truncates the node's grants at the returned
 //!   watermark and recycles the remainder through the free-list, so the
 //!   global stream ends exactly range-tiled: handed-out values plus the
@@ -74,7 +73,7 @@ pub mod transport;
 pub use check::GlobalChecker;
 pub use coordinator::CoordinatorDurable;
 pub use live::{run_live, LiveReport};
-pub use message::{next_hop, Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
+pub use message::{Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
 pub use node::{Node, NodeDurable, ProtocolConfig};
 pub use replica::{replica_id, Command, LogEntry, Replica, ReplicaDurable, REPLICA_BASE};
 pub use sim::{run_sim, ClusterSimConfig, ClusterTrace, Mutation, SimReport, SimStats, TraceEvent};

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::check::GlobalChecker;
@@ -19,7 +19,7 @@ use crate::coordinator::CoordinatorDurable;
 use crate::message::{Envelope, NodeId, Outgoing, COORDINATOR};
 use crate::node::{Node, ProtocolConfig};
 use crate::replica::{replica_id, Replica};
-use crate::transport::{ChannelTransport, CoordinatorRoute, Transport};
+use crate::transport::{coordinator_hop, ChannelTransport, Transport};
 
 /// The outcome of a [`run_live`] cluster lifetime.
 #[derive(Debug)]
@@ -64,21 +64,15 @@ fn now_ms(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
-/// What every participant thread shares: the cluster's start instant,
-/// the coordinator route replicas teach and the router reads, and the
-/// hop count.
+/// What every participant thread shares: the cluster's start instant
+/// and the hop count.
 #[derive(Clone)]
 struct Shared {
     start: Instant,
-    route: Arc<Mutex<CoordinatorRoute>>,
     hops: Arc<AtomicU64>,
 }
 
 impl Shared {
-    fn route(&self) -> std::sync::MutexGuard<'_, CoordinatorRoute> {
-        self.route.lock().expect("no thread panics while routing")
-    }
-
     /// Counts and sends a drained outbox.
     fn send_all(&self, transport: &ChannelTransport, outbox: &mut Vec<Outgoing>) {
         self.hops.fetch_add(outbox.len() as u64, Ordering::Relaxed);
@@ -152,33 +146,27 @@ fn replica_loop(
         }
         replica.on_tick(now);
         replica.drain_outbox(&mut outbox);
-        if !outbox.is_empty() {
-            let mut route = shared.route();
-            for out in &outbox {
-                route.observe(replica.id(), out);
-            }
-        }
         shared.send_all(transport, &mut outbox);
         std::thread::sleep(LOOP_PAUSE);
     }
 }
 
 /// The router thread standing in for the virtual coordinator id: it
-/// resolves everything workers address to id 0 with the same
-/// [`CoordinatorRoute`] the simulation uses, which the replica threads
-/// teach with what they send. Heartbeats and membership acks go to the
-/// guessed leader; every other kind rotates over the group, and a
-/// follower forwards what it cannot serve to its leader hint.
+/// rotates everything workers address to id 0 over the group of
+/// `group` replicas with the same rule the simulation uses
+/// (`coordinator_hop`), and a follower forwards what it cannot serve
+/// to its leader hint.
 fn router_loop(
-    shared: &Shared,
+    group: u64,
     transport: &ChannelTransport,
     net_rx: &Receiver<Envelope>,
     ctl_rx: &Receiver<Ctl>,
 ) {
+    let mut rotation = 0;
     loop {
         while let Ok(env) = net_rx.try_recv() {
-            let target = shared.route().pick(&env.msg);
-            transport.send(target, env);
+            transport.send(coordinator_hop(rotation, group), env);
+            rotation += 1;
         }
         if let Ok(Ctl::Stop) = ctl_rx.try_recv() {
             return;
@@ -234,29 +222,22 @@ impl Audit {
 #[must_use]
 pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport {
     assert!(replicas >= 1, "a coordinator group needs at least one replica");
-    // Millisecond-scale timing: brisk heartbeats, a failure detector
-    // slack enough that a busy scheduler cannot fake a death.
+    // Millisecond-scale timing: brisk appends and retries, a leader
+    // lease slack enough that a busy scheduler cannot fake a lapse.
     let config = ProtocolConfig {
         heartbeat_every: 20,
         retry_after: 40,
-        fail_after: 2_000,
         lease_ticks: 200,
         ..ProtocolConfig::default()
     };
-    let shared = Shared {
-        start: Instant::now(),
-        route: Arc::new(Mutex::new(CoordinatorRoute::new(replicas))),
-        hops: Arc::new(AtomicU64::new(0)),
-    };
+    let shared = Shared { start: Instant::now(), hops: Arc::new(AtomicU64::new(0)) };
     let start = shared.start;
     let ids: Vec<NodeId> = (1..=workers).collect();
     let replica_ids: Vec<NodeId> = (0..replicas).map(replica_id).collect();
-    let mut members = vec![COORDINATOR];
-    members.extend(&ids);
 
     let mut transport = ChannelTransport::new();
     let mut net_rxs: BTreeMap<NodeId, Receiver<Envelope>> = BTreeMap::new();
-    for &id in members.iter().chain(&replica_ids) {
+    for &id in [COORDINATOR].iter().chain(&ids).chain(&replica_ids) {
         let (tx, rx) = channel();
         transport.register(id, tx);
         net_rxs.insert(id, rx);
@@ -273,18 +254,18 @@ pub fn run_live(workers: u64, demand_per_node: u64, replicas: u64) -> LiveReport
         (shared.clone(), transport.clone(), net_rx, ctl_rx)
     };
     let mut handles = Vec::new();
-    let (router, transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
-    handles.push(std::thread::spawn(move || router_loop(&router, &transport, &net_rx, &ctl_rx)));
+    let (_, transport, net_rx, ctl_rx) = endpoint(COORDINATOR);
+    handles.push(std::thread::spawn(move || router_loop(replicas, &transport, &net_rx, &ctl_rx)));
     let mut replica_handles = Vec::new();
     for (r, &id) in (0..).zip(&replica_ids) {
-        let replica = Replica::new(r, replicas, &ids, config);
+        let replica = Replica::new(r, replicas, &[], config);
         let (shared, transport, net_rx, ctl_rx) = endpoint(id);
         replica_handles.push(std::thread::spawn(move || {
             replica_loop(replica, &shared, &transport, &net_rx, &ctl_rx)
         }));
     }
     for &id in &ids {
-        let node = Node::bootstrap(id, config, members.clone());
+        let node = Node::new(id, config);
         let (shared, transport, net_rx, ctl_rx) = endpoint(id);
         let up_tx = up_tx.clone();
         handles.push(std::thread::spawn(move || {

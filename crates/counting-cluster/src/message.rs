@@ -1,10 +1,9 @@
-//! Wire messages, envelopes and tree routing.
+//! Wire messages and envelopes.
 //!
-//! The protocol speaks fourteen message kinds over an unreliable
-//! network, so every kind is safe to drop, duplicate or reorder:
-//! requests carry per-node request ids the coordinator deduplicates on,
-//! acknowledgement kinds are idempotent, membership carries an epoch
-//! that makes stale copies inert, and the replication kinds
+//! The protocol speaks ten message kinds over an unreliable network, so
+//! every kind is safe to drop, duplicate or reorder: requests carry
+//! per-node request ids the coordinator deduplicates on, answers and
+//! acknowledgements are idempotent, and the replication kinds
 //! (`vote-request` / `vote-reply` / `append` / `append-ack`) carry terms
 //! that make stale copies inert. Both drivers move the enum itself, so
 //! a message has no wire encoding; traces record its `Display` form.
@@ -39,8 +38,7 @@ impl Block {
 
 /// A protocol message. See the [crate docs](crate) for the protocol;
 /// field conventions: `node` is the worker the message concerns,
-/// `req_id` a per-node monotonic request id, `epoch` a membership
-/// version.
+/// `req_id` a per-node monotonic request id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// Worker → coordinator: lease `want` more values (retried with the
@@ -81,45 +79,15 @@ pub enum Message {
         /// The tombstoned request id.
         req_id: u64,
     },
-    /// Worker → coordinator liveness signal (also re-admits a worker
-    /// the failure detector declared dead).
-    Heartbeat {
-        /// The living worker.
-        node: NodeId,
-        /// The worker's current membership view epoch.
-        epoch: u64,
-    },
-    /// A new worker asks to be admitted to the member list.
-    Join {
-        /// The joining worker.
-        node: NodeId,
-    },
-    /// Coordinator → workers (tree-propagated): the member list at
-    /// `epoch`. Stale epochs are ignored.
-    Membership {
-        /// Membership version.
-        epoch: u64,
-        /// All member ids (coordinator included), sorted.
-        members: Vec<NodeId>,
-    },
-    /// Worker → coordinator: acknowledges adoption of `epoch` (the
-    /// quorum signal that commits it).
-    MembershipAck {
-        /// Acknowledging worker.
-        node: NodeId,
-        /// The adopted epoch.
-        epoch: u64,
-    },
     /// Worker → coordinator: the worker has consumed exactly
-    /// `watermark` values and returns everything beyond it (graceful
-    /// leave when `leaving`, end-of-run drain otherwise). Idempotent.
+    /// `watermark` values and returns everything beyond it — a leave or
+    /// an end-of-run drain; either way the id is sealed for good.
+    /// Idempotent.
     Return {
         /// The sealing worker.
         node: NodeId,
         /// Total values the worker ever handed out.
         watermark: u64,
-        /// Whether the worker is leaving the membership.
-        leaving: bool,
     },
     /// Coordinator → worker: `Return { watermark }` was processed.
     ReturnAck {
@@ -191,10 +159,6 @@ impl Message {
             Message::LeaseGrant { .. } => "lease-grant",
             Message::RecoverQuery { .. } => "recover-query",
             Message::RecoverNone { .. } => "recover-none",
-            Message::Heartbeat { .. } => "heartbeat",
-            Message::Join { .. } => "join",
-            Message::Membership { .. } => "membership",
-            Message::MembershipAck { .. } => "membership-ack",
             Message::Return { .. } => "return",
             Message::ReturnAck { .. } => "return-ack",
             Message::VoteRequest { .. } => "vote-request",
@@ -216,15 +180,7 @@ impl fmt::Display for Message {
             }
             Message::RecoverQuery { node, req_id } => write!(f, "recover-query n{node} r{req_id}"),
             Message::RecoverNone { node, req_id } => write!(f, "recover-none n{node} r{req_id}"),
-            Message::Heartbeat { node, epoch } => write!(f, "heartbeat n{node} e{epoch}"),
-            Message::Join { node } => write!(f, "join n{node}"),
-            Message::Membership { epoch, members } => {
-                write!(f, "membership e{epoch} {members:?}")
-            }
-            Message::MembershipAck { node, epoch } => write!(f, "membership-ack n{node} e{epoch}"),
-            Message::Return { node, watermark, leaving } => {
-                write!(f, "return n{node} w{watermark} leaving={leaving}")
-            }
+            Message::Return { node, watermark } => write!(f, "return n{node} w{watermark}"),
             Message::ReturnAck { node, watermark } => write!(f, "return-ack n{node} w{watermark}"),
             Message::VoteRequest { term, candidate, log_len, last_term } => {
                 write!(f, "vote-request t{term} c{candidate} len={log_len} lt{last_term}")
@@ -244,7 +200,8 @@ impl fmt::Display for Message {
 }
 
 /// A routed message: original sender, final destination, payload.
-/// Relays forward the envelope unchanged; only the hop changes.
+/// A follower replica forwarding a worker's envelope to its leader
+/// passes it on unchanged; only the hop changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Original sender.
@@ -256,57 +213,14 @@ pub struct Envelope {
 }
 
 /// One send decided by a state machine: deliver `env` to `hop` next
-/// (the hop equals `env.dst` for direct sends, or the next tree edge
-/// for routed ones).
+/// (the hop equals `env.dst`, except for a follower forwarding to its
+/// leader; a driver resolves a [`COORDINATOR`] hop to one replica).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outgoing {
     /// The next recipient.
     pub hop: NodeId,
     /// The envelope in flight.
     pub env: Envelope,
-}
-
-/// The next hop from `from` toward `dst` along the heap-shaped tree
-/// over `members` (sorted member ids; position `i`'s parent is
-/// `(i - 1) / 2`, so the coordinator — the smallest id — is the root).
-///
-/// Returns `None` when either endpoint is missing from the member list
-/// (callers then fall back to a direct send).
-#[must_use]
-pub fn next_hop(members: &[NodeId], from: NodeId, dst: NodeId) -> Option<NodeId> {
-    let pos = |id: NodeId| members.iter().position(|&m| m == id);
-    let from_pos = pos(from)?;
-    let dst_pos = pos(dst)?;
-    if from_pos == dst_pos {
-        return Some(dst);
-    }
-    // Walk the destination up toward the root: if it passes through
-    // `from`, the child we arrived from is the downward hop.
-    let mut cur = dst_pos;
-    while cur != 0 {
-        let parent = (cur - 1) / 2;
-        if parent == from_pos {
-            return Some(members[cur]);
-        }
-        cur = parent;
-    }
-    // Not in our subtree: route up (the root's subtree is everything,
-    // so `from` has a parent here).
-    if from_pos == 0 {
-        None
-    } else {
-        Some(members[(from_pos - 1) / 2])
-    }
-}
-
-/// The tree children of `id` in the heap-shaped tree over `members` —
-/// the fan-out set for membership propagation.
-#[must_use]
-pub fn tree_children(members: &[NodeId], id: NodeId) -> Vec<NodeId> {
-    let Some(pos) = members.iter().position(|&m| m == id) else {
-        return Vec::new();
-    };
-    [2 * pos + 1, 2 * pos + 2].iter().filter_map(|&c| members.get(c).copied()).collect()
 }
 
 #[cfg(test)]
@@ -320,11 +234,7 @@ mod tests {
             Message::LeaseGrant { node: 3, req_id: 7, base: 128, len: 16 },
             Message::RecoverQuery { node: 2, req_id: 1 },
             Message::RecoverNone { node: 2, req_id: 1 },
-            Message::Heartbeat { node: 5, epoch: 4 },
-            Message::Join { node: 9 },
-            Message::Membership { epoch: 4, members: vec![0, 1, 2, 5, 9] },
-            Message::MembershipAck { node: 5, epoch: 4 },
-            Message::Return { node: 2, watermark: 99, leaving: true },
+            Message::Return { node: 2, watermark: 99 },
             Message::ReturnAck { node: 2, watermark: 99 },
             Message::VoteRequest { term: 3, candidate: 1 << 32, log_len: 12, last_term: 2 },
             Message::VoteReply { term: 3, voter: (1 << 32) + 1, granted: true },
@@ -353,32 +263,6 @@ mod tests {
             assert!(!msg.kind().is_empty());
             assert!(format!("{msg}").starts_with(msg.kind()), "{msg}");
         }
-    }
-
-    #[test]
-    fn tree_routes_up_and_down() {
-        //        0
-        //      /   \
-        //     1     2
-        //    / \   /
-        //   3   5 8
-        let members = [0, 1, 2, 3, 5, 8];
-        // Leaf to root: strictly up the parent chain.
-        assert_eq!(next_hop(&members, 8, 0), Some(2));
-        assert_eq!(next_hop(&members, 2, 0), Some(0));
-        // Root to leaf: down the ancestor chain.
-        assert_eq!(next_hop(&members, 0, 3), Some(1));
-        assert_eq!(next_hop(&members, 1, 3), Some(3));
-        // Cross-subtree: up first.
-        assert_eq!(next_hop(&members, 3, 8), Some(1));
-        // Unknown endpoint: no route.
-        assert_eq!(next_hop(&members, 3, 77), None);
-        assert_eq!(next_hop(&[], 0, 1), None);
-        // Children sets drive membership fan-out.
-        assert_eq!(tree_children(&members, 0), vec![1, 2]);
-        assert_eq!(tree_children(&members, 1), vec![3, 5]);
-        assert_eq!(tree_children(&members, 2), vec![8]);
-        assert_eq!(tree_children(&members, 5), Vec::<NodeId>::new());
     }
 
     #[test]

@@ -21,33 +21,27 @@ use std::sync::Arc;
 use counting_runtime::SharedCounter;
 use counting_service::{CounterService, ServiceConfig, TenantCounter};
 
-use crate::message::{
-    next_hop, tree_children, Block, Envelope, Message, NodeId, Outgoing, COORDINATOR,
-};
+use crate::message::{Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
 
 /// The tenant name a node's global stream lives under in its local
 /// registry.
 pub const CLUSTER_TENANT: &str = "cluster/global";
 
 /// Protocol timing and sizing knobs, in virtual ticks. One config is
-/// shared by nodes and coordinator so the failure detector and the
-/// heartbeat period agree.
+/// shared by nodes and the coordinator group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolConfig {
-    /// Heartbeat period.
+    /// Coordinator group ([`crate::replica`]): the leader's append
+    /// period (an idle leader's appends are its heartbeats to the
+    /// followers), and the per-replica stagger of the election timeout.
+    /// Workers send no heartbeats.
     pub heartbeat_every: u64,
-    /// Retry period for unanswered requests, returns and membership
-    /// rebroadcasts.
+    /// Worker retry period for unanswered requests and returns.
     pub retry_after: u64,
-    /// Silence after which the coordinator declares a worker dead.
-    pub fail_after: u64,
     /// Minimum block length a node requests.
     pub lease_quantum: u64,
     /// Maximum block length a node requests at once.
     pub max_lease: u64,
-    /// Tree-routed attempts per request before falling back to a
-    /// direct send (routes around dead relays).
-    pub tree_attempts: u32,
     /// Coordinator group ([`crate::replica`]): how long a follower's
     /// append ack keeps counting toward the leader's lease, and
     /// (doubled, plus a per-replica stagger) the election timeout.
@@ -59,10 +53,8 @@ impl Default for ProtocolConfig {
         Self {
             heartbeat_every: 25,
             retry_after: 60,
-            fail_after: 160,
             lease_quantum: 16,
             max_lease: 256,
-            tree_attempts: 2,
             lease_ticks: 80,
         }
     }
@@ -96,8 +88,9 @@ pub struct NodeDurable {
     /// Whether the node has sealed its stream (sent its final
     /// `Return`).
     pub sealed: bool,
-    /// Whether the seal is a membership leave (vs. an end-of-run
-    /// drain).
+    /// Whether the node is leaving (vs. draining at the end of a run):
+    /// a leaving node takes no more demand, across restarts too. The
+    /// coordinator sees a leave only as the final `Return`.
     pub leaving: bool,
 }
 
@@ -124,19 +117,12 @@ pub struct Node {
     ledger_total: u64,
     service: CounterService,
     counter: Arc<TenantCounter>,
-    view_epoch: u64,
-    view: Vec<NodeId>,
-    joined: bool,
     backlog: u64,
     draining: bool,
     sealed_acked: bool,
     recovering: bool,
-    attempts: u32,
     last_request: Option<u64>,
-    last_heartbeat: Option<u64>,
-    last_join: Option<u64>,
     last_return: Option<u64>,
-    return_attempts: u32,
     outbox: Vec<Outgoing>,
     handouts: Vec<u64>,
 }
@@ -154,23 +140,12 @@ fn due(last: Option<u64>, now: u64, every: u64) -> bool {
 }
 
 impl Node {
-    /// A founding member booting with the bootstrap member list at
-    /// epoch 1 (`members` includes the coordinator).
+    /// A brand-new node that knows only the coordinator's address. A
+    /// founder and a joiner start alike: there is no member list to
+    /// enter, so the first demand the ledger cannot serve sends a lease
+    /// request.
     #[must_use]
-    pub fn bootstrap(id: NodeId, config: ProtocolConfig, mut members: Vec<NodeId>) -> Self {
-        members.sort_unstable();
-        let joined = members.contains(&id);
-        let mut node = Self::from_parts(NodeDurable::fresh(id), config, true);
-        node.view_epoch = 1;
-        node.view = members;
-        node.joined = joined;
-        node
-    }
-
-    /// A brand-new node that knows only the coordinator's address; it
-    /// sends `Join` until a membership containing it arrives.
-    #[must_use]
-    pub fn fresh(id: NodeId, config: ProtocolConfig) -> Self {
+    pub fn new(id: NodeId, config: ProtocolConfig) -> Self {
         Self::from_parts(NodeDurable::fresh(id), config, true)
     }
 
@@ -190,10 +165,7 @@ impl Node {
         node.recovering = node.durable.pending.is_some();
         if node.recovering {
             let pending = node.durable.pending.expect("checked above");
-            node.send_up(
-                Message::RecoverQuery { node: node.durable.id, req_id: pending.req_id },
-                true,
-            );
+            node.send(Message::RecoverQuery { node: node.durable.id, req_id: pending.req_id });
         }
         node
     }
@@ -212,19 +184,12 @@ impl Node {
             ledger_total,
             service,
             counter,
-            view_epoch: 0,
-            view: Vec::new(),
-            joined: false,
             backlog: 0,
             draining: false,
             sealed_acked: false,
             recovering: false,
-            attempts: 0,
             last_request: None,
-            last_heartbeat: None,
-            last_join: None,
             last_return: None,
-            return_attempts: 0,
             outbox: Vec::new(),
             handouts: Vec::new(),
         }
@@ -248,23 +213,11 @@ impl Node {
         &self.service
     }
 
-    /// Whether the node appears in its own membership view.
-    #[must_use]
-    pub fn is_joined(&self) -> bool {
-        self.joined
-    }
-
     /// Whether the node's final `Return` has been acknowledged — the
     /// per-node termination condition of a drain or leave.
     #[must_use]
     pub fn is_sealed_acked(&self) -> bool {
         self.sealed_acked
-    }
-
-    /// The membership epoch the node has adopted.
-    #[must_use]
-    pub fn view_epoch(&self) -> u64 {
-        self.view_epoch
     }
 
     /// Unserved local demand.
@@ -321,22 +274,18 @@ impl Node {
         self.try_seal(now);
     }
 
-    /// Starts a graceful membership leave (drain plus removal from the
-    /// member list).
+    /// Starts a graceful leave: the node takes no more demand and seals
+    /// once its in-flight request resolves; that final `Return` is the
+    /// leave.
     pub fn begin_leave(&mut self, now: u64) {
         self.durable.leaving = true;
         self.backlog = 0;
         self.try_seal(now);
     }
 
-    /// Handles one delivered envelope (relaying it if this node is not
-    /// the destination).
+    /// Handles one delivered envelope. Every answer names the worker it
+    /// is for, and one naming another worker is ignored.
     pub fn on_message(&mut self, now: u64, env: Envelope) {
-        if env.dst != self.durable.id {
-            let hop = next_hop(&self.view, self.durable.id, env.dst).unwrap_or(env.dst);
-            self.outbox.push(Outgoing { hop, env });
-            return;
-        }
         match env.msg {
             Message::LeaseGrant { node, req_id, base, len } => {
                 if node != self.durable.id || self.durable.sealed {
@@ -348,7 +297,6 @@ impl Node {
                         self.ledger_total += len;
                         self.durable.pending = None;
                         self.recovering = false;
-                        self.attempts = 0;
                         self.pump(now);
                         self.try_seal(now);
                     }
@@ -369,39 +317,8 @@ impl Node {
                         // id is safe.
                         self.durable.pending = None;
                         self.recovering = false;
-                        self.attempts = 0;
                         self.pump(now);
                         self.try_seal(now);
-                    }
-                }
-            }
-            Message::Membership { epoch, mut members } => {
-                if epoch < self.view_epoch {
-                    return;
-                }
-                let adopted = epoch > self.view_epoch;
-                if adopted {
-                    members.sort_unstable();
-                    self.view_epoch = epoch;
-                    self.view = members;
-                    self.joined = self.view.contains(&self.durable.id);
-                }
-                self.send_direct(
-                    COORDINATOR,
-                    Message::MembershipAck { node: self.durable.id, epoch: self.view_epoch },
-                );
-                if adopted {
-                    // Propagate down the new tree exactly once per
-                    // adoption; the coordinator re-sends directly to
-                    // stragglers.
-                    for child in tree_children(&self.view, self.durable.id) {
-                        self.send_direct(
-                            child,
-                            Message::Membership {
-                                epoch: self.view_epoch,
-                                members: self.view.clone(),
-                            },
-                        );
                     }
                 }
             }
@@ -417,9 +334,6 @@ impl Node {
             // worker are misrouted noise on a faulty network: ignore.
             Message::LeaseRequest { .. }
             | Message::RecoverQuery { .. }
-            | Message::Heartbeat { .. }
-            | Message::Join { .. }
-            | Message::MembershipAck { .. }
             | Message::Return { .. }
             | Message::VoteRequest { .. }
             | Message::VoteReply { .. }
@@ -428,30 +342,17 @@ impl Node {
         }
     }
 
-    /// Advances timers: join attempts, heartbeats, request/return
-    /// retries, seal progress.
+    /// Advances timers: request/return retries, seal progress.
     pub fn on_tick(&mut self, now: u64) {
         let id = self.durable.id;
-        if !self.joined && due(self.last_join, now, self.config.retry_after) {
-            self.send_direct(COORDINATOR, Message::Join { node: id });
-            self.last_join = Some(now);
-        }
-        let passive = self.durable.leaving && self.sealed_acked;
-        if self.joined && !passive && due(self.last_heartbeat, now, self.config.heartbeat_every) {
-            self.send_direct(COORDINATOR, Message::Heartbeat { node: id, epoch: self.view_epoch });
-            self.last_heartbeat = Some(now);
-        }
         if let Some(p) = self.durable.pending {
             if due(self.last_request, now, self.config.retry_after) {
-                let msg = if self.recovering {
+                self.send(if self.recovering {
                     Message::RecoverQuery { node: id, req_id: p.req_id }
                 } else {
                     Message::LeaseRequest { node: id, req_id: p.req_id, want: p.want }
-                };
-                let direct = self.attempts >= self.config.tree_attempts;
-                self.send_up(msg, direct);
+                });
                 self.last_request = Some(now);
-                self.attempts += 1;
             }
         }
         self.try_seal(now);
@@ -459,15 +360,8 @@ impl Node {
             && !self.sealed_acked
             && due(self.last_return, now, self.config.retry_after)
         {
-            let msg = Message::Return {
-                node: id,
-                watermark: self.durable.consumed,
-                leaving: self.durable.leaving,
-            };
-            let direct = self.return_attempts >= self.config.tree_attempts;
-            self.send_up(msg, direct);
+            self.send(Message::Return { node: id, watermark: self.durable.consumed });
             self.last_return = Some(now);
-            self.return_attempts += 1;
         }
     }
 
@@ -515,7 +409,6 @@ impl Node {
             || self.draining
             || self.recovering
             || self.durable.pending.is_some()
-            || !self.joined
         {
             return;
         }
@@ -528,10 +421,8 @@ impl Node {
         let req_id = self.durable.next_req;
         self.durable.next_req += 1;
         self.durable.pending = Some(PendingLease { req_id, want });
-        self.attempts = 0;
-        self.send_up(Message::LeaseRequest { node: self.durable.id, req_id, want }, false);
+        self.send(Message::LeaseRequest { node: self.durable.id, req_id, want });
         self.last_request = Some(now);
-        self.attempts = 1;
     }
 
     /// Seals once draining/leaving and no request is in flight: the
@@ -546,31 +437,15 @@ impl Node {
         }
         self.durable.sealed = true;
         self.backlog = 0;
-        let msg = Message::Return {
-            node: self.durable.id,
-            watermark: self.durable.consumed,
-            leaving: self.durable.leaving,
-        };
-        self.send_up(msg, false);
+        self.send(Message::Return { node: self.durable.id, watermark: self.durable.consumed });
         self.last_return = Some(now);
-        self.return_attempts = 1;
     }
 
-    /// Sends toward the coordinator: tree-routed, or direct after the
-    /// configured attempts (or when the view has no route).
-    fn send_up(&mut self, msg: Message, direct: bool) {
+    /// Sends straight to the virtual coordinator id; the driver picks
+    /// the replica.
+    fn send(&mut self, msg: Message) {
         let env = Envelope { src: self.durable.id, dst: COORDINATOR, msg };
-        let hop = if direct {
-            COORDINATOR
-        } else {
-            next_hop(&self.view, self.durable.id, COORDINATOR).unwrap_or(COORDINATOR)
-        };
-        self.outbox.push(Outgoing { hop, env });
-    }
-
-    fn send_direct(&mut self, to: NodeId, msg: Message) {
-        self.outbox
-            .push(Outgoing { hop: to, env: Envelope { src: self.durable.id, dst: to, msg } });
+        self.outbox.push(Outgoing { hop: COORDINATOR, env });
     }
 }
 
@@ -583,17 +458,29 @@ mod tests {
         node.on_message(now, Envelope { src: COORDINATOR, dst, msg });
     }
 
-    #[test]
-    fn serves_demand_from_granted_blocks_in_order() {
-        let mut node = Node::bootstrap(1, ProtocolConfig::default(), vec![0, 1, 2]);
-        assert!(node.is_joined());
-        node.demand(0, 3);
+    /// The single send in `node`'s outbox, which must be a lease
+    /// request straight to the coordinator id; returns its id and
+    /// length.
+    fn the_lease_request(node: &mut Node) -> (u64, u64) {
         let out = node.take_outbox();
-        assert_eq!(out.len(), 1, "one lease request for the whole backlog");
-        let Message::LeaseRequest { node: n, req_id, want } = out[0].env.msg.clone() else {
+        assert_eq!(out.len(), 1, "exactly one send: {out:?}");
+        assert_eq!(out[0].hop, COORDINATOR, "requests go straight to the coordinator id");
+        let Message::LeaseRequest { node: n, req_id, want } = out[0].env.msg else {
             panic!("expected a lease request, got {:?}", out[0].env.msg);
         };
-        assert_eq!((n, req_id), (1, 0));
+        assert_eq!(n, node.id());
+        (req_id, want)
+    }
+
+    #[test]
+    fn serves_demand_from_granted_blocks_in_order() {
+        let mut node = Node::new(1, ProtocolConfig::default());
+        // The first demand asks at once: no join, no member list.
+        node.demand(0, 1);
+        let (req_id, want) = the_lease_request(&mut node);
+        assert_eq!(req_id, 0);
+        node.demand(0, 2);
+        assert!(node.take_outbox().is_empty(), "one request in flight for the whole backlog");
         assert!(want >= 3);
 
         deliver(&mut node, 1, Message::LeaseGrant { node: 1, req_id: 0, base: 100, len: want });
@@ -608,25 +495,28 @@ mod tests {
 
     #[test]
     fn restart_resumes_the_stream_at_the_durable_watermark() {
-        let mut node = Node::bootstrap(1, ProtocolConfig::default(), vec![0, 1]);
+        let mut node = Node::new(1, ProtocolConfig::default());
         node.demand(0, 2);
         let _ = node.take_outbox();
-        deliver(&mut node, 1, Message::LeaseGrant { node: 1, req_id: 0, base: 40, len: 16 });
+        deliver(&mut node, 1, Message::LeaseGrant { node: 1, req_id: 0, base: 40, len: 4 });
         assert_eq!(node.take_handouts(), vec![40, 41]);
 
         let durable = node.durable().clone();
         let mut revived = Node::restart(durable, ProtocolConfig::default(), true);
         assert!(revived.take_outbox().is_empty(), "no in-doubt request, nothing to recover");
-        // The restarted node is not joined until a membership arrives,
-        // but serving from its ledger needs no network.
-        deliver(&mut revived, 5, Message::Membership { epoch: 2, members: vec![0, 1] });
+        // Serving from the ledger needs no network.
         revived.demand(5, 2);
         assert_eq!(revived.take_handouts(), vec![42, 43], "resumed exactly past the crash");
+        assert!(revived.take_outbox().is_empty());
+        // Past the ledger it asks at once, without hearing from anyone
+        // first, under the next fresh request id.
+        revived.demand(6, 1);
+        assert_eq!(the_lease_request(&mut revived).0, 1);
     }
 
     #[test]
     fn restart_with_in_doubt_request_recovers_before_requesting() {
-        let mut node = Node::bootstrap(1, ProtocolConfig::default(), vec![0, 1]);
+        let mut node = Node::new(1, ProtocolConfig::default());
         node.demand(0, 1);
         let _ = node.take_outbox(); // the request is "lost" with the crash
         let durable = node.durable().clone();
@@ -647,7 +537,7 @@ mod tests {
 
     #[test]
     fn drain_seals_and_returns_the_unconsumed_tail() {
-        let mut node = Node::bootstrap(2, ProtocolConfig::default(), vec![0, 2]);
+        let mut node = Node::new(2, ProtocolConfig::default());
         node.demand(0, 2);
         let _ = node.take_outbox();
         deliver(&mut node, 1, Message::LeaseGrant { node: 2, req_id: 0, base: 0, len: 16 });
@@ -659,7 +549,7 @@ mod tests {
             out.iter().filter(|o| matches!(o.env.msg, Message::Return { .. })).collect();
         assert_eq!(returns.len(), 1);
         assert!(
-            matches!(returns[0].env.msg, Message::Return { node: 2, watermark: 2, leaving: false }),
+            matches!(returns[0].env.msg, Message::Return { node: 2, watermark: 2 }),
             "the return carries the exact consumed watermark"
         );
         assert!(!node.is_sealed_acked());
@@ -668,41 +558,5 @@ mod tests {
         // Demand after sealing is refused, not silently mis-served.
         node.demand(13, 5);
         assert!(node.take_handouts().is_empty());
-    }
-
-    #[test]
-    fn relays_envelopes_not_addressed_to_it() {
-        let mut node = Node::bootstrap(1, ProtocolConfig::default(), vec![0, 1, 2, 3]);
-        // members [0,1,2,3]: node 1 is at position 1, its children are
-        // positions 3.. → node 3.
-        let env = Envelope {
-            src: COORDINATOR,
-            dst: 3,
-            msg: Message::LeaseGrant { node: 3, req_id: 0, base: 0, len: 4 },
-        };
-        node.on_message(0, env.clone());
-        let out = node.take_outbox();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].hop, 3, "forwarded down the tree");
-        assert_eq!(out[0].env, env, "envelope unchanged");
-    }
-
-    #[test]
-    fn stale_membership_is_ignored_and_new_is_propagated() {
-        let mut node = Node::bootstrap(1, ProtocolConfig::default(), vec![0, 1]);
-        deliver(&mut node, 1, Message::Membership { epoch: 3, members: vec![0, 1, 2, 3] });
-        assert_eq!(node.view_epoch(), 3);
-        let out = node.take_outbox();
-        assert!(
-            out.iter().any(|o| matches!(o.env.msg, Message::MembershipAck { node: 1, epoch: 3 })),
-            "adoption is acknowledged"
-        );
-        assert!(
-            out.iter().any(|o| o.hop == 3 && matches!(o.env.msg, Message::Membership { .. })),
-            "adoption fans out to tree children"
-        );
-        deliver(&mut node, 2, Message::Membership { epoch: 2, members: vec![0, 9] });
-        assert_eq!(node.view_epoch(), 3, "stale epochs are inert");
-        assert!(node.is_joined());
     }
 }

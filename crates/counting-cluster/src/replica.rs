@@ -27,29 +27,32 @@
 //! pre-vote or leadership transfer.
 //!
 //! Workers never learn any of this: they keep addressing the virtual
-//! [`COORDINATOR`] id 0. The transport (simulated or live) resolves
-//! that id with one `CoordinatorRoute` (`transport.rs`): heartbeats
-//! and membership acks, which only the leader consumes, go to the
-//! replica it last saw speaking for the group; every other kind rotates
-//! over the group. A follower forwards what reaches it to its leader
-//! hint — except a [`Message::RecoverQuery`] it can answer
-//! *positively* from committed state, which needs no new commit — and
-//! the leader drives every client answer through the log: the grant,
-//! seal, tombstone or membership change is sent only after the entry
-//! commits, so a leader that loses quorum can never hand out state a
-//! successor will not have.
+//! [`COORDINATOR`] id 0, and the driver (simulated or live) rotates
+//! each such hop over the group (`coordinator_hop`, `transport.rs`):
+//! a request's retry loop is how a worker finds a new leader after a
+//! partition. A follower forwards what reaches it to its leader hint —
+//! except a [`Message::RecoverQuery`] it can answer *positively* from
+//! committed state, which needs no new commit — and the leader drives
+//! every client answer through the log: the grant, seal or tombstone is
+//! sent only after the entry commits, so a leader that loses quorum can
+//! never hand out state a successor will not have.
+//!
+//! The group keeps no worker membership: no heartbeats, no failure
+//! detector, no member list. A worker is any unsealed id that asks for
+//! a lease, a join is a fresh id that starts asking, and a leave is the
+//! worker's final `Return`. A crashed worker recovers from its own
+//! ledger and watermark, so nothing on this side waits for it.
 //!
 //! The durable state machine being replicated is exactly
 //! [`CoordinatorDurable`]; applying a committed [`Command`] calls its
 //! pure transition helpers, so a quorum replaying the same log reaches
-//! bit-identical state. Epochs commit through the log like every other
-//! change; no worker acknowledgement gates a grant.
+//! bit-identical state.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::coordinator::{CoordinatorDurable, LeaseAnswer};
-use crate::message::{next_hop, tree_children, Envelope, Message, NodeId, Outgoing, COORDINATOR};
+use crate::message::{Envelope, Message, NodeId, Outgoing, COORDINATOR};
 use crate::node::ProtocolConfig;
 
 /// Replica ids live far above any worker id: replica `i` is
@@ -77,25 +80,12 @@ pub enum Command {
         /// Requested block length.
         want: u64,
     },
-    /// Serve `Return { node, watermark, leaving }`.
+    /// Serve `Return { node, watermark }`: seal the worker.
     Return {
         /// The sealing worker.
         node: NodeId,
         /// Total values the worker ever handed out.
         watermark: u64,
-        /// Whether the worker leaves the membership.
-        leaving: bool,
-    },
-    /// Admit `node` to the membership (bumps the epoch).
-    Admit {
-        /// The joining worker.
-        node: NodeId,
-    },
-    /// Evict `node` from the membership (failure detector; bumps the
-    /// epoch).
-    Evict {
-        /// The evicted worker.
-        node: NodeId,
     },
     /// Answer `RecoverQuery { node, req_id }` with a durable "never
     /// granted" (unless a grant turns out to be recorded after all).
@@ -116,11 +106,7 @@ impl fmt::Display for Command {
             Command::Lease { node, req_id, want } => {
                 write!(f, "lease n{node} r{req_id} want={want}")
             }
-            Command::Return { node, watermark, leaving } => {
-                write!(f, "return n{node} w{watermark} leaving={leaving}")
-            }
-            Command::Admit { node } => write!(f, "admit n{node}"),
-            Command::Evict { node } => write!(f, "evict n{node}"),
+            Command::Return { node, watermark } => write!(f, "return n{node} w{watermark}"),
             Command::Tombstone { node, req_id } => write!(f, "tombstone n{node} r{req_id}"),
             Command::Noop => write!(f, "noop"),
         }
@@ -176,7 +162,6 @@ pub struct Replica {
     id: NodeId,
     index: u64,
     peers: Vec<NodeId>,
-    founders: Vec<NodeId>,
     config: ProtocolConfig,
     durable: ReplicaDurable,
     /// Entries known committed (a count, so also the next apply index).
@@ -192,17 +177,6 @@ pub struct Replica {
     // (this replica's own entry is unused).
     progress: Vec<Progress>,
     last_append: Option<u64>,
-    // Leader-only worker-facing volatile state (failure detector and
-    // membership rebroadcast). `last_heard` is indexed by worker id.
-    last_heard: Vec<Option<u64>>,
-    /// No member can have been silent for `fail_after` before this
-    /// tick: the earliest `heard + fail_after` of the last scan. `hear`
-    /// only moves times forward, so it can only be early (one extra
-    /// scan), never late; a member set that grows, and taking office,
-    /// reset it to 0.
-    silence_deadline: u64,
-    worker_acks: BTreeSet<NodeId>,
-    last_broadcast: Option<u64>,
     outbox: Vec<Outgoing>,
     /// Calibration mutation: skip grant deduplication, so a duplicated
     /// request double-allocates and leaks the first block.
@@ -216,15 +190,19 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// A fresh replica `index` of a group of `count`, coordinating
-    /// `founders`. All replicas boot as followers; the first election
-    /// fires after the staggered timeout (replica 0 first).
+    /// A fresh replica `index` of a group of `count`. All replicas boot
+    /// as followers; the first election fires after the staggered
+    /// timeout (replica 0 first).
+    ///
+    /// `founders` is ignored: the group keeps no member list (see the
+    /// [module docs](self)). The parameter stays so existing callers
+    /// keep compiling.
     #[must_use]
     pub fn new(index: u64, count: u64, founders: &[NodeId], config: ProtocolConfig) -> Self {
+        let _ = founders;
         Self::restart(
             index,
             count,
-            founders,
             config,
             ReplicaDurable { term: 0, voted_for: None, log: Vec::new() },
             0,
@@ -238,7 +216,6 @@ impl Replica {
     pub fn restart(
         index: u64,
         count: u64,
-        founders: &[NodeId],
         config: ProtocolConfig,
         durable: ReplicaDurable,
         now: u64,
@@ -247,21 +224,16 @@ impl Replica {
             id: replica_id(index),
             index,
             peers: (0..count).map(replica_id).collect(),
-            founders: founders.to_vec(),
             config,
             durable,
             commit: 0,
             applied: 0,
-            coord: CoordinatorDurable::initial(founders),
+            coord: CoordinatorDurable::initial(&[]),
             role: Role::Follower,
             leader_hint: None,
             last_leader_contact: now,
             progress: vec![Progress::default(); count as usize],
             last_append: None,
-            last_heard: Vec::new(),
-            silence_deadline: 0,
-            worker_acks: BTreeSet::new(),
-            last_broadcast: None,
             outbox: Vec::new(),
             no_dedup: false,
             split_brain: false,
@@ -383,8 +355,7 @@ impl Replica {
         self.durable.log.last().map_or(0, |e| e.term)
     }
 
-    /// Advances elections, heartbeats, the leader lease and the worker
-    /// failure detector.
+    /// Advances elections, the leader's appends and its lease.
     pub fn on_tick(&mut self, now: u64) {
         match &self.role {
             Role::Follower | Role::Candidate { .. } => {
@@ -403,26 +374,6 @@ impl Replica {
                 }
                 if due(self.last_append, now, self.config.heartbeat_every) {
                     self.send_appends(now);
-                }
-                self.detect_dead_workers(now);
-                // On the leader `worker_acks ⊆ members`: an ack counts
-                // only from a member at the current epoch, and every
-                // epoch change (the only way members change) clears the
-                // acks. So equal sizes mean every member acked.
-                debug_assert!(self.worker_acks.is_subset(&self.coord.members));
-                let all_acked = self.worker_acks.len() == self.coord.members.len();
-                if !all_acked && due(self.last_broadcast, now, self.config.retry_after) {
-                    let unacked: Vec<NodeId> = self
-                        .coord
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|w| !self.worker_acks.contains(w))
-                        .collect();
-                    for worker in unacked {
-                        self.send_membership_direct(worker);
-                    }
-                    self.last_broadcast = Some(now);
                 }
             }
         }
@@ -471,19 +422,11 @@ impl Replica {
         // moments ago.
         let next = self.durable.log.len() as u64;
         self.progress.fill(Progress { next, matched: 0, acked_at: now });
-        self.silence_deadline = 0;
         // The term barrier: commits every earlier-term entry once
         // replicated, and gives an otherwise-idle term a commit point.
         self.durable.log.push(LogEntry { term: self.durable.term, cmd: Command::Noop });
-        self.maybe_advance_commit(now);
+        self.maybe_advance_commit();
         self.send_appends(now);
-        // Failure-detector grace for every worker, then re-announce the
-        // membership so workers find the new leader's epoch view.
-        for &worker in &self.coord.members {
-            hear(&mut self.last_heard, worker, now);
-        }
-        self.worker_acks.clear();
-        self.broadcast_membership(now);
     }
 
     fn send_appends(&mut self, now: u64) {
@@ -528,17 +471,12 @@ impl Replica {
 
     /// Handles one delivered envelope: replica traffic when addressed
     /// to this replica, client traffic when addressed to the virtual
-    /// coordinator, a tree relay otherwise.
+    /// coordinator. Anything else is misrouted and dropped.
     pub fn on_message(&mut self, now: u64, env: Envelope) {
         if env.dst == self.id {
             self.on_replica_message(now, env.src, env.msg);
         } else if env.dst == COORDINATOR {
             self.on_client_message(now, env);
-        } else {
-            // Worker-bound relay hop: forward down the worker tree.
-            let members = self.member_list();
-            let hop = next_hop(&members, COORDINATOR, env.dst).unwrap_or(env.dst);
-            self.outbox.push(Outgoing { hop, env });
         }
     }
 
@@ -619,7 +557,7 @@ impl Replica {
                 let new_commit = commit.min(matched_here);
                 if new_commit > self.commit {
                     self.commit = new_commit;
-                    self.advance_apply(now);
+                    self.advance_apply();
                 }
                 self.send_replica(
                     leader,
@@ -651,7 +589,7 @@ impl Replica {
                 }
                 let behind = peer.next < log_len;
                 if ok {
-                    self.maybe_advance_commit(now);
+                    self.maybe_advance_commit();
                 }
                 if behind {
                     self.send_append_to(follower);
@@ -671,20 +609,20 @@ impl Replica {
         self.durable.log.truncate(keep as usize);
         self.commit = self.commit.min(keep);
         if self.applied > keep {
-            self.coord = CoordinatorDurable::initial(&self.founders);
+            self.coord = CoordinatorDurable::initial(&[]);
             self.applied = 0;
             let replay = self.commit;
             self.commit = 0;
             for i in 0..replay {
                 let cmd = self.durable.log[i as usize].cmd.clone();
                 self.commit = i + 1;
-                self.apply_one(0, cmd, false);
+                self.apply_one(cmd, false);
                 self.applied = i + 1;
             }
         }
     }
 
-    fn maybe_advance_commit(&mut self, now: u64) {
+    fn maybe_advance_commit(&mut self) {
         // The leader's own log always matches itself. The candidate is
         // the quorum-th largest matched length over every replica: the
         // largest length at least a quorum of replicas hold.
@@ -698,23 +636,23 @@ impl Replica {
             && self.durable.log[candidate as usize - 1].term == self.durable.term
         {
             self.commit = candidate;
-            self.advance_apply(now);
+            self.advance_apply();
         }
     }
 
-    fn advance_apply(&mut self, now: u64) {
+    fn advance_apply(&mut self) {
         while self.applied < self.commit {
             let cmd = self.durable.log[self.applied as usize].cmd.clone();
             self.applied += 1;
             let respond = matches!(self.role, Role::Leader);
-            self.apply_one(now, cmd, respond);
+            self.apply_one(cmd, respond);
         }
     }
 
     /// Applies one committed command to the coordinator state. Only the
     /// leader answers clients (`respond`); followers apply silently, so
     /// every answer a worker sees is backed by a committed entry.
-    fn apply_one(&mut self, now: u64, cmd: Command, respond: bool) {
+    fn apply_one(&mut self, cmd: Command, respond: bool) {
         match cmd {
             Command::Lease { node, req_id, want } => {
                 let reply = match self.coord.lease_answer(node, req_id, self.no_dedup) {
@@ -731,42 +669,13 @@ impl Replica {
                     self.send_worker(node, reply);
                 }
             }
-            Command::Return { node, watermark, leaving } => {
+            Command::Return { node, watermark } => {
                 // No over-claim assert here: a replayed log can shrink
                 // grants under a calibration mutation — the global
                 // checker owns that verdict.
                 let _ = self.coord.seal(node, watermark);
-                if leaving && self.coord.evict(node) {
-                    self.coord.bump_epoch();
-                    if respond {
-                        self.epoch_changed(now);
-                    }
-                }
                 if respond {
                     self.send_worker(node, Message::ReturnAck { node, watermark });
-                }
-            }
-            Command::Admit { node } => {
-                if self.coord.admit(node) {
-                    self.silence_deadline = 0;
-                    if heard_at(&self.last_heard, node).is_none() {
-                        hear(&mut self.last_heard, node, now);
-                    }
-                    if respond {
-                        self.epoch_changed(now);
-                        self.send_membership_direct(node);
-                    }
-                }
-            }
-            Command::Evict { node } => {
-                if self.coord.evict(node) {
-                    self.coord.bump_epoch();
-                    if let Some(heard) = self.last_heard.get_mut(node as usize) {
-                        *heard = None;
-                    }
-                    if respond {
-                        self.epoch_changed(now);
-                    }
                 }
             }
             Command::Tombstone { node, req_id } => {
@@ -833,10 +742,10 @@ impl Replica {
                     // MUTATION: the stale leader answers off the log —
                     // its local copy diverges from the quorum's and two
                     // leaders allocate the same values.
-                    self.apply_one(now, Command::Lease { node, req_id, want }, true);
+                    self.apply_one(Command::Lease { node, req_id, want }, true);
                     return;
                 }
-                self.propose(now, Command::Lease { node, req_id, want });
+                self.propose(Command::Lease { node, req_id, want });
             }
             Message::RecoverQuery { node, req_id } => {
                 if let Some(block) = self.coord.grants.get(&(node, req_id)).copied() {
@@ -847,43 +756,17 @@ impl Replica {
                 } else {
                     // "Never granted" must be durable before it is
                     // spoken: commit the tombstone first.
-                    self.propose(now, Command::Tombstone { node, req_id });
+                    self.propose(Command::Tombstone { node, req_id });
                 }
             }
-            Message::Heartbeat { node, epoch } => {
-                hear(&mut self.last_heard, node, now);
-                if !self.coord.members.contains(&node) {
-                    if !self.coord.sealed.contains_key(&node) {
-                        self.propose(now, Command::Admit { node });
-                    }
-                } else if epoch < self.coord.epoch {
-                    self.send_membership_direct(node);
-                }
-            }
-            Message::Join { node } => {
-                hear(&mut self.last_heard, node, now);
-                if self.coord.members.contains(&node) {
-                    self.send_membership_direct(node);
-                } else if !self.coord.sealed.contains_key(&node) {
-                    self.propose(now, Command::Admit { node });
-                }
-            }
-            Message::Return { node, watermark, leaving } => {
-                let sealed_at = self.coord.sealed.get(&node).copied();
-                let done = sealed_at.is_some_and(|w| w >= watermark)
-                    && (!leaving || !self.coord.members.contains(&node));
-                if done {
+            Message::Return { node, watermark } => {
+                if self.coord.sealed.get(&node).is_some_and(|&w| w >= watermark) {
                     // Already committed: a duplicate Return re-acks
                     // without a new entry.
                     self.send_worker(node, Message::ReturnAck { node, watermark });
                 } else {
-                    self.propose(now, Command::Return { node, watermark, leaving });
+                    self.propose(Command::Return { node, watermark });
                 }
-            }
-            Message::MembershipAck { node, epoch }
-                if epoch == self.coord.epoch && self.coord.members.contains(&node) =>
-            {
-                self.worker_acks.insert(node);
             }
             // Worker-bound kinds and replica kinds addressed to the
             // virtual coordinator are noise: ignore.
@@ -894,7 +777,7 @@ impl Replica {
     /// Appends a command to the log unless an equal command is already
     /// pending (proposed, not yet applied), then pushes it to the
     /// followers whose logs were caught up.
-    fn propose(&mut self, now: u64, cmd: Command) {
+    fn propose(&mut self, cmd: Command) {
         let pending = self.durable.log[self.applied as usize..].iter().any(|e| e.cmd == cmd);
         if pending {
             return;
@@ -909,62 +792,7 @@ impl Replica {
         }
         // A single-replica group (or the quorum-of-one mutation)
         // commits its own append immediately.
-        self.maybe_advance_commit(now);
-    }
-
-    /// Proposes evicting every member silent for `fail_after`; between
-    /// scans it waits for `silence_deadline`.
-    fn detect_dead_workers(&mut self, now: u64) {
-        if now < self.silence_deadline {
-            return;
-        }
-        let fail_after = self.config.fail_after;
-        let mut deadline = u64::MAX;
-        let mut dead = Vec::new();
-        for &worker in &self.coord.members {
-            let heard = heard_at(&self.last_heard, worker).unwrap_or(0);
-            if now.saturating_sub(heard) >= fail_after {
-                dead.push(worker);
-            }
-            deadline = deadline.min(heard.saturating_add(fail_after));
-        }
-        // Set before proposing, so a reset by a commit inside `propose`
-        // wins.
-        self.silence_deadline = deadline;
-        for worker in dead {
-            self.propose(now, Command::Evict { node: worker });
-        }
-    }
-
-    /// The volatile half of a committed epoch change, leader only.
-    fn epoch_changed(&mut self, now: u64) {
-        self.worker_acks.clear();
-        self.broadcast_membership(now);
-    }
-
-    fn broadcast_membership(&mut self, now: u64) {
-        let members = self.member_list();
-        let msg = Message::Membership { epoch: self.coord.epoch, members: members.clone() };
-        for child in tree_children(&members, COORDINATOR) {
-            self.outbox.push(Outgoing {
-                hop: child,
-                env: Envelope { src: COORDINATOR, dst: child, msg: msg.clone() },
-            });
-        }
-        self.last_broadcast = Some(now);
-    }
-
-    fn send_membership_direct(&mut self, worker: NodeId) {
-        let msg = Message::Membership { epoch: self.coord.epoch, members: self.member_list() };
-        self.send_worker(worker, msg);
-    }
-
-    /// The worker-facing member list: the virtual coordinator id plus
-    /// the current workers (replica ids never appear in it).
-    fn member_list(&self) -> Vec<NodeId> {
-        let mut list = vec![COORDINATOR];
-        list.extend(self.coord.members.iter().copied());
-        list
+        self.maybe_advance_commit();
     }
 
     /// Direct send to a worker, speaking as the virtual coordinator.
@@ -975,20 +803,6 @@ impl Replica {
     fn send_replica(&mut self, to: NodeId, msg: Message) {
         self.outbox.push(Outgoing { hop: to, env: Envelope { src: self.id, dst: to, msg } });
     }
-}
-
-/// When the failure detector last heard from `worker`.
-fn heard_at(last_heard: &[Option<u64>], worker: NodeId) -> Option<u64> {
-    *last_heard.get(usize::try_from(worker).ok()?)?
-}
-
-/// Records that the failure detector heard from `worker` at `now`.
-fn hear(last_heard: &mut Vec<Option<u64>>, worker: NodeId, now: u64) {
-    let index = worker as usize;
-    if index >= last_heard.len() {
-        last_heard.resize(index + 1, None);
-    }
-    last_heard[index] = Some(now);
 }
 
 fn due(last: Option<u64>, now: u64, every: u64) -> bool {
@@ -1099,7 +913,7 @@ mod tests {
         let (mut rs, t) = lone_leader();
         client(&mut rs, 0, t + 1, Message::LeaseRequest { node: 1, req_id: 0, want: 10 });
         // The worker consumed 4 of its 10, then drained.
-        let seal = Message::Return { node: 1, watermark: 4, leaving: false };
+        let seal = Message::Return { node: 1, watermark: 4 };
         let out = client(&mut rs, 0, t + 2, seal.clone());
         assert!(out
             .iter()
@@ -1115,83 +929,24 @@ mod tests {
     }
 
     #[test]
-    fn leave_removes_the_member_and_sealed_ids_never_return() {
+    fn fresh_ids_need_no_admission_and_sealed_ids_never_return() {
         let (mut rs, t) = lone_leader();
-        let epoch_before = rs[0].coord().epoch;
-        client(&mut rs, 0, t + 1, Message::Return { node: 1, watermark: 0, leaving: true });
-        assert!(!rs[0].coord().members.contains(&1));
-        assert_eq!(rs[0].coord().epoch, epoch_before + 1);
-        // Late heartbeats and joins from the sealed id are inert.
-        client(&mut rs, 0, t + 2, Message::Heartbeat { node: 1, epoch: 1 });
-        client(&mut rs, 0, t + 3, Message::Join { node: 1 });
-        assert!(!rs[0].coord().members.contains(&1));
-        // And its lease requests get a tombstoned no.
-        let out = client(&mut rs, 0, t + 4, Message::LeaseRequest { node: 1, req_id: 5, want: 8 });
+        // A worker the group never heard of is granted on its first ask:
+        // a join is a fresh id that starts asking.
+        let out = client(&mut rs, 0, t + 1, Message::LeaseRequest { node: 9, req_id: 0, want: 8 });
+        assert_eq!(grant_of(&out).expect("granted").0, 9);
+        // A leave is the final Return: the id is sealed for good.
+        let out = client(&mut rs, 0, t + 2, Message::Return { node: 1, watermark: 0 });
+        assert!(out
+            .iter()
+            .any(|o| matches!(o.env.msg, Message::ReturnAck { node: 1, watermark: 0 })));
+        assert_eq!(rs[0].coord().sealed.get(&1), Some(&0));
+        // Its lease requests get a tombstoned no.
+        let out = client(&mut rs, 0, t + 3, Message::LeaseRequest { node: 1, req_id: 5, want: 8 });
         assert!(grant_of(&out).is_none());
-    }
-
-    #[test]
-    fn failure_detector_evicts_silent_workers_and_heartbeat_readmits() {
-        let (mut rs, t) = lone_leader();
-        let fail_after = ProtocolConfig::default().fail_after;
-        // Worker 2 stays silent past fail_after; worker 1 keeps
-        // heartbeating.
-        client(&mut rs, 0, t + fail_after - 1, Message::Heartbeat { node: 1, epoch: 1 });
-        rs[0].on_tick(t + fail_after + 1);
-        assert!(rs[0].coord().members.contains(&1));
-        assert!(!rs[0].coord().members.contains(&2), "silent worker declared dead");
-        let epoch_after_death = rs[0].coord().epoch;
-        // The "dead" worker was only partitioned: its next heartbeat
-        // re-admits it under a fresh epoch.
-        client(&mut rs, 0, t + fail_after + 2, Message::Heartbeat { node: 2, epoch: 1 });
-        assert!(rs[0].coord().members.contains(&2));
-        assert_eq!(rs[0].coord().epoch, epoch_after_death + 1);
-    }
-
-    /// Ticks the lone leader every 5 ticks from `from` until `worker`
-    /// leaves the membership; returns that tick. `beat` heartbeats
-    /// worker 1 on every tick first, when set.
-    fn evicted_at(rs: &mut [Replica], worker: NodeId, from: u64, beat: bool) -> u64 {
-        (1..400)
-            .map(|k| from + 5 * k)
-            .find(|&now| {
-                if beat {
-                    client(rs, 0, now, Message::Heartbeat { node: 1, epoch: rs[0].coord().epoch });
-                }
-                rs[0].on_tick(now);
-                rs[0].take_outbox();
-                !rs[0].coord().members.contains(&worker)
-            })
-            .expect("the silent worker is evicted")
-    }
-
-    #[test]
-    fn the_failure_detector_deadline_evicts_on_the_full_scan_tick() {
-        let (mut rs, t) = lone_leader();
-        let fail_after = ProtocolConfig::default().fail_after;
-        // The first tick a full scan would find `heard` silent for
-        // `fail_after` ticks.
-        let full_scan = |heard: u64, from: u64| {
-            (1..).map(|k| from + 5 * k).find(|&now| now - heard >= fail_after).expect("some tick")
-        };
-        // Taking office heard every member at `t`; worker 1 keeps
-        // beating, worker 2 stays silent.
-        let first = evicted_at(&mut rs, 2, t, true);
-        assert_eq!(first, full_scan(t, t));
-        assert!(rs[0].coord().members.contains(&1));
-        // Worker 1, last heard at `first`, falls silent too; then the
-        // group is empty, so the deadline is "never" until someone is
-        // admitted.
-        let gone = evicted_at(&mut rs, 1, first, false);
-        assert_eq!(gone, full_scan(first, first));
-        rs[0].on_tick(gone + 5);
-        assert!(rs[0].coord().members.is_empty());
-        // Admitting re-arms the deadline: the rejoined worker is
-        // evicted exactly when a full scan would evict it.
-        let back = gone + 7;
-        client(&mut rs, 0, back, Message::Heartbeat { node: 2, epoch: 1 });
-        assert!(rs[0].coord().members.contains(&2), "the heartbeat re-admitted worker 2");
-        assert_eq!(evicted_at(&mut rs, 2, gone + 5, false), full_scan(back, gone + 5));
+        assert!(out
+            .iter()
+            .any(|o| matches!(o.env.msg, Message::RecoverNone { node: 1, req_id: 5 })));
     }
 
     #[test]
@@ -1313,12 +1068,12 @@ mod tests {
         let t = rs[0].election_timeout() + 1;
         client(&mut rs, leader, t, Message::LeaseRequest { node: 1, req_id: 0, want: 8 });
         client(&mut rs, leader, t + 1, Message::LeaseRequest { node: 2, req_id: 0, want: 8 });
-        client(&mut rs, leader, t + 2, Message::Return { node: 2, watermark: 3, leaving: false });
+        client(&mut rs, leader, t + 2, Message::Return { node: 2, watermark: 3 });
         let reference = rs[leader].coord().clone();
         // Crash replica 2, restart from its durable log, and let the
         // leader's next heartbeat re-advance its commit.
         let durable = rs[2].durable().clone();
-        rs[2] = Replica::restart(2, 3, &[1, 2], ProtocolConfig::default(), durable, t + 3);
+        rs[2] = Replica::restart(2, 3, ProtocolConfig::default(), durable, t + 3);
         assert_eq!(rs[2].commit(), 0, "commit is volatile");
         rs[leader].on_tick(t + 3 + ProtocolConfig::default().heartbeat_every);
         let outs = drain(&mut rs);
@@ -1431,9 +1186,7 @@ mod tests {
     fn every_command_renders() {
         for cmd in [
             Command::Lease { node: 1, req_id: 2, want: 16 },
-            Command::Return { node: 1, watermark: 9, leaving: true },
-            Command::Admit { node: 7 },
-            Command::Evict { node: 7 },
+            Command::Return { node: 1, watermark: 9 },
             Command::Tombstone { node: 1, req_id: 4 },
             Command::Noop,
         ] {

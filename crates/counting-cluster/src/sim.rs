@@ -14,8 +14,8 @@
 //! where demand flows and the fault plan applies to every hop, and the
 //! **drain** where faults stop, crashed nodes finish restarting, every
 //! node seals its stream, and the [`GlobalChecker`] audits the exact
-//! range. Faults apply per hop, so tree-relayed messages cross the
-//! faulty network once per edge.
+//! range. Faults apply per hop, so an envelope a follower forwards to
+//! its leader crosses the faulty network twice.
 //!
 //! The trace costs nothing unless it is recorded: `Harness::record`
 //! takes the detail string as a closure it runs only under
@@ -44,7 +44,7 @@ use crate::coordinator::CoordinatorDurable;
 use crate::message::{Envelope, NodeId, Outgoing, COORDINATOR};
 use crate::node::{Node, NodeDurable, ProtocolConfig};
 use crate::replica::{replica_id, Replica, ReplicaDurable, REPLICA_BASE};
-use crate::transport::CoordinatorRoute;
+use crate::transport::coordinator_hop;
 
 /// A deliberately-injected protocol bug, used to calibrate the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,9 +111,11 @@ pub struct ClusterSimConfig {
     pub fault: FaultPlan,
     /// Crash events scheduled (each with a deterministic restart).
     pub crashes: u64,
-    /// Workers joining mid-run (ids `workers+1..`).
+    /// Workers joining mid-run (ids `workers+1..`): a joiner is a fresh
+    /// id that starts asking for leases.
     pub joins: u64,
-    /// Graceful leaves scheduled mid-run.
+    /// Graceful leaves scheduled mid-run: the leaver seals with a final
+    /// `Return`.
     pub leaves: u64,
     /// Members of the coordinator's replica group
     /// ([`crate::replica`]). 1 is a group that commits its own appends;
@@ -189,7 +191,7 @@ pub struct ClusterTrace {
 /// Aggregate run statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimStats {
-    /// Hops attempted (per-edge sends, relays included).
+    /// Hops attempted (every send, follower forwards included).
     pub sent: u64,
     /// Hops delivered.
     pub delivered: u64,
@@ -306,13 +308,17 @@ fn up_replica(replicas: &mut [ReplicaSlot], index: u64) -> Option<&mut Replica> 
 /// steps of this many virtual ticks.
 const TICK_EVERY: u64 = 5;
 
+/// A crashed worker stays down for a draw from
+/// `DOWN_FOR..3 * DOWN_FOR` ticks.
+const DOWN_FOR: u64 = 160;
+
 struct Harness {
     config: ClusterSimConfig,
     /// The coordinator group, indexed by replica index.
     replicas: Vec<ReplicaSlot>,
-    /// Resolves coordinator-addressed hops to a replica: liveness kinds
-    /// to the guessed leader, the rest round-robin over the group.
-    route: CoordinatorRoute,
+    /// Coordinator-addressed hops sent so far: the next one goes to
+    /// replica `rotation % group` ([`coordinator_hop`]).
+    rotation: u64,
     /// Worker slots indexed by id (index 0, the coordinator's id, stays
     /// `None`; so does a joiner's until it joins).
     slots: Vec<Option<Slot>>,
@@ -351,13 +357,17 @@ impl Harness {
     /// fault plan. `from` is the physical sender (a worker id or a
     /// replica id) — partitions cut physical links.
     fn transmit(&mut self, now: u64, from: NodeId, out: Outgoing) {
-        self.route.observe(from, &out);
-        let hop = if out.hop == COORDINATOR { self.route.pick(&out.env.msg) } else { out.hop };
+        let hop = if out.hop == COORDINATOR {
+            let hop = coordinator_hop(self.rotation, self.replicas.len() as u64);
+            self.rotation += 1;
+            hop
+        } else {
+            out.hop
+        };
         self.stats.sent += 1;
         let info = || format!("hop n{}: {}", hop, out.env.msg);
         self.record(now, "send", out.env.src, info);
         if self.partitions.iter().any(|w| w.severs(now, from, hop)) {
-            self.route.lost(hop);
             self.stats.severed += 1;
             self.record(now, "sever", out.env.src, info);
             return;
@@ -444,7 +454,6 @@ impl Harness {
             up_node(&mut self.slots, hop).is_some()
         };
         if !up {
-            self.route.lost(hop);
             self.stats.lost += 1;
             self.record(now, "lost", hop, || env.msg.to_string());
             return;
@@ -499,18 +508,15 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
     let fault_rng = root.fork(2);
 
     let founders: Vec<NodeId> = (1..=config.workers).collect();
-    let mut member_bootstrap = vec![COORDINATOR];
-    member_bootstrap.extend(&founders);
 
     let group = config.replicas.max(1);
     let replicas: Vec<ReplicaSlot> = (0..group)
-        .map(|index| armed(Replica::new(index, group, &founders, config.protocol), config.mutation))
+        .map(|index| armed(Replica::new(index, group, &[], config.protocol), config.mutation))
         .collect();
 
     let mut slots: Vec<Option<Slot>> = (0..=config.workers + config.joins).map(|_| None).collect();
     for &id in &founders {
-        let node = Node::bootstrap(id, config.protocol, member_bootstrap.clone());
-        slots[id as usize] = Some(Slot::Up(Box::new(node)));
+        slots[id as usize] = Some(Slot::Up(Box::new(Node::new(id, config.protocol))));
     }
 
     let mut queue = EventQueue::new();
@@ -541,7 +547,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         }
         let node = 1 + plan_rng.below(config.workers);
         let at = plan_rng.range(horizon / 10, (horizon * 4) / 5);
-        let down_for = plan_rng.range(config.protocol.fail_after, config.protocol.fail_after * 3);
+        let down_for = plan_rng.range(DOWN_FOR, DOWN_FOR * 3);
         queue.push(at, Ev::Crash { node });
         queue.push(at + down_for, Ev::Restart { node });
     }
@@ -594,7 +600,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
     let mut harness = Harness {
         config,
         replicas,
-        route: CoordinatorRoute::new(group),
+        rotation: 0,
         slots,
         left: std::collections::BTreeSet::new(),
         queue,
@@ -677,15 +683,15 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
             }
             Ev::Join { node } => {
                 if let Some(slot @ None) = harness.slots.get_mut(node as usize) {
-                    *slot = Some(Slot::Up(Box::new(Node::fresh(node, config.protocol))));
+                    *slot = Some(Slot::Up(Box::new(Node::new(node, config.protocol))));
                     harness.stats.joins += 1;
                     harness.record(now, "join", node, String::new);
                 }
             }
             Ev::Leave { node } => {
                 let eligible = !harness.left.contains(&node) && !harness.draining;
-                let leaving = up_node(&mut harness.slots, node)
-                    .filter(|n| eligible && n.is_joined() && !n.durable().sealed);
+                let leaving =
+                    up_node(&mut harness.slots, node).filter(|n| eligible && !n.durable().sealed);
                 if let Some(n) = leaving {
                     n.begin_leave(now);
                     harness.left.insert(node);
@@ -706,14 +712,8 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
             Ev::ReplicaRestart { index } => {
                 if let Some(slot) = harness.replicas.get_mut(index as usize) {
                     if let ReplicaSlot::Down(durable) = slot {
-                        let replica = Replica::restart(
-                            index,
-                            group,
-                            &founders,
-                            config.protocol,
-                            durable.clone(),
-                            now,
-                        );
+                        let replica =
+                            Replica::restart(index, group, config.protocol, durable.clone(), now);
                         *slot = armed(replica, config.mutation);
                         harness.stats.replica_restarts += 1;
                         harness.record(now, "replica-restart", replica_id(index), String::new);

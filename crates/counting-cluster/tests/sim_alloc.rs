@@ -52,9 +52,11 @@ fn untraced_simulation_stays_within_its_allocation_budget() {
     }
     let allocations = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64;
     let per_event = allocations / events as f64;
+    let per_value = allocations / handed as f64;
     println!(
-        "untraced run_sim, 20 seeds: {per_event:.2} allocations per event, {:.1} per value",
-        allocations / handed as f64
+        "untraced run_sim, 20 seeds: {per_event:.4} allocations per event, {per_value:.4} per value"
     );
-    assert!(per_event <= 0.15, "{per_event:.2} allocations per event exceeds the 0.15 budget");
+    // Both budgets sit 10 % over the readings (0.0750 and 0.2774).
+    assert!(per_event <= 0.083, "{per_event:.4} allocations per event exceeds the 0.083 budget");
+    assert!(per_value <= 0.31, "{per_value:.4} allocations per value exceeds the 0.31 budget");
 }

@@ -29,7 +29,7 @@
 //!   client;
 //! * [`cluster`] (crate `counting-cluster`) — the distributed layer:
 //!   nodes lease contiguous value blocks from a durable coordinator over
-//!   a lossy network, with membership churn, crash-restart watermark
+//!   a lossy network, with join/leave churn, crash-restart watermark
 //!   recovery, and a deterministic fault-injecting simulation that
 //!   checks global uniqueness and the exact range;
 //! * [`sorting`] (crate `sortnet`) — comparator networks derived from the
