@@ -6,7 +6,7 @@
 //! the lock-step schedule, next to the theoretical bounds. Also reports
 //! the greedy-hotspot adversary for the diffracting tree, where the
 //! difference matters most, and (E5e) whether `C(4,16)` in front of one
-//! shared cursor relieves it — the block path of an inflated tenant.
+//! shared cursor relieves it — why a tenant is one bare word.
 //!
 //! Accepts an optional argument `--quick` to shrink the token counts (used
 //! in smoke tests).

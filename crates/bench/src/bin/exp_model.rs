@@ -1,7 +1,7 @@
 //! Experiment E16 — exhaustive interleaving checking of the lock-free
 //! cores: the elimination arena's slot state machine and the service
-//! layer's eviction/watermark hand-off, a tenant's compact-to-inflated
-//! hand-off, rate-limiter rollover (including its torn-read seqlock
+//! layer's eviction/watermark hand-off, racing reservations on one
+//! tenant word, rate-limiter rollover (including its torn-read seqlock
 //! calibration), and ticket-gate admission bound, all explored
 //! schedule-by-schedule under a bounded-preemption DFS (see
 //! `counting_sim::model`).
@@ -31,8 +31,9 @@ use counting_sim::model::{explore, replay, Counterexample, ExploreReport, ModelC
 
 use counting_runtime::model_scenarios::{arena_pair, arena_probe, arena_trio, arena_trio_mutated};
 use counting_service::model_scenarios::{
-    evict_handoff, evict_handoff_mutated, inflate_handoff, inflate_handoff_mutated, rate_straddle,
-    rate_straddle_mutated, rate_torn_base_mutated, ticket_admit_bound, ticket_admit_bound_mutated,
+    evict_handoff, evict_handoff_mutated, rate_straddle, rate_straddle_mutated,
+    rate_torn_base_mutated, reserve_race, reserve_race_mutated, ticket_admit_bound,
+    ticket_admit_bound_mutated,
 };
 
 /// What a row is asserting: a real protocol explored clean, or a seeded
@@ -177,12 +178,12 @@ fn main() {
             rate_torn_base_mutated,
             rate_straddle,
         ),
-        run_clean(&config, "service: tenant inflation hand-off", inflate_handoff),
+        run_clean(&config, "service: racing tenant reservations", reserve_race),
         run_mutation(
             &config,
-            "service: seal by store (seeded)",
-            inflate_handoff_mutated,
-            inflate_handoff,
+            "service: reserve by load + store (seeded)",
+            reserve_race_mutated,
+            reserve_race,
         ),
         run_clean(&config, "service: ticket admission bound", ticket_admit_bound),
         run_mutation(

@@ -6,8 +6,8 @@
 //! Every tenant's hand-out is checked against the Fetch&Increment
 //! contract — unique and exactly `0..watermark` at quiescence, across
 //! evictions — via one `ValueBitmap` per tenant; the table reports the
-//! aggregate, hot/cold tenant rates and how many tenants the traffic
-//! inflated, and the JSON artifact carries the full per-tenant breakdown.
+//! aggregate and hot/cold tenant rates, and the JSON artifact carries the
+//! full per-tenant breakdown.
 //!
 //! Run with: `cargo run --release -p bench --bin exp_service
 //! [-- --quick] [--json <path>] [--seed <u64>]`
@@ -16,13 +16,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bench::{emit_json, kilo_rate, Args, Table};
-use counting_runtime::elimination::{DEFAULT_PROBE, DEFAULT_SLOTS};
-use counting_runtime::{
-    rate_over, BlockReserve, CentralCounter, EliminationCounter, MeasuredWindow, SharedCounter,
-    ValueBitmap,
-};
-use counting_service::{CounterService, ServiceConfig, INFLATE_CONTENDERS};
-use counting_sim::{measure_contention, simulate_arena, ArenaConfig, SchedulerKind};
+use counting_runtime::{rate_over, MeasuredWindow, SharedCounter, ValueBitmap};
+use counting_service::{CounterService, ServiceConfig};
 use serde::Serialize;
 
 /// Largest batch size drawn by the mixed-size stream.
@@ -33,13 +28,11 @@ const MAX_BATCH: usize = 4;
 /// reproducible from its recorded seed alone.
 const DEFAULT_SEED: u64 = 0xE15;
 
-/// The whole JSON document: the seed, the run's report and the `n*` the
-/// recorded readings derive (`None`: above `MODEL_MAX_N`).
+/// The whole JSON document: the seed and the run's report.
 #[derive(Debug, Serialize)]
 struct ServiceJson {
     seed: u64,
     report: ServiceReport,
-    n_star: Option<usize>,
 }
 
 /// The run over `ServiceConfig::default()`.
@@ -54,10 +47,6 @@ struct ServiceReport {
     /// `counting_runtime::MIN_MEASURED_WINDOW`).
     aggregate_values_per_second: Option<f64>,
     evictions: u64,
-    /// Tenants live and inflated when the run ended.
-    inflated_tenants: usize,
-    /// Inflations over the run (an evicted tenant comes back compact).
-    inflations: u64,
     duplicates: u64,
     out_of_range: u64,
     range_violations: u64,
@@ -218,216 +207,11 @@ fn run(tenants: usize, threads: usize, ops_per_thread: u64, seed: u64) -> Servic
         aggregate_values_per_second: rate_over(total_values, elapsed),
         // Relaxed loads: post-join quiescent reads.
         evictions: evictions.load(Ordering::Relaxed),
-        inflated_tenants: names
-            .iter()
-            .filter_map(|n| service.get(n))
-            .filter(|t| t.is_inflated())
-            .count(),
-        inflations: service.inflations(),
         duplicates: duplicates.iter().map(|d| d.load(Ordering::Relaxed)).sum::<u64>(),
         out_of_range: out_of_range.load(Ordering::Relaxed),
         range_violations,
         tenant_stats,
     }
-}
-
-/// The largest contender count the crossover model is evaluated at.
-const MODEL_MAX_N: usize = 16;
-
-/// Nanoseconds per operation and thread at n = 1 and n = 2, for the word
-/// (a default tenant, compact) and for the arena over a cursor
-/// (`EliminationCounter<CentralCounter>`), blocks of `1..=MAX_BATCH`.
-#[derive(Debug, Clone, Copy)]
-struct Readings {
-    word: [f64; 2],
-    arena: [f64; 2],
-}
-
-/// The readings `INFLATE_CONTENDERS` was derived from: medians of 13
-/// full runs of this section on a shared 2-vcpu guest (two threads at
-/// most; not scaling data).
-const RECORDED: Readings = Readings { word: [13.1, 106.5], arena: [32.0, 129.7] };
-
-/// A caller's use of one value: a multiply–xorshift–multiply hash, about
-/// the work the benchmark's `hot-tenant` oracle does per value.
-fn consume(value: u64) -> u64 {
-    let x = value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (x ^ x >> 29).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-}
-
-/// Nanoseconds per operation and thread when `threads` threads each
-/// reserve `ops` blocks from `counter` and consume every value: the
-/// median of five runs after one untimed run. Without the consumer,
-/// back-to-back reservations read the two forms alike at n = 2, which
-/// `hot-tenant` does not.
-fn ns_per_op<C: BlockReserve>(counter: &C, threads: usize, ops: usize, seed: u64) -> f64 {
-    let run = || {
-        let window = MeasuredWindow::new(threads);
-        std::thread::scope(|scope| {
-            for tid in 0..threads {
-                let window = &window;
-                scope.spawn(move || {
-                    let sizes: Vec<usize> =
-                        counting_sim::batch_size_sequence(seed, tid as u64, MAX_BATCH)
-                            .take(4096)
-                            .collect();
-                    let mut sum = 0u64;
-                    window.enter();
-                    for op in 0..ops {
-                        let k = sizes[op % 4096];
-                        let base = counter.reserve_block(tid, k);
-                        sum = (base..base + k as u64).map(consume).fold(sum, u64::wrapping_add);
-                    }
-                    window.exit();
-                    std::hint::black_box(sum);
-                });
-            }
-        });
-        window.elapsed().as_nanos() as f64 / ops as f64
-    };
-    run();
-    let mut runs: Vec<f64> = (0..5).map(|_| run()).collect();
-    runs.sort_by(f64::total_cmp);
-    runs[2]
-}
-
-/// Times both forms at n = 1 and n = 2.
-fn measure(ops: usize, seed: u64) -> Readings {
-    let service = CounterService::new(ServiceConfig::default());
-    let word = service.get_or_create("word");
-    let mut readings = Readings { word: [0.0; 2], arena: [0.0; 2] };
-    for n in 1..=2 {
-        readings.word[n - 1] = ns_per_op(&*word, n, ops, seed);
-        let arena = EliminationCounter::new(CentralCounter::new());
-        readings.arena[n - 1] = ns_per_op(&arena, n, ops, seed);
-    }
-    readings
-}
-
-/// ns/op(n) for both forms: per-visit cost + stalls(n) × stall cost.
-/// `stalls[n - 1]` is the stall measure of one shared location (a
-/// central balancer) under n round-robin processes; the arena's cursor
-/// takes those stalls once per reservation, and one reservation serves
-/// `combining[n - 1]` operations (the arena model, E14b's geometry).
-#[derive(Debug)]
-struct Model {
-    stalls: Vec<f64>,
-    combining: Vec<f64>,
-    /// ns per stall, fitted on the word at n = 2.
-    stall_ns: f64,
-    per_visit: Readings,
-}
-
-impl Model {
-    fn fit(readings: Readings) -> Self {
-        let cursor = baselines::central_balancer(16).expect("valid width");
-        let stalls: Vec<f64> = (1..=MODEL_MAX_N)
-            .map(|n| {
-                let tokens = 256 * n as u64;
-                measure_contention(&cursor, n, tokens, SchedulerKind::RoundRobin, 1)
-                    .amortized_contention
-            })
-            .collect();
-        let combining = (1..=MODEL_MAX_N)
-            .map(|n| {
-                let config = ArenaConfig {
-                    processes: n,
-                    slots: DEFAULT_SLOTS,
-                    spin_rounds: 4,
-                    ops_per_process: 1024,
-                    max_k: MAX_BATCH,
-                    seed: DEFAULT_SEED,
-                    probe: DEFAULT_PROBE,
-                };
-                simulate_arena(&config).combining_factor
-            })
-            .collect();
-        let stall_ns = (readings.word[1] - readings.word[0]) / stalls[1];
-        Self { stalls, combining, stall_ns, per_visit: readings }
-    }
-
-    fn word_ns(&self, n: usize) -> f64 {
-        self.per_visit.word[0] + self.stalls[n - 1] * self.stall_ns
-    }
-
-    fn arena_ns(&self, n: usize) -> f64 {
-        self.per_visit.arena[0] + self.stalls[n - 1] / self.combining[n - 1] * self.stall_ns
-    }
-
-    /// The fewest contenders from which the arena is cheaper. Never below
-    /// 3: n = 1 and 2 are measured, and there the word is cheaper.
-    fn crossover(&self) -> Option<usize> {
-        (3..=MODEL_MAX_N).find(|&n| self.arena_ns(n) < self.word_ns(n))
-    }
-}
-
-/// Prints E15's crossover section and returns the `n*` the recorded
-/// readings derive.
-fn crossover_section(quick: bool, seed: u64) -> Option<usize> {
-    let model = Model::fit(RECORDED);
-    let live = measure(if quick { 1 << 14 } else { 1 << 21 }, seed);
-    println!(
-        "## E15 — when a tenant inflates: the word against the arena over a cursor\n\n\
-         ns per operation and thread, blocks of 1..={MAX_BATCH}; the model is fitted to the \
-         recorded readings and checked against this run's (2 vcpus at most: not scaling data)\n"
-    );
-    let mut table = Table::new(vec!["form", "n", "recorded", "model", "this run", "model error"]);
-    for (form, recorded, run) in
-        [("word", RECORDED.word, live.word), ("arena + cursor", RECORDED.arena, live.arena)]
-    {
-        for n in 1..=2 {
-            let predicted = if form == "word" { model.word_ns(n) } else { model.arena_ns(n) };
-            let error = predicted / run[n - 1] - 1.0;
-            table.push_row(vec![
-                form.to_owned(),
-                n.to_string(),
-                format!("{:.1}", recorded[n - 1]),
-                format!("{predicted:.1}"),
-                format!("{:.1}", run[n - 1]),
-                format!(
-                    "{:+.0} %{}",
-                    error * 100.0,
-                    if error.abs() > 0.25 { " (> 25 %)" } else { "" }
-                ),
-            ]);
-        }
-    }
-    println!("{}", table.to_markdown());
-    let mut table =
-        Table::new(vec!["n", "stalls/op", "ops/reservation", "word", "arena", "cheaper"]);
-    for n in 1..=MODEL_MAX_N {
-        let (word, arena) = (model.word_ns(n), model.arena_ns(n));
-        table.push_row(vec![
-            n.to_string(),
-            format!("{:.2}", model.stalls[n - 1]),
-            format!("{:.2}", model.combining[n - 1]),
-            format!("{word:.0}"),
-            format!("{arena:.0}"),
-            (if arena < word { "arena" } else { "word" }).to_owned(),
-        ]);
-    }
-    println!("{}", table.to_markdown());
-    let n_star = model.crossover();
-    let this_run_n_star = Model::fit(live).crossover();
-    let show = |n: Option<usize>| n.map_or_else(|| format!(">{MODEL_MAX_N}"), |n| n.to_string());
-    println!(
-        "E15-crossover n*={} stall_ns={:.1} this_run_n*={} inflate_contenders={INFLATE_CONTENDERS}",
-        show(n_star),
-        model.stall_ns,
-        show(this_run_n_star),
-    );
-    println!(
-        "\nNotes: word(n) = word(1) + stalls(n) × s and arena(n) = arena(1) + stalls(n) / \
-         combining(n) × s,\nwith stalls(n) from `measure_contention` on `central_balancer(16)`, \
-         combining(n) from\n`simulate_arena` (4 slots, probe 2, 4 rounds of patience) and s \
-         fitted on the word at n = 2.\nn* is the fewest contenders from which the arena is \
-         cheaper; 2 is ruled out by the\nmeasurement. A tenant inflates once its CAS failures \
-         prove n* contenders\n(`INFLATE_CONTENDERS`); the run fails if the recorded readings \
-         derive another n*.\nn* is model-derived: only n = 1 and 2 are measured, and the arena \
-         model's patience moves it\n(4 or 16 rounds derive 4; 2, 3, 5 or 8 rounds derive 3). \
-         The timing checks are printed, not gated.\n"
-    );
-    n_star
 }
 
 fn main() {
@@ -450,7 +234,6 @@ fn main() {
         "median /s",
         "cold tenant /s",
         "evictions",
-        "inflated",
         "status",
     ]);
     let report = run(tenants, threads, ops_per_thread, seed);
@@ -469,7 +252,6 @@ fn main() {
         skew_cell(rates.get(rates.len() / 2).copied(), 1),
         skew_cell(rates.first().copied(), 2),
         report.evictions.to_string(),
-        format!("{}/{} ({}×)", report.inflated_tenants, report.tenants, report.inflations),
         if broken {
             format!(
                 "BROKEN(dup {}, oor {}, range {})",
@@ -493,31 +275,16 @@ fn main() {
          each tenant's hand-out must tile 0..watermark exactly — across idle-tenant\n\
          evictions, whose watermark hand-over is what the churn thread exercises. The\n\
          hot/median/cold columns show the Zipf skew surviving into per-tenant rates.\n\
-         Tenants start as one CAS word and inflate to the elimination arena over one\n\
-         cursor once their CAS failures prove n* = {INFLATE_CONTENDERS} contenders (the section below\n\
-         derives n*; two threads never inflate a tenant): `inflated` is how many ended\n\
-         the run inflated and (n×) how many inflations it saw (eviction deflates). On a\n\
-         host with fewer than n* cpus tenants rarely if ever inflate (2 vcpus: none in\n\
-         5 full runs).\n"
+         Every tenant is one word, and every reservation one `fetch_add` on it.\n"
     );
 
-    let doc = ServiceJson { seed, report, n_star: crossover_section(quick, seed) };
-    emit_json(&doc, json_path);
+    emit_json(&ServiceJson { seed, report }, json_path);
 
     // Correctness gate: any duplicate or non-dense tenant stream fails
     // the process (CI runs this binary in the smoke job), after the JSON
-    // was written for forensics; so does an `n*` the recorded readings no
-    // longer derive.
+    // was written for forensics.
     if broken {
         eprintln!("error: the run violated the per-tenant counting contract");
-        std::process::exit(1);
-    }
-    if doc.n_star != Some(INFLATE_CONTENDERS) {
-        eprintln!(
-            "error: the recorded readings derive n* = {:?} against INFLATE_CONTENDERS = \
-             {INFLATE_CONTENDERS}",
-            doc.n_star
-        );
         std::process::exit(1);
     }
 }

@@ -77,13 +77,10 @@
 //! [`DEFAULT_PROBE`] slots (clamped to the arena), trading one extra load
 //! for a chance of meeting a partner waiting one slot over.
 //!
-//! The window is fixed at 2 because the service's inflation threshold
-//! rests on it. E15 derives `n*` from `counting-sim`'s arena model in this
-//! geometry (4 slots, 4 rounds of patience, blocks of 1..=4), and the
-//! model's operations per reservation κ(n) move with the window: a window
-//! of 1 gives κ(1..=4) = 1 and derives `n*` = 5, a window of 2 gives
-//! κ(4) = 2 and derives 4 (`INFLATE_CONTENDERS`), and a window of 4
-//! derives 3. `counting_sim::elimination`'s tests pin the κ half of that.
+//! The window is fixed at 2. In `counting-sim`'s arena model (4 slots,
+//! 4 rounds of patience, blocks of 1..=4) the operations per reservation
+//! κ(n) move with it: a window of 1 gives κ(1..=4) = 1, and a window of 2
+//! gives κ(4) = 2. `counting_sim::elimination`'s tests pin those values.
 //!
 //! A finding recorded, not fixed: with no more threads than slots the
 //! Fibonacci hash gives every thread a *private* home slot, and while
@@ -240,8 +237,8 @@ const MERGE_BONUS: i64 = 1;
 const OFFER_RETRY_PERIOD: u64 = 64;
 
 impl<C: BlockReserve> EliminationCounter<C> {
-    /// Wraps `inner` with the arena the service builds: [`DEFAULT_SLOTS`]
-    /// slots and a spin bound of [`DEFAULT_SPIN`].
+    /// Wraps `inner` with the default arena: [`DEFAULT_SLOTS`] slots and a
+    /// spin bound of [`DEFAULT_SPIN`].
     #[must_use]
     pub fn new(inner: C) -> Self {
         Self::with_arena(inner, DEFAULT_SLOTS, DEFAULT_SPIN)

@@ -18,9 +18,8 @@
 //! runtime), a hand-rolled request parser covering exactly the subset
 //! the endpoints need ([`http`]), and JSON bodies serialized with the
 //! vendored `serde_json`. The interesting concurrency stays in the
-//! registry's tenant counters: one CAS word each, inflated to an
-//! elimination arena over a cursor once its CAS failures prove enough
-//! contenders.
+//! registry's tenant counters: one atomic word each, advanced by one
+//! `fetch_add` per reservation.
 //!
 //! # Quickstart
 //!

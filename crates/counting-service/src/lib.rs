@@ -9,16 +9,13 @@
 //! * [`CounterService`] — a sharded, concurrent registry mapping tenant
 //!   names to counters created on first touch. Lookups of existing
 //!   tenants take one shard read lock; creation and eviction serialize
-//!   only their shard. A [`TenantCounter`] is born *compact* — one CAS
-//!   word, one 64-byte cache line — and *inflates in place, once*, to
-//!   an elimination arena over one padded cursor when its CAS failures
-//!   prove at least [`INFLATE_CONTENDERS`] contenders; the hand-off
-//!   publishes the arena before it seals the word, so live handles never
-//!   wait and the stream never forks. Every tenant stream is drawn as contiguous
-//!   [`counting_runtime::BlockReserve`] blocks, so each tenant's
-//!   hand-out tiles `0..issued` for any batch-size mix — and eviction
-//!   records a watermark that re-creation resumes from (compact again),
-//!   so a tenant's values stay unique across its whole service lifetime.
+//!   only their shard. A [`TenantCounter`] is one atomic word, and a
+//!   reservation of `k` values is one `fetch_add(k)` on it, so a
+//!   contended tenant never retries. Every tenant stream is drawn as
+//!   contiguous [`counting_runtime::BlockReserve`] blocks, so each
+//!   tenant's hand-out tiles `0..watermark` for any batch-size mix — and
+//!   eviction records the watermark that re-creation resumes from, so a
+//!   tenant's values stay unique across its whole service lifetime.
 //!   No counting network sits under a block: on the paper's stall
 //!   measure a `C(4,16)` in front of the cursor gives it no relief at
 //!   any n from 2 to 64 (E5e, see the [registry docs](registry)).
@@ -35,8 +32,7 @@
 //! use counting_runtime::SharedCounter;
 //! use counting_service::{CounterService, ServiceConfig};
 //!
-//! // One service, many tenants: compact until contended, then an
-//! // elimination arena over one cursor.
+//! // One service, many tenants, one word each.
 //! let service = CounterService::new(ServiceConfig::default());
 //!
 //! // Per-flow accounting: each flow's stream is independent and dense.
@@ -70,7 +66,5 @@ pub mod ticket;
 
 pub use id_gen::{IdGenerator, DEFAULT_LEASE};
 pub use rate::RateLimiter;
-pub use registry::{
-    CounterService, EvictOutcome, ServiceConfig, TenantCounter, DEFAULT_SHARDS, INFLATE_CONTENDERS,
-};
+pub use registry::{CounterService, EvictOutcome, ServiceConfig, TenantCounter, DEFAULT_SHARDS};
 pub use ticket::TicketGate;

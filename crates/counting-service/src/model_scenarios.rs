@@ -1,5 +1,5 @@
 //! Exhaustive-interleaving scenarios for the service layer: the
-//! eviction/watermark hand-off, a tenant's compact-to-inflated hand-off
+//! eviction/watermark hand-off, racing reservations on one tenant word
 //! and the rate limiter's window rollover.
 //!
 //! Same shape as `counting_runtime::model_scenarios` — each function is
@@ -11,10 +11,9 @@
 //! * `evict-in-use` — [`crate::CounterService::try_evict`] skips the
 //!   sole-ownership check, so an in-flight reservation escapes the
 //!   recorded watermark and the recreated tenant forks its stream.
-//! * `seal-by-store` — an inflating [`crate::TenantCounter`] seals its
-//!   word with a load and a store instead of an RMW, so an increment
-//!   racing the seal is overwritten and the backend hands those values
-//!   out a second time.
+//! * `reserve-by-load-store` — a [`crate::TenantCounter`] reserves with
+//!   a load and a store instead of one `fetch_add`, so two callers that
+//!   load the same count draw the same block.
 //! * `rate-straddle` — [`crate::RateLimiter`] reverts to its pre-fix
 //!   admission path, where a request naming an already-closed window is
 //!   judged against the current base and a boundary-straddling burst
@@ -37,29 +36,20 @@ type RateThread = Box<dyn FnOnce() -> Vec<(u64, bool)> + Send + 'static>;
 use crate::{CounterService, RateLimiter, ServiceConfig};
 use counting_runtime::{CentralCounter, SharedCounter};
 
-/// A one-shard service whose tenants stay compact (two threads with one
-/// operation each never reach the inflation threshold): every
-/// interesting interleaving lives in the registry itself (shard lock,
-/// tenant word, watermark map), which is exactly what this suite
-/// explores. The arena has its own scenarios in
+/// A one-shard service: every interesting interleaving lives in the
+/// registry itself (shard lock, tenant word, watermark map), which is
+/// exactly what this suite explores. The arena has its own scenarios in
 /// `counting_runtime::model_scenarios`.
 fn tiny_service() -> Arc<CounterService> {
     Arc::new(CounterService::new(ServiceConfig { shards: 1 }))
 }
 
-/// A tenant's compact-to-inflated hand-off under live handles: three
-/// threads reserve mixed-size blocks from one tenant that inflates (to
-/// the arena over its cursor; the arena's atomics are scheduling points,
-/// the cursor's are not) on the first CAS collision. Whoever inflates,
-/// and wherever the others are when the seal lands, the values drawn
-/// must be exactly `0..watermark`.
-/// Three threads: the seal window opens only after one thread's CAS has
-/// failed, and with two, racing an increment into it takes a third
-/// preemption.
+/// Racing reservations on one tenant word: three threads reserve
+/// mixed-size blocks from one tenant. Whatever the schedule, the values
+/// drawn must be exactly `0..watermark`.
 #[must_use]
-pub fn inflate_handoff() -> Scenario<Vec<u64>> {
-    let service = CounterService::with_inflate_threshold(ServiceConfig { shards: 1 }, 1);
-    let tenant = service.get_or_create("tenant");
+pub fn reserve_race() -> Scenario<Vec<u64>> {
+    let tenant = tiny_service().get_or_create("tenant");
     let threads = [vec![2, 1], vec![1, 3], vec![3]]
         .into_iter()
         .enumerate()
@@ -79,7 +69,7 @@ pub fn inflate_handoff() -> Scenario<Vec<u64>> {
         values.sort_unstable();
         if values != (0..tenant.watermark()).collect::<Vec<u64>>() {
             return Err(format!(
-                "the hand-off forked or gapped the stream: drew {values:?}, watermark {}",
+                "the tenant stream forked or gapped: drew {values:?}, watermark {}",
                 tenant.watermark()
             ));
         }
@@ -87,13 +77,13 @@ pub fn inflate_handoff() -> Scenario<Vec<u64>> {
     })
 }
 
-/// [`inflate_handoff`] with the `seal-by-store` mutation seeded: a
-/// schedule exists where an increment lands between the inflating
-/// thread's load of the word and its store of the seal, and the backend
-/// repeats that block. The explorer must return a counterexample.
+/// [`reserve_race`] with the `reserve-by-load-store` mutation seeded: a
+/// schedule exists where a second reservation lands between one
+/// thread's load of the word and its store, and both draw the same
+/// block. The explorer must return a counterexample.
 #[must_use]
-pub fn inflate_handoff_mutated() -> Scenario<Vec<u64>> {
-    inflate_handoff().with_mutation("seal-by-store")
+pub fn reserve_race_mutated() -> Scenario<Vec<u64>> {
+    reserve_race().with_mutation("reserve-by-load-store")
 }
 
 /// The eviction/watermark hand-off: one thread drives tenant traffic and

@@ -22,29 +22,15 @@
 //!   the stored value through, probes with it. A fast unkeyed hash was
 //!   deliberately not used: tenant names come from HTTP clients, who
 //!   could then aim names at one shard and one bucket.
-//! * **Two-state tenants** — most tenants are cold, and a contended one
-//!   needs a place where colliding requests can merge. A
-//!   [`TenantCounter`] is born **compact**: one atomic word counting the
-//!   values handed out, advanced by a CAS loop. Failed CASes are the
-//!   contention signal: each weighs the values other threads handed out
-//!   while it waited, summed per window of 1 024 values, and once a
-//!   window's weight **proves** at least [`INFLATE_CONTENDERS`] (`n*`)
-//!   contenders the tenant **inflates in place, once, under live
-//!   handles** to the one inflated form: the default
-//!   [`EliminationCounter`] arena over one padded cursor (a
-//!   [`CentralCounter`]), built at inflation time. The proof: one
-//!   thread's waits cover disjoint values, so `n` threads weigh a window
-//!   at most `(n − 1) · 1 024` for any block sizes, and the threshold is
-//!   one more than `n* − 1` threads can reach (see `INFLATE_THRESHOLD`).
-//!   `n*` is E15's modelled crossover: on the 2-vcpu recording host two
-//!   threads ran `hot-tenant` at ~20–22 M ops/s on the bare word and at
-//!   12–15 M on the arena over a cursor (measured), and the cost model
-//!   puts the crossover at 4 (derived, unverified above two threads). A
-//!   tenant touched by fewer than `n*` threads never inflates, and
-//!   eviction followed by re-creation is the only deflation. That `n*`
-//!   or more threads do reach the threshold is unverified on any traffic:
-//!   the 2-vcpu host runs two threads at once, and only the forced tests
-//!   (threshold 1) drive the inflated form there.
+//! * **One word per tenant** — a [`TenantCounter`] is its name, its
+//!   stream offset and one atomic word holding the next value of its
+//!   stream: 32 bytes. A reservation of `k` values is one `fetch_add(k)`
+//!   on the word, and its prior value is the block, so a reservation
+//!   never retries and reads nothing else. The word is the only count
+//!   kept, and a tenant's hand-out is exactly `base..word` at every
+//!   quiescent point for *any* mix of batch sizes — what the per-tenant
+//!   checks of `exp_service`, the torture suite and the `reserve_race`
+//!   model scenario gate on.
 //! * **No network under a block** — a tenant hands out contiguous blocks
 //!   of any size, and mixed sizes break the step property, so every
 //!   block comes from one cursor: a `C(w, t)` in front of it could only
@@ -52,22 +38,11 @@
 //!   pacing buys nothing (E5e in `exp_contention`): stalls per token at
 //!   n = 2/4/8/16/32/64 read 1.0/3.0/6.9/14.9/30.7/62.5 on a central
 //!   balancer alone and 1.0/2.8/6.9/15.0/32.0/66.0 with `C(4,16)` in
-//!   front. So the arena, which merges colliding requests before they
-//!   reach the cursor, is the only relief a contended tenant gets.
-//! * **One count per value** — an inflated instance keeps no count of its
-//!   own: `issued` is the sealed word's `F` plus the backend's
-//!   [`BlockReserve::reserved`], the cursor every reservation already
-//!   advances.
-//! * **A hand-off nobody waits for** — the thread whose failure reaches
-//!   the threshold builds the arena and cursor, publishes them,
-//!   and only *then* seals the word (top bit, by CAS): a racing increment
-//!   lands below the seal or fails and sees it. A reserver that loads a
-//!   sealed word `F` serves `base + F + backend.reserve_block(..)`, so the
-//!   stream tiles `0..F` from the word and `F..` from the backend: each
-//!   tenant's hand-out is exactly `0..issued` at every quiescent point
-//!   for *any* mix of batch sizes — what the per-tenant checks of
-//!   `exp_service`, the torture suite and the `inflate_handoff` model
-//!   scenario gate on.
+//!   front. Nor does a tenant switch to an elimination arena under
+//!   contention: on the 2-vcpu recording host two threads ran
+//!   `hot-tenant` at ~20–22 M ops/s on the bare word and at 12–15 M on
+//!   the arena over a cursor, and no workload there ever reached the
+//!   contention at which a model said the arena would pay.
 //! * **Uniqueness across eviction** — evicting an idle tenant records
 //!   its high-water mark; a later [`CounterService::get_or_create`] for
 //!   the same name resumes the stream at that offset (see
@@ -83,64 +58,15 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{fence, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // The registry's control atomics and shard locks come through the
 // model-checking seam (std/parking_lot pass-throughs unless the `model`
 // feature routes them into counting-sim's interleaving explorer).
 use counting_runtime::sync::{mutation_enabled, AtomicU64, RwLock};
-use counting_runtime::{BlockReserve, CentralCounter, EliminationCounter, SharedCounter};
+use counting_runtime::{BlockReserve, SharedCounter};
 
 use crate::{IdGenerator, RateLimiter, TicketGate};
-
-/// Top bit of a tenant's word: set once, after the backend is published;
-/// the low bits then stay at `F`, the count the word handed out.
-const SEALED: u64 = 1 << 63;
-/// The contention crossover `n*`: a compact tenant inflates only once its
-/// CAS failures prove that at least this many threads contend for its
-/// word. E15 (`exp_service`) derives it from a cost model of the word and
-/// of the arena over a cursor (per-visit costs measured on one thread,
-/// the stall curve of one shared location, the arena's combining factor,
-/// one stall cost fitted at n = 2) and fails when its derivation
-/// disagrees with this constant. Two is ruled out by measurement: on the
-/// 2-vcpu recording host two threads ran `hot-tenant` at ~20–22 M ops/s on
-/// the bare word and at 12–15 M on the arena over a cursor. Four is the
-/// model's, unverified above two threads, and it rests on the arena
-/// model's patience: with 4 rounds (and with 16) the model's arena first
-/// merges at four, with 2, 3, 5 or 8 rounds the model derives 3.
-pub const INFLATE_CONTENDERS: usize = 4;
-
-/// A tenant's contention is measured per window of `2^SIGNAL_WINDOW_BITS`
-/// values: each window starts its count afresh.
-const SIGNAL_WINDOW_BITS: u32 = 10;
-
-/// The contention count's low bits hold the weight; the bits above hold
-/// the window it belongs to (its index modulo `2^44`).
-const WEIGHT_BITS: u32 = 20;
-const WEIGHT_MASK: u64 = (1 << WEIGHT_BITS) - 1;
-
-/// The contention weight of one window that inflates a tenant:
-/// `(n* − 2) · 2^10 + 1`, one more than `n* − 1` threads can produce.
-///
-/// CORRECTNESS: a failed CAS that loaded the word at `a` and found it at
-/// `b` adds the values `max(a, start of b's window)..b` to `b`'s window:
-/// values other threads handed out while this one waited, for the thread
-/// had no success in between. Its next attempt starts at `b`, so one
-/// thread's failures cover disjoint values and add at most the window's
-/// values that others handed out. With `n` contenders a window holding
-/// `V ≤ 2^10` values therefore weighs at most `(n − 1) · V`, whatever the
-/// block sizes, and a weight above `(n* − 2) · 2^10` proves `n*`
-/// contenders: no slack is needed. A failure of an older window (a
-/// thread that stalled) restarts the count rather than adding to it, so
-/// no window's weight is carried into the next. The argument uses only
-/// the word's modification order and each thread's program order, so it
-/// holds for the `Relaxed` count on any hardware; the window index wraps
-/// after `2^54` values, which no tenant reaches.
-const INFLATE_THRESHOLD: u64 = ((INFLATE_CONTENDERS as u64 - 2) << SIGNAL_WINDOW_BITS) + 1;
-
-/// What a contended tenant inflates to: the default elimination arena
-/// over one padded cursor.
-type Inflated = EliminationCounter<CentralCounter>;
 
 /// The construction policy of a [`CounterService`]: the registry's shard
 /// count. Every tenant is built the same way, so nothing else is left to
@@ -169,19 +95,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What a tenant needs to inflate itself, shared by every tenant of one
-/// service (a handle may outlive the service that issued it).
-#[derive(Debug)]
-struct Blueprint {
-    /// Contention weight that inflates a tenant.
-    threshold: u64,
-    /// Tenants inflated so far (a statistic: `std`, not the model shim).
-    inflations: std::sync::atomic::AtomicU64,
-}
-
-/// One tenant's counter: a single CAS word until it is contended, the
-/// elimination arena over one cursor afterwards, behind a value-stream
-/// offset.
+/// One tenant's counter: one atomic word behind a value-stream offset.
 ///
 /// The offset (`base`) is the tenant's high-water mark from previous
 /// instance lifetimes: a freshly created tenant starts at `0`, a tenant
@@ -189,29 +103,22 @@ struct Blueprint {
 /// stopped, so the *tenant's* stream stays unique and gap-free across
 /// instances even though each instance counts from zero.
 ///
-/// Every instance starts **compact** and may **inflate** once (see the
-/// [module docs](self)); either way its raw values tile `0..issued` at
+/// Every reservation is one `fetch_add` on the word (see the [module
+/// docs](self)), so an instance's values tile `base..base + issued` at
 /// every quiescent point regardless of batch-size mix — which is exactly
 /// what makes `base + issued` a resumable watermark.
 pub struct TenantCounter {
     tenant: Arc<str>,
     base: u64,
-    /// Values handed out by the word, plus [`SEALED`] once inflated.
+    /// The next value of the tenant's stream: `base` plus the values this
+    /// instance handed out.
     word: AtomicU64,
-    /// The contention weight of the latest window a failed CAS saw, below
-    /// `WEIGHT_BITS`, and that window above.
-    contention: AtomicU64,
-    blueprint: Arc<Blueprint>,
-    /// The backend, published before the word is sealed: whoever sees the
-    /// seal finds it. A thin `Box`, so the compact tenant is one cache line.
-    inflated: OnceLock<Box<Inflated>>,
 }
 
 impl std::fmt::Debug for TenantCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TenantCounter")
             .field("tenant", &self.tenant)
-            .field("state", &self.state_label())
             .field("base", &self.base)
             .field("issued", &self.issued())
             .finish()
@@ -232,36 +139,16 @@ impl TenantCounter {
         self.base
     }
 
-    /// Whether this instance has inflated to the arena over its cursor.
-    #[must_use]
-    pub fn is_inflated(&self) -> bool {
-        self.word.load(Ordering::Acquire) & SEALED != 0
-    }
-
-    /// The backend; only for callers that saw the word sealed.
-    fn backend(&self) -> &Inflated {
-        self.inflated.get().expect("the backend is published before the word is sealed")
-    }
-
-    fn state_label(&self) -> String {
-        self.inflated.get().map_or_else(|| "compact".to_owned(), |backend| backend.describe())
-    }
-
     /// Values handed out by **this instance**. Exact at quiescence; while
     /// operations are in flight it may briefly exceed the values already
     /// visible to callers.
     #[must_use]
     pub fn issued(&self) -> u64 {
         // ordering: a statistic for callers *except* on the eviction path,
-        // where exactness comes not from these loads' ordering (the
-        // backend's count is a Relaxed load of its cursor) but from sole
-        // ownership: the Acquire fence in `retire` pairs with the last
+        // where exactness comes not from this load's ordering but from
+        // sole ownership: the Acquire fence in `retire` pairs with the last
         // handle's release drop, which happens-after its final reservation.
-        let word = self.word.load(Ordering::Acquire);
-        if word & SEALED == 0 {
-            return word;
-        }
-        (word & !SEALED) + self.backend().reserved()
+        self.word.load(Ordering::Relaxed) - self.base
     }
 
     /// The tenant's high-water mark, `base + issued`: the next instance's
@@ -269,123 +156,53 @@ impl TenantCounter {
     /// quiescence by requiring sole ownership).
     #[must_use]
     pub fn watermark(&self) -> u64 {
-        self.base + self.issued()
+        // ordering: as in `issued`.
+        self.word.load(Ordering::Relaxed)
     }
 
     /// One block reservation, offset into the tenant's stream.
-    fn reserve(&self, thread_id: usize, k: usize) -> u64 {
-        // ordering: the Acquire loads of the word pair with the Release
-        // seal in `inflate`: whoever sees the seal sees the backend
-        // published before it.
-        let mut word = self.word.load(Ordering::Acquire);
-        loop {
-            if word & SEALED != 0 {
-                // The backend's cursor is the only count kept (see `issued`).
-                let raw = self.backend().reserve_block(thread_id, k);
-                return self.base + (word & !SEALED) + raw;
-            }
-            // A strong CAS: a failure means another thread moved the word.
-            // Acquire on failure, like the load above: the word it returns
-            // may carry the seal.
-            match self.word.compare_exchange(
-                word,
-                word + k as u64,
-                Ordering::Relaxed,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return self.base + word,
-                Err(actual) => {
-                    self.note_contention(word, actual);
-                    word = actual;
-                }
-            }
-        }
-    }
-
-    /// Weighs a CAS that loaded the word at `loaded` and failed on
-    /// `actual` (see `INFLATE_THRESHOLD`); the failure that brings its
-    /// window's weight to the threshold inflates the tenant. Relaxed: the
-    /// count elects, it publishes nothing.
-    #[cold]
-    fn note_contention(&self, loaded: u64, actual: u64) {
-        if actual & SEALED != 0 {
-            return;
-        }
-        let window = actual >> SIGNAL_WINDOW_BITS;
-        let weight = actual - loaded.max(window << SIGNAL_WINDOW_BITS);
-        let tag = window << WEIGHT_BITS;
-        let mut seen = self.contention.load(Ordering::Relaxed);
-        let before = loop {
-            // Another window's count, newer or older, restarts at ours.
-            let before = if (seen ^ tag) >> WEIGHT_BITS == 0 { seen & WEIGHT_MASK } else { 0 };
-            let after = (before + weight).min(WEIGHT_MASK);
-            match self.contention.compare_exchange(
-                seen,
-                tag | after,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break before,
-                Err(now) => seen = now,
-            }
-        };
-        let threshold = self.blueprint.threshold;
-        if before < threshold && before + weight >= threshold {
-            self.inflate();
-        }
-    }
-
-    /// Switches the tenant to the arena over its cursor while other handles
-    /// keep reserving: build, publish, *then* seal. Until the seal lands
-    /// everyone is still served by the word, so nobody waits for the build.
-    fn inflate(&self) {
-        let backend = Box::new(EliminationCounter::new(CentralCounter::new()));
-        // A newer window can restart the count and reach the threshold
-        // again before the seal lands: the first backend published stands.
-        if self.inflated.set(backend).is_err() {
-            return;
-        }
-        self.blueprint.inflations.fetch_add(1, Ordering::Relaxed);
-        let mut word = self.word.load(Ordering::Relaxed);
-        if mutation_enabled("seal-by-store") {
+    fn reserve(&self, k: usize) -> u64 {
+        if mutation_enabled("reserve-by-load-store") {
             // Seeded model mutation (never active outside an exploration):
-            // an increment landing between that load and this store is
-            // overwritten, and the backend hands its values out again.
-            return self.word.store(word | SEALED, Ordering::Release);
+            // two callers that load the same count before either stores
+            // both draw the block that starts there.
+            let prior = self.word.load(Ordering::Relaxed);
+            self.word.store(prior + k as u64, Ordering::Relaxed);
+            return prior;
         }
-        // ordering: Release after the `set` — publish-before-seal. An RMW,
-        // so a racing increment lands below the seal or fails and sees it.
-        while let Err(seen) =
-            self.word.compare_exchange(word, word | SEALED, Ordering::Release, Ordering::Relaxed)
-        {
-            word = seen;
-        }
+        // ordering: Relaxed. The RMW alone keeps blocks disjoint (each
+        // caller's prior value is its own point in the word's modification
+        // order), and it publishes nothing. Eviction's exactness comes from
+        // `retire`'s Acquire fence, not from this RMW. The word starts at
+        // `base`, so a reservation touches nothing else: loading `base`
+        // first would fetch the contended line shared, then again to own it.
+        self.word.fetch_add(k as u64, Ordering::Relaxed)
     }
 }
 
 impl SharedCounter for TenantCounter {
-    fn next(&self, thread_id: usize) -> u64 {
-        self.reserve(thread_id, 1)
+    fn next(&self, _thread_id: usize) -> u64 {
+        self.reserve(1)
     }
 
-    fn next_batch(&self, thread_id: usize, k: usize, out: &mut Vec<u64>) {
+    fn next_batch(&self, _thread_id: usize, k: usize, out: &mut Vec<u64>) {
         if k == 0 {
             return;
         }
         // Contiguous by construction: one block of k.
-        let base = self.reserve(thread_id, k);
+        let base = self.reserve(k);
         out.extend(base..base + k as u64);
     }
 
     fn describe(&self) -> String {
-        format!("{} [tenant {} @ {}]", self.state_label(), self.tenant, self.base)
+        format!("fetch_add word [tenant {} @ {}]", self.tenant, self.base)
     }
 }
 
 impl BlockReserve for TenantCounter {
-    fn reserve_block(&self, thread_id: usize, k: usize) -> u64 {
+    fn reserve_block(&self, _thread_id: usize, k: usize) -> u64 {
         assert!(k > 0, "a block reservation needs at least one value");
-        self.reserve(thread_id, k)
+        self.reserve(k)
     }
 
     fn reserved(&self) -> u64 {
@@ -524,7 +341,6 @@ type Shard = HashMap<Key, Slot, BuildHasherDefault<PassThrough>>;
 /// ```
 #[derive(Debug)]
 pub struct CounterService {
-    blueprint: Arc<Blueprint>,
     /// Keyed per service: names come from clients (see the module docs).
     hasher: RandomState,
     shards: Box<[RwLock<Shard>]>,
@@ -538,27 +354,9 @@ impl CounterService {
     /// Panics if `config.shards` is zero.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
-        Self::with_inflate_threshold(config, INFLATE_THRESHOLD)
-    }
-
-    /// [`Self::new`] with tenants inflating once a window's contention
-    /// weight reaches `threshold`. Crate-private: the model scenarios and
-    /// unit tests pass `1`, so the first collision inflates — the only way
-    /// fewer than `n*` threads reach the inflated path.
-    pub(crate) fn with_inflate_threshold(config: ServiceConfig, threshold: u64) -> Self {
         assert!(config.shards > 0, "the registry needs at least one shard");
         let shards = (0..config.shards).map(|_| RwLock::new(Shard::default())).collect();
-        let inflations = std::sync::atomic::AtomicU64::new(0);
-        let blueprint = Arc::new(Blueprint { threshold, inflations });
-        Self { blueprint, hasher: RandomState::new(), shards }
-    }
-
-    /// How many tenant instances have inflated since the service started
-    /// (a tenant evicted and re-created can inflate again).
-    #[must_use]
-    pub fn inflations(&self) -> u64 {
-        // Relaxed: a monotone statistic, never a control input.
-        self.blueprint.inflations.load(Ordering::Relaxed)
+        Self { hasher: RandomState::new(), shards }
     }
 
     /// The number of registry shards.
@@ -623,14 +421,8 @@ impl CounterService {
             Some((key, slot)) => (Arc::clone(&key.name), slot.watermark),
             None => (Arc::from(tenant), 0),
         };
-        let counter = Arc::new(TenantCounter {
-            tenant: Arc::clone(&name),
-            base,
-            word: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
-            blueprint: Arc::clone(&self.blueprint),
-            inflated: OnceLock::new(),
-        });
+        let counter =
+            Arc::new(TenantCounter { tenant: Arc::clone(&name), base, word: AtomicU64::new(base) });
         // Fills the existing slot in place (its key stays), or adds one.
         let slot = Slot { live: Some(Arc::clone(&counter)), watermark: base };
         state.insert(Key { hash, name }, slot);
@@ -769,9 +561,8 @@ mod tests {
 
     #[test]
     fn a_compact_tenant_fits_one_cache_line() {
-        // The inflated form is a concrete type behind a thin `Box`; a fat
-        // `Box<dyn BlockReserve>` in the `OnceLock` would make this 72.
-        assert_eq!(std::mem::size_of::<TenantCounter>(), 64);
+        // The name (a fat `Arc<str>`, 16 bytes), the offset and the word.
+        assert_eq!(std::mem::size_of::<TenantCounter>(), 32);
     }
 
     #[test]
@@ -803,29 +594,6 @@ mod tests {
         assert_eq!(b_values, (0..5).collect::<Vec<u64>>());
         assert_eq!(a.watermark(), 18);
         assert_eq!(service.watermark("b"), 5);
-    }
-
-    #[test]
-    fn a_tenant_inflates_in_place_and_eviction_deflates_it() {
-        // Threshold 1: one collision inflates, so one thread can drive a
-        // tenant through its whole life.
-        let service = CounterService::with_inflate_threshold(ServiceConfig::default(), 1);
-        let counter = service.get_or_create("t");
-        let mut values: Vec<u64> = (0..3).map(|i| counter.next(i)).collect();
-        assert_eq!(counter.describe(), "compact [tenant t @ 0]");
-        counter.note_contention(2, 3);
-        assert_eq!((counter.is_inflated(), service.inflations()), (true, 1));
-        let inflated = "central fetch_add + elim[4] [tenant t @ 0]";
-        assert_eq!(counter.describe(), inflated);
-        values.extend((3..6).map(|i| counter.next(i)));
-        counter.next_batch(0, 3, &mut values);
-        values.sort_unstable();
-        assert_eq!(values, (0..9).collect::<Vec<u64>>());
-        // Eviction and re-creation is the only deflation.
-        drop(counter);
-        assert_eq!(service.evict_idle(), 1);
-        let revived = service.get_or_create("t");
-        assert_eq!((revived.is_inflated(), revived.base(), revived.next(0)), (false, 9, 9));
     }
 
     #[test]
@@ -929,32 +697,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_thread_never_inflates_a_tenant() {
-        let service = CounterService::new(ServiceConfig::default());
-        let tenant = service.get_or_create("solo");
-        let mut expected = 0;
-        for op in 0..1_000_000usize {
-            assert_eq!(tenant.reserve_block(op % 3, 1 + op % 7), expected);
-            expected += 1 + op as u64 % 7;
-        }
-        assert_eq!((tenant.is_inflated(), service.inflations()), (false, 0));
-    }
-
-    /// Whether the host can run two threads at once; one core serializes
-    /// them, and there is no contention to see.
-    fn parallel_host() -> bool {
-        std::thread::available_parallelism().map_or(1, |cores| cores.get()) >= 2
-    }
-
     /// `threads` threads reserving the benchmark's `hot-tenant` shape
     /// (blocks of 1..=4 values) from `tenant`, `ops` each, in lock step
     /// 256 operations at a time, spinning while they wait: threads the
     /// host started on one core would otherwise take turns and spend the
-    /// budget without meeting. Asserts the blocks tile `start..n` and
-    /// returns `n`. One call at a time: two calls running at once would
+    /// budget without meeting. Asserts the blocks tile `0..n` and returns
+    /// `n`. One call at a time: two calls running at once would
     /// share the cores, and their threads would take turns.
-    fn dense_lock_step(tenant: &TenantCounter, threads: usize, ops: usize, start: u64) -> u64 {
+    fn dense_lock_step(tenant: &TenantCounter, threads: usize, ops: usize) -> u64 {
         static CORES: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _cores = CORES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let progress: Vec<_> =
@@ -983,7 +733,7 @@ mod tests {
             blocks
         });
         blocks.sort_unstable();
-        let mut next = start;
+        let mut next = 0;
         for (block, k) in blocks {
             assert_eq!(block, next, "the stream forked or gapped");
             next += k;
@@ -991,95 +741,24 @@ mod tests {
         next
     }
 
-    /// [`dense_lock_step`] rounds until the tenant inflates, 64 at most:
-    /// on a busy host lock-step threads do not always collide in one.
-    fn inflate_in_lock_step(tenant: &TenantCounter, threads: usize, ops: usize) -> u64 {
-        let mut next = 0;
-        for _ in 0..64 {
-            next = dense_lock_step(tenant, threads, ops, next);
-            if tenant.is_inflated() {
-                break;
-            }
-        }
-        next
-    }
-
     #[test]
-    fn two_threads_inflate_a_tenant_and_the_stream_stays_dense() {
-        if !parallel_host() {
-            return;
-        }
-        // Forced: the first counted collision inflates (two threads never
-        // reach the default threshold).
-        let service = CounterService::with_inflate_threshold(ServiceConfig::default(), 1);
+    fn two_threads_draw_a_dense_stream_from_a_default_tenant() {
+        // What `hot-tenant` runs: two threads, one default tenant, blocks
+        // of 1..=4. The watermark is the word and nothing else, so it
+        // equals the values observed.
+        let service = service();
         let tenant = &*service.get_or_create("pair");
-        let values = inflate_in_lock_step(tenant, 2, 1 << 16);
-        // The inflated path under the benchmark's `hot-tenant` shape and
-        // its oracle: the tenant inflated, once, to the arena over one
-        // cursor ...
-        assert!(tenant.is_inflated(), "64 rounds of 2^16 contended ops did not inflate it");
-        assert_eq!(tenant.describe(), "central fetch_add + elim[4] [tenant pair @ 0]");
-        // ... and the watermark, which past the seal is the backend's
-        // cursor and nothing else, equals the values observed: every
-        // later reservation went through arena and cursor.
-        assert_eq!((tenant.watermark(), service.inflations()), (values, 1));
-    }
-
-    #[test]
-    fn four_threads_inflate_a_forced_tenant_and_the_stream_stays_dense() {
-        if !parallel_host() {
-            return;
-        }
-        let service = CounterService::with_inflate_threshold(ServiceConfig::default(), 1);
-        let tenant = &*service.get_or_create("quad");
-        let values = inflate_in_lock_step(tenant, 4, 1 << 12);
-        assert!(tenant.is_inflated(), "64 rounds of 2^12 contended ops did not inflate it");
-        assert_eq!((tenant.watermark(), service.inflations()), (values, 1));
-    }
-
-    #[test]
-    fn two_threads_never_inflate_a_default_tenant() {
-        // What `hot-tenant` runs: two threads keep the word, which beats
-        // the arena over a cursor at n = 2.
-        if !parallel_host() {
-            return;
-        }
-        let service = CounterService::new(ServiceConfig::default());
-        let tenant = &*service.get_or_create("pair");
-        let values = dense_lock_step(tenant, 2, 1 << 20, 0);
-        assert_eq!((tenant.is_inflated(), service.inflations()), (false, 0));
-        assert_eq!(tenant.describe(), "compact [tenant pair @ 0]");
+        let values = dense_lock_step(tenant, 2, 1 << 16);
+        assert_eq!(tenant.describe(), "fetch_add word [tenant pair @ 0]");
         assert_eq!(tenant.watermark(), values);
     }
 
     #[test]
-    fn the_threshold_exceeds_what_two_threads_can_weigh() {
-        // Two threads weigh a window at most 2^10: each waits only while
-        // the other hands values out.
-        let window = 1u64 << SIGNAL_WINDOW_BITS;
-        let (contenders, threshold) = (INFLATE_CONTENDERS as u64, INFLATE_THRESHOLD);
-        assert!(contenders >= 3 && threshold > window);
+    fn four_threads_draw_a_dense_stream_from_a_default_tenant() {
         let service = service();
-        let tenant = service.get_or_create("t");
-        let weight = || tenant.contention.load(Ordering::Relaxed) & WEIGHT_MASK;
-        // A failure weighs the values handed out in its window while it
-        // waited ...
-        tenant.note_contention(3, 10);
-        tenant.note_contention(10, 12);
-        assert_eq!(weight(), 9);
-        // ... a newer window restarts the count with the part of the wait
-        // inside it, and so does a failure of an older window.
-        tenant.note_contention(window - 4, window + 6);
-        assert_eq!(weight(), 6);
-        tenant.note_contention(0, 5);
-        assert_eq!(weight(), 5);
-        // More than (n* − 2) windows' worth of waiting proves n*.
-        for _ in 0..contenders - 2 {
-            tenant.note_contention(2 * window, 3 * window - 1);
-        }
-        assert!(!tenant.is_inflated());
-        tenant.note_contention(2 * window, 2 * window + contenders - 1);
-        assert_eq!((weight(), tenant.is_inflated()), (threshold, true));
+        let tenant = &*service.get_or_create("quad");
+        let values = dense_lock_step(tenant, 4, 1 << 14);
+        assert_eq!(tenant.watermark(), values);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use counting_runtime::sync::{mutation_enabled, AtomicU64};
 ///
 /// This is the classic ticket-lock shape scaled out — the `waitingroom`
 /// admission pattern: the *ticket dispenser* is the contended structure
-/// (a tenant counter: one CAS word, the elimination arena over a cursor
-/// once enough arrivals collide), while admission itself is a single
+/// (a tenant counter: one word, one `fetch_add` per ticket), while
+/// admission itself is a single
 /// monotone cursor that only the (rarely contended) capacity-release
 /// path advances.
 ///

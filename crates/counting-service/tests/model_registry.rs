@@ -1,5 +1,5 @@
 //! Exhaustive interleaving checks for the service layer: tenant
-//! eviction/watermark hand-off, a tenant's compact-to-inflated hand-off
+//! eviction/watermark hand-off, racing reservations on one tenant word
 //! and the rate limiter's window rollover.
 //!
 //! Run with:
@@ -16,8 +16,9 @@
 #![cfg(feature = "model")]
 
 use counting_service::model_scenarios::{
-    evict_handoff, evict_handoff_mutated, inflate_handoff, inflate_handoff_mutated, rate_straddle,
-    rate_straddle_mutated, rate_torn_base_mutated, ticket_admit_bound, ticket_admit_bound_mutated,
+    evict_handoff, evict_handoff_mutated, rate_straddle, rate_straddle_mutated,
+    rate_torn_base_mutated, reserve_race, reserve_race_mutated, ticket_admit_bound,
+    ticket_admit_bound_mutated,
 };
 use counting_sim::model::{explore, replay, Counterexample, ModelConfig, Scenario};
 
@@ -61,8 +62,8 @@ fn evict_handoff_is_clean_with_two_preemptions() {
 }
 
 #[test]
-fn inflate_handoff_is_clean_with_two_preemptions() {
-    assert_clean("the inflation hand-off", inflate_handoff);
+fn reserve_race_is_clean_with_two_preemptions() {
+    assert_clean("racing reservations", reserve_race);
 }
 
 #[test]
@@ -82,12 +83,13 @@ fn evicting_an_in_use_tenant_is_caught_and_replays() {
     assert_caught("evict-in-use", evict_handoff_mutated, evict_handoff);
 }
 
-/// With the seal written by a plain store, an increment that lands
-/// inside the seal's load/store window is lost and two callers receive
-/// one value; the CAS seal survives the same schedule.
+/// With a reservation made of a load and a store, a reservation that
+/// lands between them is overwritten and two callers draw one block;
+/// the `fetch_add` survives the same schedule.
 #[test]
-fn sealing_by_store_is_caught_and_replays() {
-    assert_caught("seal-by-store", inflate_handoff_mutated, inflate_handoff);
+fn reserving_by_load_and_store_is_caught_and_replays() {
+    let cex = assert_caught("reserve-by-load-store", reserve_race_mutated, reserve_race);
+    assert!(cex.message.contains("forked or gapped"), "not a forked stream: {}", cex.message);
 }
 
 /// The pre-fix admission path judges a closed window's straggler

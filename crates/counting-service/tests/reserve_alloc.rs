@@ -1,0 +1,80 @@
+//! Allocation budget of the registry's hot paths, in a test binary of its
+//! own so the counting allocator sees nothing but these calls: a
+//! reservation or a lookup that starts allocating, or a creation that
+//! allocates more than it must, fails here instead of in a benchmark run.
+//!
+//! Each test counts only its own thread's allocations (the harness runs
+//! the tests on threads of their own, side by side).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use counting_runtime::BlockReserve;
+use counting_service::{CounterService, ServiceConfig};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: both calls forward unchanged to `System` (the provided
+// `realloc` goes through `alloc`, so a grow counts once); the counter is
+// a const-initialised thread-local without a destructor, so touching it
+// allocates nothing, and `try_with` skips it while a thread tears down.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The calling thread's allocations while `work` runs.
+fn allocations(work: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    work();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn a_reservation_on_a_warm_tenant_allocates_nothing() {
+    let service = CounterService::new(ServiceConfig::default());
+    let tenant = service.get_or_create("hot");
+    let _ = tenant.reserve_block(0, 1);
+    let counted = allocations(|| {
+        for op in 0..100_000usize {
+            std::hint::black_box(tenant.reserve_block(0, 1 + op % 4));
+        }
+    });
+    assert_eq!(counted, 0, "100 000 reservations allocated {counted} times");
+}
+
+#[test]
+fn a_lookup_of_a_live_tenant_allocates_nothing() {
+    let service = CounterService::new(ServiceConfig::default());
+    let _live = service.get_or_create("live");
+    let counted = allocations(|| {
+        for _ in 0..100_000 {
+            std::hint::black_box(service.get("live"));
+        }
+    });
+    assert_eq!(counted, 0, "100 000 lookups allocated {counted} times");
+}
+
+#[test]
+fn a_first_get_or_create_allocates_its_name_its_counter_and_a_table() {
+    let service = CounterService::new(ServiceConfig::default());
+    let counted = allocations(|| drop(service.get_or_create("first")));
+    println!("a first get_or_create: {counted} allocations");
+    // The reading: the name, the counter and the shard's first table.
+    assert!(counted <= 3, "a first get_or_create allocated {counted} times, over the 3 budget");
+}

@@ -23,12 +23,11 @@
 //!   round-based state transitions — including the runtime's multi-slot
 //!   probe window ([`ArenaConfig::probe`]).
 //!
-//! The probe window is what E15's inflation threshold rests on. In E15's
-//! geometry (4 slots, 4 rounds of patience, blocks of 1..=4, seed
-//! `0xE15`) the model's operations per reservation κ(n) are: with a
-//! window of 1, κ(1..=4) = 1, and the recorded readings derive `n*` = 5;
-//! with the runtime's window of 2, κ(4) = 2 and they derive 4; with a
-//! window of 4 they derive 3. A test below pins the κ values.
+//! The probe window decides when the arena first merges. With the
+//! runtime's 4 slots, 4 rounds of patience, blocks of 1..=4 and seed
+//! `0xE15`, the model's operations per reservation κ(n) are: with a
+//! window of 1, κ(1..=4) = 1; with the runtime's window of 2, κ(4) = 2. A
+//! test below pins the κ values.
 
 use serde::Serialize;
 
@@ -347,10 +346,9 @@ mod tests {
 
     #[test]
     fn the_probe_window_decides_kappa_at_four_processes() {
-        // E15's geometry, with literals: `counting-sim` cannot see the
-        // runtime's constants. A window of 2 (the runtime's) merges at
-        // n = 4 but not at n = 3; a window of 1 merges at neither, which
-        // would move the `n*` E15 derives from 4 to 5.
+        // The runtime's slot count, with literals: `counting-sim` cannot
+        // see the runtime's constants. A window of 2 (the runtime's) merges at
+        // n = 4 but not at n = 3; a window of 1 merges at neither.
         let kappa = |processes, probe| {
             simulate_arena(&ArenaConfig {
                 processes,
