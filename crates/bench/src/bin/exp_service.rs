@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bench::{emit_json, kilo_rate, Args, Table};
+use counting_runtime::stress::batch_size_sequence;
 use counting_runtime::{rate_over, MeasuredWindow, SharedCounter, ValueBitmap};
 use counting_service::{CounterService, ServiceConfig};
 use serde::Serialize;
@@ -133,7 +134,7 @@ fn run(tenants: usize, threads: usize, ops_per_thread: u64, seed: u64) -> Servic
                 let _finished = FinishedGuard(finished);
                 // Both per-thread streams derive from the one --seed.
                 let mut rng = (seed ^ 0x9E37_79B9_7F4A_7C15u64).wrapping_mul(tid as u64 + 1) | 1;
-                let mut sizes = counting_sim::batch_size_sequence(seed, tid as u64, MAX_BATCH);
+                let mut sizes = batch_size_sequence(seed, tid as u64, MAX_BATCH);
                 let mut scratch = Vec::with_capacity(MAX_BATCH);
                 window.enter();
                 for _ in 0..ops_per_thread {

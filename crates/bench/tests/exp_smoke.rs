@@ -98,41 +98,6 @@ fn exp_stress_quick_prints_tables_and_json() {
 }
 
 #[test]
-fn exp_elimination_quick_prints_tables_and_passes_its_gate() {
-    let stdout = run_quick(env!("CARGO_BIN_EXE_exp_elimination"), &["--quick"]);
-    assert!(stdout.lines().any(|l| l.starts_with("| ")), "no Markdown table:\n{stdout}");
-    assert!(stdout.lines().any(|l| l.starts_with("## ")), "no section heading:\n{stdout}");
-    // Demonstration cells (raw mixed-size strides) may report gaps, but
-    // no cell may be BROKEN — the binary exits nonzero then, which
-    // run_quick already rejects; double-check the table text too.
-    assert!(
-        !stdout.lines().any(|l| l.starts_with("| ") && l.contains("BROKEN")),
-        "elimination matrix reported an unexpected violation:\n{stdout}"
-    );
-    // Both tables are present: the rate matrix and the measured-vs-model
-    // arena statistics.
-    assert!(stdout.contains("E14b"), "missing arena statistics table:\n{stdout}");
-    assert!(stdout.contains("model (counting-sim)"), "missing model row:\n{stdout}");
-}
-
-#[test]
-fn exp_elimination_quick_writes_json_file() {
-    let path =
-        std::env::temp_dir().join(format!("exp_elimination_smoke_{}.json", std::process::id()));
-    let path_str = path.to_str().expect("utf-8 temp path");
-    let stdout = run_quick(env!("CARGO_BIN_EXE_exp_elimination"), &["--quick", "--json", path_str]);
-    assert!(stdout.contains("JSON written to"), "missing file notice:\n{stdout}");
-    let json = std::fs::read_to_string(&path).expect("JSON file written");
-    assert!(json.contains("\"stress\":["), "missing stress reports: {json}");
-    assert!(json.contains("\"arena_measured\":["), "missing measured arena stats: {json}");
-    assert!(json.contains("\"arena_model\":{"), "missing model report: {json}");
-    // The elimination-path reports must be exact; raw mixed-stride
-    // demonstrations may gap but must never duplicate.
-    assert_every_report_has_zero(&json, "duplicates");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn exp_service_quick_passes_its_gate() {
     // The E15 gates: 64 tenants × 8 threads under Zipf-skewed popularity
     // with idle-tenant churn — every tenant's hand-out must be unique
@@ -389,9 +354,8 @@ fn exp_stress_quick_writes_json_file() {
 fn exp_stress_rejects_a_misspelt_flag_and_names_the_known_ones() {
     // Strict flag parsing (`bench::args`), for every binary of the
     // default build: `--quik` must not silently run the full-size
-    // experiment, the removed `--strategy park` must not silently run the
-    // arena it no longer selects, and a repeated flag must not quietly
-    // run its first value.
+    // experiment, and a repeated flag must not quietly run its first
+    // value.
     let quik = &["--quik"][..];
     for (exe, args, bad) in [
         (env!("CARGO_BIN_EXE_exp_depth"), quik, "unknown argument `--quik`"),
@@ -402,15 +366,9 @@ fn exp_stress_rejects_a_misspelt_flag_and_names_the_known_ones() {
         (env!("CARGO_BIN_EXE_exp_ablation"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_throughput"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_stress"), quik, "unknown argument `--quik`"),
-        (env!("CARGO_BIN_EXE_exp_elimination"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_service"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_server"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_cluster"), quik, "unknown argument `--quik`"),
-        (
-            env!("CARGO_BIN_EXE_exp_elimination"),
-            &["--quick", "--strategy", "park"],
-            "unknown argument `--strategy`",
-        ),
         (
             env!("CARGO_BIN_EXE_exp_cluster"),
             &["--quick", "--seed", "1", "--seed", "2"],

@@ -77,11 +77,6 @@
 //! [`DEFAULT_PROBE`] slots (clamped to the arena), trading one extra load
 //! for a chance of meeting a partner waiting one slot over.
 //!
-//! The window is fixed at 2. In `counting-sim`'s arena model (4 slots,
-//! 4 rounds of patience, blocks of 1..=4) the operations per reservation
-//! κ(n) move with it: a window of 1 gives κ(1..=4) = 1, and a window of 2
-//! gives κ(4) = 2. `counting_sim::elimination`'s tests pin those values.
-//!
 //! A finding recorded, not fixed: with no more threads than slots the
 //! Fibonacci hash gives every thread a *private* home slot, and while
 //! the window is 1 nobody looks at anyone else's. Two threads (homes 0
@@ -93,9 +88,7 @@
 //! The arena is sized in slots: pairwise collisions serve two threads per
 //! slot, so `threads / 2` slots saturate a steady workload; the default
 //! of [`DEFAULT_SLOTS`] suits the 8-thread torture configurations used
-//! throughout this repository. `counting-sim::elimination` models the
-//! same protocol deterministically, so measured collision rates can be
-//! compared against schedule-controlled predictions.
+//! throughout this repository.
 //!
 //! # Worked example: a captured offer
 //!

@@ -1,7 +1,8 @@
-//! Allocation budget of the registry's hot paths, in a test binary of its
-//! own so the counting allocator sees nothing but these calls: a
-//! reservation or a lookup that starts allocating, or a creation that
-//! allocates more than it must, fails here instead of in a benchmark run.
+//! Allocation budget of the registry's and the adapters' hot paths, in a
+//! test binary of its own so the counting allocator sees nothing but
+//! these calls: a reservation, a lookup, an adapter call or an eviction
+//! that starts allocating, or a creation that allocates more than it
+//! must, fails here instead of in a benchmark run.
 //!
 //! Each test counts only its own thread's allocations (the harness runs
 //! the tests on threads of their own, side by side).
@@ -10,7 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use counting_runtime::BlockReserve;
-use counting_service::{CounterService, ServiceConfig};
+use counting_service::{
+    CounterService, EvictOutcome, IdGenerator, RateLimiter, ServiceConfig, TicketGate,
+};
 
 struct Counting;
 
@@ -77,4 +80,60 @@ fn a_first_get_or_create_allocates_its_name_its_counter_and_a_table() {
     println!("a first get_or_create: {counted} allocations");
     // The reading: the name, the counter and the shard's first table.
     assert!(counted <= 3, "a first get_or_create allocated {counted} times, over the 3 budget");
+}
+
+#[test]
+fn a_warm_ticket_acquire_allocates_nothing() {
+    let service = CounterService::new(ServiceConfig::default());
+    let gate = TicketGate::new(service.get_or_create("tickets"));
+    let _ = gate.acquire(0);
+    let counted = allocations(|| {
+        for _ in 0..100_000 {
+            std::hint::black_box(gate.acquire(0));
+        }
+    });
+    println!("100 000 warm ticket acquires: {counted} allocations");
+    assert_eq!(counted, 0, "100 000 ticket acquires allocated {counted} times");
+}
+
+#[test]
+fn a_rate_acquire_inside_one_window_allocates_nothing() {
+    let service = CounterService::new(ServiceConfig::default());
+    let limiter = RateLimiter::new(service.get_or_create("rate"), 1_000);
+    assert!(limiter.try_acquire(0, 1), "the first request opens the window");
+    let counted = allocations(|| {
+        for _ in 0..100_000 {
+            std::hint::black_box(limiter.try_acquire(0, 1));
+        }
+    });
+    println!("100 000 rate acquires in one window: {counted} allocations");
+    assert_eq!(counted, 0, "100 000 rate acquires allocated {counted} times");
+}
+
+#[test]
+fn an_id_inside_a_lease_allocates_nothing() {
+    let service = CounterService::new(ServiceConfig::default());
+    let mut ids = IdGenerator::new(service.get_or_create("ids"), 0, 100_001);
+    let _ = ids.next_id();
+    let counted = allocations(|| {
+        for _ in 0..100_000 {
+            std::hint::black_box(ids.next_id());
+        }
+    });
+    assert_eq!(ids.remaining(), 0, "every id came from the first lease");
+    println!("100 000 ids inside one lease: {counted} allocations");
+    assert_eq!(counted, 0, "100 000 leased ids allocated {counted} times");
+}
+
+#[test]
+fn evicting_an_idle_tenant_allocates_nothing() {
+    let service = CounterService::new(ServiceConfig::default());
+    let tenant = service.get_or_create("idle");
+    let _ = tenant.reserve_block(0, 8);
+    drop(tenant);
+    let counted = allocations(|| {
+        assert_eq!(service.try_evict("idle"), EvictOutcome::Evicted { watermark: 8 });
+    });
+    println!("an idle tenant's try_evict: {counted} allocations");
+    assert_eq!(counted, 0, "a try_evict allocated {counted} times");
 }

@@ -23,11 +23,6 @@
 //!   crowded balancer.
 //! * [`contention`] offers sweep helpers producing serializable result rows
 //!   used by the benchmark harness to regenerate the paper's comparisons.
-//! * [`elimination`] models the elimination/combining arena that
-//!   `counting-runtime` places in front of a counter, predicting collision
-//!   rates and combining factors for comparison against real-hardware
-//!   measurements, and hosts the deterministic mixed-batch-size stream
-//!   shared with the stress harness.
 //! * [`des`] is a seeded discrete-event kernel with per-message fault
 //!   injection (drop / duplicate / delay / reorder) — the deterministic
 //!   substrate under the `counting-cluster` distributed simulation.
@@ -40,7 +35,6 @@
 
 pub mod contention;
 pub mod des;
-pub mod elimination;
 pub mod linearizability;
 pub mod model;
 pub mod report;
@@ -49,7 +43,6 @@ pub mod sim;
 
 pub use contention::{measure_contention, sweep_concurrency, ContentionPoint};
 pub use des::{EventQueue, FaultPlan, SimRng};
-pub use elimination::{batch_size_sequence, simulate_arena, ArenaConfig, ArenaReport};
 pub use linearizability::{is_linearizable, violations, Violation};
 pub use model::{explore, replay, Counterexample, ExploreReport, ModelConfig, Scenario, Trace};
 pub use report::{ContentionReport, FetchIncrementOutcome, TokenRecord};

@@ -92,9 +92,10 @@ fn torture_matrix_unbatched_hands_out_the_exact_range() {
 fn torture_matrix_batched_hands_out_the_exact_range() {
     // Batches of 4: total traversals (8 threads × 24·scale ops) stay a
     // multiple of every output width, so the exact-range guarantee of
-    // `next_batch` applies.
+    // `next_batch` applies. Uniform batches through the arena must stay
+    // exact too.
     let ops_per_thread = 24 * ops_scale();
-    for (name, make) in counters() {
+    for (name, make) in counters().into_iter().chain(elimination_counters()) {
         for scenario in [scenarios()[0], scenarios()[1], scenarios()[2]] {
             let config = StressConfig {
                 threads: THREADS,
