@@ -2,30 +2,28 @@
 //!
 //! The crates below this one scale the paper's counting network *within*
 //! one address space; this crate takes the next step the ROADMAP
-//! north-star asks for: `N` nodes, each owning a local
-//! [`counting_service::CounterService`] registry, cooperating over a
-//! message-passing layer to hand out one globally unique, gap-free value
-//! stream — and staying correct while the network drops, duplicates,
-//! delays and reorders messages and nodes crash, restart, join and
-//! leave.
+//! north-star asks for: `N` nodes, each serving from a local cursor,
+//! cooperating over a message-passing layer to hand out one globally
+//! unique, gap-free value stream — and staying correct while the network
+//! drops, duplicates, delays and reorders messages and nodes crash,
+//! restart, join and leave.
 //!
 //! ## The block-lease protocol
 //!
 //! A durable **coordinator** owns the global value space as a cursor
 //! plus a free-list and leases **disjoint contiguous blocks** to worker
 //! nodes ([`coordinator`]). Each **node** ([`node`]) serves local demand
-//! from its leased blocks through its tenant registry — the node's local
-//! stream index maps through its block ledger to a global value — and
+//! from its leased blocks — the node's local stream index maps through
+//! its block ledger to a global value — and
 //! requests a new lease when demand outruns its ledger. The protocol is
 //! built for an unreliable network:
 //!
 //! * every request carries a per-node request id; requests are retried
 //!   and the coordinator deduplicates by `(node, request id)`,
 //!   re-sending the recorded grant instead of allocating twice;
-//! * a restarted node replays its durable state: its local watermark
-//!   re-seeds the registry via
-//!   [`counting_service::CounterService::restore_watermark`] (the same
-//!   resume rule tenant eviction uses), and an in-doubt request is
+//! * a restarted node replays its durable state: its cursor resumes at
+//!   the durable local watermark (the same resume rule tenant eviction
+//!   uses), and an in-doubt request is
 //!   resolved with a recovery query the coordinator answers from its
 //!   grant log — or **tombstones**, so the in-doubt id can never be
 //!   granted later;

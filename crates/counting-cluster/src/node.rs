@@ -7,25 +7,16 @@
 //! [`Node::drain_handouts`]. The same state machine runs under the
 //! deterministic simulation and under real threads ([`crate::live`]).
 //!
-//! Local serving goes through a real [`CounterService`] registry: the
-//! node's tenant stream index (the registry watermark) maps through the
-//! node's block ledger to a global value. Everything the protocol needs
-//! to survive a crash lives in [`NodeDurable`]; a restart replays it —
-//! the local watermark through
-//! [`CounterService::restore_watermark`] (eviction-style resume), and an
-//! in-doubt lease request through a recovery query the coordinator
-//! answers from its grant log or tombstones.
-
-use std::sync::Arc;
-
-use counting_runtime::SharedCounter;
-use counting_service::{CounterService, ServiceConfig, TenantCounter};
+//! Local serving is a cursor over the node's local stream: stream index
+//! `i` maps through the node's block ledger to a global value. One thread
+//! drives a node, so the cursor is a plain `u64`. Everything the protocol
+//! needs to survive a crash lives in [`NodeDurable`]; a restart replays
+//! it — the cursor resumes at the durable watermark (the way a re-created
+//! tenant resumes after an eviction), and an in-doubt lease request is
+//! resolved through a recovery query the coordinator answers from its
+//! grant log or tombstones.
 
 use crate::message::{Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
-
-/// The tenant name a node's global stream lives under in its local
-/// registry.
-pub const CLUSTER_TENANT: &str = "cluster/global";
 
 /// Protocol timing and sizing knobs, in virtual ticks. One config is
 /// shared by nodes and the coordinator group.
@@ -77,8 +68,8 @@ pub struct NodeDurable {
     /// Granted blocks, in grant order (requests are issued one at a
     /// time, so grant order equals request-id order).
     pub ledger: Vec<Block>,
-    /// Total values ever handed out locally — the local watermark the
-    /// restart re-seeds the registry with.
+    /// Total values ever handed out locally — the local watermark a
+    /// restart resumes the cursor at.
     pub consumed: u64,
     /// Next fresh request id.
     pub next_req: u64,
@@ -115,8 +106,8 @@ pub struct Node {
     durable: NodeDurable,
     /// Values in `durable.ledger`, which only grows (one push site).
     ledger_total: u64,
-    service: CounterService,
-    counter: Arc<TenantCounter>,
+    /// The next local stream index to hand out.
+    cursor: u64,
     backlog: u64,
     draining: bool,
     sealed_acked: bool,
@@ -125,14 +116,6 @@ pub struct Node {
     last_return: Option<u64>,
     outbox: Vec<Outgoing>,
     handouts: Vec<u64>,
-}
-
-fn local_service() -> CounterService {
-    // A node's global uniqueness comes from disjoint leased blocks, so the
-    // registry's watermark machinery is what the protocol leans on. One
-    // thread drives a node and never fails a CAS, so its tenant stays a
-    // compact word and no arena is ever built here.
-    CounterService::new(ServiceConfig { shards: 1 })
 }
 
 fn due(last: Option<u64>, now: u64, every: u64) -> bool {
@@ -151,9 +134,8 @@ impl Node {
 
     /// Rebuilds a node from its durable state after a crash.
     ///
-    /// `recover_watermark` replays the persisted local watermark into
-    /// the fresh registry ([`CounterService::restore_watermark`]); it is
-    /// `false` only under the calibration mutation
+    /// `recover_watermark` resumes the cursor at the persisted local
+    /// watermark; it is `false` only under the calibration mutation
     /// [`crate::sim::Mutation::SkipRecovery`], which makes the rebuilt
     /// stream restart at zero and re-hand old values — the duplicate the
     /// online checker must catch. An in-doubt pending request switches
@@ -171,19 +153,13 @@ impl Node {
     }
 
     fn from_parts(durable: NodeDurable, config: ProtocolConfig, recover_watermark: bool) -> Self {
-        let service = local_service();
-        if recover_watermark && durable.consumed > 0 {
-            let restored = service.restore_watermark(CLUSTER_TENANT, durable.consumed);
-            debug_assert!(restored, "no tenant can be live in a fresh registry");
-        }
-        let counter = service.get_or_create(CLUSTER_TENANT);
+        let cursor = if recover_watermark { durable.consumed } else { 0 };
         let ledger_total = durable.ledger.iter().map(|b| b.len).sum();
         Self {
             config,
             durable,
             ledger_total,
-            service,
-            counter,
+            cursor,
             backlog: 0,
             draining: false,
             sealed_acked: false,
@@ -205,12 +181,6 @@ impl Node {
     #[must_use]
     pub fn durable(&self) -> &NodeDurable {
         &self.durable
-    }
-
-    /// The node's local registry (one tenant: the global stream).
-    #[must_use]
-    pub fn service(&self) -> &CounterService {
-        &self.service
     }
 
     /// Whether the node's final `Return` has been acknowledged — the
@@ -385,19 +355,17 @@ impl Node {
     fn pump(&mut self, now: u64) {
         let total = self.ledger_total;
         while self.backlog > 0 && !self.durable.sealed {
-            // The registry watermark is the node's local stream cursor;
-            // after an honest restart it resumes exactly at the durable
-            // watermark, the same way a re-created tenant resumes after
-            // an eviction.
-            let idx = self.counter.watermark();
+            // After an honest restart the cursor resumes exactly at the
+            // durable watermark.
+            let idx = self.cursor;
             if idx >= total {
                 break;
             }
-            let idx = self.counter.next(0);
+            self.cursor += 1;
             self.handouts.push(self.map_global(idx));
             // Monotonic: the durable watermark never rewinds even if
-            // the local registry were mis-seeded.
-            self.durable.consumed = self.durable.consumed.max(self.counter.watermark());
+            // the cursor were mis-seeded.
+            self.durable.consumed = self.durable.consumed.max(self.cursor);
             self.backlog -= 1;
         }
         self.maybe_request(now);
@@ -412,7 +380,7 @@ impl Node {
         {
             return;
         }
-        let available = self.ledger_total.saturating_sub(self.counter.watermark());
+        let available = self.ledger_total.saturating_sub(self.cursor);
         let deficit = self.backlog.saturating_sub(available);
         if deficit == 0 {
             return;

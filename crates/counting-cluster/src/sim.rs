@@ -49,8 +49,8 @@ use crate::transport::coordinator_hop;
 /// A deliberately-injected protocol bug, used to calibrate the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Mutation {
-    /// A restarted node skips replaying its durable watermark into the
-    /// local registry, so its stream restarts at zero and re-hands old
+    /// A restarted node skips resuming its cursor at the durable
+    /// watermark, so its stream restarts at zero and re-hands old
     /// values — caught online as a uniqueness violation.
     SkipRecovery,
     /// The coordinator leader forgets grant deduplication: a duplicated

@@ -1,8 +1,7 @@
 //! A minimal blocking HTTP/1.1 client for the admission endpoints.
 //!
-//! One [`ClientConnection`] is one keep-alive socket. The load generator
-//! multiplexes many simulated clients over a few of these; the e2e test
-//! gives each hammering thread its own. The parser accepts exactly what
+//! One [`ClientConnection`] is one keep-alive socket; the e2e tests give
+//! each hammering thread its own. The parser accepts exactly what
 //! [`crate::server`] emits (status line, `Content-Length` framing) — it
 //! is a test harness, not a general HTTP client.
 
@@ -71,33 +70,6 @@ impl ClientConnection {
                 Err(e)
             }
         }
-    }
-
-    /// Sends `GET {target}`, reconnecting and retrying on I/O failure,
-    /// up to `attempts` total tries with a short exponential backoff.
-    ///
-    /// On exhaustion the *underlying* [`io::Error`] is surfaced — the
-    /// last failure's [`io::ErrorKind`] and message, wrapped with the
-    /// attempt count — never a generic "retries exhausted" error. A
-    /// caller can still tell a refused connection from a mid-exchange
-    /// timeout after the loop gives up.
-    pub fn get_with_retries(&mut self, target: &str, attempts: u32) -> io::Result<ClientResponse> {
-        assert!(attempts > 0, "at least one attempt is required");
-        let mut last: Option<io::Error> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(10 << attempt.min(5)));
-            }
-            match self.get(target) {
-                Ok(response) => return Ok(response),
-                Err(e) => last = Some(e),
-            }
-        }
-        let last = last.expect("attempts > 0 implies a recorded error");
-        Err(io::Error::new(
-            last.kind(),
-            format!("GET {target} failed after {attempts} attempts; last error: {last}"),
-        ))
     }
 
     fn exchange(conn: &mut Conn, target: &str) -> io::Result<(ClientResponse, bool)> {
@@ -189,35 +161,6 @@ mod tests {
         // handle because the channel reconnects lazily.
         assert_eq!(client.get("/lease/q?k=0").unwrap().status, 400);
         assert_eq!(client.get("/lease/q?k=2").unwrap().status, 200);
-        server.shutdown();
-    }
-
-    #[test]
-    fn retry_exhaustion_surfaces_the_underlying_error() {
-        // Bind-then-drop yields an address with no listener: every
-        // attempt is refused.
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        let mut client = ClientConnection::new(addr);
-        let err = client.get_with_retries("/ticket/q", 2).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "kind must survive: {err}");
-        let text = err.to_string();
-        assert!(text.contains("/ticket/q"), "names the request: {text}");
-        assert!(text.contains("2 attempts"), "names the attempt count: {text}");
-        assert!(
-            text.to_ascii_lowercase().contains("refused"),
-            "the underlying error must be visible, not a generic message: {text}"
-        );
-    }
-
-    #[test]
-    fn retries_succeed_against_a_live_server() {
-        let server = CountingServer::start("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let mut client = ClientConnection::new(server.local_addr());
-        let resp = client.get_with_retries("/ticket/q", 3).unwrap();
-        assert_eq!(resp.status, 200);
         server.shutdown();
     }
 }

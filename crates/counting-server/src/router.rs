@@ -18,6 +18,7 @@
 //! [`TicketGate`]: counting_service::TicketGate
 //! [`RateLimiter::try_acquire`]: counting_service::RateLimiter::try_acquire
 
+use counting_service::RateLimiter;
 use serde::{Deserialize, Serialize};
 
 use crate::http::{Request, Response};
@@ -169,6 +170,10 @@ fn dispatch(state: &AppState, worker_id: usize, request: &Request) -> Response {
                 Ok(w) => w.unwrap_or_else(|| limiter.current_window()),
                 Err(msg) => return Response::error(400, &msg),
             };
+            if window >= RateLimiter::WINDOW_BOUND {
+                let bound = RateLimiter::WINDOW_BOUND;
+                return Response::error(400, &format!("window must be below {bound}"));
+            }
             let admitted = limiter.try_acquire(worker_id, window);
             state.stats.rate.fetch_add(1, Relaxed);
             json(&RateBody { tenant: tenant.to_owned(), window, admitted, limit: limiter.limit() })
@@ -259,6 +264,17 @@ mod tests {
             })
             .collect::<Vec<_>>();
         assert_eq!(admitted, [true, true, false, false]);
+    }
+
+    #[test]
+    fn a_window_past_the_limiters_bound_is_refused() {
+        let state = AppState::new(&ServerConfig::default());
+        let last = RateLimiter::WINDOW_BOUND - 1;
+        assert_eq!(route(&state, 0, &req(&format!("/rate/api?window={last}"))).status, 200);
+        let first_bad = RateLimiter::WINDOW_BOUND;
+        assert_eq!(route(&state, 0, &req(&format!("/rate/api?window={first_bad}"))).status, 400);
+        assert_eq!(route(&state, 0, &req(&format!("/rate/api?window={}", u64::MAX))).status, 400);
+        assert_eq!(state.stats.client_errors.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     #[test]

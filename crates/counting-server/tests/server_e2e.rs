@@ -4,12 +4,13 @@
 //! responses** — uniqueness and exact range survive the transport, not
 //! just the in-process counter.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io::{Read, Write};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use counting_server::client::ClientConnection;
-use counting_server::router::{AdmitBody, LeaseBody, StatusBody, TicketBody};
+use counting_server::router::{AdmitBody, LeaseBody, RateBody, StatusBody, TicketBody};
 use counting_server::server::CountingServer;
 use counting_server::state::ServerConfig;
 
@@ -126,6 +127,110 @@ fn concurrent_http_clients_see_unique_dense_values_and_a_clean_shutdown() {
         std::net::TcpListener::bind(addr).is_ok(),
         "the port must be rebindable after shutdown"
     );
+}
+
+/// `GET target` on `conn`, which must answer 200 with a `T` body.
+fn get_json<T: serde::Deserialize>(conn: &mut ClientConnection, target: &str) -> T {
+    let resp = conn.get(target).unwrap_or_else(|e| panic!("GET {target}: {e}"));
+    assert_eq!(resp.status, 200, "GET {target}: {}", resp.body);
+    serde_json::from_str(&resp.body).unwrap_or_else(|e| panic!("GET {target}: {e}"))
+}
+
+/// Admission and rate probes racing over HTTP: eight clients draw
+/// tickets and poll `/status` until each is admitted while a controller
+/// releases slots through `/admit?n=64`, and every poll also probes a
+/// `/rate` window (non-decreasing per client). Tickets must be dense,
+/// every ticket admitted, the final bound equal to the tickets
+/// dispensed, and no window may admit more than the limit.
+#[test]
+fn concurrent_admission_and_rate_probes_keep_their_bounds_over_http() {
+    const TICKETS: usize = 25;
+    // One more worker than clients: the controller holds a connection too.
+    let config =
+        ServerConfig { workers: CLIENT_THREADS + 1, rate_limit: 8, ..ServerConfig::default() };
+    let rate_limit = config.rate_limit;
+    let server = CountingServer::start("127.0.0.1:0", config).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let total = (CLIENT_THREADS * TICKETS) as u64;
+    let done = AtomicBool::new(false);
+
+    let per_thread: Vec<(Vec<u64>, Vec<RateBody>)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENT_THREADS)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut conn = ClientConnection::new(addr);
+                    let (mut tickets, mut probes) = (Vec::new(), Vec::new());
+                    // A failed controller must fail the test, not hang it.
+                    let deadline = Instant::now() + Duration::from_secs(60);
+                    for i in 0..TICKETS {
+                        let ticket = get_json::<TicketBody>(&mut conn, "/ticket/room").ticket;
+                        loop {
+                            assert!(Instant::now() < deadline, "ticket {ticket} never admitted");
+                            let target = format!("/rate/api?window={}", i / 4);
+                            probes.push(get_json::<RateBody>(&mut conn, &target));
+                            let target = format!("/status/room?ticket={ticket}");
+                            if get_json::<StatusBody>(&mut conn, &target).admitted == Some(true) {
+                                break;
+                            }
+                        }
+                        tickets.push(ticket);
+                    }
+                    (tickets, probes)
+                })
+            })
+            .collect();
+        let done = &done;
+        scope.spawn(move || {
+            let mut conn = ClientConnection::new(addr);
+            while !done.load(Ordering::Acquire) {
+                let admit: AdmitBody = get_json(&mut conn, "/admit/room?n=64");
+                if admit.now_serving == total {
+                    break;
+                }
+            }
+        });
+        // Join the clients, stop the controller, then propagate a client
+        // panic: a failed client must not leave the controller looping.
+        let results: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+        done.store(true, Ordering::Release);
+        results.into_iter().map(|r| r.expect("client thread panicked")).collect()
+    });
+
+    let mut tickets: Vec<u64> = per_thread.iter().flat_map(|(t, _)| t.iter().copied()).collect();
+    tickets.sort_unstable();
+    assert_eq!(tickets, (0..total).collect::<Vec<_>>(), "every ticket admitted, dense");
+    let mut conn = ClientConnection::new(addr);
+    let status: StatusBody = get_json(&mut conn, "/status/room");
+    assert_eq!((status.now_serving, status.dispensed, status.waiting), (total, total, 0));
+
+    let mut admitted_per_window = BTreeMap::new();
+    for probe in per_thread.iter().flat_map(|(_, p)| p) {
+        assert_eq!(probe.limit, rate_limit);
+        *admitted_per_window.entry(probe.window).or_insert(0u64) += u64::from(probe.admitted);
+    }
+    for (window, admitted) in admitted_per_window {
+        assert!(admitted <= rate_limit, "window {window} admitted {admitted} > {rate_limit}");
+    }
+    assert_eq!(server.stats().client_errors.load(Ordering::Relaxed), 0);
+    server.shutdown();
+}
+
+/// A `/rate` window the limiter cannot pack is the client's fault: it
+/// gets a 400 and the worker that read it lives on, so a one-worker
+/// server still answers the next connection.
+#[test]
+fn an_unpackable_rate_window_gets_a_400_and_the_worker_survives() {
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = CountingServer::start("127.0.0.1:0", config).expect("bind ephemeral port");
+    let mut conn = ClientConnection::new(server.local_addr());
+    let resp = conn.get(&format!("/rate/api?window={}", i64::MAX)).expect("an answer");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    drop(conn);
+    let mut conn = ClientConnection::new(server.local_addr());
+    let ticket: TicketBody = get_json(&mut conn, "/ticket/after");
+    assert_eq!(ticket.ticket, 0);
+    assert_eq!(server.stats().client_errors.load(Ordering::Relaxed), 1);
+    server.shutdown();
 }
 
 /// Shutdown with clients still connected: the server must not hang on

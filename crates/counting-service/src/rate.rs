@@ -30,7 +30,8 @@ const ROLLOVER_RETRIES: usize = 16;
 /// `now.as_secs() / window_len`), which keeps the type clock-free and
 /// its tests deterministic. Indices must be non-decreasing per caller;
 /// the limiter tracks the highest index seen. Indices must stay below
-/// `u64::MAX / 2` (they are packed into a versioned epoch word).
+/// [`RateLimiter::WINDOW_BOUND`] (they are packed into a versioned
+/// epoch word).
 ///
 /// # The admission guarantee
 ///
@@ -93,6 +94,10 @@ impl std::fmt::Debug for RateLimiter {
 }
 
 impl RateLimiter {
+    /// The exclusive upper bound on window indices: an index is packed
+    /// into the epoch word as `2·w + 1`, which must not overflow.
+    pub const WINDOW_BOUND: u64 = u64::MAX / 2;
+
     /// Creates a limiter admitting `limit` requests per window.
     ///
     /// # Panics
@@ -118,10 +123,10 @@ impl RateLimiter {
     ///
     /// # Panics
     ///
-    /// Panics if `window >= u64::MAX / 2` (indices are packed into the
-    /// versioned epoch word).
+    /// Panics if `window >= Self::WINDOW_BOUND` (indices are packed
+    /// into the versioned epoch word).
     pub fn try_acquire(&self, thread_id: usize, window: u64) -> bool {
-        assert!(window < u64::MAX / 2, "window indices are packed into the epoch word");
+        assert!(window < Self::WINDOW_BOUND, "window indices are packed into the epoch word");
         let value = self.counter.next(thread_id);
         if mutation_enabled("rate-straddle") {
             return self.try_acquire_straddling(value, window);

@@ -29,8 +29,8 @@
 //!   never retries and reads nothing else. The word is the only count
 //!   kept, and a tenant's hand-out is exactly `base..word` at every
 //!   quiescent point for *any* mix of batch sizes — what the per-tenant
-//!   checks of `exp_service`, the torture suite and the `reserve_race`
-//!   model scenario gate on.
+//!   checks of the torture suite and the `reserve_race` model scenario
+//!   gate on.
 //! * **No network under a block** — a tenant hands out contiguous blocks
 //!   of any size, and mixed sizes break the step property, so every
 //!   block comes from one cursor: a `C(w, t)` in front of it could only

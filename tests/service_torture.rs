@@ -39,36 +39,73 @@ fn assert_tenant_dense(tenant: &str, bitmap: &ValueBitmap, watermark: u64) {
     }
 }
 
+/// Picks tenant `i` with probability proportional to `1 / (i + 1)`
+/// (Zipf(1); `cumulative` holds the running sums of those weights),
+/// drawn from a splitmix64 hash of `(tid, op)`: a few hot tenants and a
+/// long cold tail whose tenants sit idle long enough to be evicted and
+/// revived.
+fn zipf_pick(cumulative: &[f64], tid: usize, op: u64) -> usize {
+    let mut x = ((tid as u64) << 32 ^ op).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    let total = cumulative.last().expect("at least one tenant");
+    let r = (x >> 11) as f64 / (1u64 << 53) as f64 * total;
+    cumulative.partition_point(|&c| c <= r).min(cumulative.len() - 1)
+}
+
 /// The heart of the satellite: eviction racing live traffic can never
 /// fork or gap a tenant's value stream — the registry only retires
 /// counters it solely owns and re-creation resumes at the recorded
-/// watermark.
+/// watermark. Two walks feed the same body: four tenants in turn, and a
+/// Zipf-skewed walk over 64 tenants.
 #[test]
 fn eviction_under_traffic_never_violates_per_tenant_uniqueness() {
+    let four: Vec<String> = ["alpha", "beta", "gamma", "delta"].map(String::from).into();
+    churn_every_tenant(&four, |tid, op| (op as usize + tid * 7) % four.len());
+
+    let skewed: Vec<String> = (0..64).map(|i| format!("tenant-{i:02}")).collect();
+    let mut acc = 0.0;
+    let cumulative: Vec<f64> = (1..=skewed.len())
+        .map(|i| {
+            acc += 1.0 / i as f64;
+            acc
+        })
+        .collect();
+    churn_every_tenant(&skewed, |tid, op| zipf_pick(&cumulative, tid, op));
+}
+
+/// Eight threads draw mixed batches from the tenants `pick(tid, op)`
+/// names while an evictor sweeps idle ones; every tenant's hand-out must
+/// tile `0..watermark` with no duplicate.
+fn churn_every_tenant(tenants: &[String], pick: impl Fn(usize, u64) -> usize + Sync) {
     let threads = 8usize;
     let ops = ops_per_thread();
-    let tenants = ["alpha", "beta", "gamma", "delta"];
     let service = CounterService::new(ServiceConfig::default());
     let capacity = threads as u64 * ops * 3; // max k below is 3
     let bitmaps: Vec<ValueBitmap> = tenants.iter().map(|_| ValueBitmap::new(capacity)).collect();
     let duplicates = AtomicU64::new(0);
-    let done = AtomicBool::new(false);
-    let evictions = AtomicU64::new(0);
+    let (sweeping, done) = (AtomicBool::new(false), AtomicBool::new(false));
 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|tid| {
-                let (service, bitmaps, duplicates) = (&service, &bitmaps, &duplicates);
+                let (service, bitmaps, duplicates, pick) = (&service, &bitmaps, &duplicates, &pick);
+                let sweeping = &sweeping;
                 scope.spawn(move || {
+                    // Traffic starts once the evictor sweeps, or a short
+                    // release-mode run would finish before the race begins.
+                    while !sweeping.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     let mut scratch = Vec::new();
                     for op in 0..ops {
-                        // Deterministic tenant walk + mixed batch
-                        // sizes: per-tenant op counts end up unequal
-                        // and indivisible, which block reservations
-                        // absorb.
-                        let tenant = (op as usize + tid * 7) % tenants.len();
+                        // Mixed batch sizes: per-tenant op counts end up
+                        // unequal and indivisible, which block
+                        // reservations absorb.
+                        let tenant = pick(tid, op);
                         let k = 1 + ((op as usize + tid) % 3);
-                        let counter = service.get_or_create(tenants[tenant]);
+                        let counter = service.get_or_create(&tenants[tenant]);
                         scratch.clear();
                         counter.next_batch(tid, k, &mut scratch);
                         for &value in &scratch {
@@ -81,10 +118,11 @@ fn eviction_under_traffic_never_violates_per_tenant_uniqueness() {
                 })
             })
             .collect();
-        let (service, done, evictions) = (&service, &done, &evictions);
+        let (service, sweeping, done) = (&service, &sweeping, &done);
         scope.spawn(move || {
             while !done.load(Ordering::Acquire) {
-                evictions.fetch_add(service.evict_idle() as u64, Ordering::Relaxed);
+                service.evict_idle();
+                sweeping.store(true, Ordering::Release);
                 std::thread::yield_now();
             }
         });
