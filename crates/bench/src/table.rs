@@ -72,8 +72,8 @@ impl Table {
 }
 
 /// Formats an optional rate as `{:.0}k` thousands per second, or `n/a`
-/// for a degenerate window — the one rate formatter every experiment
-/// table shares, so a `None` cell can never print as a number.
+/// for a degenerate window, so a `None` cell can never print as a
+/// number.
 #[must_use]
 pub fn kilo_rate(rate: Option<f64>) -> String {
     rate.map_or_else(|| "n/a".to_owned(), |r| format!("{:.0}k", r / 1_000.0))

@@ -19,15 +19,16 @@
 //! * [`throughput`] — a measurement harness that drives any
 //!   [`SharedCounter`] with `n` threads and reports operations per second,
 //!   reproducing the shape of the paper's throughput comparison
-//!   (experiment E7 in `REPRODUCING.md`). Its measured window and
-//!   [`rate_over`] also time the stress, service and serving experiments.
+//!   (experiment E7 in `REPRODUCING.md`). It is the crate's one timed
+//!   harness.
 //! * [`stress`] — an adversarial real-thread workload driver (steady,
-//!   bursty, skewed, churn, oscillating and NUMA-style pinned scenarios)
-//!   with online invariant checking: a sharded atomic [`ValueBitmap`]
-//!   verifies uniqueness and exact-range coverage without a mutex-guarded
-//!   set — reporting the first offending values, not just counts — and
-//!   timestamped records are fed to `counting-sim`'s linearizability
-//!   analysis to *measure* non-linearizability on real hardware.
+//!   bursty, skewed, churn and oscillating scenarios) that reports
+//!   verdicts, not rates, with online invariant checking: a sharded
+//!   atomic [`ValueBitmap`] verifies uniqueness and exact-range coverage
+//!   without a mutex-guarded set — reporting the first offending values,
+//!   not just counts — and timestamped records are fed to
+//!   `counting-sim`'s linearizability analysis to *measure*
+//!   non-linearizability on real hardware.
 //! * [`elimination`] — an elimination/combining arena in front of any
 //!   [`BlockReserve`] counter: colliding `next_batch` callers merge their
 //!   requests into one combined contiguous reservation and split it back
@@ -112,6 +113,4 @@ pub use counter::{BlockReserve, CentralCounter, LockCounter, NetworkCounter, Sha
 pub use diffracting::DiffractingCounter;
 pub use elimination::EliminationCounter;
 pub use stress::{run_stress, Batching, Scenario, StressConfig, StressReport, ValueBitmap};
-pub use throughput::{
-    measure_throughput, rate_over, MeasuredWindow, ThroughputMeasurement, MIN_MEASURED_WINDOW,
-};
+pub use throughput::{measure_throughput, ThroughputMeasurement};

@@ -4,9 +4,8 @@
 //! module is its hardware counterpart: it tortures any [`SharedCounter`]
 //! with real threads under configurable workload [`Scenario`]s — steady
 //! saturation, barrier-aligned bursts, skewed thread-to-wire assignment,
-//! thread arrival/departure churn, oscillating thread counts, and
-//! NUMA-style wire pinning — while checking the Fetch&Increment contract
-//! *online*:
+//! thread arrival/departure churn and oscillating thread counts — while
+//! checking the Fetch&Increment contract *online*:
 //!
 //! * every issued value is marked in a [`ValueBitmap`] (an array of atomic
 //!   words, one `fetch_or` per value), so duplicates are detected the
@@ -27,8 +26,8 @@
 //! the torture suite drives every elimination-wrapped counter through
 //! every scenario.
 //!
-//! All scenarios exclude thread start-up from the measured window via a
-//! start barrier, so the reported rates are steady-state.
+//! This module reports verdicts, not rates: the one timed harness is
+//! [`crate::throughput`].
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -37,7 +36,6 @@ use std::time::Duration;
 use counting_sim::linearizability::violations;
 use counting_sim::TokenRecord;
 use parking_lot::Mutex;
-use serde::Serialize;
 
 use crate::counter::SharedCounter;
 use crate::throughput::MeasuredWindow;
@@ -166,36 +164,12 @@ pub enum Scenario {
     /// half works while the other blocks at the pulse barrier — so the
     /// active thread count swings between `threads / 2` and `threads`
     /// over and over (everyone works the final pulse to drain quotas).
-    /// This is the repeated ramp-up/ramp-down regime that exposes stale
-    /// parked offers in collision layers.
+    /// In the elimination arena, offers published while half the pool is
+    /// blocked find no partner, time out and retract, pulse after pulse.
     Oscillating {
         /// Number of barrier-aligned pulses (`>= 1`).
         pulses: usize,
     },
-    /// NUMA-style wire pinning: the thread pool is split into `nodes`
-    /// contiguous blocks and every thread of a block presents its node id
-    /// as identity, so each "socket"'s threads funnel into one node-local
-    /// input wire while the remaining wires sit idle — maximal per-wire
-    /// pressure with node-local collision partners.
-    Pinned {
-        /// Number of NUMA nodes modeled (`1..=threads`).
-        nodes: usize,
-    },
-}
-
-impl Scenario {
-    /// A short stable label used in tables and JSON output.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            Scenario::Steady => "steady".to_owned(),
-            Scenario::Bursty { phases } => format!("bursty/{phases}"),
-            Scenario::Skewed { groups } => format!("skewed/{groups}"),
-            Scenario::Churn { stagger_micros } => format!("churn/{stagger_micros}us"),
-            Scenario::Oscillating { pulses } => format!("oscillating/{pulses}"),
-            Scenario::Pinned { nodes } => format!("pinned/{nodes}"),
-        }
-    }
 }
 
 /// How many values each operation obtains.
@@ -217,15 +191,6 @@ pub enum Batching {
 }
 
 impl Batching {
-    /// A short stable label used in tables and JSON output.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            Batching::Fixed(k) => k.to_string(),
-            Batching::Mixed { max_k, .. } => format!("mixed/{max_k}"),
-        }
-    }
-
     /// The infinite per-thread sequence of operation sizes.
     fn sizes(&self, thread_id: usize) -> Box<dyn Iterator<Item = usize>> {
         match *self {
@@ -311,22 +276,14 @@ impl StressConfig {
     }
 }
 
-/// The outcome of one stress run: rates plus the online invariant checks.
+/// The verdict of one stress run: the online invariant checks.
 ///
 /// The three offender *lists* (`first_duplicates`, `first_missing`,
 /// `first_out_of_range`) all share one cap, [`OFFENDER_REPORT_LIMIT`]:
 /// each names at most that many example values, while the corresponding
 /// *counts* (`duplicates`, `missing`, `out_of_range`) are always exact.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StressReport {
-    /// Description of the counter under test.
-    pub counter: String,
-    /// The scenario label (see [`Scenario::label`]).
-    pub scenario: String,
-    /// Number of threads that drove the counter.
-    pub threads: usize,
-    /// The batching label (see [`Batching::label`]; `"1"` = unbatched).
-    pub batch: String,
     /// Total values handed out.
     pub total_values: u64,
     /// Values handed out more than once (must be `0` for a correct
@@ -349,13 +306,6 @@ pub struct StressReport {
     /// The first out-of-range values, in hand-out order (at most
     /// [`OFFENDER_REPORT_LIMIT`]).
     pub first_out_of_range: Vec<u64>,
-    /// Wall-clock seconds of the measured window (start barrier to last
-    /// thread done).
-    pub elapsed_secs: f64,
-    /// Aggregate values handed out per second; `None` when the window was
-    /// degenerate (shorter than [`crate::MIN_MEASURED_WINDOW`]), so a
-    /// near-zero `--quick` window can never report an absurd rate.
-    pub values_per_second: Option<f64>,
     /// Linearizability violations measured from the timestamped records
     /// (`None` unless `record_tokens` was set).
     pub linearizability_violations: Option<u64>,
@@ -367,12 +317,6 @@ impl StressReport {
     #[must_use]
     pub fn is_exact_range(&self) -> bool {
         self.duplicates == 0 && self.missing == 0 && self.out_of_range == 0
-    }
-
-    /// The measured window as a [`Duration`].
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        Duration::from_secs_f64(self.elapsed_secs)
     }
 }
 
@@ -429,19 +373,15 @@ fn record_offender(seen: u64, list: &Mutex<Vec<u64>>, value: u64) {
 /// Drives `counter` through the configured scenario and verifies the
 /// Fetch&Increment contract online.
 ///
-/// All threads are released together by a start barrier; the measured
-/// window — assembled from worker-side timestamps so it stays accurate
-/// even when the coordinating thread is descheduled on an oversubscribed
-/// machine — runs from that release to the last thread's completion, so
-/// start-up cost is excluded (churn stagger, which is part of the
-/// workload, is not).
+/// All threads are released together by a start barrier, so thread
+/// start-up does not thin out the contention a scenario sets up (churn
+/// stagger, which is part of the workload, starts after the release).
 ///
 /// # Panics
 ///
 /// Panics if the configuration is degenerate (no threads, no operations,
-/// a batch of zero, a skew of zero groups, zero bursty phases or
-/// oscillating pulses, or a pinned node count outside `1..=threads`) or
-/// if a worker thread panics.
+/// a batch of zero, a skew of zero groups, or zero bursty phases or
+/// oscillating pulses) or if a worker thread panics.
 #[must_use]
 pub fn run_stress<C: SharedCounter + ?Sized>(counter: &C, config: &StressConfig) -> StressReport {
     assert!(config.threads > 0, "at least one thread is required");
@@ -458,10 +398,6 @@ pub fn run_stress<C: SharedCounter + ?Sized>(counter: &C, config: &StressConfig)
         Scenario::Oscillating { pulses } => {
             assert!(pulses > 0, "oscillating needs at least one pulse");
         }
-        Scenario::Pinned { nodes } => assert!(
-            nodes >= 1 && nodes <= config.threads,
-            "pinning needs between 1 and `threads` nodes"
-        ),
         Scenario::Steady | Scenario::Churn { .. } => {}
     }
 
@@ -490,19 +426,13 @@ pub fn run_stress<C: SharedCounter + ?Sized>(counter: &C, config: &StressConfig)
             });
         }
     });
-    let elapsed = sync.window.elapsed();
 
     let linearizability_violations = if config.record_tokens {
         Some(violations(&records.into_inner()).len() as u64)
     } else {
         None
     };
-    let elapsed_secs = elapsed.as_secs_f64();
     StressReport {
-        counter: counter.describe(),
-        scenario: config.scenario.label(),
-        threads: config.threads,
-        batch: config.batch.label(),
         total_values: m,
         // Relaxed loads: post-join quiescent reads.
         duplicates: inspector.duplicates.load(Ordering::Relaxed),
@@ -511,14 +441,12 @@ pub fn run_stress<C: SharedCounter + ?Sized>(counter: &C, config: &StressConfig)
         first_duplicates: inspector.first_duplicates.into_inner(),
         first_missing: bitmap.missing_values(OFFENDER_REPORT_LIMIT),
         first_out_of_range: inspector.first_out_of_range.into_inner(),
-        elapsed_secs,
-        values_per_second: crate::rate_over(m, elapsed),
         linearizability_violations,
     }
 }
 
-/// Synchronization shared by the stress workers: the measured window
-/// (start barrier + worker-side timestamps) and the bursty phase barrier.
+/// Synchronization shared by the stress workers: the start barrier with
+/// the clock that timestamps recorded tokens, and the phase barrier.
 struct WorkerSync {
     window: MeasuredWindow,
     phase_barrier: Barrier,
@@ -543,8 +471,6 @@ fn run_worker<C: SharedCounter + ?Sized>(
     // The identity presented to the counter (input-wire choice).
     let identity = match config.scenario {
         Scenario::Skewed { groups } => tid % groups,
-        // All threads of a node funnel into the node's wire.
-        Scenario::Pinned { nodes } => tid * nodes / config.threads,
         _ => tid,
     };
     let mut local_records = if config.record_tokens {
@@ -557,8 +483,8 @@ fn run_worker<C: SharedCounter + ?Sized>(
 
     sync.window.enter();
     if let Scenario::Churn { stagger_micros } = config.scenario {
-        // Staggered arrival (inside the measured window — the stagger is
-        // part of the workload); departure churn follows from each thread
+        // Staggered arrival (after the start barrier — the stagger is part
+        // of the workload); departure churn follows from each thread
         // leaving as soon as its quota is done.
         std::thread::sleep(Duration::from_micros(tid as u64 * stagger_micros));
     }
@@ -637,13 +563,12 @@ fn run_worker<C: SharedCounter + ?Sized>(
         remaining -= burst;
         if phase + 1 < phases {
             // Align the next burst or pulse across all threads (no
-            // rendezvous after the last one — it would only stretch the
-            // measured window to the slowest thread plus a barrier wake).
+            // rendezvous after the last one — it would only hold the
+            // early finishers back for the slowest thread).
             sync.phase_barrier.wait();
         }
     }
     debug_assert_eq!(remaining, 0);
-    sync.window.exit();
 
     if config.record_tokens {
         records.lock().extend(local_records);
@@ -705,11 +630,7 @@ mod tests {
         let report = run_stress(&counter, &StressConfig::steady(8, 500));
         assert_eq!(report.total_values, 4_000);
         assert!(report.is_exact_range(), "{report:?}");
-        assert!(report.values_per_second.expect("window long enough to measure") > 0.0);
-        assert_eq!(report.counter, "C(8,8)");
-        assert_eq!(report.scenario, "steady");
         assert!(report.linearizability_violations.is_none());
-        assert!(report.elapsed() > Duration::ZERO);
     }
 
     #[test]
@@ -730,7 +651,6 @@ mod tests {
             Scenario::Skewed { groups: 2 },
             Scenario::Churn { stagger_micros: 100 },
             Scenario::Oscillating { pulses: 4 },
-            Scenario::Pinned { nodes: 2 },
         ];
         for factory in make {
             for scenario in scenarios {
@@ -745,9 +665,8 @@ mod tests {
                 let report = run_stress(counter.as_ref(), &config);
                 assert!(
                     report.is_exact_range(),
-                    "{} under {}: {report:?}",
-                    counter.describe(),
-                    scenario.label()
+                    "{} under {scenario:?}: {report:?}",
+                    counter.describe()
                 );
             }
         }
@@ -865,19 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_and_batching_labels_are_stable() {
-        assert_eq!(Scenario::Steady.label(), "steady");
-        assert_eq!(Scenario::Bursty { phases: 4 }.label(), "bursty/4");
-        assert_eq!(Scenario::Skewed { groups: 2 }.label(), "skewed/2");
-        assert_eq!(Scenario::Churn { stagger_micros: 100 }.label(), "churn/100us");
-        assert_eq!(Scenario::Oscillating { pulses: 6 }.label(), "oscillating/6");
-        assert_eq!(Scenario::Pinned { nodes: 2 }.label(), "pinned/2");
-        assert_eq!(Batching::Fixed(1).label(), "1");
-        assert_eq!(Batching::Fixed(8).label(), "8");
-        assert_eq!(Batching::Mixed { max_k: 32, seed: 7 }.label(), "mixed/32");
-    }
-
-    #[test]
     fn mixed_batching_totals_replay_the_shared_stream() {
         let batch = Batching::Mixed { max_k: 8, seed: 11 };
         let config = StressConfig { batch, ..StressConfig::steady(4, 50) };
@@ -935,7 +841,6 @@ mod tests {
         };
         let report = run_stress(&counter, &config);
         assert!(report.is_exact_range(), "{report:?}");
-        assert_eq!(report.batch, "mixed/16");
     }
 
     #[test]
@@ -970,34 +875,7 @@ mod tests {
         };
         let report = run_stress(&counter, &config);
         assert!(report.is_exact_range(), "{report:?}");
-        assert_eq!(report.scenario, "oscillating/7");
-
-        let net = counting_network(8, 8).expect("valid");
-        let counter = NetworkCounter::new("C(8,8)", &net);
-        let config = StressConfig {
-            scenario: Scenario::Pinned { nodes: 2 },
-            ..StressConfig::steady(8, 100)
-        };
-        let report = run_stress(&counter, &config);
-        assert!(report.is_exact_range(), "{report:?}");
-        assert_eq!(report.scenario, "pinned/2");
-    }
-
-    #[test]
-    #[should_panic(expected = "between 1 and `threads` nodes")]
-    fn pinned_rejects_more_nodes_than_threads() {
-        let config =
-            StressConfig { scenario: Scenario::Pinned { nodes: 9 }, ..StressConfig::steady(8, 10) };
-        let _ = run_stress(&CentralCounter::new(), &config);
-    }
-
-    #[test]
-    fn report_serializes_to_json() {
-        let counter = CentralCounter::new();
-        let report = run_stress(&counter, &StressConfig::steady(2, 50));
-        let json = serde_json::to_string(&report).expect("serialize");
-        assert!(json.contains("\"counter\":\"central fetch_add\""), "{json}");
-        assert!(json.contains("\"duplicates\":0"), "{json}");
+        assert_eq!(report.total_values, 800);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! references) measures how many Fetch&Increment operations per second a
 //! counter sustains as the number of concurrent processes grows. This
 //! module drives any [`SharedCounter`] with `n` threads performing a fixed
-//! number of `next` calls each and reports the aggregate rate. The
-//! [`MeasuredWindow`] and [`rate_over`] it is built from are shared with
-//! the [`stress`](crate::stress) driver and the service and serving
-//! experiments.
+//! number of `next` calls each and reports the aggregate rate. It is the
+//! crate's one timed harness: the [`stress`](crate::stress) module shares
+//! its start barrier and clock to timestamp recorded tokens, but reports
+//! verdicts only.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -24,7 +24,7 @@ use crate::counter::SharedCounter;
 /// completion before handing the coordinator the CPU back (routine on an
 /// oversubscribed machine).
 #[derive(Debug)]
-pub struct MeasuredWindow {
+pub(crate) struct MeasuredWindow {
     barrier: Barrier,
     first_start: AtomicU64,
     last_end: AtomicU64,
@@ -35,7 +35,7 @@ impl MeasuredWindow {
     /// Creates a window whose start barrier releases once `threads`
     /// workers have entered.
     #[must_use]
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         Self {
             barrier: Barrier::new(threads),
             first_start: AtomicU64::new(u64::MAX),
@@ -52,7 +52,7 @@ impl MeasuredWindow {
 
     /// Blocks until every worker has arrived, then records the release
     /// instant. Call once per worker, before its workload.
-    pub fn enter(&self) {
+    pub(crate) fn enter(&self) {
         self.barrier.wait();
         // Relaxed: min/max envelope bookkeeping — the barrier orders the
         // workers, the RMW's per-location order keeps the envelope exact.
@@ -61,14 +61,14 @@ impl MeasuredWindow {
 
     /// Records the worker's completion instant. Call once per worker,
     /// after its workload.
-    pub fn exit(&self) {
+    pub(crate) fn exit(&self) {
         // Relaxed: envelope bookkeeping (see `enter`).
         self.last_end.fetch_max(self.nanos(), Ordering::Relaxed);
     }
 
     /// The measured window. Meaningful only after all workers finished.
     #[must_use]
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         // Relaxed loads: post-join quiescent reads.
         Duration::from_nanos(
             self.last_end
@@ -82,16 +82,13 @@ impl MeasuredWindow {
 /// resolution and timestamp plumbing dominate the measurement, and the
 /// old `elapsed.max(EPSILON)` clamp would report an absurd ~1e16×ops
 /// rate; such windows now yield `None` instead of a poisoned number.
-pub const MIN_MEASURED_WINDOW: Duration = Duration::from_micros(1);
+pub(crate) const MIN_MEASURED_WINDOW: Duration = Duration::from_micros(1);
 
 /// `total / elapsed` as a per-second rate, or `None` when `elapsed` is
 /// shorter than [`MIN_MEASURED_WINDOW`] (a degenerate window that cannot
-/// support a meaningful rate). Every rate recorded by this crate's
-/// harnesses — and every `exp_*` JSON emitter downstream — goes through
-/// this helper, so degenerate cells are explicit `null`s in reports
-/// rather than silently absurd numbers.
+/// support a meaningful rate), never a silently absurd number.
 #[must_use]
-pub fn rate_over(total: u64, elapsed: Duration) -> Option<f64> {
+pub(crate) fn rate_over(total: u64, elapsed: Duration) -> Option<f64> {
     (elapsed >= MIN_MEASURED_WINDOW).then(|| total as f64 / elapsed.as_secs_f64())
 }
 
@@ -110,7 +107,7 @@ pub struct ThroughputMeasurement {
     /// thread done; thread start-up is excluded).
     pub elapsed: Duration,
     /// Aggregate operations per second; `None` when the window was
-    /// degenerate (shorter than [`MIN_MEASURED_WINDOW`]).
+    /// degenerate (shorter than a microsecond).
     pub ops_per_second: Option<f64>,
 }
 

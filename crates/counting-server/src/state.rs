@@ -15,7 +15,7 @@
 //! registry's eviction and watermark machinery applies per family.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use counting_service::{CounterService, RateLimiter, ServiceConfig, TicketGate};
@@ -62,17 +62,6 @@ pub struct ServerStats {
     pub client_errors: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
-}
-
-impl ServerStats {
-    /// Total successful (non-4xx) requests served.
-    pub fn served(&self) -> u64 {
-        self.ticket.load(Ordering::Relaxed)
-            + self.lease.load(Ordering::Relaxed)
-            + self.admit.load(Ordering::Relaxed)
-            + self.rate.load(Ordering::Relaxed)
-            + self.status.load(Ordering::Relaxed)
-    }
 }
 
 /// Everything a worker needs to answer a request: the registry, the
