@@ -3,7 +3,7 @@
 //! The `bench` crate hosts the experiment binaries (`src/bin/exp_*.rs`):
 //! deterministic programs that print the Markdown tables `REPRODUCING.md`
 //! maps to the paper's results (depth tables, contention sweeps, block
-//! breakdowns, throughput comparisons, smoothing and sorting summaries)
+//! breakdowns, smoothing and sorting summaries)
 //! and the correctness gates of the stress, service, serving, cluster and
 //! model-checking layers.
 //!
@@ -20,7 +20,7 @@ pub mod table;
 
 pub use args::Args;
 pub use suite::{comparison_suite, NamedNetwork};
-pub use table::{kilo_rate, Table};
+pub use table::Table;
 
 /// Writes `report` as JSON to `path` and says so on stdout, or prints the
 /// JSON on stdout when no `--json <path>` was given.

@@ -63,11 +63,6 @@ fn exp_ablation_quick_prints_tables() {
 }
 
 #[test]
-fn exp_throughput_quick_prints_tables() {
-    assert_prints_markdown_table(env!("CARGO_BIN_EXE_exp_throughput"), &["--quick"]);
-}
-
-#[test]
 fn exp_cluster_quick_passes_every_sweep_cell() {
     // The E18 gate: the clean block-lease protocol survives every cell
     // of the node-count × fault × churn sweep (the binary exits nonzero
@@ -256,7 +251,6 @@ fn every_exp_binary_rejects_a_misspelt_flag_and_names_the_known_ones() {
         (env!("CARGO_BIN_EXE_exp_smoothing"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_sorting"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_ablation"), quik, "unknown argument `--quik`"),
-        (env!("CARGO_BIN_EXE_exp_throughput"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_cluster"), quik, "unknown argument `--quik`"),
         (
             env!("CARGO_BIN_EXE_exp_cluster"),

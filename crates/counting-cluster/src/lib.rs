@@ -39,15 +39,13 @@
 //!   free-list reconstitute `0..cursor` with no gap, no overlap.
 //!
 //! State machines are **sans-IO**: they consume [`message::Envelope`]s
-//! and ticks, and emit [`message::Outgoing`] hops through an outbox. A
-//! driver flushes the outbox through a [`transport::Transport`] — the
-//! in-memory [`transport::ChannelTransport`] for live threads
-//! ([`live`]), or the deterministic fault-injecting simulation
-//! ([`sim`]) built on [`counting_sim::des`], which can drop, duplicate,
-//! delay and reorder every hop from a seeded fault plan, crash and
-//! restart nodes, and checks global uniqueness online plus exact-range
-//! tiling at quiescence ([`check`]). Every run replays byte-identically
-//! from its seed.
+//! and ticks, and emit [`message::Outgoing`] hops through an outbox.
+//! They run in the deterministic fault-injecting simulation ([`sim`])
+//! built on [`counting_sim::des`], which can drop, duplicate, delay and
+//! reorder every hop from a seeded fault plan, crash and restart nodes,
+//! and checks global uniqueness online plus exact-range tiling at
+//! quiescence ([`check`]). Every run replays byte-identically from its
+//! seed.
 //!
 //! The coordinator is one state machine: a **replica group** running a
 //! leader-leased quorum log ([`replica`]) over the durable state
@@ -61,18 +59,14 @@
 
 pub mod check;
 pub mod coordinator;
-pub mod live;
 pub mod message;
 pub mod node;
 pub mod replica;
 pub mod sim;
-pub mod transport;
 
 pub use check::GlobalChecker;
 pub use coordinator::CoordinatorDurable;
-pub use live::{run_live, LiveReport};
 pub use message::{Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
 pub use node::{Node, NodeDurable, ProtocolConfig};
 pub use replica::{replica_id, Command, LogEntry, Replica, ReplicaDurable, REPLICA_BASE};
 pub use sim::{run_sim, ClusterSimConfig, ClusterTrace, Mutation, SimReport, SimStats, TraceEvent};
-pub use transport::{ChannelTransport, Transport};

@@ -4,8 +4,8 @@
 //! virtual-time ticks ([`Node::on_tick`]) and local demand
 //! ([`Node::demand`]); it emits sends through an outbox
 //! ([`Node::drain_outbox`]) and handed-out global values through
-//! [`Node::drain_handouts`]. The same state machine runs under the
-//! deterministic simulation and under real threads ([`crate::live`]).
+//! [`Node::drain_handouts`]. The deterministic simulation
+//! ([`crate::sim`]) drives it.
 //!
 //! Local serving is a cursor over the node's local stream: stream index
 //! `i` maps through the node's block ledger to a global value. One thread
@@ -169,12 +169,6 @@ impl Node {
             outbox: Vec::new(),
             handouts: Vec::new(),
         }
-    }
-
-    /// This node's id.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.durable.id
     }
 
     /// The state a crash would preserve.
@@ -422,7 +416,7 @@ mod tests {
     use super::*;
 
     fn deliver(node: &mut Node, now: u64, msg: Message) {
-        let dst = node.id();
+        let dst = node.durable.id;
         node.on_message(now, Envelope { src: COORDINATOR, dst, msg });
     }
 
@@ -436,7 +430,7 @@ mod tests {
         let Message::LeaseRequest { node: n, req_id, want } = out[0].env.msg else {
             panic!("expected a lease request, got {:?}", out[0].env.msg);
         };
-        assert_eq!(n, node.id());
+        assert_eq!(n, node.durable.id);
         (req_id, want)
     }
 

@@ -27,8 +27,8 @@
 //! pre-vote or leadership transfer.
 //!
 //! Workers never learn any of this: they keep addressing the virtual
-//! [`COORDINATOR`] id 0, and the driver (simulated or live) rotates
-//! each such hop over the group (`coordinator_hop`, `transport.rs`):
+//! [`COORDINATOR`] id 0, and the simulation rotates each such hop
+//! over the group (`coordinator_hop`, `sim.rs`):
 //! a request's retry loop is how a worker finds a new leader after a
 //! partition. A follower forwards what reaches it to its leader hint —
 //! except a [`Message::RecoverQuery`] it can answer *positively* from
@@ -59,7 +59,7 @@ use crate::node::ProtocolConfig;
 /// [`REPLICA_BASE`]` + i`.
 pub const REPLICA_BASE: NodeId = 1 << 32;
 
-/// The transport id of replica `index`.
+/// The node id of replica `index`.
 #[must_use]
 pub fn replica_id(index: u64) -> NodeId {
     REPLICA_BASE + index
@@ -259,7 +259,7 @@ impl Replica {
         self.commit_before_quorum = true;
     }
 
-    /// This replica's transport id.
+    /// This replica's node id.
     #[must_use]
     pub fn id(&self) -> NodeId {
         self.id

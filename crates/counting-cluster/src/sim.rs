@@ -44,7 +44,6 @@ use crate::coordinator::CoordinatorDurable;
 use crate::message::{Envelope, NodeId, Outgoing, COORDINATOR};
 use crate::node::{Node, NodeDurable, ProtocolConfig};
 use crate::replica::{replica_id, Replica, ReplicaDurable, REPLICA_BASE};
-use crate::transport::coordinator_hop;
 
 /// A deliberately-injected protocol bug, used to calibrate the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -302,6 +301,18 @@ fn up_replica(replicas: &mut [ReplicaSlot], index: u64) -> Option<&mut Replica> 
         ReplicaSlot::Up(replica) => Some(replica),
         ReplicaSlot::Down(_) => None,
     }
+}
+
+/// The replica the `rotation`-th hop addressed to the virtual
+/// [`COORDINATOR`] id goes to, in a group of `group` replicas (0 acts
+/// as 1): round-robin over the group, whatever the message kind. The
+/// harness owns the counter. A request's retry loop is how a worker
+/// finds a new leader after a partition, a follower forwards what it
+/// cannot serve to its leader hint, and a stale leader's off-log
+/// answers only reach the wire because requests fan out over the whole
+/// group. In a group of one every hop goes to replica 0.
+fn coordinator_hop(rotation: u64, group: u64) -> NodeId {
+    replica_id(rotation % group.max(1))
 }
 
 /// Global tick granularity: every state machine sees time advance in
@@ -780,5 +791,25 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         } else {
             None
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coordinator_hops_rotate_over_the_group() {
+        let picked: Vec<NodeId> = (0..5).map(|rotation| coordinator_hop(rotation, 3)).collect();
+        assert_eq!(picked, [0, 1, 2, 0, 1].map(replica_id));
+    }
+
+    #[test]
+    fn a_group_of_one_always_picks_replica_zero() {
+        for group in [0, 1] {
+            for rotation in 0..4 {
+                assert_eq!(coordinator_hop(rotation, group), replica_id(0));
+            }
+        }
     }
 }

@@ -3,13 +3,12 @@
 //! The whole point of a counting network is to implement a shared counter
 //! whose `fetch_increment` operations do not all serialize on a single
 //! memory location (Section 1.1). This module provides the network-backed
-//! counter and the two centralized baselines it is compared against.
+//! counter and the centralized baseline it is compared against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use balnet::Network;
 use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
 
 use crate::compiled::CompiledNetwork;
 
@@ -30,7 +29,7 @@ pub trait SharedCounter: Sync {
     /// reserves all `k` values in a single traversal, cutting the
     /// per-value cost by a factor of `k`.
     ///
-    /// Range semantics: the centralized counters always hand out exactly
+    /// Range semantics: the central counter always hands out exactly
     /// `0..m` for `m` total values. Network-backed counters reserve a
     /// stride of `k` values from one output-wire dispenser per call, so
     /// their union of handed-out values at quiescence is the exact range
@@ -64,18 +63,18 @@ pub trait SharedCounter: Sync {
 /// reservations ([`SharedCounter::next_batch`] on network-backed
 /// counters) only provide for uniform `k` and balanced traversal counts.
 ///
-/// The centralized counters implement this with the same state as their
+/// The central counter implements this with the same state as its
 /// `next` path, so block and per-value operations may be mixed freely on
-/// one instance. The network-backed counters ([`NetworkCounter`],
-/// [`crate::DiffractingCounter`]) pay one structure traversal per block
-/// and then draw the block from a dedicated contiguous cursor, a
-/// *separate* value stream from their per-wire stride dispensers. The
+/// one instance. The network-backed counter ([`NetworkCounter`]) pays
+/// one traversal per block and then draws the block from a dedicated
+/// contiguous cursor, a *separate* value stream from its per-wire
+/// stride dispensers. The
 /// traversal does not spread the blocks: every one still meets on that
 /// cursor, and on the paper's stall measure (E5e in `exp_contention`)
 /// `C(4,16)` in front of a central balancer stalls 66.0 times per token
 /// at n = 64 against 62.5 for the central balancer alone, with no relief
 /// at any n from 2 to 64. A [`CentralCounter`] is the same cursor without
-/// the traversal. On those counters an
+/// the traversal. On a network-backed counter an
 /// instance must be driven either through `next`/`next_batch` or through
 /// `reserve_block`, never both; the elimination layer enforces this by
 /// taking ownership of the counter it wraps.
@@ -90,8 +89,8 @@ pub trait BlockReserve: SharedCounter {
     /// Values reserved through [`Self::reserve_block`] so far: the end of
     /// the tiled range. Exact at quiescence; while reservations are in
     /// flight it may run ahead of the blocks already returned. (On the
-    /// centralized counters, whose blocks share a word with `next`, it
-    /// counts those values too.)
+    /// central counter, whose blocks share a word with `next`, it counts
+    /// those values too.)
     fn reserved(&self) -> u64;
 }
 
@@ -239,54 +238,6 @@ impl BlockReserve for CentralCounter {
     }
 }
 
-/// A mutex-protected counter — the naive lock-based implementation.
-#[derive(Debug, Default)]
-pub struct LockCounter {
-    value: Mutex<u64>,
-}
-
-impl LockCounter {
-    /// Creates a counter starting at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SharedCounter for LockCounter {
-    fn next(&self, _thread_id: usize) -> u64 {
-        let mut guard = self.value.lock();
-        let v = *guard;
-        *guard += 1;
-        v
-    }
-
-    fn next_batch(&self, _thread_id: usize, k: usize, out: &mut Vec<u64>) {
-        let mut guard = self.value.lock();
-        let base = *guard;
-        *guard += k as u64;
-        out.extend(base..base + k as u64);
-    }
-
-    fn describe(&self) -> String {
-        "mutex counter".into()
-    }
-}
-
-impl BlockReserve for LockCounter {
-    fn reserve_block(&self, _thread_id: usize, k: usize) -> u64 {
-        assert!(k > 0, "a block reservation needs at least one value");
-        let mut guard = self.value.lock();
-        let base = *guard;
-        *guard += k as u64;
-        base
-    }
-
-    fn reserved(&self) -> u64 {
-        *self.value.lock()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,13 +296,6 @@ mod tests {
         assert_values_are_exact_range(&values);
     }
 
-    #[test]
-    fn lock_counter_hands_out_unique_values_concurrently() {
-        let counter = LockCounter::new();
-        let values = collect_concurrent_values(&counter, 4, 1_000);
-        assert_values_are_exact_range(&values);
-    }
-
     fn collect_concurrent_batches<C: SharedCounter>(
         counter: &C,
         threads: usize,
@@ -399,11 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn central_and_lock_batches_hand_out_exact_range_concurrently() {
+    fn central_batches_hand_out_exact_range_concurrently() {
         let central = CentralCounter::new();
         assert_values_are_exact_range(&collect_concurrent_batches(&central, 8, 500, 5));
-        let lock = LockCounter::new();
-        assert_values_are_exact_range(&collect_concurrent_batches(&lock, 4, 400, 7));
     }
 
     #[test]
@@ -486,7 +428,6 @@ mod tests {
             8,
             &sizes,
         ));
-        assert_values_are_exact_range(&collect_concurrent_blocks(&LockCounter::new(), 4, &sizes));
     }
 
     #[test]
@@ -529,6 +470,5 @@ mod tests {
         let net = counting_network(2, 2).expect("valid");
         assert_eq!(NetworkCounter::new("C(2,2)", &net).describe(), "C(2,2)");
         assert!(CentralCounter::new().describe().contains("central"));
-        assert!(LockCounter::new().describe().contains("mutex"));
     }
 }

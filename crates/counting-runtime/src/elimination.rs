@@ -7,9 +7,9 @@
 //! divide the output width — the counting property balances *traversals*
 //! across output wires, not *values*, so mixed batch sizes leave gaps.
 //! This module removes the restriction with the idea behind elimination
-//! and combining trees (cf. the diffracting tree's prisms in
-//! [`crate::diffracting`]): colliding operations can be **merged and
-//! split without touching the shared structure**.
+//! and combining trees (cf. the diffracting tree's prisms): colliding
+//! operations can be **merged and split without touching the shared
+//! structure**.
 //!
 //! [`EliminationCounter`] wraps any [`BlockReserve`] counter with a small
 //! arena of exchanger slots. A `next_batch(k)` caller publishes its
@@ -568,8 +568,7 @@ impl<C: BlockReserve> BlockReserve for EliminationCounter<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::{CentralCounter, LockCounter, NetworkCounter};
-    use crate::diffracting::DiffractingCounter;
+    use crate::counter::{CentralCounter, NetworkCounter};
     use counting::counting_network;
     use std::collections::HashSet;
     use std::sync::Mutex;
@@ -851,11 +850,9 @@ mod tests {
         // output width. Through the layer every counter must hand out
         // exactly 0..m.
         let net = counting_network(8, 24).expect("valid");
-        let counters: [Box<dyn SharedCounter>; 4] = [
+        let counters: [Box<dyn SharedCounter>; 2] = [
             Box::new(EliminationCounter::new(NetworkCounter::new("C(8,24)", &net))),
-            Box::new(EliminationCounter::new(DiffractingCounter::new(8, 4, 32))),
             Box::new(EliminationCounter::new(CentralCounter::new())),
-            Box::new(EliminationCounter::new(LockCounter::new())),
         ];
         for counter in counters {
             let threads = 8;
@@ -919,9 +916,7 @@ mod tests {
         }
         let net = counting_network(4, 16).expect("valid");
         check(|| NetworkCounter::new("C(4,16)", &net));
-        check(|| DiffractingCounter::new(8, 4, 32));
         check(CentralCounter::new);
-        check(LockCounter::new);
     }
 
     #[test]
@@ -952,7 +947,7 @@ mod tests {
 
     #[test]
     fn next_and_zero_batches_behave() {
-        let counter = EliminationCounter::new(LockCounter::new());
+        let counter = EliminationCounter::new(CentralCounter::new());
         let mut out = Vec::new();
         counter.next_batch(0, 0, &mut out);
         assert!(out.is_empty(), "k = 0 is a no-op");

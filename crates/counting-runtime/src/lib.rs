@@ -14,13 +14,8 @@
 //! * [`NetworkCounter`] — a Fetch&Increment shared counter backed by a
 //!   compiled network plus per-output-wire value dispensers, exactly the
 //!   construction of Section 1.1.
-//! * [`CentralCounter`] and [`LockCounter`] — the centralized baselines
-//!   (a single `fetch_add` hotspot and a mutex-protected counter).
-//! * [`throughput`] — a measurement harness that drives any
-//!   [`SharedCounter`] with `n` threads and reports operations per second,
-//!   reproducing the shape of the paper's throughput comparison
-//!   (experiment E7 in `REPRODUCING.md`). It is the crate's one timed
-//!   harness.
+//! * [`CentralCounter`] — the centralized baseline (a single
+//!   `fetch_add` hotspot) and the linearizable reference.
 //! * [`stress`] — an adversarial real-thread workload driver (steady,
 //!   bursty, skewed, churn and oscillating scenarios) that reports
 //!   verdicts, not rates, with online invariant checking: a sharded
@@ -47,13 +42,11 @@
 //!
 //! # Quick start
 //!
-//! Construct any of the four counter families, draw values, and batch:
+//! Construct a counter, draw values, and batch:
 //!
 //! ```
 //! use counting::counting_network;
-//! use counting_runtime::{
-//!     CentralCounter, DiffractingCounter, LockCounter, NetworkCounter, SharedCounter,
-//! };
+//! use counting_runtime::{CentralCounter, NetworkCounter, SharedCounter};
 //!
 //! // The paper's counting network, compiled to atomics.
 //! let net = counting_network(4, 8).expect("valid parameters");
@@ -65,15 +58,9 @@
 //! counter.next_batch(2, 4, &mut batch);
 //! assert_eq!(batch.len(), 4);
 //!
-//! // The baselines share the same trait, so harnesses take any of them.
-//! let subjects: Vec<Box<dyn SharedCounter>> = vec![
-//!     Box::new(CentralCounter::new()),
-//!     Box::new(LockCounter::new()),
-//!     Box::new(DiffractingCounter::new(4, 8, 128)),
-//! ];
-//! for subject in &subjects {
-//!     assert_eq!(subject.next(0), 0, "{} starts at zero", subject.describe());
-//! }
+//! // The baseline shares the same trait, so harnesses take either.
+//! let baseline: Box<dyn SharedCounter> = Box::new(CentralCounter::new());
+//! assert_eq!(baseline.next(0), 0, "{} starts at zero", baseline.describe());
 //! ```
 //!
 //! Wrap any [`BlockReserve`] counter in the elimination arena for
@@ -100,17 +87,13 @@
 
 pub mod compiled;
 pub mod counter;
-pub mod diffracting;
 pub mod elimination;
 #[cfg(feature = "model")]
 pub mod model_scenarios;
 pub mod stress;
 pub mod sync;
-pub mod throughput;
 
 pub use compiled::CompiledNetwork;
-pub use counter::{BlockReserve, CentralCounter, LockCounter, NetworkCounter, SharedCounter};
-pub use diffracting::DiffractingCounter;
+pub use counter::{BlockReserve, CentralCounter, NetworkCounter, SharedCounter};
 pub use elimination::EliminationCounter;
 pub use stress::{run_stress, Batching, Scenario, StressConfig, StressReport, ValueBitmap};
-pub use throughput::{measure_throughput, ThroughputMeasurement};

@@ -26,19 +26,17 @@
 //! the torture suite drives every elimination-wrapped counter through
 //! every scenario.
 //!
-//! This module reports verdicts, not rates: the one timed harness is
-//! [`crate::throughput`].
+//! This module reports verdicts, not rates.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use counting_sim::linearizability::violations;
 use counting_sim::TokenRecord;
 use parking_lot::Mutex;
 
 use crate::counter::SharedCounter;
-use crate::throughput::MeasuredWindow;
 
 /// A concurrent bitmap over the value range `0..capacity`, used to check
 /// uniqueness online and exact-range coverage at quiescence.
@@ -410,10 +408,7 @@ pub fn run_stress<C: SharedCounter + ?Sized>(counter: &C, config: &StressConfig)
         first_duplicates: Mutex::new(Vec::new()),
         first_out_of_range: Mutex::new(Vec::new()),
     };
-    let sync = WorkerSync {
-        window: MeasuredWindow::new(config.threads),
-        phase_barrier: Barrier::new(config.threads),
-    };
+    let sync = WorkerSync { barrier: Barrier::new(config.threads), epoch: Instant::now() };
     let records: Mutex<Vec<TokenRecord>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
@@ -445,11 +440,19 @@ pub fn run_stress<C: SharedCounter + ?Sized>(counter: &C, config: &StressConfig)
     }
 }
 
-/// Synchronization shared by the stress workers: the start barrier with
-/// the clock that timestamps recorded tokens, and the phase barrier.
+/// Synchronization shared by the stress workers: one barrier every
+/// worker waits at before its first op and between bursts or pulses,
+/// and the epoch that timestamps recorded tokens.
 struct WorkerSync {
-    window: MeasuredWindow,
-    phase_barrier: Barrier,
+    barrier: Barrier,
+    epoch: Instant,
+}
+
+impl WorkerSync {
+    /// Monotonic nanoseconds since the epoch, comparable across threads.
+    fn nanos(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 /// Whether thread `tid` works during an oscillating pulse: the two halves
@@ -481,7 +484,7 @@ fn run_worker<C: SharedCounter + ?Sized>(
     let mut sizes = config.batch.sizes(tid);
     let mut batch_buf: Vec<u64> = Vec::new();
 
-    sync.window.enter();
+    sync.barrier.wait();
     if let Scenario::Churn { stagger_micros } = config.scenario {
         // Staggered arrival (after the start barrier — the stagger is part
         // of the workload); departure churn follows from each thread
@@ -518,7 +521,7 @@ fn run_worker<C: SharedCounter + ?Sized>(
             // would report phantom violations for the centralized
             // (linearizable) counters.
             let enter_time = if config.record_tokens {
-                let t = sync.window.nanos();
+                let t = sync.nanos();
                 fence(Ordering::SeqCst);
                 t
             } else {
@@ -532,7 +535,7 @@ fn run_worker<C: SharedCounter + ?Sized>(
                     // operation (a widened interval would hide genuine
                     // non-overlap inversions from the violation count).
                     fence(Ordering::SeqCst);
-                    let exit_time = sync.window.nanos();
+                    let exit_time = sync.nanos();
                     inspector.check(value);
                     local_records.push(TokenRecord { process: tid, enter_time, exit_time, value });
                 } else {
@@ -543,7 +546,7 @@ fn run_worker<C: SharedCounter + ?Sized>(
                 counter.next_batch(identity, batch, &mut batch_buf);
                 let exit_time = if config.record_tokens {
                     fence(Ordering::SeqCst);
-                    sync.window.nanos()
+                    sync.nanos()
                 } else {
                     0
                 };
@@ -565,7 +568,7 @@ fn run_worker<C: SharedCounter + ?Sized>(
             // Align the next burst or pulse across all threads (no
             // rendezvous after the last one — it would only hold the
             // early finishers back for the slowest thread).
-            sync.phase_barrier.wait();
+            sync.barrier.wait();
         }
     }
     debug_assert_eq!(remaining, 0);
@@ -578,8 +581,7 @@ fn run_worker<C: SharedCounter + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::{CentralCounter, LockCounter, NetworkCounter};
-    use crate::diffracting::DiffractingCounter;
+    use crate::counter::{CentralCounter, NetworkCounter};
     use crate::elimination::EliminationCounter;
     use counting::counting_network;
 
@@ -639,11 +641,9 @@ mod tests {
         let net = counting_network(4, 8).expect("valid");
         // A counter hands out each value once, so every run needs a fresh
         // instance.
-        let make: [CounterFactory; 4] = [
+        let make: [CounterFactory; 2] = [
             |net| Box::new(NetworkCounter::new("C(4,8)", net)),
-            |_| Box::new(DiffractingCounter::new(8, 2, 16)),
             |_| Box::new(CentralCounter::new()),
-            |_| Box::new(LockCounter::new()),
         ];
         let scenarios = [
             Scenario::Steady,
@@ -867,7 +867,7 @@ mod tests {
     }
 
     #[test]
-    fn oscillating_and_pinned_runs_complete_their_quotas() {
+    fn oscillating_runs_complete_their_quotas() {
         let counter = CentralCounter::new();
         let config = StressConfig {
             scenario: Scenario::Oscillating { pulses: 7 },

@@ -66,7 +66,7 @@ use std::sync::Arc;
 use counting_runtime::sync::{mutation_enabled, AtomicU64, RwLock};
 use counting_runtime::{BlockReserve, SharedCounter};
 
-use crate::{IdGenerator, RateLimiter, TicketGate};
+use crate::{IdGenerator, TicketGate};
 
 /// The construction policy of a [`CounterService`]: the registry's shard
 /// count. Every tenant is built the same way, so nothing else is left to
@@ -539,14 +539,6 @@ impl CounterService {
     #[must_use]
     pub fn ticket_gate(&self, tenant: &str) -> TicketGate {
         TicketGate::new(self.get_or_create(tenant))
-    }
-
-    /// A [`RateLimiter`] admitting `limit` requests per window, counted
-    /// on the tenant's counter (created on first touch). Like the gate,
-    /// the window state lives in the limiter — share it.
-    #[must_use]
-    pub fn rate_limiter(&self, tenant: &str, limit: u64) -> RateLimiter {
-        RateLimiter::new(self.get_or_create(tenant), limit)
     }
 }
 

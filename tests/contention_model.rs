@@ -5,10 +5,11 @@
 //! integration tests pin the qualitative facts so regressions are caught
 //! by `cargo test`.
 
-use counting_networks::baseline::{bitonic_counting_network, diffracting_tree};
+use counting_networks::baseline::{bitonic_counting_network, central_balancer, diffracting_tree};
 use counting_networks::efficient::{
     block_of_layer, counting_network, cwt_contention_bound, BlockKind,
 };
+use counting_networks::net::Network;
 use counting_networks::sim::{measure_contention, SchedulerKind};
 
 #[test]
@@ -100,6 +101,34 @@ fn diffracting_tree_contention_grows_linearly_with_n() {
     let c256 =
         measure_contention(&tree, 256, 256 * 30, SchedulerKind::RoundRobin, 6).amortized_contention;
     assert!(c256 / c64 > 2.0, "tree contention should scale ~linearly in n");
+}
+
+#[test]
+fn a_network_in_front_of_one_cursor_does_not_relieve_it() {
+    // E5e: C(4,16) cascaded onto one shared cursor (a central balancer on
+    // its outputs) spreads the tokens, but every one still meets at the
+    // cursor. It stalls at least as much per token as the bare cursor and
+    // more than the network alone. Same schedule and 10 tokens per process
+    // as `exp_contention --quick`.
+    let w = 16usize;
+    let cursor = central_balancer(w).expect("valid");
+    let network = counting_network(4, w).expect("valid");
+    let with_cursor = network.cascade(&cursor).expect("C(4,16) has 16 outputs");
+    for n in [16usize, 32, 64] {
+        let m = 10 * n as u64;
+        let stalls = |net: &Network| {
+            measure_contention(net, n, m, SchedulerKind::RoundRobin, 1).amortized_contention
+        };
+        let (bare, alone, cascaded) = (stalls(&cursor), stalls(&network), stalls(&with_cursor));
+        assert!(
+            cascaded >= bare,
+            "n={n}: C(4,{w}) + cursor ({cascaded:.1}) relieved the bare cursor ({bare:.1})"
+        );
+        assert!(
+            cascaded > alone,
+            "n={n}: C(4,{w}) + cursor ({cascaded:.1}) stalls no more than C(4,{w}) ({alone:.1})"
+        );
+    }
 }
 
 #[test]

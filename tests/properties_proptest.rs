@@ -20,8 +20,7 @@ use counting_networks::net::{
 };
 use counting_networks::runtime::stress::{run_stress, Batching, Scenario, StressConfig};
 use counting_networks::runtime::{
-    CentralCounter, DiffractingCounter, EliminationCounter, LockCounter, NetworkCounter,
-    SharedCounter,
+    CentralCounter, EliminationCounter, NetworkCounter, SharedCounter,
 };
 use counting_networks::sorting::ComparatorNetwork;
 use proptest::prelude::*;
@@ -185,16 +184,12 @@ proptest! {
         spin in 0usize..=256,
     ) {
         type Make = fn(usize, usize) -> Box<dyn SharedCounter + Send + Sync>;
-        let make: [(&str, Make); 4] = [
+        let make: [(&str, Make); 2] = [
             ("C(4,8)", |s, p| {
                 let net = counting_network(4, 8).expect("valid");
                 Box::new(EliminationCounter::with_arena(NetworkCounter::new("C(4,8)", &net), s, p))
             }),
-            ("difftree", |s, p| {
-                Box::new(EliminationCounter::with_arena(DiffractingCounter::new(4, 2, 16), s, p))
-            }),
             ("central", |s, p| Box::new(EliminationCounter::with_arena(CentralCounter::new(), s, p))),
-            ("mutex", |s, p| Box::new(EliminationCounter::with_arena(LockCounter::new(), s, p))),
         ];
         let m: u64 = per_thread.iter().flatten().map(|&k| k as u64).sum();
         for (name, factory) in make {

@@ -17,8 +17,7 @@ use counting_networks::efficient::counting_network;
 use counting_networks::net::Network;
 use counting_networks::runtime::stress::{run_stress, Batching, Scenario, StressConfig};
 use counting_networks::runtime::{
-    CentralCounter, DiffractingCounter, EliminationCounter, LockCounter, NetworkCounter,
-    SharedCounter,
+    CentralCounter, EliminationCounter, NetworkCounter, SharedCounter,
 };
 
 const THREADS: usize = 8;
@@ -47,8 +46,8 @@ fn scenarios() -> [Scenario; 5] {
 type CounterFactory = (String, Box<dyn Fn() -> Box<dyn SharedCounter>>);
 
 /// The counter matrix: the paper's `C(w,t)` at widths 8 and 16, the
-/// bitonic and periodic baselines, the structural and the prism-runtime
-/// diffracting trees, and the two centralized baselines.
+/// bitonic and periodic baselines, the structural diffracting tree, and
+/// the centralized baseline.
 fn counters() -> Vec<CounterFactory> {
     fn network(name: &'static str, net: Network) -> CounterFactory {
         (name.to_owned(), Box::new(move || Box::new(NetworkCounter::new(name, &net))))
@@ -61,9 +60,7 @@ fn counters() -> Vec<CounterFactory> {
         network("Bitonic[8]", bitonic_counting_network(8).expect("valid")),
         network("Periodic[8]", periodic_counting_network(8).expect("valid")),
         network("DiffTree[8]", diffracting_tree(8).expect("valid")),
-        ("prism DiffTree[8]".to_owned(), Box::new(|| Box::new(DiffractingCounter::new(8, 4, 64)))),
         ("central".to_owned(), Box::new(|| Box::new(CentralCounter::new()))),
-        ("mutex".to_owned(), Box::new(|| Box::new(LockCounter::new()))),
     ]
 }
 
@@ -116,7 +113,7 @@ fn torture_matrix_batched_hands_out_the_exact_range() {
     }
 }
 
-/// The four counters of the elimination matrix, each wrapped in the
+/// The two counters of the elimination matrix, each wrapped in the
 /// arena layer (fresh per run).
 fn elimination_counters() -> Vec<CounterFactory> {
     vec![
@@ -128,16 +125,8 @@ fn elimination_counters() -> Vec<CounterFactory> {
             }),
         ),
         (
-            "prism DiffTree[8]+elim".to_owned(),
-            Box::new(|| Box::new(EliminationCounter::new(DiffractingCounter::new(8, 4, 64)))),
-        ),
-        (
             "central+elim".to_owned(),
             Box::new(|| Box::new(EliminationCounter::new(CentralCounter::new()))),
-        ),
-        (
-            "mutex+elim".to_owned(),
-            Box::new(|| Box::new(EliminationCounter::new(LockCounter::new()))),
         ),
     ]
 }
@@ -146,7 +135,7 @@ fn elimination_counters() -> Vec<CounterFactory> {
 fn torture_matrix_mixed_batches_through_elimination_hand_out_the_exact_range() {
     // The restriction-lifting matrix: 8 threads, *random* batch sizes
     // (`1..=8`, per-thread deterministic streams), an op count with no
-    // divisibility relationship to any output width, all four counters,
+    // divisibility relationship to any output width, both counters,
     // all five scenarios. Through the elimination layer the uniqueness
     // and exact-range online checks must pass unconditionally.
     let ops_per_thread = 24 * ops_scale() + 7; // deliberately not a multiple of anything
@@ -171,30 +160,20 @@ fn torture_matrix_mixed_batches_through_elimination_hand_out_the_exact_range() {
 }
 
 #[test]
-fn centralized_counters_are_linearizable_on_real_hardware() {
-    // The central/mutex counters assign the value at a point between the
-    // two timestamps, so non-overlapping operations can never invert
-    // values: measured violations must be exactly zero.
-    let ops_per_thread = 24 * ops_scale();
-    for (name, make) in [
-        ("central", Box::new(CentralCounter::new()) as Box<dyn SharedCounter>),
-        ("mutex", Box::new(LockCounter::new())),
-    ] {
-        let config = StressConfig {
-            threads: THREADS,
-            ops_per_thread,
-            batch: Batching::Fixed(1),
-            scenario: Scenario::Steady,
-            record_tokens: true,
-        };
-        let report = run_stress(make.as_ref(), &config);
-        assert_eq!(
-            report.linearizability_violations,
-            Some(0),
-            "{name} must be linearizable: {report:?}"
-        );
-        assert!(report.is_exact_range());
-    }
+fn the_central_counter_is_linearizable_on_real_hardware() {
+    // The central counter assigns the value at a point between the two
+    // timestamps, so non-overlapping operations can never invert values:
+    // measured violations must be exactly zero.
+    let config = StressConfig {
+        threads: THREADS,
+        ops_per_thread: 24 * ops_scale(),
+        batch: Batching::Fixed(1),
+        scenario: Scenario::Steady,
+        record_tokens: true,
+    };
+    let report = run_stress(&CentralCounter::new(), &config);
+    assert_eq!(report.linearizability_violations, Some(0), "must be linearizable: {report:?}");
+    assert!(report.is_exact_range());
 }
 
 #[test]
@@ -237,7 +216,8 @@ fn skew_extremes_funnel_every_thread_onto_one_wire() {
 fn churn_with_wide_stagger_still_counts_exactly() {
     // A coarse stagger makes early threads finish before late ones start —
     // maximal arrival/departure churn.
-    let counter = DiffractingCounter::new(8, 2, 16);
+    let net = counting_network(8, 8).expect("valid");
+    let counter = NetworkCounter::new("C(8,8)", &net);
     let config = StressConfig {
         threads: THREADS,
         ops_per_thread: 24 * ops_scale().min(10),
