@@ -138,24 +138,28 @@ impl CoordinatorDurable {
         let recorded = self.sealed.get(&node).copied().unwrap_or(0);
         let watermark = recorded.max(watermark);
         self.sealed.insert(node, watermark);
-        let reqs: Vec<u64> =
-            self.grants.range((node, 0)..=(node, u64::MAX)).map(|(&(_, req), _)| req).collect();
         let mut remaining = watermark;
-        for req in reqs {
-            let block = self.grants.get_mut(&(node, req)).expect("collected above");
+        let mut from = 0;
+        while let Some((&(_, req), block)) =
+            self.grants.range_mut((node, from)..=(node, u64::MAX)).next()
+        {
             if remaining >= block.len {
                 remaining -= block.len;
-                continue;
-            }
-            let keep = remaining;
-            remaining = 0;
-            let tail = Block { base: block.base + keep, len: block.len - keep };
-            if keep == 0 {
-                self.grants.remove(&(node, req));
             } else {
-                block.len = keep;
+                let keep = remaining;
+                remaining = 0;
+                let tail = Block { base: block.base + keep, len: block.len - keep };
+                if keep == 0 {
+                    self.grants.remove(&(node, req));
+                } else {
+                    block.len = keep;
+                }
+                self.push_free(tail);
             }
-            self.push_free(tail);
+            match req.checked_add(1) {
+                Some(next) => from = next,
+                None => break,
+            }
         }
         remaining == 0
     }

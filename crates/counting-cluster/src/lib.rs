@@ -66,7 +66,7 @@ pub mod sim;
 
 pub use check::GlobalChecker;
 pub use coordinator::CoordinatorDurable;
-pub use message::{Block, Envelope, Message, NodeId, Outgoing, COORDINATOR};
+pub use message::{Block, Entries, Envelope, Message, NodeId, Outgoing, COORDINATOR};
 pub use node::{Node, NodeDurable, ProtocolConfig};
 pub use replica::{replica_id, Command, LogEntry, Replica, ReplicaDurable, REPLICA_BASE};
 pub use sim::{run_sim, ClusterSimConfig, ClusterTrace, Mutation, SimReport, SimStats, TraceEvent};

@@ -204,7 +204,8 @@ impl Node {
     }
 
     /// Drains the sends decided since the last call.
-    pub fn take_outbox(&mut self) -> Vec<Outgoing> {
+    #[cfg(test)]
+    fn take_outbox(&mut self) -> Vec<Outgoing> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -215,8 +216,28 @@ impl Node {
     }
 
     /// Drains the global values handed out since the last call.
-    pub fn take_handouts(&mut self) -> Vec<u64> {
+    #[cfg(test)]
+    fn take_handouts(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.handouts)
+    }
+
+    /// The earliest tick at which [`Self::on_tick`] can act: the retry of
+    /// an unanswered request or return, or a seal that waits for no
+    /// answer. Before it, `on_tick` sends nothing and changes nothing, so
+    /// a driver may skip the call; `u64::MAX` when nothing waits.
+    #[must_use]
+    pub fn next_tick(&self) -> u64 {
+        let retry =
+            |last: Option<u64>| last.map_or(0, |t| t.saturating_add(self.config.retry_after));
+        if self.durable.pending.is_some() {
+            retry(self.last_request)
+        } else if self.can_seal() {
+            0
+        } else if self.durable.sealed && !self.sealed_acked {
+            retry(self.last_return)
+        } else {
+            u64::MAX
+        }
     }
 
     /// Accepts `n` units of local demand (ignored once
@@ -390,17 +411,21 @@ impl Node {
     /// Seals once draining/leaving and no request is in flight: the
     /// node's consumed count freezes and its unconsumed tail goes back.
     fn try_seal(&mut self, now: u64) {
-        if !(self.draining || self.durable.leaving)
-            || self.durable.sealed
-            || self.durable.pending.is_some()
-            || self.recovering
-        {
+        if !self.can_seal() {
             return;
         }
         self.durable.sealed = true;
         self.backlog = 0;
         self.send(Message::Return { node: self.durable.id, watermark: self.durable.consumed });
         self.last_return = Some(now);
+    }
+
+    /// Whether [`Self::try_seal`] would seal now.
+    fn can_seal(&self) -> bool {
+        (self.draining || self.durable.leaving)
+            && !self.durable.sealed
+            && self.durable.pending.is_none()
+            && !self.recovering
     }
 
     /// Sends straight to the virtual coordinator id; the driver picks

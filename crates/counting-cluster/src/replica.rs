@@ -8,9 +8,15 @@
 //!
 //! * **terms** — every replica holds a monotonic term; any message from
 //!   a higher term forces a step-down, any from a lower term is inert;
-//! * **single-entry append** — the leader replicates one [`LogEntry`]
-//!   per [`Message::Append`], with the previous entry's term as the
-//!   consistency check, and truncates a follower's conflicting suffix;
+//! * **run-carrying append** — a [`Message::Append`] carries the
+//!   entries from the follower's next index on, with the previous
+//!   entry's term as the consistency check, and truncates a follower's
+//!   conflicting suffix. An accepting ack that moves the follower on
+//!   sends the next single entry; a heartbeat, or the retry after a
+//!   rejecting ack, sends every entry the follower lacks (up to
+//!   `MAX_RUN`) as one run, and the follower acks the whole run at once.
+//!   An ack that moves nothing — stale, duplicated or reordered — sends
+//!   nothing (`Progress::on_ack`);
 //! * **quorum commit** — an entry is committed once a majority of
 //!   replicas hold it *and* it belongs to the current term (a `Noop`
 //!   barrier appended at election commits any earlier-term tail);
@@ -48,11 +54,10 @@
 //! pure transition helpers, so a quorum replaying the same log reaches
 //! bit-identical state.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::coordinator::{CoordinatorDurable, LeaseAnswer};
-use crate::message::{Envelope, Message, NodeId, Outgoing, COORDINATOR};
+use crate::message::{Entries, Envelope, Message, NodeId, Outgoing, COORDINATOR};
 use crate::node::ProtocolConfig;
 
 /// Replica ids live far above any worker id: replica `i` is
@@ -135,9 +140,12 @@ pub struct ReplicaDurable {
     pub log: Vec<LogEntry>,
 }
 
+/// The most entries one catch-up [`Message::Append`] carries.
+const MAX_RUN: u64 = 64;
+
 /// The leader's replication bookkeeping for one peer, reset when it
-/// takes office.
-#[derive(Debug, Clone, Copy, Default)]
+/// takes office (the Raft progress of Ongaro & Ousterhout §5).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Progress {
     /// The next log index to send.
     next: u64,
@@ -147,10 +155,51 @@ struct Progress {
     acked_at: u64,
 }
 
+/// What the leader sends a peer in answer to one of its acks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resend {
+    /// Nothing: the ack moved nothing, or the peer is caught up.
+    Nothing,
+    /// The single entry at the peer's new `next`.
+    One,
+    /// Every entry from the peer's `next`, up to [`MAX_RUN`].
+    Run,
+}
+
+impl Progress {
+    /// Folds one ack from the peer into its progress and decides the
+    /// answer. An accepting ack is cumulative: it can only move `next`
+    /// forward, and only an ack that did so earns the next entry — a
+    /// stale or duplicated ack, whose entry is still in flight or
+    /// already answered, sends nothing. A rejecting ack rewinds `next`
+    /// to the peer's hint (its commit index, a prefix that always
+    /// matches) and earns the whole missing run. Every ack refreshes the
+    /// lease clock.
+    fn on_ack(&mut self, now: u64, matched: u64, ok: bool, log_len: u64) -> Resend {
+        self.acked_at = now;
+        if !ok {
+            self.next = matched;
+            return if matched < log_len { Resend::Run } else { Resend::Nothing };
+        }
+        self.matched = self.matched.max(matched);
+        if matched > self.next {
+            self.next = matched;
+            if matched < log_len {
+                return Resend::One;
+            }
+        }
+        Resend::Nothing
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Role {
     Follower,
-    Candidate { votes: BTreeSet<NodeId> },
+    /// Votes granted so far, one bit per replica index (a member past
+    /// the 64th cannot vote).
+    Candidate {
+        votes: u64,
+    },
     Leader,
 }
 
@@ -313,6 +362,48 @@ impl Replica {
         std::mem::take(&mut self.outbox)
     }
 
+    /// The earliest tick at which [`Self::on_tick`] can act: a follower's
+    /// or candidate's election timeout, or a leader's next heartbeat or
+    /// lease lapse, whichever comes first. Before it, `on_tick` sends
+    /// nothing and changes nothing, so a driver may skip the call.
+    #[must_use]
+    pub fn next_tick(&self) -> u64 {
+        match self.role {
+            Role::Follower | Role::Candidate { .. } => {
+                self.last_leader_contact.saturating_add(self.election_timeout())
+            }
+            Role::Leader => {
+                if self.peers.len() < 2 {
+                    return u64::MAX;
+                }
+                let heartbeat =
+                    self.last_append.map_or(0, |t| t.saturating_add(self.config.heartbeat_every));
+                heartbeat.min(self.lease_lapse())
+            }
+        }
+    }
+
+    /// The first tick at which [`Self::lease_valid`] fails unless another
+    /// ack arrives: one past the lease of the follower whose ack keeps
+    /// the quorum (the `quorum - 1`-th freshest). Never under the
+    /// split-brain mutation (the lease is not checked) or a quorum of
+    /// one.
+    fn lease_lapse(&self) -> u64 {
+        let needed = self.quorum() - 1;
+        if self.split_brain || needed == 0 {
+            return u64::MAX;
+        }
+        // The needed-th largest `acked_at`: the smallest one such that
+        // `needed` followers acked at or after it.
+        let keeper = self
+            .followers()
+            .map(|p| p.acked_at)
+            .filter(|&t| self.followers().filter(|p| p.acked_at >= t).count() >= needed)
+            .max()
+            .unwrap_or(0);
+        keeper.saturating_add(self.config.lease_ticks).saturating_add(1)
+    }
+
     fn quorum(&self) -> usize {
         if self.commit_before_quorum {
             1
@@ -372,7 +463,8 @@ impl Replica {
                     self.last_leader_contact = now;
                     return;
                 }
-                if due(self.last_append, now, self.config.heartbeat_every) {
+                // A group of one has no one to send heartbeats to.
+                if self.peers.len() > 1 && due(self.last_append, now, self.config.heartbeat_every) {
                     self.send_appends(now);
                 }
             }
@@ -382,9 +474,7 @@ impl Replica {
     fn start_election(&mut self, now: u64) {
         self.durable.term += 1;
         self.durable.voted_for = Some(self.id);
-        let mut votes = BTreeSet::new();
-        votes.insert(self.id);
-        self.role = Role::Candidate { votes };
+        self.role = Role::Candidate { votes: 0 };
         self.leader_hint = None;
         self.last_leader_contact = now;
         if self.count_vote(self.id) {
@@ -407,9 +497,13 @@ impl Replica {
     /// Records a vote; returns whether the candidacy just won.
     fn count_vote(&mut self, voter: NodeId) -> bool {
         let quorum = self.quorum();
+        let member = |&i: &u64| i < self.peers.len() as u64 && i < u64::from(u64::BITS);
+        let Some(index) = voter.checked_sub(REPLICA_BASE).filter(member) else {
+            return false;
+        };
         if let Role::Candidate { votes } = &mut self.role {
-            votes.insert(voter);
-            votes.len() >= quorum
+            *votes |= 1 << index;
+            votes.count_ones() as usize >= quorum
         } else {
             false
         }
@@ -429,26 +523,34 @@ impl Replica {
         self.send_appends(now);
     }
 
+    /// Heartbeats every follower, each with the run it lacks.
     fn send_appends(&mut self, now: u64) {
         for i in 0..self.peers.len() {
             if self.peers[i] != self.id {
-                self.send_append_to(self.peers[i]);
+                self.send_append_to(self.peers[i], MAX_RUN);
             }
         }
         self.last_append = Some(now);
     }
 
-    fn send_append_to(&mut self, peer: NodeId) {
-        let index = self.progress_of(peer).map_or(0, |p| p.next);
-        let index = index.min(self.durable.log.len() as u64);
-        let entry = self.durable.log.get(index as usize).cloned();
+    /// Sends `peer` the entries from its `next` on, at most `max` of
+    /// them (none when it holds the whole log: a heartbeat).
+    fn send_append_to(&mut self, peer: NodeId, max: u64) {
+        let len = self.durable.log.len() as u64;
+        let index = self.progress_of(peer).map_or(0, |p| p.next).min(len);
+        let run = &self.durable.log[index as usize..len.min(index + max) as usize];
+        let entries = match run {
+            [] => Entries::None,
+            [entry] => Entries::One(entry.clone()),
+            run => Entries::Many(run.to_vec()),
+        };
         let prev_term = if index == 0 { 0 } else { self.durable.log[index as usize - 1].term };
         let msg = Message::Append {
             term: self.durable.term,
             leader: self.id,
             index,
             prev_term,
-            entry,
+            entries,
             commit: self.commit,
         };
         self.send_replica(peer, msg);
@@ -505,7 +607,7 @@ impl Replica {
                     self.become_leader(now);
                 }
             }
-            Message::Append { term, leader, index, prev_term, entry, commit } => {
+            Message::Append { term, leader, index, prev_term, entries, commit } => {
                 if term < self.durable.term {
                     self.send_replica(
                         src,
@@ -541,19 +643,20 @@ impl Replica {
                     );
                     return;
                 }
-                let mut matched_here = index;
-                if let Some(entry) = entry {
-                    if (index as usize) < self.durable.log.len() {
-                        if self.durable.log[index as usize].term != entry.term {
-                            self.truncate_log(index);
-                            self.durable.log.push(entry);
-                        }
-                        // Same term at the same index: already present.
-                    } else {
-                        self.durable.log.push(entry);
+                let matched_here = match entries {
+                    Entries::None => index,
+                    Entries::One(entry) => {
+                        self.store(index, entry);
+                        index + 1
                     }
-                    matched_here = index + 1;
-                }
+                    Entries::Many(run) => {
+                        let n = run.len() as u64;
+                        for (at, entry) in (index..).zip(run) {
+                            self.store(at, entry);
+                        }
+                        index + n
+                    }
+                };
                 let new_commit = commit.min(matched_here);
                 if new_commit > self.commit {
                     self.commit = new_commit;
@@ -578,27 +681,33 @@ impl Replica {
                 let Some(peer) = self.progress_of(follower) else {
                     return;
                 };
-                peer.acked_at = now;
-                if ok {
-                    peer.matched = peer.matched.max(matched);
-                    peer.next = peer.next.max(matched);
-                } else {
-                    // The follower's committed prefix always matches:
-                    // resume from its hint.
-                    peer.next = matched;
-                }
-                let behind = peer.next < log_len;
+                let resend = peer.on_ack(now, matched, ok, log_len);
                 if ok {
                     self.maybe_advance_commit();
                 }
-                if behind {
-                    self.send_append_to(follower);
+                match resend {
+                    Resend::Nothing => {}
+                    Resend::One => self.send_append_to(follower, 1),
+                    Resend::Run => self.send_append_to(follower, MAX_RUN),
                 }
             }
             // Client kinds addressed to a replica id are misrouted
             // noise: ignore.
             _ => {}
         }
+    }
+
+    /// Puts a leader's `entry` at log position `at` (at most the log's
+    /// length): kept when an entry of the same term is already there,
+    /// else the conflicting suffix goes first.
+    fn store(&mut self, at: u64, entry: LogEntry) {
+        if let Some(held) = self.durable.log.get(at as usize) {
+            if held.term == entry.term {
+                return;
+            }
+            self.truncate_log(at);
+        }
+        self.durable.log.push(entry);
     }
 
     /// Truncates the log to `keep` entries. When the applied prefix
@@ -787,7 +896,7 @@ impl Replica {
         for i in 0..self.peers.len() {
             let peer = self.peers[i];
             if peer != self.id && self.progress[i].next == tail {
-                self.send_append_to(peer);
+                self.send_append_to(peer, 1);
             }
         }
         // A single-replica group (or the quorum-of-one mutation)
@@ -1180,6 +1289,136 @@ mod tests {
             "the un-quorumed grant vanished from the healed log"
         );
         assert_eq!(rs[0].coord(), rs[1].coord());
+    }
+
+    /// A follower 5 entries in, acked at tick 0, of a leader whose log
+    /// holds 8.
+    const PROGRESS: Progress = Progress { next: 5, matched: 5, acked_at: 0 };
+
+    #[test]
+    fn a_stale_ack_sends_nothing() {
+        let mut p = PROGRESS;
+        assert_eq!(p.on_ack(10, 3, true, 8), Resend::Nothing);
+        assert_eq!(p, Progress { acked_at: 10, ..PROGRESS }, "only the lease clock moves");
+    }
+
+    #[test]
+    fn a_duplicate_ack_sends_nothing() {
+        let mut p = PROGRESS;
+        assert_eq!(p.on_ack(10, 5, true, 8), Resend::Nothing);
+        assert_eq!(p, Progress { acked_at: 10, ..PROGRESS });
+    }
+
+    #[test]
+    fn a_nack_sends_one_run_from_the_followers_hint() {
+        let mut p = PROGRESS;
+        assert_eq!(p.on_ack(10, 2, false, 8), Resend::Run);
+        assert_eq!(p, Progress { next: 2, matched: 5, acked_at: 10 });
+        // A follower whose hint is the whole log needs no run.
+        let mut p = PROGRESS;
+        assert_eq!(p.on_ack(10, 8, false, 8), Resend::Nothing);
+    }
+
+    #[test]
+    fn an_advancing_ack_sends_one_entry() {
+        let mut p = PROGRESS;
+        assert_eq!(p.on_ack(10, 7, true, 8), Resend::One, "a cumulative ack of a run");
+        assert_eq!(p, Progress { next: 7, matched: 7, acked_at: 10 });
+        // Caught up: nothing left to send.
+        assert_eq!(p.on_ack(11, 8, true, 8), Resend::Nothing);
+        assert_eq!(p.next, 8);
+    }
+
+    /// The appends in `out`, as `(hop, first index, entry count)`.
+    fn appends(out: &[Outgoing]) -> Vec<(NodeId, u64, usize)> {
+        out.iter()
+            .filter_map(|o| match &o.env.msg {
+                Message::Append { index, entries, .. } => {
+                    Some((o.hop, *index, entries.as_slice().len()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn duplicated_or_reordered_replication_hops_send_no_new_append() {
+        let mut rs = group(3);
+        assert_eq!(elect_leader(&mut rs, 0), 0);
+        let t = rs[0].election_timeout() + 1;
+        let lease = |req_id| Envelope {
+            src: 1,
+            dst: COORDINATOR,
+            msg: Message::LeaseRequest { node: 1, req_id, want: 8 },
+        };
+        // Entry 1 goes to both caught-up followers; follower 1's copy
+        // arrives twice, and each copy gets exactly one ack.
+        rs[0].on_message(t, lease(0));
+        let out = rs[0].take_outbox();
+        assert_eq!(appends(&out), [(replica_id(1), 1, 1), (replica_id(2), 1, 1)]);
+        let mut acks = Vec::new();
+        for _ in 0..2 {
+            rs[1].on_message(t + 1, out[0].env.clone());
+            let reply = rs[1].take_outbox();
+            assert_eq!(reply.len(), 1, "one reply per delivery: {reply:?}");
+            assert!(matches!(reply[0].env.msg, Message::AppendAck { matched: 2, ok: true, .. }));
+            acks.push(reply[0].env.clone());
+        }
+        // The first ack commits entry 1; follower 1 holds the whole log,
+        // so nothing follows it, and its duplicate sends nothing at all.
+        rs[0].on_message(t + 2, acks[0].clone());
+        assert!(appends(&rs[0].take_outbox()).is_empty());
+        // Two more entries while follower 1 acked 2: entry 2 goes out
+        // (it was caught up), entry 3 waits for entry 2's ack.
+        rs[0].on_message(t + 3, lease(1));
+        assert_eq!(appends(&rs[0].take_outbox())[0], (replica_id(1), 2, 1));
+        rs[0].on_message(t + 4, lease(2));
+        assert!(appends(&rs[0].take_outbox()).iter().all(|&(hop, ..)| hop != replica_id(1)));
+        // Follower 1 is behind now. The duplicate of its old ack, and a
+        // reordered ack older still, move nothing and send nothing;
+        // before, each resent entry 2.
+        let stale = Message::AppendAck { term: 1, follower: replica_id(1), matched: 1, ok: true };
+        for msg in [acks[1].msg.clone(), stale] {
+            rs[0].on_message(t + 5, Envelope { src: replica_id(1), dst: replica_id(0), msg });
+            assert!(rs[0].take_outbox().is_empty());
+        }
+        // The ack of entry 2 moves follower 1 on: one entry, entry 3.
+        let ack = Message::AppendAck { term: 1, follower: replica_id(1), matched: 3, ok: true };
+        rs[0].on_message(t + 6, Envelope { src: replica_id(1), dst: replica_id(0), msg: ack });
+        assert_eq!(appends(&rs[0].take_outbox()), [(replica_id(1), 3, 1)]);
+    }
+
+    #[test]
+    fn a_heartbeat_or_a_nack_carries_every_missing_entry_as_one_run() {
+        let mut rs = group(3);
+        assert_eq!(elect_leader(&mut rs, 0), 0);
+        let t = rs[0].election_timeout() + 1;
+        // Three entries that reach no follower.
+        for req_id in 0..3 {
+            let msg = Message::LeaseRequest { node: 1, req_id, want: 8 };
+            rs[0].on_message(t, Envelope { src: 1, dst: COORDINATOR, msg });
+        }
+        rs[0].take_outbox();
+        let beat = t + ProtocolConfig::default().heartbeat_every;
+        rs[0].on_tick(beat);
+        let out = rs[0].take_outbox();
+        assert_eq!(appends(&out), [(replica_id(1), 1, 3), (replica_id(2), 1, 3)]);
+        // The follower stores the run and acks it at once.
+        rs[1].on_message(beat + 1, out[0].env.clone());
+        let reply = rs[1].take_outbox();
+        assert!(matches!(
+            reply[..],
+            [Outgoing {
+                env: Envelope { msg: Message::AppendAck { matched: 4, ok: true, .. }, .. },
+                ..
+            }]
+        ));
+        assert_eq!(rs[1].durable().log, rs[0].durable().log);
+        // A rejecting ack rewinds follower 2 to its hint and earns the
+        // same run at once.
+        let nack = Message::AppendAck { term: 1, follower: replica_id(2), matched: 1, ok: false };
+        rs[0].on_message(beat + 2, Envelope { src: replica_id(2), dst: replica_id(0), msg: nack });
+        assert_eq!(appends(&rs[0].take_outbox()), [(replica_id(2), 1, 3)]);
     }
 
     #[test]

@@ -17,6 +17,17 @@
 //! range. Faults apply per hop, so an envelope a follower forwards to
 //! its leader crosses the faulty network twice.
 //!
+//! The clock is driven by wakes. Every state machine reports the
+//! earliest tick its `on_tick` can act ([`Node::next_tick`],
+//! [`Replica::next_tick`]: a retry, an election timeout, a heartbeat, a
+//! lease lapse), and the harness refreshes that wake after every event
+//! that touches the machine. A clock tick runs only on the `TICK_EVERY`
+//! grid point at or after the earliest wake and visits only the
+//! machines whose wake has come, so every timer fires on the same grid
+//! point as if every machine were visited every `TICK_EVERY` ticks. An
+//! event that brings a wake before the pending tick pushes an earlier
+//! one; the overtaken tick is dropped when it pops, uncounted.
+//!
 //! The trace costs nothing unless it is recorded: `Harness::record`
 //! takes the detail string as a closure it runs only under
 //! [`ClusterSimConfig::record_trace`]; a hop's fate is a `Copy`
@@ -315,9 +326,15 @@ fn coordinator_hop(rotation: u64, group: u64) -> NodeId {
     replica_id(rotation % group.max(1))
 }
 
-/// Global tick granularity: every state machine sees time advance in
-/// steps of this many virtual ticks.
+/// Global tick granularity: a state machine's timers fire on the first
+/// multiple of this many virtual ticks at or after they fall due. The
+/// clock wakes only there, and only the machines that are due.
 const TICK_EVERY: u64 = 5;
+
+/// The first clock tick at or after `at`.
+fn tick_on_or_after(at: u64) -> u64 {
+    at.div_ceil(TICK_EVERY).saturating_mul(TICK_EVERY)
+}
 
 /// A crashed worker stays down for a draw from
 /// `DOWN_FOR..3 * DOWN_FOR` ticks.
@@ -335,6 +352,14 @@ struct Harness {
     slots: Vec<Option<Slot>>,
     left: std::collections::BTreeSet<NodeId>,
     queue: EventQueue<Ev>,
+    /// Each machine's [`Replica::next_tick`] or [`Node::next_tick`]:
+    /// replica `i` at `i`, worker `id` at `replicas.len() + id`;
+    /// `u64::MAX` for a machine that is down or waits for nothing.
+    wakes: Vec<u64>,
+    /// When the next clock tick runs (`u64::MAX`: none is due). A
+    /// `Tick` popped at any other time was overtaken by an earlier one
+    /// and is dropped.
+    tick_at: u64,
     fault_rng: SimRng,
     active_fault: FaultPlan,
     partitions: Vec<PartitionWindow>,
@@ -410,9 +435,42 @@ impl Harness {
         self.outgoing = outgoing;
     }
 
-    /// Flushes a worker's outbox and hand-outs after it ran; a worker
-    /// with nothing to flush costs one check.
-    fn flush_node(&mut self, now: u64, id: NodeId) {
+    /// Where worker `id`'s wake sits in [`Self::wakes`].
+    fn worker_slot(&self, id: NodeId) -> usize {
+        self.replicas.len() + id as usize
+    }
+
+    /// Sets one machine's wake, and brings the next clock tick forward
+    /// when the machine falls due before it.
+    fn rewake(&mut self, now: u64, slot: usize, wake: u64) {
+        self.wakes[slot] = wake;
+        self.schedule_tick(now, wake);
+    }
+
+    /// Pushes a clock tick for a machine due at `wake`, unless a tick
+    /// due no later is already pending. A tick for `now` has run or is
+    /// pending, so the earliest new one is the next grid point.
+    fn schedule_tick(&mut self, now: u64, wake: u64) {
+        if wake == u64::MAX {
+            return;
+        }
+        let at = tick_on_or_after(wake.max(now + 1));
+        if at < self.tick_at {
+            self.tick_at = at;
+            self.queue.push(at, Ev::Tick);
+        }
+    }
+
+    /// Flushes a worker's outbox and hand-outs after it ran, and
+    /// refreshes its wake; a worker with nothing to flush costs one
+    /// check.
+    fn settle_node(&mut self, now: u64, id: NodeId) {
+        let slot = self.worker_slot(id);
+        let Some(node) = up_node(&mut self.slots, id) else {
+            return;
+        };
+        let wake = node.next_tick();
+        self.rewake(now, slot, wake);
         let Some(node) = up_node(&mut self.slots, id).filter(|node| node.has_output()) else {
             return;
         };
@@ -432,7 +490,13 @@ impl Harness {
         self.transmit_all(now, id, outgoing);
     }
 
-    fn flush_replica(&mut self, now: u64, index: u64) {
+    /// [`Self::settle_node`] for replica `index`.
+    fn settle_replica(&mut self, now: u64, index: u64) {
+        let Some(replica) = up_replica(&mut self.replicas, index) else {
+            return;
+        };
+        let wake = replica.next_tick();
+        self.rewake(now, index as usize, wake);
         let Some(replica) = up_replica(&mut self.replicas, index).filter(|r| r.has_output()) else {
             return;
         };
@@ -441,18 +505,43 @@ impl Harness {
         self.transmit_all(now, replica_id(index), outgoing);
     }
 
-    /// Runs `step` on every worker that is up, in id order (founders
-    /// are `1..=workers`, joiners follow), flushing each one before the
-    /// next runs.
-    fn step_workers(&mut self, now: u64, step: fn(&mut Node, u64)) {
-        for id in 1..=self.config.workers + self.config.joins {
-            if let Some(node) = up_node(&mut self.slots, id) {
-                step(node, now);
-                if node.has_output() {
-                    self.flush_node(now, id);
+    /// Runs one clock tick: `on_tick` on every up machine whose wake has
+    /// come, replicas first, then workers in id order (founders are
+    /// `1..=workers`, joiners follow), settling each before the next
+    /// runs; then schedules the next tick for the earliest wake.
+    fn tick(&mut self, now: u64) {
+        // The visits push no tick of their own: every wake they set is
+        // past `now`, and the earliest is scheduled once at the end.
+        self.tick_at = now;
+        for index in 0..self.replicas.len() as u64 {
+            if self.wakes[index as usize] <= now {
+                if let Some(replica) = up_replica(&mut self.replicas, index) {
+                    replica.on_tick(now);
+                }
+                self.settle_replica(now, index);
+            } else {
+                #[cfg(test)]
+                if let Some(replica) = up_replica(&mut self.replicas, index) {
+                    tests::assert_idle(replica, now, Replica::on_tick, Replica::has_output);
                 }
             }
         }
+        for id in 1..=self.config.workers + self.config.joins {
+            if self.wakes[self.worker_slot(id)] <= now {
+                if let Some(node) = up_node(&mut self.slots, id) {
+                    node.on_tick(now);
+                }
+                self.settle_node(now, id);
+            } else {
+                #[cfg(test)]
+                if let Some(node) = up_node(&mut self.slots, id) {
+                    tests::assert_idle(node, now, Node::on_tick, Node::has_output);
+                }
+            }
+        }
+        self.tick_at = u64::MAX;
+        let earliest = self.wakes.iter().copied().min().unwrap_or(u64::MAX);
+        self.schedule_tick(now, earliest);
     }
 
     /// Hands one arrived hop to the state machine that owns `hop`, or
@@ -476,12 +565,12 @@ impl Harness {
             if let Some(replica) = up_replica(&mut self.replicas, index) {
                 replica.on_message(now, env);
             }
-            self.flush_replica(now, index);
+            self.settle_replica(now, index);
         } else {
             if let Some(node) = up_node(&mut self.slots, hop) {
                 node.on_message(now, env);
             }
-            self.flush_node(now, hop);
+            self.settle_node(now, hop);
         }
     }
 
@@ -530,8 +619,15 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         slots[id as usize] = Some(Slot::Up(Box::new(Node::new(id, config.protocol))));
     }
 
-    let mut queue = EventQueue::new();
-    queue.push(0, Ev::Tick);
+    // Every pre-drawn event: the drain, the demand and the churn plans,
+    // and the first clock tick.
+    let planned = 2
+        + (config.workers + config.joins) * config.demand_per_node
+        + config.joins
+        + 2 * config.crashes
+        + config.leaves
+        + 2 * config.replica_crashes;
+    let mut queue = EventQueue::with_capacity(usize::try_from(planned).unwrap_or(0));
     queue.push(config.horizon, Ev::Drain);
 
     // Demand plan: founders draw over the whole window, joiners from
@@ -608,6 +704,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         });
     }
 
+    let wakes = vec![u64::MAX; replicas.len() + slots.len()];
     let mut harness = Harness {
         config,
         replicas,
@@ -615,6 +712,8 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         slots,
         left: std::collections::BTreeSet::new(),
         queue,
+        wakes,
+        tick_at: u64::MAX,
         fault_rng,
         active_fault: config.fault,
         partitions,
@@ -628,38 +727,29 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         handouts: Vec::new(),
     };
     for index in 0..group {
-        harness.flush_replica(0, index);
+        harness.settle_replica(0, index);
     }
 
     let mut capped = false;
     while let Some((now, _, ev)) = harness.queue.pop() {
+        if matches!(ev, Ev::Tick) && now != harness.tick_at {
+            // Overtaken by an earlier tick that rescheduled the clock.
+            continue;
+        }
         if harness.stats.events == config.max_events {
             capped = true;
             break;
         }
         harness.stats.events += 1;
         match ev {
-            Ev::Tick => {
-                for index in 0..group {
-                    if let Some(replica) = up_replica(&mut harness.replicas, index) {
-                        replica.on_tick(now);
-                        if replica.has_output() {
-                            harness.flush_replica(now, index);
-                        }
-                    }
-                }
-                harness.step_workers(now, Node::on_tick);
-                if !harness.done() {
-                    harness.queue.push(now + TICK_EVERY, Ev::Tick);
-                }
-            }
+            Ev::Tick => harness.tick(now),
             Ev::Deliver { hop, env } => harness.deliver(now, hop, env),
             Ev::Demand { node } => {
                 let servable = !harness.left.contains(&node) && !harness.draining;
                 match up_node(&mut harness.slots, node) {
                     Some(n) if servable => {
                         n.demand(now, 1);
-                        harness.flush_node(now, node);
+                        harness.settle_node(now, node);
                     }
                     _ => harness.stats.demand_skipped += 1,
                 }
@@ -671,6 +761,8 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 };
                 if let Some(durable) = crashed {
                     harness.slots[node as usize] = Some(Slot::Down(durable));
+                    let slot = harness.worker_slot(node);
+                    harness.wakes[slot] = u64::MAX;
                     harness.stats.crashes += 1;
                     harness.record(now, "crash", node, String::new);
                 }
@@ -689,7 +781,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                     harness.slots[node as usize] = Some(Slot::Up(Box::new(revived)));
                     harness.stats.restarts += 1;
                     harness.record(now, "restart", node, String::new);
-                    harness.flush_node(now, node);
+                    harness.settle_node(now, node);
                 }
             }
             Ev::Join { node } => {
@@ -708,13 +800,14 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                     harness.left.insert(node);
                     harness.stats.leaves += 1;
                     harness.record(now, "leave", node, String::new);
-                    harness.flush_node(now, node);
+                    harness.settle_node(now, node);
                 }
             }
             Ev::ReplicaCrash { index } => {
                 if let Some(slot) = harness.replicas.get_mut(index as usize) {
                     if let ReplicaSlot::Up(replica) = slot {
                         *slot = ReplicaSlot::Down(replica.durable().clone());
+                        harness.wakes[index as usize] = u64::MAX;
                         harness.stats.replica_crashes += 1;
                         harness.record(now, "replica-crash", replica_id(index), String::new);
                     }
@@ -728,7 +821,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                         *slot = armed(replica, config.mutation);
                         harness.stats.replica_restarts += 1;
                         harness.record(now, "replica-restart", replica_id(index), String::new);
-                        harness.flush_replica(now, index);
+                        harness.settle_replica(now, index);
                     }
                 }
             }
@@ -737,7 +830,12 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 // Faults off: the drain must converge.
                 harness.active_fault = FaultPlan::reliable(1);
                 harness.record(now, "drain", COORDINATOR, String::new);
-                harness.step_workers(now, Node::begin_drain);
+                for id in 1..=config.workers + config.joins {
+                    if let Some(node) = up_node(&mut harness.slots, id) {
+                        node.begin_drain(now);
+                        harness.settle_node(now, id);
+                    }
+                }
             }
         }
         if harness.done() {
@@ -797,6 +895,49 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `on_tick` on a machine the clock skips (the test build of
+    /// [`Harness::tick`] calls it for every one) and asserts the visit
+    /// would have sent nothing and changed nothing: the soundness of
+    /// `next_tick` that licenses the skip.
+    pub(super) fn assert_idle<M: std::fmt::Debug>(
+        machine: &mut M,
+        now: u64,
+        on_tick: fn(&mut M, u64),
+        has_output: fn(&M) -> bool,
+    ) {
+        let before = format!("{machine:?}");
+        on_tick(machine, now);
+        assert!(!has_output(machine), "a skipped visit at t{now} would have sent: {machine:?}");
+        assert_eq!(format!("{machine:?}"), before, "a skipped visit at t{now} changed state");
+    }
+
+    #[test]
+    fn a_skipped_visit_would_have_done_nothing() {
+        // Every machine the clock skips in these runs passes
+        // `assert_idle`: the bench cell in every group size, plus the
+        // mutations that change when a leader's lease lapses.
+        let bench = |replicas: u64| {
+            let faults = if replicas >= 2 { 2 } else { 0 };
+            ClusterSimConfig {
+                workers: 8,
+                replicas,
+                replica_crashes: faults,
+                partitions: faults,
+                ..ClusterSimConfig::default()
+            }
+        };
+        let mut configs: Vec<ClusterSimConfig> = [1, 3, 5].map(bench).to_vec();
+        for mutation in [Mutation::SplitBrainDoubleGrant, Mutation::CommitBeforeQuorum] {
+            configs.push(ClusterSimConfig { mutation: Some(mutation), ..bench(3) });
+        }
+        for config in configs {
+            for seed in 1..=2 {
+                let report = run_sim(&config, seed);
+                assert!(report.converged, "{:?}", report.violations);
+            }
+        }
+    }
 
     #[test]
     fn coordinator_hops_rotate_over_the_group() {

@@ -27,23 +27,28 @@
 //! slab and are moved once in and once out. The keys live in two
 //! places. Everything pushed before the first [`EventQueue::pop`] — a
 //! harness's whole pre-drawn plan, thousands of demand and churn events
-//! — is the **plan**: one `Vec` sorted once by `(at, seq)`. Everything
-//! pushed afterwards that is due fewer than `RING` (64) ticks after
-//! `now` — in-flight hops, the next tick — goes to the **tick ring**, a
-//! FIFO per tick at `at % RING`. The ring's invariant: every key in it
-//! has `now <= at < now + RING`, so a bucket holds a single `at`, and
+//! — is the **plan**: one `Vec` sorted once by `(at, seq)`. The keys
+//! arrive in `seq` order, so a stable LSD radix sort on `at` alone
+//! orders them, in a pass or two over the plan's few thousand keys.
+//! Everything pushed afterwards that is due fewer than `RING` (64) ticks
+//! after `now` — in-flight hops, the next tick — goes to the **tick
+//! ring**, a FIFO per tick at `at % RING`, linked through the slab: each
+//! bucket is a head and a tail slot, and each slot names the slot after
+//! it, so the ring allocates nothing of its own. The ring's invariant:
+//! every key in it has `now <= at < now + RING`, so a bucket holds a
+//! single `at`, and
 //! because `seq` only grows its FIFO order is `seq` order. A runtime
-//! event due `RING` or more ticks ahead (no shipped harness schedules
-//! one: every delay is bounded well below it) is binary-search-inserted
-//! into the plan instead. `pop` takes the smaller `(at, seq)` of the
+//! event due `RING` or more ticks ahead (in the cluster harness, only a
+//! clock tick for a far timer: every hop's delay is bounded well below
+//! it) is binary-search-inserted into the plan instead; the plan pops
+//! from its back, so a key due soon lands near the back and moves few
+//! others. `pop` takes the smaller `(at, seq)` of the
 //! plan's head and the first non-empty bucket from `now`, found in one
 //! step from a 64-bit occupancy mask (bit `b` set while bucket `b`
 //! holds a key: rotated so bit 0 is `now`'s bucket, its trailing zeros
 //! are the ticks to the next due key); sequence
 //! numbers are unique, so the merged order is exactly that of one
 //! sorted list holding everything.
-
-use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -134,12 +139,6 @@ impl FaultPlan {
         Self { drop_per_mille: 0, dup_per_mille: 0, min_delay: latency, max_delay: latency }
     }
 
-    /// `true` when the plan can drop, duplicate or reorder.
-    #[must_use]
-    pub fn is_faulty(&self) -> bool {
-        self.drop_per_mille > 0 || self.dup_per_mille > 0 || self.min_delay != self.max_delay
-    }
-
     /// Decides the fate of one message. The draw order is fixed — drop,
     /// then duplicate, then one delay per copy (the first copy's first)
     /// — so a decision stream is stable for a given RNG state.
@@ -207,6 +206,9 @@ impl PartitionWindow {
 /// bucket in `EventQueue::occupied`, so it is the width of a `u64`.
 const RING: u64 = u64::BITS as u64;
 
+/// The end of a tick-ring list.
+const NIL: usize = usize::MAX;
+
 /// One scheduled event's ordering key; its payload waits in the slab at
 /// `slot`. `(at, seq)` is unique, so `slot` never decides an order and
 /// `E` needs no `Ord`.
@@ -217,6 +219,45 @@ struct Key {
     slot: usize,
 }
 
+/// One slab slot: a pending event with its key, and, while the key sits
+/// in the tick ring, the next slot of its bucket (`NIL` at the tail).
+#[derive(Debug)]
+struct Slot<E> {
+    event: Option<E>,
+    key: Key,
+    next: usize,
+}
+
+/// Sorts `keys`, pushed in `seq` order, into `(at, seq)` order latest
+/// first — the order `sort_unstable_by(|a, b| b.cmp(a))` gives, since
+/// keys are unique. A stable LSD radix on `at`, one byte per pass and
+/// only as many passes as the largest `at` has bytes, keeps equal `at`s
+/// in `seq` order.
+fn sort_plan(keys: &mut Vec<Key>) {
+    let max = keys.iter().map(|k| k.at).max().unwrap_or(0);
+    let mut scratch = keys.clone();
+    let mut shift = 0;
+    while shift < u64::BITS && max >> shift != 0 {
+        let digit = |key: &Key| ((key.at >> shift) & 0xFF) as usize;
+        let mut starts = [0usize; 256];
+        for key in keys.iter() {
+            starts[digit(key)] += 1;
+        }
+        let mut total = 0;
+        for start in &mut starts {
+            (*start, total) = (total, total + *start);
+        }
+        for key in keys.iter() {
+            let d = digit(key);
+            scratch[starts[d]] = *key;
+            starts[d] += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+        shift += 8;
+    }
+    keys.reverse();
+}
+
 /// A deterministic discrete-event queue: events pop in `(time, insertion
 /// sequence)` order, so same-tick events resolve in the order they were
 /// scheduled — never by allocation address or hash order. See the
@@ -225,15 +266,16 @@ struct Key {
 pub struct EventQueue<E> {
     /// Payloads, addressed by `Key::slot`; `free` lists the empty
     /// slots, so a warmed-up queue never allocates.
-    slab: Vec<Option<E>>,
+    slab: Vec<Slot<E>>,
     free: Vec<usize>,
     /// Pushed before the first pop, plus runtime pushes due `RING` or
     /// more ticks ahead; from the first pop on sorted latest-first, so
     /// the earliest key pops off the back.
     plan: Vec<Key>,
     /// Runtime pushes due in `now..now + RING`, one FIFO per tick at
-    /// `at % RING`.
-    ring: Vec<VecDeque<Key>>,
+    /// `at % RING`: its first and last slot, linked by `Slot::next`.
+    heads: [usize; RING as usize],
+    tails: [usize; RING as usize],
     in_ring: usize,
     /// Bit `b` is set exactly while `ring[b]` is non-empty.
     occupied: u64,
@@ -253,11 +295,20 @@ impl<E> EventQueue<E> {
     /// An empty queue at virtual time zero.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty queue with room for a pre-drawn plan of `planned`
+    /// events, and for `RING` more in flight beside it, before it grows:
+    /// pushing the plan allocates once.
+    #[must_use]
+    pub fn with_capacity(planned: usize) -> Self {
         Self {
-            slab: Vec::new(),
-            free: Vec::new(),
-            plan: Vec::new(),
-            ring: (0..RING).map(|_| VecDeque::new()).collect(),
+            slab: Vec::with_capacity(planned + RING as usize),
+            free: Vec::with_capacity(planned),
+            plan: Vec::with_capacity(planned),
+            heads: [NIL; RING as usize],
+            tails: [NIL; RING as usize],
             in_ring: 0,
             occupied: 0,
             started: false,
@@ -290,19 +341,23 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: u64, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = if let Some(slot) = self.free.pop() {
-            self.slab[slot] = Some(event);
-            slot
-        } else {
-            self.slab.push(Some(event));
-            self.slab.len() - 1
-        };
+        let slot = self.free.pop().unwrap_or(self.slab.len());
         let key = Key { at: at.max(self.now), seq, slot };
+        let filled = Slot { event: Some(event), key, next: NIL };
+        if slot == self.slab.len() {
+            self.slab.push(filled);
+        } else {
+            self.slab[slot] = filled;
+        }
         if !self.started {
             self.plan.push(key);
         } else if key.at - self.now < RING {
-            let bucket = key.at % RING;
-            self.ring[bucket as usize].push_back(key);
+            let bucket = (key.at % RING) as usize;
+            match self.tails[bucket] {
+                NIL => self.heads[bucket] = slot,
+                tail => self.slab[tail].next = slot,
+            }
+            self.tails[bucket] = slot;
             self.in_ring += 1;
             self.occupied |= 1 << bucket;
         } else {
@@ -316,7 +371,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
         if !self.started {
             self.started = true;
-            self.plan.sort_unstable_by(|a, b| b.cmp(a));
+            sort_plan(&mut self.plan);
         }
         let planned = self.plan.last().copied();
         // The ring's earliest key: the first occupied bucket from `now`.
@@ -327,18 +382,20 @@ impl<E> EventQueue<E> {
             ((self.now + u64::from(ahead)) % RING) as usize
         });
         let key = match bucket {
-            Some(bucket) if planned.is_none_or(|head| self.ring[bucket][0] < head) => {
+            Some(bucket) if planned.is_none_or(|head| self.slab[self.heads[bucket]].key < head) => {
                 self.in_ring -= 1;
-                let key = self.ring[bucket].pop_front().expect("an occupied bucket holds a key");
-                if self.ring[bucket].is_empty() {
+                let slot = self.heads[bucket];
+                self.heads[bucket] = self.slab[slot].next;
+                if self.heads[bucket] == NIL {
+                    self.tails[bucket] = NIL;
                     self.occupied &= !(1 << bucket);
                 }
-                key
+                self.slab[slot].key
             }
             _ => self.plan.pop()?,
         };
         self.now = key.at;
-        let event = self.slab[key.slot].take().expect("a pending key's slot holds its event");
+        let event = self.slab[key.slot].event.take().expect("a pending key's slot holds its event");
         self.free.push(key.slot);
         Some((key.at, key.seq, event))
     }
@@ -382,7 +439,6 @@ mod tests {
     fn fault_plan_decides_drop_dup_and_delay() {
         let mut rng = SimRng::new(11);
         let reliable = FaultPlan::reliable(4);
-        assert!(!reliable.is_faulty());
         for _ in 0..50 {
             assert_eq!(reliable.decide(&mut rng), Fate::Once(4));
         }
@@ -392,7 +448,6 @@ mod tests {
 
         let always_dup =
             FaultPlan { dup_per_mille: 1000, min_delay: 1, max_delay: 6, drop_per_mille: 0 };
-        assert!(always_dup.is_faulty());
         let Fate::Twice(first, second) = always_dup.decide(&mut rng) else {
             panic!("duplicated message delivers twice");
         };
@@ -457,6 +512,29 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // The plan's radix sort gives exactly the comparison sort's
+        // order. `at`s span every byte width, so every pass count runs,
+        // and a narrow range forces long runs of equal `at`s.
+        #[test]
+        fn the_plan_sorts_like_a_comparison_sort(
+            ats in collection::vec(any::<u64>(), 0..300),
+            narrow in any::<bool>(),
+            width in 0u32..64,
+        ) {
+            let mut keys: Vec<Key> = ats
+                .iter()
+                .enumerate()
+                .map(|(seq, &at)| {
+                    let at = if narrow { at % 8 } else { at >> width };
+                    Key { at, seq: seq as u64, slot: seq }
+                })
+                .collect();
+            let mut reference = keys.clone();
+            reference.sort_unstable_by(|a, b| b.cmp(a));
+            sort_plan(&mut keys);
+            prop_assert_eq!(keys, reference);
+        }
 
         // The model is a flat list of `(clamped at, seq)` popped by
         // minimum. `planned` forces pushes before the first pop; a
