@@ -169,12 +169,6 @@ impl<'a> TokenExecutor<'a> {
         &self.input_counts
     }
 
-    /// Total number of tokens injected.
-    #[must_use]
-    pub fn total_injected(&self) -> u64 {
-        self.injected
-    }
-
     /// The current state (next-output index) of every balancer.
     #[must_use]
     pub fn balancer_states(&self) -> &[BalancerState] {
@@ -219,7 +213,6 @@ mod tests {
         exec.inject_sequence(&input);
         assert_eq!(exec.output_counts(), quiescent_output(&net, &input));
         assert_eq!(exec.input_counts(), &input);
-        assert_eq!(exec.total_injected(), 7);
     }
 
     #[test]

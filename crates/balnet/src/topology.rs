@@ -166,13 +166,6 @@ impl Network {
         census.into_iter().collect()
     }
 
-    /// The total number of wires in the network: network inputs plus every
-    /// balancer output wire.
-    #[must_use]
-    pub fn num_wires(&self) -> usize {
-        self.input_width + self.balancers.iter().map(|b| b.fan_out).sum::<usize>()
-    }
-
     /// Cascades `self` with `other`: the output wires of `self` are
     /// connected one-to-one (wire `i` to wire `i`) to the input wires of
     /// `other`. Requires `self.output_width() == other.input_width()`.
@@ -314,7 +307,6 @@ mod tests {
         assert!(net.is_regular());
         assert_eq!(net.balancer_census(), vec![((2, 2), 1)]);
         assert_eq!(net.layers(), vec![vec![BalancerId(0)]]);
-        assert_eq!(net.num_wires(), 4);
     }
 
     #[test]

@@ -258,18 +258,14 @@ fn every_exp_binary_rejects_a_misspelt_flag_and_names_the_known_ones() {
             "`--seed` given more than once",
         ),
     ];
-    // The list is written by hand, so a binary added later must join it
-    // (only the feature-gated `exp_model` is built elsewhere).
+    // The list is written by hand, so a binary added later must join it.
     let listed: Vec<_> =
         cases.iter().map(|(exe, ..)| std::path::Path::new(exe).file_stem()).collect();
     let bin_dir = format!("{}/src/bin", env!("CARGO_MANIFEST_DIR"));
     for entry in std::fs::read_dir(bin_dir).expect("bin dir exists") {
         let path = entry.expect("readable dir entry").path();
         let bin = path.file_stem();
-        assert!(
-            bin == Some("exp_model".as_ref()) || listed.contains(&bin),
-            "{path:?} is missing from this test's list"
-        );
+        assert!(listed.contains(&bin), "{path:?} is missing from this test's list");
     }
     for (exe, args, bad) in cases {
         let output = Command::new(exe).args(args).output().expect("binary should spawn");
@@ -281,27 +277,4 @@ fn every_exp_binary_rejects_a_misspelt_flag_and_names_the_known_ones() {
         }
         assert!(output.stdout.is_empty(), "{exe} {args:?}: no experiment may have started");
     }
-}
-
-/// Smoke for the interleaving checker: only compiled when the bench
-/// crate is built with `--features model` (the binary's
-/// `required-features`), i.e. in the CI `model-check` job — the default
-/// test run must not drag the model shims into every dependent crate.
-#[cfg(feature = "model")]
-#[test]
-fn exp_model_quick_prints_tables_and_catches_every_mutation() {
-    let stdout = run_quick(env!("CARGO_BIN_EXE_exp_model"), &["--quick"]);
-    assert!(stdout.lines().any(|l| l.starts_with("| ")), "no Markdown table:\n{stdout}");
-    assert!(stdout.lines().any(|l| l.starts_with("## ")), "no section heading:\n{stdout}");
-    // One row per seeded mutation, each caught and replayed; run_quick
-    // already rejected a nonzero exit, so FAIL rows cannot be present.
-    assert_eq!(
-        stdout.lines().filter(|l| l.contains("caught + replayed")).count(),
-        6,
-        "expected all six seeded mutations caught:\n{stdout}"
-    );
-    assert!(
-        !stdout.lines().any(|l| l.contains("FAIL")),
-        "a scenario failed without a nonzero exit:\n{stdout}"
-    );
 }

@@ -1,10 +1,10 @@
 //! Integration checks for the deterministic cluster simulation.
 //!
-//! Structure mirrors `counting-service/tests/model_registry.rs`: clean
-//! runs of the real protocol under torture, calibration mutations that
-//! must be caught, and a pinned counterexample seed whose recorded trace
-//! replays byte-identically against both the mutated and the fixed
-//! protocol.
+//! Clean runs of the real protocol under torture, calibration mutations
+//! that must be caught, and a pinned counterexample seed whose recorded
+//! trace replays byte-identically against both the mutated and the fixed
+//! protocol (the shape of the interleaving model test,
+//! `counting-service/tests/model.rs`).
 
 use counting_cluster::{run_sim, ClusterSimConfig, Mutation, SimReport};
 

@@ -56,11 +56,10 @@ fn untraced_simulation_stays_within_its_allocation_budget() {
     println!(
         "untraced run_sim, 20 seeds: {per_event:.4} allocations per event, {per_value:.4} per value"
     );
-    // The per-value budget sits 10 % over its reading (0.1720; 0.2455
+    // The budget is per value, 10 % over its reading (0.1720; 0.2455
     // while stale acks were answered and the clock visited every
-    // machine each tick). The per-event budget was set 10 % over the
-    // old 0.0664; it reads 0.0699 now because events fell faster than
-    // allocations did.
-    assert!(per_event <= 0.073, "{per_event:.4} allocations per event exceeds the 0.073 budget");
+    // machine each tick). Per event is printed but not bounded: a change
+    // that removes events without adding allocations raises it (0.0664
+    // -> 0.0699 while allocations per value fell 30 %).
     assert!(per_value <= 0.189, "{per_value:.4} allocations per value exceeds the 0.189 budget");
 }

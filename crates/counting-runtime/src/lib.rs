@@ -88,8 +88,6 @@
 pub mod compiled;
 pub mod counter;
 pub mod elimination;
-#[cfg(feature = "model")]
-pub mod model_scenarios;
 pub mod stress;
 pub mod sync;
 

@@ -15,7 +15,7 @@
 //! behavior, so a feature-on build still runs the ordinary test suite
 //! unchanged.
 //!
-//! Only the modules named in the model suite import through this seam
+//! Only the modules the model test explores import through this seam
 //! (`elimination`, and in `counting-service` the registry,
 //! ticket gate and rate limiter); the counters and networks underneath
 //! keep their raw `std` atomics — the model scenarios wrap them behind a

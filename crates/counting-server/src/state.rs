@@ -162,13 +162,6 @@ impl AppState {
         use counting_runtime::BlockReserve;
         self.service.get_or_create(&format!("lease:{tenant}")).reserve_block(thread_id, k)
     }
-
-    /// The lease stream's high-water mark (total ids ever leased when
-    /// quiescent).
-    #[must_use]
-    pub fn lease_watermark(&self, tenant: &str) -> u64 {
-        self.service.watermark(&format!("lease:{tenant}"))
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +177,7 @@ mod tests {
         // Both streams start at zero because they are different tenants.
         assert_eq!(t0, 0);
         assert_eq!(start, 0);
-        assert_eq!(state.lease_watermark("q"), 4);
+        assert_eq!(state.service().watermark("lease:q"), 4);
         let names = state.service().tenants();
         assert!(names.contains(&"ticket:q".to_owned()), "{names:?}");
         assert!(names.contains(&"lease:q".to_owned()), "{names:?}");

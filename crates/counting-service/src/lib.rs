@@ -58,8 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod id_gen;
-#[cfg(feature = "model")]
-pub mod model_scenarios;
 pub mod rate;
 pub mod registry;
 pub mod ticket;

@@ -188,8 +188,8 @@ impl RateLimiter {
             // impossible, kept reachable only under the model checker:
             // skipping the recheck lets a request judge its (late) value
             // against a *successor* window's base and over-admit a
-            // window that already closed (see
-            // `model_scenarios::rate_torn_base_mutated`).
+            // window that already closed (the torn epoch/base row of
+            // `tests/model.rs`).
             return Some(base);
         }
         // Seqlock recheck: only judge if window and base were stable
@@ -207,7 +207,7 @@ impl RateLimiter {
     /// can demonstrate the bug it had: a request naming an already-closed
     /// window was judged against the *current* base, so a burst
     /// straddling a boundary could admit up to twice the limit against
-    /// one window index (see `model_scenarios::rate_straddle_mutated`).
+    /// one window index (the pre-fix straddle row of `tests/model.rs`).
     fn try_acquire_straddling(&self, value: u64, window: u64) -> bool {
         let mut current = self.epoch.load(Ordering::Acquire) / 2;
         while window > current {

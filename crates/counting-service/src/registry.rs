@@ -365,12 +365,6 @@ impl CounterService {
         self.shards.len()
     }
 
-    /// The number of live (non-evicted) tenants.
-    #[must_use]
-    pub fn tenant_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().values().filter(|t| t.live.is_some()).count()).sum()
-    }
-
     /// The names of all live tenants, in no particular order.
     #[must_use]
     pub fn tenants(&self) -> Vec<String> {
@@ -563,7 +557,7 @@ mod tests {
         let a = service.get_or_create("alpha");
         let b = service.get_or_create("alpha");
         assert!(Arc::ptr_eq(&a, &b), "one counter per tenant");
-        assert_eq!(service.tenant_count(), 1);
+        assert_eq!(service.tenants().len(), 1);
         assert!(service.get("alpha").is_some());
         assert!(service.get("beta").is_none());
     }
@@ -598,7 +592,7 @@ mod tests {
         });
         let first = &handles[0];
         assert!(handles.iter().all(|h| Arc::ptr_eq(first, h)), "all racers share one instance");
-        assert_eq!(service.tenant_count(), 1);
+        assert_eq!(service.tenants().len(), 1);
     }
 
     #[test]
@@ -631,10 +625,10 @@ mod tests {
             let counter = service.get_or_create(name);
             let _ = counter.next(0);
         }
-        assert_eq!(service.tenant_count(), 4);
+        assert_eq!(service.tenants().len(), 4);
         assert_eq!(service.evict_idle(), 3, "the held tenant survives");
         // The evicted slots stay for their watermarks, uncounted.
-        assert_eq!((service.tenant_count(), service.tenants()), (1, vec!["held".to_owned()]));
+        assert_eq!(service.tenants(), vec!["held".to_owned()]);
         assert!(service.get("held").is_some());
         assert_eq!(service.watermark("idle-1"), 1);
         assert_eq!(held.next(0), 1, "the survivor keeps counting");

@@ -108,8 +108,8 @@ impl TicketGate {
         if mutation_enabled("ticket-unbounded") {
             // The pre-fix behavior, kept reachable only under the model
             // checker: an unclamped fetch_add pre-admits tickets that
-            // were never dispensed and wraps on overflow (see
-            // `model_scenarios::ticket_admit_bound_mutated`).
+            // were never dispensed and wraps on overflow (the unclamped
+            // admit row of `tests/model.rs`).
             return self.now_serving.fetch_add(n, Ordering::AcqRel).wrapping_add(n);
         }
         let mut serving = self.now_serving.load(Ordering::Acquire);

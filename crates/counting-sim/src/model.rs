@@ -22,12 +22,12 @@
 //!   code, or a livelock that exceeds the step bound — is returned as a
 //!   [`Counterexample`] carrying the full decision [`Trace`] and event
 //!   log; [`replay`] re-runs exactly that schedule, which is what the
-//!   pinned regression tests in `counting-runtime` and `counting-service`
-//!   are built from.
+//!   pinned-trace replays of `counting-service/tests/model.rs` are built
+//!   from.
 //! * [`Scenario::with_mutation`] seeds a deliberate protocol mutation
 //!   (e.g. the arena capture path skipping its `CLAIMED` intermediate
 //!   state): a checker that cannot find the planted bug has no teeth, so
-//!   the test suites assert these are caught.
+//!   the model test asserts these are caught.
 //!
 //! Since the real `loom` crate cannot be vendored here (no network), this
 //! is a minimal self-contained engine in the same spirit as the other
@@ -125,14 +125,14 @@ impl ModelConfig {
 
 /// A recorded schedule: the thread id granted at each scheduling point.
 /// Traces are what make counterexamples replayable — see [`replay`].
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Thread index chosen at each decision point, in order.
     pub decisions: Vec<usize>,
 }
 
 /// A failing schedule found by [`explore`] (or reproduced by [`replay`]).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Counterexample {
     /// What went wrong: the invariant check's error, a panic message, or
     /// a livelock/stall report.
@@ -1269,13 +1269,5 @@ mod tests {
         });
         let bug = report.counterexample.expect("livelock must be reported");
         assert!(bug.message.contains("livelock"), "{}", bug.message);
-    }
-
-    #[test]
-    fn traces_roundtrip_through_serde() {
-        let trace = Trace { decisions: vec![0, 1, 1, 0, 2] };
-        let json = serde_json::to_string(&trace).expect("serialize");
-        let back: Trace = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, trace);
     }
 }

@@ -71,20 +71,10 @@ impl ContentionReport {
             .sum()
     }
 
-    /// The amortized contention restricted to a layer range: stalls in
-    /// those layers divided by the total number of tokens.
-    #[must_use]
-    pub fn amortized_in_layers(&self, lo: usize, hi: usize) -> f64 {
-        if self.total_tokens == 0 {
-            return 0.0;
-        }
-        self.stalls_in_layers(lo, hi) as f64 / self.total_tokens as f64
-    }
-
     /// The balancer that accumulated the most stalls, if any balancer
     /// exists. Returns `(balancer_id, stalls)`.
-    #[must_use]
-    pub fn hottest_balancer(&self) -> Option<(usize, u64)> {
+    #[cfg(test)]
+    fn hottest_balancer(&self) -> Option<(usize, u64)> {
         self.per_balancer_stalls.iter().copied().enumerate().max_by_key(|&(_, s)| s)
     }
 }
@@ -120,7 +110,6 @@ mod tests {
         assert_eq!(r.stalls_in_layers(2, 5), 15);
         assert_eq!(r.stalls_in_layers(3, 5), 0);
         assert_eq!(r.stalls_in_layers(0, 2), 0);
-        assert!((r.amortized_in_layers(1, 2) - 3.0).abs() < 1e-12);
     }
 
     #[test]
