@@ -13,45 +13,55 @@
 //!   shard: readers of different tenants proceed in parallel, and even
 //!   readers of the *same* shard share the lock. Writes (tenant creation
 //!   and eviction) serialize only their own shard.
-//! * **One slot, one hash** — a shard maps each tenant's name to one
-//!   *slot*: the live instance, if any, and the last evicted one's
-//!   watermark. Eviction empties the slot and writes the watermark in
-//!   place; re-creation fills it again and reuses its name. A public call
-//!   hashes the name once, with the service's keyed [`RandomState`]: that
+//! * **One slot, one hash, one name** — a shard maps each tenant's name
+//!   to one *slot*: the live instance, if any, and the last evicted one's
+//!   watermark. The name lives only in the slot's key, allocated when the
+//!   tenant first appears; no counter carries it. A public call hashes
+//!   the name once, with the service's keyed [`RandomState`]: that
 //!   value's middle bits pick the shard, and the map, whose hasher passes
 //!   the stored value through, probes with it. A fast unkeyed hash was
 //!   deliberately not used: tenant names come from HTTP clients, who
 //!   could then aim names at one shard and one bucket.
-//! * **One word per tenant** — a [`TenantCounter`] is its name, its
-//!   stream offset and one atomic word holding the next value of its
-//!   stream: 32 bytes. A reservation of `k` values is one `fetch_add(k)`
-//!   on the word, and its prior value is the block, so a reservation
-//!   never retries and reads nothing else. The word is the only count
-//!   kept, and a tenant's hand-out is exactly `base..word` at every
-//!   quiescent point for *any* mix of batch sizes — what the per-tenant
-//!   checks of the torture suite and the `reserve_race` model scenario
-//!   gate on.
+//! * **Recycled counters** — a sweep ([`CounterService::evict_idle`])
+//!   empties each idle slot, writes the watermark in place and puts the
+//!   retired counter on its shard's spare list, under the shard's write
+//!   lock. A tenant coming back finds its dormant slot with one probe and
+//!   refills it in place with a spare reset to the slot's watermark, so
+//!   re-creation allocates nothing; it allocates only when the list is
+//!   empty. Each sweep first frees the spares the last period did not
+//!   reuse, so spares never outnumber one sweep's evictions. A lone
+//!   [`CounterService::try_evict`] frees its counter.
+//! * **One word per tenant** — a [`TenantCounter`] is its stream offset
+//!   and one atomic word holding the next value of its stream: 16 bytes.
+//!   A reservation of `k` values is one `fetch_add(k)` on the word, and
+//!   its prior value is the block, so a reservation never retries and
+//!   reads nothing else. The word is the only count kept, and a tenant's
+//!   hand-out is exactly `base..word` at every quiescent point for *any*
+//!   mix of batch sizes — what the per-tenant checks of the torture suite
+//!   and the `reserve_race` model scenario gate on.
 //! * **No network under a block** — a tenant hands out contiguous blocks
 //!   of any size, and mixed sizes break the step property, so every
 //!   block comes from one cursor: a `C(w, t)` in front of it could only
 //!   pace the callers, never spread them. The paper's stall measure says
-//!   pacing buys nothing (E5e in `exp_contention`): stalls per token at
-//!   n = 2/4/8/16/32/64 read 1.0/3.0/6.9/14.9/30.7/62.5 on a central
-//!   balancer alone and 1.0/2.8/6.9/15.0/32.0/66.0 with `C(4,16)` in
-//!   front. Nor does a tenant switch to an elimination arena under
-//!   contention: on the 2-vcpu recording host two threads ran
-//!   `hot-tenant` at ~20–22 M ops/s on the bare word and at 12–15 M on
-//!   the arena over a cursor, and no workload there ever reached the
-//!   contention at which a model said the arena would pay.
+//!   pacing buys nothing (E5e in `exp_contention`; its readings are in
+//!   REPRODUCING.md). Nor does a tenant switch to an elimination arena
+//!   under contention: `hot-tenant` ran faster on the bare word than on
+//!   the arena over a cursor, and no workload ever reached the contention
+//!   at which a model said the arena would pay (the readings are in
+//!   CHANGES.md).
 //! * **Uniqueness across eviction** — evicting an idle tenant records
-//!   its high-water mark; a later [`CounterService::get_or_create`] for
-//!   the same name resumes the stream at that offset (see
-//!   [`TenantCounter`]), so a tenant's values stay unique across its
-//!   whole service lifetime, not just one instance. Eviction refuses
-//!   in-use tenants ([`EvictOutcome::InUse`]): the registry only retires
-//!   a counter it solely owns, observed under the shard's write lock, so
-//!   no operation can be in flight and the recorded watermark is exact.
-//!   A tenant that never handed out a value leaves nothing behind.
+//!   its high-water mark in its slot; a later
+//!   [`CounterService::get_or_create`] for the same name resumes the
+//!   stream at that offset (see [`TenantCounter`]), so a tenant's values
+//!   stay unique across its whole service lifetime, not just one
+//!   instance. Whichever allocation carries the new instance, it starts
+//!   at the slot's mark: a recycled counter is reset, never continued.
+//!   Eviction refuses in-use tenants ([`EvictOutcome::InUse`]): the
+//!   registry only retires a counter it solely owns, observed under the
+//!   shard's write lock, so no operation can be in flight and the
+//!   recorded watermark is exact; and it reuses only a spare it still
+//!   solely owns (`Arc::get_mut`), so no old handle sees a new stream. A
+//!   tenant that never handed out a value leaves no slot behind.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
@@ -108,7 +118,6 @@ impl Default for ServiceConfig {
 /// every quiescent point regardless of batch-size mix — which is exactly
 /// what makes `base + issued` a resumable watermark.
 pub struct TenantCounter {
-    tenant: Arc<str>,
     base: u64,
     /// The next value of the tenant's stream: `base` plus the values this
     /// instance handed out.
@@ -118,7 +127,6 @@ pub struct TenantCounter {
 impl std::fmt::Debug for TenantCounter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TenantCounter")
-            .field("tenant", &self.tenant)
             .field("base", &self.base)
             .field("issued", &self.issued())
             .finish()
@@ -126,10 +134,9 @@ impl std::fmt::Debug for TenantCounter {
 }
 
 impl TenantCounter {
-    /// The tenant's name.
-    #[must_use]
-    pub fn tenant(&self) -> &str {
-        &self.tenant
+    /// An instance whose stream resumes at `base`.
+    fn new(base: u64) -> Self {
+        Self { base, word: AtomicU64::new(base) }
     }
 
     /// The stream offset this instance resumed at (`0` for a tenant's
@@ -195,7 +202,7 @@ impl SharedCounter for TenantCounter {
     }
 
     fn describe(&self) -> String {
-        format!("fetch_add word [tenant {} @ {}]", self.tenant, self.base)
+        format!("fetch_add word @ {}", self.base)
     }
 }
 
@@ -235,17 +242,18 @@ struct Slot {
 }
 
 impl Slot {
-    /// Retires the slot's solely-owned instance and records its watermark
-    /// in place (churn allocates nothing). The caller removes a slot left
-    /// at `0`: a tenant that never handed out a value leaves nothing.
-    fn retire(&mut self) -> u64 {
+    /// Retires the slot's solely-owned instance, records its watermark in
+    /// place and returns the counter (a sweep keeps it as a spare). The
+    /// caller removes a slot left at `0`: a tenant that never handed out a
+    /// value leaves nothing.
+    fn retire(&mut self) -> Arc<TenantCounter> {
         let counter = self.live.take().expect("only a live slot is retired");
         // Pairs with the release decrement of the last dropped handle: all
         // that handle's thread did (its final count update included) is
         // visible before we read the watermark.
         fence(Ordering::Acquire);
         self.watermark = counter.watermark();
-        self.watermark
+        counter
     }
 }
 
@@ -254,7 +262,7 @@ impl Slot {
 #[derive(Debug, PartialEq, Eq)]
 struct Key {
     hash: u64,
-    name: Arc<str>,
+    name: Box<str>,
 }
 
 /// What a shard map is probed with: a stored [`Key`], or a caller's
@@ -322,8 +330,29 @@ impl Hasher for PassThrough {
     }
 }
 
+/// A shard's slots, found by name and hash.
+type Slots = HashMap<Key, Slot, BuildHasherDefault<PassThrough>>;
+
 /// One shard of the registry, only touched under its lock.
-type Shard = HashMap<Key, Slot, BuildHasherDefault<PassThrough>>;
+#[derive(Debug, Default)]
+struct Shard {
+    slots: Slots,
+    /// Counters retired since the last sweep, for re-creations to refill.
+    spare: Vec<Arc<TenantCounter>>,
+}
+
+/// A counter resuming at `base`: a spare reset in place, or a new
+/// allocation when none is left. A sweep retires only counters nothing
+/// else holds; `Arc::get_mut` proves it before the reset.
+fn recycle(spare: &mut Vec<Arc<TenantCounter>>, base: u64) -> Arc<TenantCounter> {
+    if let Some(mut counter) = spare.pop() {
+        if let Some(reused) = Arc::get_mut(&mut counter) {
+            *reused = TenantCounter::new(base);
+            return counter;
+        }
+    }
+    Arc::new(TenantCounter::new(base))
+}
 
 /// A sharded, concurrent registry of named counters — see the [module
 /// docs](self) for the design.
@@ -370,7 +399,7 @@ impl CounterService {
     pub fn tenants(&self) -> Vec<String> {
         let names = |s: &RwLock<Shard>| {
             let state = s.read();
-            let live = state.iter().filter(|(_, slot)| slot.live.is_some());
+            let live = state.slots.iter().filter(|(_, slot)| slot.live.is_some());
             live.map(|(key, _)| key.name.to_string()).collect()
         };
         self.shards.iter().flat_map::<Vec<String>, _>(names).collect()
@@ -389,7 +418,7 @@ impl CounterService {
     #[must_use]
     pub fn get(&self, tenant: &str) -> Option<Arc<TenantCounter>> {
         let (hash, shard) = self.locate(tenant);
-        shard.read().get(&(hash, tenant) as &dyn Probe)?.live.clone()
+        shard.read().slots.get(&(hash, tenant) as &dyn Probe)?.live.clone()
     }
 
     /// Returns the tenant's counter, constructing it on first touch (or
@@ -403,24 +432,24 @@ impl CounterService {
     pub fn get_or_create(&self, tenant: &str) -> Arc<TenantCounter> {
         let (hash, shard) = self.locate(tenant);
         let probe = &(hash, tenant) as &dyn Probe;
-        if let Some(Slot { live: Some(counter), .. }) = shard.read().get(probe) {
+        if let Some(Slot { live: Some(counter), .. }) = shard.read().slots.get(probe) {
             return Arc::clone(counter);
         }
         let mut state = shard.write();
+        let Shard { slots, spare } = &mut *state;
         // Double-check: another creator may have won the race between our
-        // read unlock and write lock. A tenant coming back reuses the name
-        // its slot holds; a new one allocates it once.
-        let (name, base) = match state.get_key_value(probe) {
-            Some((_, Slot { live: Some(counter), .. })) => return Arc::clone(counter),
-            Some((key, slot)) => (Arc::clone(&key.name), slot.watermark),
-            None => (Arc::from(tenant), 0),
-        };
-        let counter =
-            Arc::new(TenantCounter { tenant: Arc::clone(&name), base, word: AtomicU64::new(base) });
-        // Fills the existing slot in place (its key stays), or adds one.
-        let slot = Slot { live: Some(Arc::clone(&counter)), watermark: base };
-        state.insert(Key { hash, name }, slot);
-        counter
+        // read unlock and write lock. A tenant coming back refills its slot
+        // in place; a new one adds a slot and allocates its name once.
+        match slots.get_mut(probe) {
+            Some(Slot { live: Some(counter), .. }) => Arc::clone(counter),
+            Some(slot) => Arc::clone(slot.live.insert(recycle(spare, slot.watermark))),
+            None => {
+                let counter = recycle(spare, 0);
+                let slot = Slot { live: Some(Arc::clone(&counter)), watermark: 0 };
+                slots.insert(Key { hash, name: tenant.into() }, slot);
+                counter
+            }
+        }
     }
 
     /// Retires `tenant` if — and only if — the registry is the sole owner
@@ -436,7 +465,7 @@ impl CounterService {
         let (hash, shard) = self.locate(tenant);
         let probe = &(hash, tenant) as &dyn Probe;
         let mut state = shard.write();
-        let Some(slot) = state.get_mut(probe) else {
+        let Some(slot) = state.slots.get_mut(probe) else {
             return EvictOutcome::Absent;
         };
         let Some(counter) = &slot.live else {
@@ -451,9 +480,10 @@ impl CounterService {
         if !ignore_owners && Arc::strong_count(counter) > 1 {
             return EvictOutcome::InUse;
         }
-        let watermark = slot.retire();
+        drop(slot.retire());
+        let watermark = slot.watermark;
         if watermark == 0 {
-            state.remove(probe);
+            state.slots.remove(probe);
         }
         EvictOutcome::Evicted { watermark }
     }
@@ -461,13 +491,20 @@ impl CounterService {
     /// Sweeps every shard, retiring all tenants without outstanding
     /// handles (same ownership rule as [`Self::try_evict`]). Returns how
     /// many tenants were evicted — the churn loop of a serving process
-    /// calls this periodically to bound the registry's footprint.
+    /// calls this periodically to bound the registry's footprint. The
+    /// retired counters wait on their shard's spare list until the next
+    /// sweep, for tenants coming back to reuse.
     pub fn evict_idle(&self) -> usize {
         let mut evicted = 0;
         for shard in &self.shards {
-            shard.write().retain(|_, slot| {
+            let mut state = shard.write();
+            let Shard { slots, spare } = &mut *state;
+            // The spares the last period did not reuse go first, so spares
+            // never outnumber one sweep's evictions.
+            spare.clear();
+            slots.retain(|_, slot| {
                 if slot.live.as_ref().is_some_and(|counter| Arc::strong_count(counter) == 1) {
-                    slot.retire();
+                    spare.push(slot.retire());
                     evicted += 1;
                 }
                 slot.live.is_some() || slot.watermark > 0
@@ -483,7 +520,7 @@ impl CounterService {
     pub fn watermark(&self, tenant: &str) -> u64 {
         let (hash, shard) = self.locate(tenant);
         let state = shard.read();
-        state.get(&(hash, tenant) as &dyn Probe).map_or(0, |slot| match &slot.live {
+        state.slots.get(&(hash, tenant) as &dyn Probe).map_or(0, |slot| match &slot.live {
             Some(counter) => counter.watermark(),
             None => slot.watermark,
         })
@@ -505,12 +542,12 @@ impl CounterService {
     pub fn restore_watermark(&self, tenant: &str, watermark: u64) -> bool {
         let (hash, shard) = self.locate(tenant);
         let mut state = shard.write();
-        match state.get_mut(&(hash, tenant) as &dyn Probe) {
+        match state.slots.get_mut(&(hash, tenant) as &dyn Probe) {
             Some(Slot { live: Some(_), .. }) => return false,
             Some(slot) => slot.watermark = slot.watermark.max(watermark),
             None if watermark > 0 => {
                 let slot = Slot { live: None, watermark };
-                drop(state.insert(Key { hash, name: Arc::from(tenant) }, slot));
+                drop(state.slots.insert(Key { hash, name: tenant.into() }, slot));
             }
             None => {}
         }
@@ -547,8 +584,8 @@ mod tests {
 
     #[test]
     fn a_compact_tenant_fits_one_cache_line() {
-        // The name (a fat `Arc<str>`, 16 bytes), the offset and the word.
-        assert_eq!(std::mem::size_of::<TenantCounter>(), 32);
+        // The offset and the word; the name lives in the shard's key.
+        assert_eq!(std::mem::size_of::<TenantCounter>(), 16);
     }
 
     #[test]
@@ -602,15 +639,13 @@ mod tests {
         assert_eq!(counter.next(0), 0);
         assert_eq!(counter.next(1), 1);
         assert_eq!(service.try_evict("churny"), EvictOutcome::InUse, "a handle is out");
-        let name = Arc::clone(&counter.tenant);
         drop(counter);
         assert_eq!(service.try_evict("churny"), EvictOutcome::Evicted { watermark: 2 });
         assert_eq!(service.try_evict("churny"), EvictOutcome::Absent);
         assert_eq!(service.watermark("churny"), 2, "watermark survives the eviction");
         // Re-creation resumes in the same slot, so the tenant's stream
-        // never repeats and its name is not allocated again.
+        // never repeats.
         let revived = service.get_or_create("churny");
-        assert!(Arc::ptr_eq(&name, &revived.tenant));
         assert_eq!(revived.base(), 2);
         assert_eq!(revived.next(0), 2);
         assert_eq!(service.watermark("churny"), 3);
@@ -637,7 +672,7 @@ mod tests {
     #[test]
     fn eviction_forgets_tenants_that_never_reserved() {
         let service = service();
-        let recorded = || service.shards.iter().map(|s| s.read().len()).sum::<usize>();
+        let recorded = || service.shards.iter().map(|s| s.read().slots.len()).sum::<usize>();
         for i in 0..10_000 {
             drop(service.get_or_create(&format!("probe/{i}")));
         }
@@ -653,11 +688,60 @@ mod tests {
         assert_eq!(service.get_or_create("used").base(), 2);
     }
 
+    /// Where the slot of `tenant` keeps its name.
+    fn name_at(service: &CounterService, tenant: &str) -> *const u8 {
+        let (hash, shard) = service.locate(tenant);
+        let state = shard.read();
+        let (key, _) = state.slots.get_key_value(&(hash, tenant) as &dyn Probe).expect("a slot");
+        key.name.as_ptr()
+    }
+
+    /// The spares `service`'s only shard holds.
+    fn spares(service: &CounterService) -> usize {
+        service.shards[0].read().spare.len()
+    }
+
+    #[test]
+    fn a_revived_tenant_keeps_the_name_its_slot_allocated() {
+        let service = CounterService::new(ServiceConfig { shards: 1 });
+        assert_eq!(service.get_or_create("churny").next(0), 0);
+        let name = name_at(&service, "churny");
+        assert_eq!(service.evict_idle(), 1);
+        let revived = service.get_or_create("churny");
+        assert_eq!(name_at(&service, "churny"), name, "the name was allocated again");
+        assert_eq!(revived.next(0), 1);
+    }
+
+    #[test]
+    fn a_retired_counter_carries_another_tenant_from_its_own_watermark() {
+        let service = CounterService::new(ServiceConfig { shards: 1 });
+        let old = service.get_or_create("old");
+        assert_eq!(old.reserve_block(0, 5), 0);
+        let retired = Arc::as_ptr(&old);
+        drop(old);
+        assert!(service.restore_watermark("new", 40));
+        assert_eq!((service.evict_idle(), spares(&service)), (1, 1));
+        // Takes the block a counter freed by the sweep would leave.
+        let decoy = Arc::new(TenantCounter::new(0));
+        let new = service.get_or_create("new");
+        assert!(std::ptr::eq(Arc::as_ptr(&new), retired), "the spare was not reused");
+        assert!(!std::ptr::eq(Arc::as_ptr(&decoy), retired));
+        assert_eq!((new.base(), new.next(0), new.watermark()), (40, 40, 41));
+        // The evicted tenant comes back in a new allocation, at its mark.
+        let old = service.get_or_create("old");
+        assert_eq!((old.base(), old.next(0), spares(&service)), (5, 5, 0));
+        assert_eq!(service.watermark("new"), 41);
+        // A sweep frees the spares the last period did not reuse.
+        drop((old, new));
+        assert_eq!((service.evict_idle(), spares(&service)), (2, 2));
+        assert_eq!((service.evict_idle(), spares(&service)), (0, 0));
+    }
+
     #[test]
     fn keys_with_one_hash_and_different_names_stay_distinct() {
-        let mut shard = Shard::default();
+        let mut shard = Slots::default();
         for (name, watermark) in [("a", 1), ("b", 2)] {
-            shard.insert(Key { hash: 42, name: Arc::from(name) }, Slot { live: None, watermark });
+            shard.insert(Key { hash: 42, name: name.into() }, Slot { live: None, watermark });
         }
         let mark = |name: &str| shard.get(&(42u64, name) as &dyn Probe).map(|slot| slot.watermark);
         assert_eq!((shard.len(), mark("a"), mark("b"), mark("c")), (2, Some(1), Some(2), None));
@@ -735,7 +819,7 @@ mod tests {
         let service = service();
         let tenant = &*service.get_or_create("pair");
         let values = dense_lock_step(tenant, 2, 1 << 16);
-        assert_eq!(tenant.describe(), "fetch_add word [tenant pair @ 0]");
+        assert_eq!(tenant.describe(), "fetch_add word @ 0");
         assert_eq!(tenant.watermark(), values);
     }
 

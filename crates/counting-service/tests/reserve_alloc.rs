@@ -1,8 +1,8 @@
 //! Allocation budget of the registry's and the adapters' hot paths, in a
 //! test binary of its own so the counting allocator sees nothing but
-//! these calls: a reservation, a lookup, an adapter call or an eviction
-//! that starts allocating, or a creation that allocates more than it
-//! must, fails here instead of in a benchmark run.
+//! these calls: a reservation, a lookup, an adapter call, an eviction or
+//! a re-creation after a sweep that starts allocating, or a creation that
+//! allocates more than it must, fails here instead of in a benchmark run.
 //!
 //! Each test counts only its own thread's allocations (the harness runs
 //! the tests on threads of their own, side by side).
@@ -136,4 +136,21 @@ fn evicting_an_idle_tenant_allocates_nothing() {
     });
     println!("an idle tenant's try_evict: {counted} allocations");
     assert_eq!(counted, 0, "a try_evict allocated {counted} times");
+}
+
+#[test]
+fn a_tenant_re_created_after_a_sweep_allocates_nothing() {
+    let service = CounterService::new(ServiceConfig::default());
+    let names: Vec<String> = (0..100).map(|i| format!("churn/{i}")).collect();
+    for name in &names {
+        let _ = service.get_or_create(name).reserve_block(0, 1);
+    }
+    assert_eq!(service.evict_idle(), names.len());
+    let counted = allocations(|| {
+        for name in &names {
+            assert_eq!(service.get_or_create(name).reserve_block(0, 1), 1);
+        }
+    });
+    println!("100 tenants re-created after a sweep: {counted} allocations");
+    assert_eq!(counted, 0, "100 re-creations allocated {counted} times");
 }
