@@ -81,15 +81,31 @@ impl GlobalChecker {
     /// returns every exact-range violation found (empty = clean).
     #[must_use]
     pub fn finalize(&self, coordinator: &CoordinatorDurable) -> Vec<String> {
+        self.audit(
+            coordinator.cursor,
+            &coordinator.free,
+            coordinator.grants().map(|(_, _, block)| block),
+            coordinator.seals().map(|(_, watermark)| watermark).sum(),
+        )
+    }
+
+    /// [`Self::finalize`] over the parts of a coordinator's state it
+    /// reads: the cursor, the free-list, the grants in worker then
+    /// request-id order, and the sum of the sealed watermarks.
+    pub(crate) fn audit(
+        &self,
+        cursor: u64,
+        free: &[Block],
+        grants: impl Iterator<Item = Block>,
+        sealed_total: u64,
+    ) -> Vec<String> {
         let mut violations = Vec::new();
 
         // 1. Grants (truncated to consumed prefixes) + free runs must
         //    tile 0..cursor exactly.
-        let mut runs: Vec<(Block, bool)> = coordinator
-            .grants
-            .values()
-            .map(|&b| (b, true))
-            .chain(coordinator.free.iter().map(|&b| (b, false)))
+        let mut runs: Vec<(Block, bool)> = grants
+            .map(|b| (b, true))
+            .chain(free.iter().map(|&b| (b, false)))
             .filter(|(b, _)| b.len > 0)
             .collect();
         runs.sort_by_key(|(b, _)| b.base);
@@ -107,13 +123,10 @@ impl GlobalChecker {
             }
             expect = expect.max(block.end());
         }
-        if expect < coordinator.cursor {
-            violations.push(format!("exact-range: gap [{expect}..{}) at tail", coordinator.cursor));
-        } else if expect > coordinator.cursor {
-            violations.push(format!(
-                "exact-range: runs extend to {expect}, past cursor {}",
-                coordinator.cursor
-            ));
+        if expect < cursor {
+            violations.push(format!("exact-range: gap [{expect}..{cursor}) at tail"));
+        } else if expect > cursor {
+            violations.push(format!("exact-range: runs extend to {expect}, past cursor {cursor}"));
         }
 
         // 2. The handed-out set must be exactly the union of truncated
@@ -150,7 +163,6 @@ impl GlobalChecker {
         }
 
         // 3. Sealed watermarks must account for every hand-out.
-        let sealed_total: u64 = coordinator.sealed.values().sum();
         if sealed_total != granted_total {
             violations.push(format!(
                 "exact-range: sealed watermarks sum to {sealed_total}, truncated grants to {granted_total}"
@@ -163,20 +175,31 @@ impl GlobalChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+
+    /// A coordinator's state as the audit reads it: cursor, grants,
+    /// free-list and seals.
+    struct CoordinatorState {
+        cursor: u64,
+        grants: Vec<(NodeId, u64, Block)>,
+        free: Vec<Block>,
+        sealed: Vec<(NodeId, u64)>,
+    }
 
     fn coordinator_state(
         cursor: u64,
         grants: Vec<(NodeId, u64, Block)>,
         free: Vec<Block>,
         sealed: Vec<(NodeId, u64)>,
-    ) -> CoordinatorDurable {
-        CoordinatorDurable {
-            cursor,
-            free,
-            grants: grants.into_iter().map(|(n, r, b)| ((n, r), b)).collect(),
-            tombstones: BTreeSet::new(),
-            sealed: sealed.into_iter().collect(),
+    ) -> CoordinatorState {
+        CoordinatorState { cursor, grants, free, sealed }
+    }
+
+    impl GlobalChecker {
+        /// [`GlobalChecker::finalize`] over a hand-built state.
+        fn finalize_state(&self, state: &CoordinatorState) -> Vec<String> {
+            let grants = state.grants.iter().map(|&(_, _, block)| block);
+            let sealed = state.sealed.iter().map(|&(_, watermark)| watermark).sum();
+            self.audit(state.cursor, &state.free, grants, sealed)
         }
     }
 
@@ -208,7 +231,7 @@ mod tests {
             vec![(1, 6)],
         );
         let missing: Vec<String> = checker
-            .finalize(&coordinator)
+            .finalize_state(&coordinator)
             .into_iter()
             .filter(|v| v.contains("was never handed out"))
             .collect();
@@ -227,7 +250,7 @@ mod tests {
             vec![Block { base: 4, len: 6 }],
             vec![(1, 4)],
         );
-        assert_eq!(checker.finalize(&coordinator), Vec::<String>::new());
+        assert_eq!(checker.finalize_state(&coordinator), Vec::<String>::new());
     }
 
     #[test]
@@ -240,7 +263,7 @@ mod tests {
         // freed — the signature of a lost grant record.
         let coordinator =
             coordinator_state(12, vec![(1, 1, Block { base: 8, len: 4 })], vec![], vec![(1, 4)]);
-        let violations = checker.finalize(&coordinator);
+        let violations = checker.finalize_state(&coordinator);
         assert!(violations.iter().any(|v| v.contains("gap [0..8)")), "{violations:?}");
     }
 
@@ -253,11 +276,11 @@ mod tests {
             vec![],
             vec![],
         );
-        let violations = checker.finalize(&overlapping);
+        let violations = checker.finalize_state(&overlapping);
         assert!(violations.iter().any(|v| v.contains("overlap at 3")), "{violations:?}");
 
         let short = coordinator_state(8, vec![], vec![Block { base: 0, len: 5 }], vec![]);
-        let violations = checker.finalize(&short);
+        let violations = checker.finalize_state(&short);
         assert!(violations.iter().any(|v| v.contains("gap [5..8) at tail")), "{violations:?}");
     }
 
@@ -267,7 +290,7 @@ mod tests {
         let _ = checker.record(1, 0, 1);
         let coordinator =
             coordinator_state(2, vec![(1, 0, Block { base: 0, len: 2 })], vec![], vec![(1, 2)]);
-        let violations = checker.finalize(&coordinator);
+        let violations = checker.finalize_state(&coordinator);
         assert!(
             violations.iter().any(|v| v.contains("value 1 was never handed out")),
             "{violations:?}"

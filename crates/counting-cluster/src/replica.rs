@@ -395,12 +395,7 @@ impl Replica {
         }
         // The needed-th largest `acked_at`: the smallest one such that
         // `needed` followers acked at or after it.
-        let keeper = self
-            .followers()
-            .map(|p| p.acked_at)
-            .filter(|&t| self.followers().filter(|p| p.acked_at >= t).count() >= needed)
-            .max()
-            .unwrap_or(0);
+        let keeper = self.kth_largest(self.followers().map(|p| p.acked_at), needed);
         keeper.saturating_add(self.config.lease_ticks).saturating_add(1)
     }
 
@@ -416,6 +411,21 @@ impl Replica {
     /// concurrent candidacies (and split votes) are the exception.
     fn election_timeout(&self) -> u64 {
         self.config.lease_ticks * 2 + self.index * self.config.heartbeat_every
+    }
+
+    /// [`kth_largest`] of one value per member (or fewer), on the stack
+    /// for a group of up to `SMALL_GROUP`.
+    fn kth_largest(&self, values: impl Iterator<Item = u64>, k: usize) -> u64 {
+        if self.peers.len() > SMALL_GROUP {
+            return kth_largest(&mut values.collect::<Vec<_>>(), k);
+        }
+        let mut small = [0; SMALL_GROUP];
+        let mut n = 0;
+        for (slot, value) in small.iter_mut().zip(values) {
+            *slot = value;
+            n += 1;
+        }
+        kth_largest(&mut small[..n], k)
     }
 
     /// The other members' replication progress.
@@ -736,9 +746,8 @@ impl Replica {
         // the quorum-th largest matched length over every replica: the
         // largest length at least a quorum of replicas hold.
         let own = self.durable.log.len() as u64;
-        let lens = || self.followers().map(|p| p.matched).chain([own]);
-        let held_by_quorum = |len: u64| lens().filter(|&l| l >= len).count() >= self.quorum();
-        let candidate = lens().filter(|&len| held_by_quorum(len)).max().unwrap_or(0);
+        let lens = self.followers().map(|p| p.matched).chain([own]);
+        let candidate = self.kth_largest(lens, self.quorum());
         // Only entries of the current term commit by counting — the
         // Raft commit rule; earlier terms ride along underneath.
         if candidate > self.commit
@@ -788,7 +797,7 @@ impl Replica {
                 }
             }
             Command::Tombstone { node, req_id } => {
-                if let Some(block) = self.coord.grants.get(&(node, req_id)).copied() {
+                if let Some(block) = self.coord.grant(node, req_id) {
                     // A grant was recorded after all (the query raced a
                     // concurrent lease commit): re-send it instead.
                     if respond {
@@ -813,7 +822,7 @@ impl Replica {
             // Read-only recovery: a recorded grant in committed state
             // is a final answer any replica may give.
             if let Message::RecoverQuery { node, req_id } = env.msg {
-                if let Some(block) = self.coord.grants.get(&(node, req_id)).copied() {
+                if let Some(block) = self.coord.grant(node, req_id) {
                     self.send_worker(
                         node,
                         Message::LeaseGrant { node, req_id, base: block.base, len: block.len },
@@ -834,18 +843,19 @@ impl Replica {
         match env.msg {
             Message::LeaseRequest { node, req_id, want } => {
                 // Committed fast paths: answers that need no new entry.
-                if self.coord.tombstones.contains(&(node, req_id)) {
-                    self.send_worker(node, Message::RecoverNone { node, req_id });
-                    return;
-                }
-                let recorded =
-                    if self.no_dedup { None } else { self.coord.grants.get(&(node, req_id)) };
-                if let Some(&block) = recorded {
-                    self.send_worker(
-                        node,
-                        Message::LeaseGrant { node, req_id, base: block.base, len: block.len },
-                    );
-                    return;
+                match self.coord.recorded_answer(node, req_id, self.no_dedup) {
+                    Some(LeaseAnswer::Refused) => {
+                        self.send_worker(node, Message::RecoverNone { node, req_id });
+                        return;
+                    }
+                    Some(LeaseAnswer::Regrant(block)) => {
+                        self.send_worker(
+                            node,
+                            Message::LeaseGrant { node, req_id, base: block.base, len: block.len },
+                        );
+                        return;
+                    }
+                    None => {}
                 }
                 if self.split_brain && !self.lease_valid(now) {
                     // MUTATION: the stale leader answers off the log —
@@ -857,7 +867,7 @@ impl Replica {
                 self.propose(Command::Lease { node, req_id, want });
             }
             Message::RecoverQuery { node, req_id } => {
-                if let Some(block) = self.coord.grants.get(&(node, req_id)).copied() {
+                if let Some(block) = self.coord.grant(node, req_id) {
                     self.send_worker(
                         node,
                         Message::LeaseGrant { node, req_id, base: block.base, len: block.len },
@@ -869,7 +879,7 @@ impl Replica {
                 }
             }
             Message::Return { node, watermark } => {
-                if self.coord.sealed.get(&node).is_some_and(|&w| w >= watermark) {
+                if self.coord.sealed(node).is_some_and(|w| w >= watermark) {
                     // Already committed: a duplicate Return re-acks
                     // without a new entry.
                     self.send_worker(node, Message::ReturnAck { node, watermark });
@@ -912,6 +922,19 @@ impl Replica {
     fn send_replica(&mut self, to: NodeId, msg: Message) {
         self.outbox.push(Outgoing { hop: to, env: Envelope { src: self.id, dst: to, msg } });
     }
+}
+
+/// The largest group whose [`kth_largest`] inputs stay on the stack.
+const SMALL_GROUP: usize = 8;
+
+/// The `k`-th largest of `values` (1-based): the largest `v` such that at
+/// least `k` of them are `>= v` — 0 when no value qualifies (`k` past the
+/// count), the maximum when `k` is 0. A quorum's lease keeper and its
+/// commit point are both this, over one value per member: one sort of a
+/// handful of values instead of a count per candidate.
+fn kth_largest(values: &mut [u64], k: usize) -> u64 {
+    values.sort_unstable_by(|a, b| b.cmp(a));
+    values.get(k.saturating_sub(1)).copied().unwrap_or(0)
 }
 
 fn due(last: Option<u64>, now: u64, every: u64) -> bool {
@@ -1049,7 +1072,7 @@ mod tests {
         assert!(out
             .iter()
             .any(|o| matches!(o.env.msg, Message::ReturnAck { node: 1, watermark: 0 })));
-        assert_eq!(rs[0].coord().sealed.get(&1), Some(&0));
+        assert_eq!(rs[0].coord().sealed(1), Some(0));
         // Its lease requests get a tombstoned no.
         let out = client(&mut rs, 0, t + 3, Message::LeaseRequest { node: 1, req_id: 5, want: 8 });
         assert!(grant_of(&out).is_none());
@@ -1066,7 +1089,7 @@ mod tests {
         client(&mut rs, 0, t + 1, lease.clone());
         client(&mut rs, 0, t + 2, lease);
         assert_eq!(rs[0].coord().cursor, 16, "the duplicate allocated a second block");
-        assert_eq!(rs[0].coord().grants.len(), 1, "…and the first block's record leaked");
+        assert_eq!(rs[0].coord().grants().count(), 1, "…and the first block's record leaked");
     }
 
     #[test]
@@ -1095,7 +1118,7 @@ mod tests {
         assert_eq!(grant, Some((1, 0, Block { base: 0, len: 16 })));
         // Every replica applied the committed entry identically.
         for r in rs.iter().filter(|r| r.commit() == rs[leader].commit()) {
-            assert_eq!(r.coord().grants.get(&(1, 0)), Some(&Block { base: 0, len: 16 }));
+            assert_eq!(r.coord().grant(1, 0), Some(Block { base: 0, len: 16 }));
         }
         // A duplicate request re-grants the same block off the fast
         // path without a new log entry.
@@ -1273,7 +1296,7 @@ mod tests {
         assert!(outs
             .iter()
             .any(|o| matches!(o.env.msg, Message::LeaseGrant { node: 1, req_id: 0, .. })));
-        assert!(rs[0].coord().grants.contains_key(&(1, 0)));
+        assert!(rs[0].coord().grant(1, 0).is_some());
         // The majority elects replica 1 in a later term; its appends
         // truncate the minority-committed suffix and the grant is gone.
         let t2 = t + rs[1].election_timeout() + ProtocolConfig::default().lease_ticks * 2;
@@ -1285,7 +1308,7 @@ mod tests {
         let outs = rs[1].take_outbox();
         settle(&mut rs, t2 + 1, outs);
         assert!(
-            !rs[0].coord().grants.contains_key(&(1, 0)),
+            rs[0].coord().grant(1, 0).is_none(),
             "the un-quorumed grant vanished from the healed log"
         );
         assert_eq!(rs[0].coord(), rs[1].coord());
@@ -1419,6 +1442,26 @@ mod tests {
         let nack = Message::AppendAck { term: 1, follower: replica_id(2), matched: 1, ok: false };
         rs[0].on_message(beat + 2, Envelope { src: replica_id(2), dst: replica_id(0), msg: nack });
         assert_eq!(appends(&rs[0].take_outbox()), [(replica_id(2), 1, 3)]);
+    }
+
+    #[test]
+    fn kth_largest_matches_the_counting_definition() {
+        // The O(n²) definition both callers used before the helper: the
+        // largest value that at least `k` values reach. Every group of
+        // 1..=5 values in 0..5, every `k` from 0 to one past the group.
+        let counting = |values: &[u64], k: usize| {
+            let reach = |t: u64| values.iter().filter(|&&v| v >= t).count();
+            values.iter().copied().filter(|&t| reach(t) >= k).max().unwrap_or(0)
+        };
+        for n in 1..=5 {
+            for code in 0..5u64.pow(n) {
+                let values: Vec<u64> = (0..n).map(|i| code / 5u64.pow(i) % 5).collect();
+                for k in 0..=n as usize + 1 {
+                    let sorted = kth_largest(&mut values.clone(), k);
+                    assert_eq!(sorted, counting(&values, k), "{values:?}, k = {k}");
+                }
+            }
+        }
     }
 
     #[test]

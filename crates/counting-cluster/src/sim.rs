@@ -31,14 +31,17 @@
 //! The trace costs nothing unless it is recorded: `Harness::record`
 //! takes the detail string as a closure it runs only under
 //! [`ClusterSimConfig::record_trace`]; a hop's fate is a `Copy`
-//! [`Fate`] and its envelope moves into the single delivery (only a
-//! duplicate clones); the pre-drawn plan sits in the queue's sorted
-//! schedule beside a tick ring of just the in-flight hops (merged by
-//! `(at, seq)`, see [`counting_sim::des`]); every flush drains a state
-//! machine's outbox into scratch `Vec`s the harness owns for the whole
-//! run, and a machine with nothing to send or hand out is not flushed
-//! at all. No virtual-time decision depends on any of it — golden
-//! fingerprints in `tests/cluster_sim.rs` pin the draw order, pop
+//! [`Fate`]. Its envelope is **parked**: it moves once into a slot of
+//! the harness's parcel table (emptied slots are reused; a duplicate
+//! clones and parks twice), and the queue carries only the slot's index
+//! in a 16-byte `Copy` event, so no envelope is copied through the
+//! queue. The pre-drawn plan sits in the queue's sorted schedule, each
+//! event beside its key, next to a tick ring of just the in-flight hops
+//! (merged by `(at, seq)`, see [`counting_sim::des`]); every flush
+//! drains a state machine's outbox into scratch `Vec`s the harness owns
+//! for the whole run, and a machine with nothing to send or hand out is
+//! not flushed at all. No virtual-time decision depends on any of it —
+//! golden fingerprints in `tests/cluster_sim.rs` pin the draw order, pop
 //! order, [`SimStats`] and trace, `tests/sim_alloc.rs` the allocations.
 //!
 //! [`Mutation`] carries the calibration bugs that prove the checker has
@@ -259,10 +262,13 @@ pub struct SimReport {
     pub trace: Option<ClusterTrace>,
 }
 
-/// A scheduled simulation event.
+/// A scheduled simulation event: 16 bytes and `Copy`, so the queue
+/// moves it beside its key. A hop in flight is the index of its parked
+/// envelope ([`Harness::park`]).
+#[derive(Clone, Copy)]
 enum Ev {
     Tick,
-    Deliver { hop: NodeId, env: Envelope },
+    Deliver { parcel: usize },
     Demand { node: NodeId },
     Crash { node: NodeId },
     Restart { node: NodeId },
@@ -336,6 +342,11 @@ fn tick_on_or_after(at: u64) -> u64 {
     at.div_ceil(TICK_EVERY).saturating_mul(TICK_EVERY)
 }
 
+/// Parcels a run reserves up front. The benchmark's cluster cell keeps
+/// at most 42 hops in flight at once (seeds 1..=20), so parking never
+/// grows there.
+const PARCELS: usize = 64;
+
 /// A crashed worker stays down for a draw from
 /// `DOWN_FOR..3 * DOWN_FOR` ticks.
 const DOWN_FOR: u64 = 160;
@@ -350,8 +361,14 @@ struct Harness {
     /// Worker slots indexed by id (index 0, the coordinator's id, stays
     /// `None`; so does a joiner's until it joins).
     slots: Vec<Option<Slot>>,
-    left: std::collections::BTreeSet<NodeId>,
+    /// Whether worker `id` left, indexed like `slots`.
+    left: Vec<bool>,
     queue: EventQueue<Ev>,
+    /// Envelopes in flight with their next hop, addressed by
+    /// `Ev::Deliver`'s parcel; `free_parcels` lists the empty ones, so
+    /// a warm run parks without allocating.
+    parcels: Vec<Option<(NodeId, Envelope)>>,
+    free_parcels: Vec<usize>,
     /// Each machine's [`Replica::next_tick`] or [`Node::next_tick`]:
     /// replica `i` at `i`, worker `id` at `replicas.len() + id`;
     /// `u64::MAX` for a machine that is down or waits for nothing.
@@ -389,6 +406,22 @@ impl Harness {
         self.trace.push(TraceEvent { at, seq, kind: kind.to_owned(), node, info: info() });
     }
 
+    /// Parks an envelope bound for `hop` and schedules its delivery at
+    /// `at`.
+    fn park(&mut self, at: u64, hop: NodeId, env: Envelope) {
+        let parcel = match self.free_parcels.pop() {
+            Some(parcel) => {
+                self.parcels[parcel] = Some((hop, env));
+                parcel
+            }
+            None => {
+                self.parcels.push(Some((hop, env)));
+                self.parcels.len() - 1
+            }
+        };
+        self.queue.push(at, Ev::Deliver { parcel });
+    }
+
     /// Routes one outgoing hop through the partition schedule and the
     /// fault plan. `from` is the physical sender (a worker id or a
     /// replica id) — partitions cut physical links.
@@ -408,20 +441,18 @@ impl Harness {
             self.record(now, "sever", out.env.src, info);
             return;
         }
-        // The envelope moves into its delivery; only a duplicate clones.
+        // The envelope moves into its parcel; only a duplicate clones.
         match self.active_fault.decide(&mut self.fault_rng) {
             Fate::Dropped => {
                 self.stats.dropped += 1;
                 self.record(now, "drop", out.env.src, info);
             }
-            Fate::Once(delay) => {
-                self.queue.push(now + delay.max(1), Ev::Deliver { hop, env: out.env });
-            }
+            Fate::Once(delay) => self.park(now + delay.max(1), hop, out.env),
             Fate::Twice(first, second) => {
                 self.stats.duplicated += 1;
                 self.record(now, "dup", out.env.src, info);
-                self.queue.push(now + first.max(1), Ev::Deliver { hop, env: out.env.clone() });
-                self.queue.push(now + second.max(1), Ev::Deliver { hop, env: out.env });
+                self.park(now + first.max(1), hop, out.env.clone());
+                self.park(now + second.max(1), hop, out.env);
             }
         }
     }
@@ -544,9 +575,11 @@ impl Harness {
         self.schedule_tick(now, earliest);
     }
 
-    /// Hands one arrived hop to the state machine that owns `hop`, or
-    /// loses it when that machine is down.
-    fn deliver(&mut self, now: u64, hop: NodeId, env: Envelope) {
+    /// Unparks one arrived hop and hands it to the state machine that
+    /// owns its next hop, or loses it when that machine is down.
+    fn deliver(&mut self, now: u64, parcel: usize) {
+        let (hop, env) = self.parcels[parcel].take().expect("a pending delivery's parcel is full");
+        self.free_parcels.push(parcel);
         // Id 0 never arrives: transmit resolves it to a replica.
         let up = if hop >= REPLICA_BASE {
             up_replica(&mut self.replicas, hop - REPLICA_BASE).is_some()
@@ -705,13 +738,16 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
     }
 
     let wakes = vec![u64::MAX; replicas.len() + slots.len()];
+    let left = vec![false; slots.len()];
     let mut harness = Harness {
         config,
         replicas,
         rotation: 0,
         slots,
-        left: std::collections::BTreeSet::new(),
+        left,
         queue,
+        parcels: Vec::with_capacity(PARCELS),
+        free_parcels: Vec::with_capacity(PARCELS),
         wakes,
         tick_at: u64::MAX,
         fault_rng,
@@ -743,9 +779,9 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
         harness.stats.events += 1;
         match ev {
             Ev::Tick => harness.tick(now),
-            Ev::Deliver { hop, env } => harness.deliver(now, hop, env),
+            Ev::Deliver { parcel } => harness.deliver(now, parcel),
             Ev::Demand { node } => {
-                let servable = !harness.left.contains(&node) && !harness.draining;
+                let servable = !harness.left[node as usize] && !harness.draining;
                 match up_node(&mut harness.slots, node) {
                     Some(n) if servable => {
                         n.demand(now, 1);
@@ -756,7 +792,7 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
             }
             Ev::Crash { node } => {
                 let crashed = match up_node(&mut harness.slots, node) {
-                    Some(n) if !harness.left.contains(&node) => Some(n.durable().clone()),
+                    Some(n) if !harness.left[node as usize] => Some(n.durable().clone()),
                     _ => None,
                 };
                 if let Some(durable) = crashed {
@@ -792,12 +828,12 @@ pub fn run_sim(config: &ClusterSimConfig, seed: u64) -> SimReport {
                 }
             }
             Ev::Leave { node } => {
-                let eligible = !harness.left.contains(&node) && !harness.draining;
+                let eligible = !harness.left[node as usize] && !harness.draining;
                 let leaving =
                     up_node(&mut harness.slots, node).filter(|n| eligible && !n.durable().sealed);
                 if let Some(n) = leaving {
                     n.begin_leave(now);
-                    harness.left.insert(node);
+                    harness.left[node as usize] = true;
                     harness.stats.leaves += 1;
                     harness.record(now, "leave", node, String::new);
                     harness.settle_node(now, node);
@@ -937,6 +973,14 @@ mod tests {
                 assert!(report.converged, "{:?}", report.violations);
             }
         }
+    }
+
+    #[test]
+    fn an_event_stays_sixteen_bytes() {
+        // A hop in flight is a parcel index, so every event moves
+        // through the queue's plan and ring as 16 bytes (104 while it
+        // carried its envelope).
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
     }
 
     #[test]

@@ -16,27 +16,30 @@
 //! counterexample found by a checker driving this kernel replays
 //! exactly from `(config, seed)`.
 //!
-//! The kernel is deliberately generic: it schedules opaque events `E`
+//! The kernel is deliberately generic: it schedules opaque `Copy` events `E`
 //! keyed by `(virtual time, insertion sequence)` — the sequence number
 //! breaks timestamp ties deterministically, which is what makes two
 //! runs of the same seed byte-identical even when many events land on
 //! the same tick. The cluster harness in `counting-cluster` wires its
 //! node state machines, churn plan and invariant checker on top.
 //!
-//! The queue orders only `(at, seq, slot)` keys; payloads wait in a
-//! slab and are moved once in and once out. The keys live in two
-//! places. Everything pushed before the first [`EventQueue::pop`] — a
-//! harness's whole pre-drawn plan, thousands of demand and churn events
-//! — is the **plan**: one `Vec` sorted once by `(at, seq)`. The keys
+//! The queue orders `(at, seq)` keys, and every event is a small `Copy`
+//! value that travels beside its key (a harness parks anything large
+//! and schedules its index: the cluster harness's events are 16 bytes).
+//! The keys live in two places. Everything pushed before the first
+//! [`EventQueue::pop`] — a harness's whole pre-drawn plan, thousands of
+//! demand and churn events — is the **plan**: one `Vec` of `(key,
+//! event)` pairs sorted once by `(at, seq)`, so a planned pop reads its
+//! event from the entry it pops and touches nothing else. The keys
 //! arrive in `seq` order, so a stable LSD radix sort on `at` alone
-//! orders them, in a pass or two over the plan's few thousand keys.
+//! orders them, in a pass or two over the plan's few thousand entries.
 //! Everything pushed afterwards that is due fewer than `RING` (64) ticks
 //! after `now` — in-flight hops, the next tick — goes to the **tick
-//! ring**, a FIFO per tick at `at % RING`, linked through the slab: each
-//! bucket is a head and a tail slot, and each slot names the slot after
-//! it, so the ring allocates nothing of its own. The ring's invariant:
-//! every key in it has `now <= at < now + RING`, so a bucket holds a
-//! single `at`, and
+//! ring**, a FIFO per tick at `at % RING`, linked through a slab of its
+//! own: each bucket is a head and a tail slot, each slot holds a key, its
+//! event and the slot after it, and emptied slots are reused, so a warm
+//! ring allocates nothing. The ring's invariant: every key in it has
+//! `now <= at < now + RING`, so a bucket holds a single `at`, and
 //! because `seq` only grows its FIFO order is `seq` order. A runtime
 //! event due `RING` or more ticks ahead (in the cluster harness, only a
 //! clock tick for a far timer: every hop's delay is bounded well below
@@ -209,53 +212,51 @@ const RING: u64 = u64::BITS as u64;
 /// The end of a tick-ring list.
 const NIL: usize = usize::MAX;
 
-/// One scheduled event's ordering key; its payload waits in the slab at
-/// `slot`. `(at, seq)` is unique, so `slot` never decides an order and
-/// `E` needs no `Ord`.
+/// One scheduled event's ordering key. `(at, seq)` is unique, so the
+/// payload never decides an order and `E` needs no `Ord`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: u64,
     seq: u64,
-    slot: usize,
 }
 
-/// One slab slot: a pending event with its key, and, while the key sits
-/// in the tick ring, the next slot of its bucket (`NIL` at the tail).
-#[derive(Debug)]
+/// One tick-ring slot: a pending event with its key, and the next slot
+/// of its bucket (`NIL` at the tail).
+#[derive(Debug, Clone, Copy)]
 struct Slot<E> {
-    event: Option<E>,
     key: Key,
+    event: E,
     next: usize,
 }
 
-/// Sorts `keys`, pushed in `seq` order, into `(at, seq)` order latest
-/// first — the order `sort_unstable_by(|a, b| b.cmp(a))` gives, since
-/// keys are unique. A stable LSD radix on `at`, one byte per pass and
-/// only as many passes as the largest `at` has bytes, keeps equal `at`s
-/// in `seq` order.
-fn sort_plan(keys: &mut Vec<Key>) {
-    let max = keys.iter().map(|k| k.at).max().unwrap_or(0);
-    let mut scratch = keys.clone();
+/// Sorts `plan`, pushed in `seq` order, into `(at, seq)` order latest
+/// first — the order `sort_unstable_by_key(|(key, _)| Reverse(*key))`
+/// gives, since keys are unique. A stable LSD radix on `at`, one byte
+/// per pass and only as many passes as the largest `at` has bytes,
+/// keeps equal `at`s in `seq` order; each event moves with its key.
+fn sort_plan<E: Copy>(plan: &mut Vec<(Key, E)>) {
+    let max = plan.iter().map(|(key, _)| key.at).max().unwrap_or(0);
+    let mut scratch = plan.clone();
     let mut shift = 0;
     while shift < u64::BITS && max >> shift != 0 {
         let digit = |key: &Key| ((key.at >> shift) & 0xFF) as usize;
         let mut starts = [0usize; 256];
-        for key in keys.iter() {
+        for (key, _) in plan.iter() {
             starts[digit(key)] += 1;
         }
         let mut total = 0;
         for start in &mut starts {
             (*start, total) = (total, total + *start);
         }
-        for key in keys.iter() {
-            let d = digit(key);
-            scratch[starts[d]] = *key;
+        for entry in plan.iter() {
+            let d = digit(&entry.0);
+            scratch[starts[d]] = *entry;
             starts[d] += 1;
         }
-        std::mem::swap(keys, &mut scratch);
+        std::mem::swap(plan, &mut scratch);
         shift += 8;
     }
-    keys.reverse();
+    plan.reverse();
 }
 
 /// A deterministic discrete-event queue: events pop in `(time, insertion
@@ -264,14 +265,14 @@ fn sort_plan(keys: &mut Vec<Key>) {
 /// [module docs](self) for the plan / tick-ring split.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Payloads, addressed by `Key::slot`; `free` lists the empty
-    /// slots, so a warmed-up queue never allocates.
+    /// Pushed before the first pop, plus runtime pushes due `RING` or
+    /// more ticks ahead, each event beside its key; from the first pop
+    /// on sorted latest-first, so the earliest pops off the back.
+    plan: Vec<(Key, E)>,
+    /// The tick ring's events, addressed by slot; `free` lists the empty
+    /// slots, so a warmed-up ring never allocates.
     slab: Vec<Slot<E>>,
     free: Vec<usize>,
-    /// Pushed before the first pop, plus runtime pushes due `RING` or
-    /// more ticks ahead; from the first pop on sorted latest-first, so
-    /// the earliest key pops off the back.
-    plan: Vec<Key>,
     /// Runtime pushes due in `now..now + RING`, one FIFO per tick at
     /// `at % RING`: its first and last slot, linked by `Slot::next`.
     heads: [usize; RING as usize],
@@ -285,13 +286,13 @@ pub struct EventQueue<E> {
     now: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// An empty queue at virtual time zero.
     #[must_use]
     pub fn new() -> Self {
@@ -304,9 +305,9 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn with_capacity(planned: usize) -> Self {
         Self {
-            slab: Vec::with_capacity(planned + RING as usize),
-            free: Vec::with_capacity(planned),
             plan: Vec::with_capacity(planned),
+            slab: Vec::with_capacity(RING as usize),
+            free: Vec::with_capacity(RING as usize),
             heads: [NIL; RING as usize],
             tails: [NIL; RING as usize],
             in_ring: 0,
@@ -341,17 +342,21 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: u64, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.free.pop().unwrap_or(self.slab.len());
-        let key = Key { at: at.max(self.now), seq, slot };
-        let filled = Slot { event: Some(event), key, next: NIL };
-        if slot == self.slab.len() {
-            self.slab.push(filled);
-        } else {
-            self.slab[slot] = filled;
-        }
+        let key = Key { at: at.max(self.now), seq };
         if !self.started {
-            self.plan.push(key);
+            self.plan.push((key, event));
         } else if key.at - self.now < RING {
+            let filled = Slot { key, event, next: NIL };
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slab[slot] = filled;
+                    slot
+                }
+                None => {
+                    self.slab.push(filled);
+                    self.slab.len() - 1
+                }
+            };
             let bucket = (key.at % RING) as usize;
             match self.tails[bucket] {
                 NIL => self.heads[bucket] = slot,
@@ -361,8 +366,8 @@ impl<E> EventQueue<E> {
             self.in_ring += 1;
             self.occupied |= 1 << bucket;
         } else {
-            let index = self.plan.partition_point(|planned| *planned > key);
-            self.plan.insert(index, key);
+            let index = self.plan.partition_point(|(planned, _)| *planned > key);
+            self.plan.insert(index, (key, event));
         }
         seq
     }
@@ -373,7 +378,7 @@ impl<E> EventQueue<E> {
             self.started = true;
             sort_plan(&mut self.plan);
         }
-        let planned = self.plan.last().copied();
+        let planned = self.plan.last().map(|(key, _)| *key);
         // The ring's earliest key: the first occupied bucket from `now`.
         // Every ring key is due in `now..now + RING`, so the rotated
         // mask's trailing zeros are its distance from `now` in ticks.
@@ -381,22 +386,22 @@ impl<E> EventQueue<E> {
             let ahead = self.occupied.rotate_right((self.now % RING) as u32).trailing_zeros();
             ((self.now + u64::from(ahead)) % RING) as usize
         });
-        let key = match bucket {
+        let (key, event) = match bucket {
             Some(bucket) if planned.is_none_or(|head| self.slab[self.heads[bucket]].key < head) => {
                 self.in_ring -= 1;
                 let slot = self.heads[bucket];
-                self.heads[bucket] = self.slab[slot].next;
-                if self.heads[bucket] == NIL {
+                let Slot { key, event, next } = self.slab[slot];
+                self.heads[bucket] = next;
+                if next == NIL {
                     self.tails[bucket] = NIL;
                     self.occupied &= !(1 << bucket);
                 }
-                self.slab[slot].key
+                self.free.push(slot);
+                (key, event)
             }
             _ => self.plan.pop()?,
         };
         self.now = key.at;
-        let event = self.slab[key.slot].event.take().expect("a pending key's slot holds its event");
-        self.free.push(key.slot);
         Some((key.at, key.seq, event))
     }
 }
@@ -514,26 +519,27 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         // The plan's radix sort gives exactly the comparison sort's
-        // order. `at`s span every byte width, so every pass count runs,
-        // and a narrow range forces long runs of equal `at`s.
+        // order, and each payload stays with its key. `at`s span every
+        // byte width, so every pass count runs, and a narrow range forces
+        // long runs of equal `at`s.
         #[test]
         fn the_plan_sorts_like_a_comparison_sort(
             ats in collection::vec(any::<u64>(), 0..300),
             narrow in any::<bool>(),
             width in 0u32..64,
         ) {
-            let mut keys: Vec<Key> = ats
+            let mut plan: Vec<(Key, u64)> = ats
                 .iter()
                 .enumerate()
                 .map(|(seq, &at)| {
                     let at = if narrow { at % 8 } else { at >> width };
-                    Key { at, seq: seq as u64, slot: seq }
+                    (Key { at, seq: seq as u64 }, !(seq as u64))
                 })
                 .collect();
-            let mut reference = keys.clone();
-            reference.sort_unstable_by(|a, b| b.cmp(a));
-            sort_plan(&mut keys);
-            prop_assert_eq!(keys, reference);
+            let mut reference = plan.clone();
+            reference.sort_unstable_by_key(|(key, _)| std::cmp::Reverse(*key));
+            sort_plan(&mut plan);
+            prop_assert_eq!(plan, reference);
         }
 
         // The model is a flat list of `(clamped at, seq)` popped by
@@ -554,14 +560,20 @@ mod tests {
             let pushes = planned.into_iter().map(|at| (true, at));
             for (push, offset) in pushes.chain(ops).chain([(false, 0); 420]) {
                 if push {
+                    // The payload names its push, so a pop that pairs a
+                    // key with another event's payload fails below.
                     let at = now.saturating_sub(RING) + offset;
-                    let seq = queue.push(at, ());
+                    let pushed = queue.next_seq;
+                    let seq = queue.push(at, pushed);
+                    prop_assert_eq!(seq, pushed);
                     reference.push((at.max(now), seq));
                 } else {
                     let expected = reference.iter().copied().min();
                     reference.retain(|&entry| Some(entry) != expected);
                     now = expected.map_or(now, |(at, _)| at);
-                    prop_assert_eq!(queue.pop().map(|(at, seq, ())| (at, seq)), expected);
+                    let popped = queue.pop();
+                    prop_assert!(popped.is_none_or(|(_, seq, pushed)| seq == pushed));
+                    prop_assert_eq!(popped.map(|(at, seq, _)| (at, seq)), expected);
                     prop_assert_eq!(queue.now(), now);
                 }
                 prop_assert_eq!(queue.len(), reference.len());
