@@ -1,11 +1,13 @@
 //! # bench — experiment harness shared helpers
 //!
-//! The `bench` crate hosts the experiment binaries (`src/bin/exp_*.rs`):
-//! deterministic programs that print the Markdown tables `REPRODUCING.md`
-//! maps to the paper's results (depth tables, contention sweeps, block
-//! breakdowns, smoothing and sorting summaries)
-//! and the correctness gates of the stress, service, serving, cluster and
-//! model-checking layers.
+//! The `bench` crate hosts one experiment binary, `src/bin/exp_cluster.rs`:
+//! the deterministic sweep of the simulated counting cluster (E18/E19),
+//! which prints Markdown tables, writes a `--json` report and exits
+//! nonzero on a broken invariant (or, under `--mutation`, on a seeded bug
+//! that went uncaught). The paper's closed-form results (depth, smoothing,
+//! contention, blocks, sorting, ablations) are root tests that assert
+//! their claims and print their tables under `--nocapture`;
+//! `REPRODUCING.md` maps each result to its test.
 //!
 //! This library holds what they share: the standard comparison suite of
 //! networks, a tiny Markdown table formatter, the strict flag parser and

@@ -1,4 +1,5 @@
-//! A minimal Markdown table formatter used by the experiment binaries.
+//! A minimal Markdown table formatter used by the experiment binary and
+//! the experiment tests.
 
 use std::fmt::Write as _;
 

@@ -1,8 +1,7 @@
-//! Smoke tests for the experiment binaries: run each `exp_*` with the
-//! `--quick` parameter set (tiny token counts) and check it exits
-//! successfully and prints at least one Markdown table. This keeps the
-//! bench bins from silently rotting — they are compiled and executed on
-//! every `cargo test` run.
+//! Smoke tests for the experiment binary `exp_cluster`: run it with the
+//! `--quick` parameter set and check its gates, its determinism and its
+//! strict flags on every `cargo test` run. Also the drift gates that keep
+//! `REPRODUCING.md` in step with the tests and the binary it names.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -16,50 +15,6 @@ fn run_quick(exe: &str, args: &[&str]) -> String {
         String::from_utf8_lossy(&output.stderr)
     );
     String::from_utf8(output.stdout).expect("experiment output is UTF-8")
-}
-
-fn assert_prints_markdown_table(exe: &str, args: &[&str]) {
-    let stdout = run_quick(exe, args);
-    assert!(
-        stdout.lines().any(|l| l.starts_with("| ")),
-        "{exe} printed no Markdown table:\n{stdout}"
-    );
-    assert!(
-        stdout.lines().any(|l| l.starts_with("## ")),
-        "{exe} printed no section heading:\n{stdout}"
-    );
-}
-
-#[test]
-fn exp_depth_prints_tables() {
-    // exp_depth is all closed-form construction; it has no --quick knob
-    // and is already fast.
-    assert_prints_markdown_table(env!("CARGO_BIN_EXE_exp_depth"), &[]);
-}
-
-#[test]
-fn exp_contention_quick_prints_tables() {
-    assert_prints_markdown_table(env!("CARGO_BIN_EXE_exp_contention"), &["--quick"]);
-}
-
-#[test]
-fn exp_blocks_quick_prints_tables() {
-    assert_prints_markdown_table(env!("CARGO_BIN_EXE_exp_blocks"), &["--quick"]);
-}
-
-#[test]
-fn exp_smoothing_quick_prints_tables() {
-    assert_prints_markdown_table(env!("CARGO_BIN_EXE_exp_smoothing"), &["--quick"]);
-}
-
-#[test]
-fn exp_sorting_quick_prints_tables() {
-    assert_prints_markdown_table(env!("CARGO_BIN_EXE_exp_sorting"), &["--quick"]);
-}
-
-#[test]
-fn exp_ablation_quick_prints_tables() {
-    assert_prints_markdown_table(env!("CARGO_BIN_EXE_exp_ablation"), &["--quick"]);
 }
 
 #[test]
@@ -171,28 +126,39 @@ fn exp_cluster_mutations_are_caught_by_the_checker() {
     }
 }
 
-/// Docs-drift gate: the `Binary` column of `REPRODUCING.md`'s experiment
-/// map names exactly the files in `src/bin`. A new `exp_*` binary missing
-/// from the map fails, and so does a row left behind for a deleted one.
-/// This test is the only guard; no CI step re-checks it.
+/// Docs-drift gate: every row of `REPRODUCING.md`'s experiment map names
+/// a test as `file::fn`, and that function exists in that file; the
+/// `Binary` column names exactly the files in `src/bin`. A row left behind
+/// for a deleted test or binary fails, and so does a binary missing from
+/// the map. This test is the only guard; no CI step re-checks it.
 #[test]
 fn reproducing_md_names_every_exp_binary() {
-    let manifest = env!("CARGO_MANIFEST_DIR");
-    let reproducing = std::fs::read_to_string(format!("{manifest}/../../REPRODUCING.md"))
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let reproducing = std::fs::read_to_string(format!("{root}/REPRODUCING.md"))
         .expect("REPRODUCING.md exists at the workspace root");
     let map = reproducing
-        .split("## Experiment → binary map")
+        .split("## Experiment map")
         .nth(1)
         .expect("REPRODUCING.md has an experiment map");
-    let mapped: BTreeSet<String> = map
+    let rows: Vec<Vec<&str>> = map
         .lines()
         .skip_while(|l| !l.starts_with('|'))
         .take_while(|l| l.starts_with('|'))
-        .filter_map(|row| row.split('|').nth(3))
-        .map(|cell| cell.trim().trim_matches('`').to_owned())
-        .filter(|cell| cell.starts_with("exp_"))
+        .skip(2)
+        .map(|row| row.split('|').map(|cell| cell.trim().trim_matches('`')).collect())
         .collect();
-    let built: BTreeSet<String> = std::fs::read_dir(format!("{manifest}/src/bin"))
+    assert!(rows.len() >= 10, "the map lost its rows: {rows:?}");
+    for row in &rows {
+        let (file, name) = row[3].split_once("::").unwrap_or_else(|| {
+            panic!("{row:?}: the Test column must name `file::fn`");
+        });
+        let source = std::fs::read_to_string(format!("{root}/{file}"))
+            .unwrap_or_else(|e| panic!("{row:?}: {file} is not readable: {e}"));
+        assert!(source.contains(&format!("fn {name}(")), "{file} has no `fn {name}`");
+    }
+    let mapped: BTreeSet<String> =
+        rows.iter().map(|row| row[4].to_owned()).filter(|cell| cell.starts_with("exp_")).collect();
+    let built: BTreeSet<String> = std::fs::read_dir(format!("{root}/crates/bench/src/bin"))
         .expect("bin dir exists")
         .map(|entry| {
             let path = entry.expect("readable dir entry").path();
@@ -245,12 +211,6 @@ fn every_exp_binary_rejects_a_misspelt_flag_and_names_the_known_ones() {
     // value.
     let quik = &["--quik"][..];
     let cases = [
-        (env!("CARGO_BIN_EXE_exp_depth"), quik, "unknown argument `--quik`"),
-        (env!("CARGO_BIN_EXE_exp_contention"), quik, "unknown argument `--quik`"),
-        (env!("CARGO_BIN_EXE_exp_blocks"), quik, "unknown argument `--quik`"),
-        (env!("CARGO_BIN_EXE_exp_smoothing"), quik, "unknown argument `--quik`"),
-        (env!("CARGO_BIN_EXE_exp_sorting"), quik, "unknown argument `--quik`"),
-        (env!("CARGO_BIN_EXE_exp_ablation"), quik, "unknown argument `--quik`"),
         (env!("CARGO_BIN_EXE_exp_cluster"), quik, "unknown argument `--quik`"),
         (
             env!("CARGO_BIN_EXE_exp_cluster"),

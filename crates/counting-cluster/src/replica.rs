@@ -225,6 +225,10 @@ pub struct Replica {
     // Leader-only replication bookkeeping, indexed by replica index
     // (this replica's own entry is unused).
     progress: Vec<Progress>,
+    /// The leader's [`Self::lease_lapse`], refreshed whenever an
+    /// `acked_at` or the quorum rule changes, so that [`Self::next_tick`]
+    /// does not sort the followers' acks after every event.
+    lapse: u64,
     last_append: Option<u64>,
     outbox: Vec<Outgoing>,
     /// Calibration mutation: skip grant deduplication, so a duplicated
@@ -282,6 +286,7 @@ impl Replica {
             leader_hint: None,
             last_leader_contact: now,
             progress: vec![Progress::default(); count as usize],
+            lapse: u64::MAX,
             last_append: None,
             outbox: Vec::new(),
             no_dedup: false,
@@ -300,12 +305,14 @@ impl Replica {
     /// ([`crate::sim::Mutation::SplitBrainDoubleGrant`]).
     pub fn enable_split_brain(&mut self) {
         self.split_brain = true;
+        self.lapse = self.lease_lapse();
     }
 
     /// Enables the minority-commit calibration mutation
     /// ([`crate::sim::Mutation::CommitBeforeQuorum`]).
     pub fn enable_commit_before_quorum(&mut self) {
         self.commit_before_quorum = true;
+        self.lapse = self.lease_lapse();
     }
 
     /// This replica's node id.
@@ -351,10 +358,12 @@ impl Replica {
         !self.outbox.is_empty()
     }
 
-    /// Appends the sends decided since the last call to `into`; the
-    /// outbox keeps its capacity, so a reused `into` never allocates.
+    /// Moves the sends decided since the last call into `into`, which
+    /// must be empty: the two buffers swap, so no send is copied and a
+    /// reused `into` never allocates.
     pub fn drain_outbox(&mut self, into: &mut Vec<Outgoing>) {
-        into.append(&mut self.outbox);
+        debug_assert!(into.is_empty(), "the outbox swaps into an empty buffer");
+        std::mem::swap(into, &mut self.outbox);
     }
 
     /// Drains the sends decided since the last call.
@@ -378,7 +387,8 @@ impl Replica {
                 }
                 let heartbeat =
                     self.last_append.map_or(0, |t| t.saturating_add(self.config.heartbeat_every));
-                heartbeat.min(self.lease_lapse())
+                debug_assert_eq!(self.lapse, self.lease_lapse(), "a stale lease lapse");
+                heartbeat.min(self.lapse)
             }
         }
     }
@@ -526,6 +536,7 @@ impl Replica {
         // moments ago.
         let next = self.durable.log.len() as u64;
         self.progress.fill(Progress { next, matched: 0, acked_at: now });
+        self.lapse = self.lease_lapse();
         // The term barrier: commits every earlier-term entry once
         // replicated, and gives an otherwise-idle term a commit point.
         self.durable.log.push(LogEntry { term: self.durable.term, cmd: Command::Noop });
@@ -692,6 +703,7 @@ impl Replica {
                     return;
                 };
                 let resend = peer.on_ack(now, matched, ok, log_len);
+                self.lapse = self.lease_lapse();
                 if ok {
                     self.maybe_advance_commit();
                 }

@@ -70,10 +70,11 @@ pub trait SharedCounter: Sync {
 /// contiguous cursor, a *separate* value stream from its per-wire
 /// stride dispensers. The
 /// traversal does not spread the blocks: every one still meets on that
-/// cursor, and on the paper's stall measure (E5e in `exp_contention`)
-/// `C(4,16)` in front of a central balancer stalls 66.0 times per token
-/// at n = 64 against 62.5 for the central balancer alone, with no relief
-/// at any n from 2 to 64. A [`CentralCounter`] is the same cursor without
+/// cursor, and on the paper's stall measure (E5e in
+/// `tests/contention_model.rs`, ten tokens per process) `C(4,16)` in
+/// front of a central balancer stalls 66.0 times per token at n = 64
+/// against 59.9 for the central balancer alone, with no relief at any n
+/// from 8 to 64. A [`CentralCounter`] is the same cursor without
 /// the traversal. On a network-backed counter an
 /// instance must be driven either through `next`/`next_batch` or through
 /// `reserve_block`, never both; the elimination layer enforces this by

@@ -122,6 +122,8 @@ fn dispatch(state: &AppState, worker_id: usize, request: &Request) -> Response {
     }
 
     match endpoint {
+        #[cfg(test)]
+        "panic" => panic!("test-only panic trigger"),
         "ticket" => {
             let gate = state.gate(tenant);
             let ticket = gate.acquire(worker_id);

@@ -20,10 +20,15 @@
 //!   the shutdown flag, and keeps waiting or exits. The acceptor is
 //!   woken by a loopback connection. `shutdown()` joins every thread, so
 //!   a returned `shutdown()` means no worker is left running.
+//! - **A panicking request costs its connection, not its worker.** Each
+//!   request is routed under `catch_unwind`; a panic is answered with a
+//!   500, the connection is closed, `ServerStats::panics` counts it, and
+//!   the worker takes the next connection.
 
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -198,7 +203,15 @@ fn serve_connection(state: &AppState, worker_id: usize, stream: TcpStream, shutd
         }
         match read_request(&mut reader) {
             Ok(ReadOutcome::Request(request)) => {
-                let response = route(state, worker_id, &request);
+                // Nothing of this request is written yet, so a panic can
+                // still be answered.
+                let routed = catch_unwind(AssertUnwindSafe(|| route(state, worker_id, &request)));
+                let Ok(response) = routed else {
+                    state.stats.panics.fetch_add(1, Ordering::Relaxed);
+                    let _ =
+                        write_response(&mut writer, &Response::error(500, "internal error"), false);
+                    return;
+                };
                 let keep_alive = request.keep_alive && !shutdown.load(Ordering::Acquire);
                 if write_response(&mut writer, &response, keep_alive).is_err() || !keep_alive {
                     return;
@@ -221,6 +234,7 @@ fn serve_connection(state: &AppState, worker_id: usize, stream: TcpStream, shutd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ClientConnection;
 
     #[test]
     fn starts_on_ephemeral_port_and_shuts_down_cleanly() {
@@ -242,5 +256,19 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         server.shutdown();
         drop(idle);
+    }
+
+    #[test]
+    fn a_panicking_request_gets_a_500_and_its_worker_serves_the_next_connection() {
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let server = CountingServer::start("127.0.0.1:0", config).unwrap();
+        // `/panic/{tenant}` exists in test builds only.
+        let mut first = ClientConnection::new(server.local_addr());
+        assert_eq!(first.get("/panic/q").unwrap().status, 500);
+        let mut second = ClientConnection::new(server.local_addr());
+        assert_eq!(second.get("/ticket/q").unwrap().status, 200);
+        assert_eq!(server.stats().panics.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().client_errors.load(Ordering::Relaxed), 0);
+        server.shutdown();
     }
 }

@@ -62,6 +62,9 @@ pub struct ServerStats {
     pub client_errors: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
+    /// Requests whose handler panicked: each was answered with a 500 and
+    /// its connection closed; the worker lived on.
+    pub panics: AtomicU64,
 }
 
 /// Everything a worker needs to answer a request: the registry, the

@@ -43,8 +43,8 @@
 //!   of any size, and mixed sizes break the step property, so every
 //!   block comes from one cursor: a `C(w, t)` in front of it could only
 //!   pace the callers, never spread them. The paper's stall measure says
-//!   pacing buys nothing (E5e in `exp_contention`; its readings are in
-//!   REPRODUCING.md). Nor does a tenant switch to an elimination arena
+//!   pacing buys nothing (E5e in `tests/contention_model.rs`; its
+//!   readings are in REPRODUCING.md). Nor does a tenant switch to an elimination arena
 //!   under contention: `hot-tenant` ran faster on the bare word than on
 //!   the arena over a cursor, and no workload ever reached the contention
 //!   at which a model said the arena would pay (the readings are in

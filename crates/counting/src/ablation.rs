@@ -16,9 +16,9 @@
 //!    the ladder; the result is *not* a counting network, and the unit
 //!    tests of this module exhibit concrete counterexamples.
 //!
-//! These constructions exist for the ablation experiments (`exp_ablation`,
-//! bench `merger_ablation`) and for tests; production users should use
-//! [`crate::counting_network`].
+//! These constructions exist for the ablation experiment (the root test
+//! `ablation_a_each_stage_is_needed`) and for tests; production users
+//! should use [`crate::counting_network`].
 
 use balnet::{BuildError, Network, NetworkBuilder};
 

@@ -1,13 +1,20 @@
-//! Experiment E1: the constructions drawn in the paper's figures.
+//! Experiments E1 and E2: the constructions drawn in the paper's figures,
+//! and the depth and size of every construction across widths.
 //!
 //! Figures 1–3, 5–6 and 10–13 depict concrete instances of the ladder,
 //! merging and counting networks. These tests rebuild every depicted
 //! instance and check the structural facts visible in the figures:
 //! widths, depths, balancer counts, layer sizes and balancer shapes.
+//! `e2_depth_and_size_match_the_closed_forms` prints E2's tables under
+//! `--nocapture`.
 
-use counting_networks::baseline::{bitonic_counting_network, periodic_counting_network};
+use bench::Table;
+use counting_networks::baseline::{
+    bitonic_counting_network, diffracting_tree, periodic_counting_network,
+};
 use counting_networks::efficient::{
-    counting_depth, counting_network, ladder, merger_depth, merging_network,
+    bitonic_depth, counting_depth, counting_network, ladder, merger_depth, merging_network,
+    periodic_depth,
 };
 use counting_networks::net::{is_step, quiescent_output};
 
@@ -129,4 +136,93 @@ fn comparison_networks_referenced_in_section_1_3() {
         assert_eq!(ours.depth(), bitonic.depth());
         assert!(periodic.depth() >= ours.depth());
     }
+}
+
+/// E2 (Theorem 4.1, Lemmas 3.1 and 5.1): every printed depth and size
+/// equals its closed form, with `k = lg w`. The key fact of the paper:
+/// `depth(C(w, t))` does not depend on `t`.
+#[test]
+fn e2_depth_and_size_match_the_closed_forms() {
+    println!("## E2a — depth of C(w, t) for several output widths (must be t-independent)\n");
+    let mut t1 = Table::new(vec!["w", "t=w", "t=2w", "t=w·lgw", "t=8w", "formula (lg²w+lgw)/2"]);
+    for k in 1..=7usize {
+        let w = 1 << k;
+        let depths =
+            [w, 2 * w, w * k, 8 * w].map(|t| counting_network(w, t).expect("valid").depth());
+        assert_eq!(counting_depth(w), (k * k + k) / 2, "Theorem 4.1 at w = {w}");
+        assert_eq!(depths, [counting_depth(w); 4], "depth(C({w}, t)) must not depend on t");
+        let mut row = vec![w.to_string()];
+        row.extend(depths.iter().map(ToString::to_string));
+        row.push(counting_depth(w).to_string());
+        t1.push_row(row);
+    }
+    println!("{}", t1.to_markdown());
+
+    println!("## E2b — depth comparison against the baselines\n");
+    let mut t2 = Table::new(vec![
+        "w",
+        "C(w,·) depth",
+        "Bitonic[w]",
+        "Periodic[w]",
+        "DiffTree[w]",
+        "bitonic formula",
+        "periodic formula",
+    ]);
+    for k in 1..=7usize {
+        let w = 1 << k;
+        let depths = [
+            counting_network(w, w).expect("valid").depth(),
+            bitonic_counting_network(w).expect("valid").depth(),
+            periodic_counting_network(w).expect("valid").depth(),
+            diffracting_tree(w).expect("valid").depth(),
+            bitonic_depth(w),
+            periodic_depth(w),
+        ];
+        let (bitonic, periodic) = ((k * k + k) / 2, k * k);
+        assert_eq!(depths, [bitonic, bitonic, periodic, k, bitonic, periodic], "w = {w}");
+        let mut row = vec![w.to_string()];
+        row.extend(depths.iter().map(ToString::to_string));
+        t2.push_row(row);
+    }
+    println!("{}", t2.to_markdown());
+
+    println!("## E2c — merging network depth lg δ, independent of t (Lemma 3.1)\n");
+    let mut t3 = Table::new(vec!["t", "δ", "depth(M(t,δ))", "lg δ", "balancers"]);
+    for &(t, d) in
+        &[(8usize, 2usize), (8, 4), (16, 4), (16, 8), (32, 8), (64, 16), (64, 32), (128, 16)]
+    {
+        let m = merging_network(t, d).expect("valid");
+        let lg_d = d.trailing_zeros() as usize;
+        assert_eq!((m.depth(), merger_depth(d)), (lg_d, lg_d), "M({t},{d})");
+        assert_eq!(m.num_balancers(), t / 2 * lg_d, "M({t},{d}) has lg δ full layers");
+        t3.push_row(vec![
+            t.to_string(),
+            d.to_string(),
+            m.depth().to_string(),
+            merger_depth(d).to_string(),
+            m.num_balancers().to_string(),
+        ]);
+    }
+    println!("{}", t3.to_markdown());
+
+    println!("## E2d — size (number of balancers): the price of a wide output\n");
+    let mut t4 = Table::new(vec!["w", "C(w,w)", "C(w,w·lgw)", "Bitonic[w]", "Periodic[w]"]);
+    for k in 2..=7usize {
+        let w = 1 << k;
+        let sizes = [
+            counting_network(w, w).expect("valid").num_balancers(),
+            counting_network(w, w * k).expect("valid").num_balancers(),
+            bitonic_counting_network(w).expect("valid").num_balancers(),
+            periodic_counting_network(w).expect("valid").num_balancers(),
+        ];
+        // N_a and N_b are lg w layers of w/2 balancers; N_c is
+        // (lg²w − lg w)/2 layers of t/2.
+        let cwt = |t: usize| k * w / 2 + (k * k - k) / 2 * t / 2;
+        let bitonic = w / 2 * (k * k + k) / 2;
+        assert_eq!(sizes, [cwt(w), cwt(w * k), bitonic, w / 2 * k * k], "w = {w}");
+        let mut row = vec![w.to_string()];
+        row.extend(sizes.iter().map(ToString::to_string));
+        t4.push_row(row);
+    }
+    println!("{}", t4.to_markdown());
 }

@@ -1,13 +1,16 @@
-//! Experiments E5/E6 (sanity slice): the contention claims of
-//! Sections 1.3.1 and 1.3.2 in the stall-counting simulator.
+//! Experiments E5/E6: the contention claims of Sections 1.3.1 and 1.3.2
+//! in the stall-counting simulator.
 //!
-//! The full sweeps live in the benchmark harness (`crates/bench`); these
-//! integration tests pin the qualitative facts so regressions are caught
-//! by `cargo test`.
+//! `e5_measured_contention_tracks_theorem_6_7` prints E5's sweeps under
+//! `--nocapture` and asserts their claims; the other tests pin the same
+//! qualitative facts at other sizes and seeds. E6's per-block table lives
+//! in `layer_contention.rs`.
 
+use bench::{comparison_suite, Table};
 use counting_networks::baseline::{bitonic_counting_network, central_balancer, diffracting_tree};
 use counting_networks::efficient::{
-    block_of_layer, counting_network, cwt_contention_bound, BlockKind,
+    bitonic_contention_estimate, block_of_layer, counting_depth, counting_network,
+    cwt_contention_bound, periodic_contention_estimate, BlockKind,
 };
 use counting_networks::net::Network;
 use counting_networks::sim::{measure_contention, SchedulerKind};
@@ -109,7 +112,7 @@ fn a_network_in_front_of_one_cursor_does_not_relieve_it() {
     // its outputs) spreads the tokens, but every one still meets at the
     // cursor. It stalls at least as much per token as the bare cursor and
     // more than the network alone. Same schedule and 10 tokens per process
-    // as `exp_contention --quick`.
+    // as the E5e table of `e5_measured_contention_tracks_theorem_6_7`.
     let w = 16usize;
     let cursor = central_balancer(w).expect("valid");
     let network = counting_network(4, w).expect("valid");
@@ -171,4 +174,154 @@ fn block_nc_dominates_total_stalls_but_shrinks_with_t() {
         nc_per_token[1] < nc_per_token[0],
         "Nc contention should fall as t grows: {nc_per_token:?}"
     );
+}
+
+/// E5 (Theorem 6.7 and the comparison of Section 1.3.1): amortized
+/// contention (stalls per token) of the comparison suite at w = 16 under
+/// the lock-step and the greedy-hotspot schedules, next to the bounds;
+/// E5d varies `t`, and E5e asks whether `C(4,16)` in front of one shared
+/// cursor relieves it — why a tenant is one bare word. E5e's claim is
+/// asserted by `a_network_in_front_of_one_cursor_does_not_relieve_it`.
+/// Ten tokens per process keep the debug build fast.
+#[test]
+fn e5_measured_contention_tracks_theorem_6_7() {
+    let w = 16usize;
+    let lgw = w.trailing_zeros() as usize;
+    let tokens_per_process = 10u64;
+    let stalls = |net: &Network, n: usize, scheduler| {
+        let m = tokens_per_process * n as u64;
+        measure_contention(net, n, m, scheduler, 1).amortized_contention
+    };
+    let concurrencies = [w / 2, w, 2 * w, 4 * w, 8 * w, 16 * w];
+    let mut header = vec!["network".to_owned()];
+    header.extend(concurrencies.iter().map(|n| format!("n={n}")));
+    let suite = comparison_suite(w);
+    // Rows 0 and 1 are C(w, w) and C(w, w·lgw); rows 2.. the baselines,
+    // the diffracting tree last.
+    let suite_t = [w, w * lgw];
+    let sweep = |scheduler| -> Vec<Vec<f64>> {
+        let sweep: Vec<Vec<f64>> = suite
+            .iter()
+            .map(|named| {
+                concurrencies.iter().map(|&n| stalls(&named.network, n, scheduler)).collect()
+            })
+            .collect();
+        for (i, &n) in concurrencies.iter().enumerate() {
+            let column: Vec<f64> = sweep.iter().map(|row| row[i]).collect();
+            for (c, t) in column.iter().zip(suite_t) {
+                let bound = cwt_contention_bound(n, w, t);
+                assert!(
+                    *c <= bound,
+                    "C({w},{t}) at n={n}, {scheduler:?}: {c:.1} > bound {bound:.1}"
+                );
+            }
+            let wide = column[1];
+            assert!(
+                column.iter().skip(2).all(|&baseline| wide < baseline),
+                "n={n}, {scheduler:?}: C({w},{}) is not below every baseline: {column:?}",
+                w * lgw
+            );
+        }
+        sweep
+    };
+    let print_sweep = |sweep: &[Vec<f64>]| {
+        let mut table = Table::new(header.clone());
+        for (named, measured) in suite.iter().zip(sweep) {
+            let mut row = vec![named.name.clone()];
+            row.extend(measured.iter().map(|c| format!("{c:.1}")));
+            table.push_row(row);
+        }
+        println!("{}", table.to_markdown());
+    };
+
+    println!("## E5a — measured amortized contention, round-robin schedule, w = {w}\n");
+    let round_robin = sweep(SchedulerKind::RoundRobin);
+    let (narrow, wide, tree) = (&round_robin[0], &round_robin[1], &round_robin[4]);
+    assert!(wide.iter().zip(narrow).all(|(a, b)| a < b), "t = w·lgw must beat t = w: {wide:?}");
+    assert!(tree.windows(2).all(|p| p[0] < p[1]), "tree contention must grow with n: {tree:?}");
+    print_sweep(&round_robin);
+
+    println!("## E5b — the same sweep under the greedy-hotspot adversary\n");
+    let greedy = sweep(SchedulerKind::GreedyHotspot);
+    for (i, n) in concurrencies.iter().enumerate() {
+        let column: Vec<f64> = greedy.iter().map(|row| row[i]).collect();
+        assert!(
+            column[..4].iter().all(|&c| c < column[4]),
+            "n={n}: the adversary must hurt the diffracting tree most: {column:?}"
+        );
+    }
+    print_sweep(&greedy);
+
+    println!("## E5c — theoretical references at the same parameters\n");
+    let mut table = Table::new(header);
+    type BoundFn = Box<dyn Fn(usize) -> f64>;
+    let bounds: Vec<(String, BoundFn)> = vec![
+        (format!("Thm 6.7, t={w}"), Box::new(move |n| cwt_contention_bound(n, w, w))),
+        (format!("Thm 6.7, t={}", w * lgw), Box::new(move |n| cwt_contention_bound(n, w, w * lgw))),
+        ("bitonic Θ(n·lg²w/w)".to_owned(), Box::new(move |n| bitonic_contention_estimate(n, w))),
+        ("periodic O(n·lg³w/w)".to_owned(), Box::new(move |n| periodic_contention_estimate(n, w))),
+        ("diffracting tree Θ(n)".to_owned(), Box::new(|n| n as f64)),
+    ];
+    for (name, f) in &bounds {
+        let mut row = vec![name.clone()];
+        for &n in &concurrencies {
+            row.push(format!("{:.1}", f(n)));
+        }
+        table.push_row(row);
+    }
+    println!("{}", table.to_markdown());
+
+    println!("## E5d — effect of the output width t at fixed w = {w}, n = {}\n", 8 * w);
+    let n = 8 * w;
+    let mut table = Table::new(vec![
+        "t".to_owned(),
+        "depth".to_owned(),
+        "measured contention".to_owned(),
+        "Thm 6.7 bound".to_owned(),
+    ]);
+    let mut previous = f64::INFINITY;
+    for p in [1usize, 2, 4, 8, 16] {
+        let t = w * p;
+        let net = counting_network(w, t).expect("valid");
+        let (c, bound) =
+            (stalls(&net, n, SchedulerKind::RoundRobin), cwt_contention_bound(n, w, t));
+        assert_eq!(net.depth(), counting_depth(w), "depth must not depend on t");
+        assert!(c <= bound, "C({w},{t}): {c:.1} exceeds bound {bound:.1}");
+        assert!(
+            c < previous,
+            "C({w},{t}): contention must fall as t grows ({c:.1} vs {previous:.1})"
+        );
+        previous = c;
+        table.push_row(vec![
+            t.to_string(),
+            net.depth().to_string(),
+            format!("{c:.1}"),
+            format!("{bound:.1}"),
+        ]);
+    }
+    println!("{}", table.to_markdown());
+
+    println!("## E5e — one cursor with and without C(4,{w}) in front, round-robin\n");
+    let concurrencies = [2usize, 4, 8, 16, 32, 64];
+    let mut header = vec!["network".to_owned()];
+    header.extend(concurrencies.iter().map(|n| format!("n={n}")));
+    let mut table = Table::new(header);
+    let cursor = central_balancer(w).expect("valid");
+    let network = counting_network(4, w).expect("valid");
+    let with_cursor = network.cascade(&cursor).expect("C(4,16) has 16 outputs");
+    let rows = [
+        (format!("central_balancer({w})"), &cursor),
+        (format!("C(4,{w})"), &network),
+        (format!("C(4,{w}) + cursor"), &with_cursor),
+    ];
+    for (name, net) in rows {
+        let mut row = vec![name];
+        row.extend(
+            concurrencies
+                .iter()
+                .map(|&n| format!("{:.1}", stalls(net, n, SchedulerKind::RoundRobin))),
+        );
+        table.push_row(row);
+    }
+    println!("{}", table.to_markdown());
 }

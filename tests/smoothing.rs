@@ -4,7 +4,11 @@
 //! Lemma 6.6: the prefix `N_a,b = C'(w, t)` is `s`-smoothing for
 //! `s = ⌊w·lgw/t⌋ + 2`. Lemma 2.5: once a layer's input is `k`-smooth, the
 //! output of every subsequent regular layer stays `k`-smooth.
+//! `e4_observed_spreads_stay_under_lemmas_5_2_and_6_6` prints E4's tables
+//! under `--nocapture`.
 
+use bench::Table;
+use counting_networks::efficient::bounds::prefix_smoothness_bound;
 use counting_networks::efficient::{
     backward_butterfly, counting_network, counting_prefix, forward_butterfly,
 };
@@ -84,4 +88,37 @@ fn smoothness_is_preserved_by_subsequent_regular_layers() {
     let d = forward_butterfly(w).expect("valid");
     let cascade = d.cascade(&d).expect("same width");
     assert!(is_smoothing_network_randomized(&cascade, k, 200, 300, &mut rng));
+}
+
+/// E4: the worst spread (max − min) observed over 2 000 random inputs,
+/// next to its proven bound, for the butterfly `D(w)` and the prefix
+/// `C'(w, t)`.
+#[test]
+fn e4_observed_spreads_stay_under_lemmas_5_2_and_6_6() {
+    let (trials, max_tokens) = (2_000, 500);
+    let mut rng = StdRng::seed_from_u64(2024);
+
+    println!("## E4a — butterfly smoothing (Lemma 5.2): observed spread vs lg w\n");
+    let mut t1 = Table::new(vec!["w", "observed spread", "bound lg w"]);
+    for k in 1..=7u64 {
+        let w = 1 << k;
+        let d = forward_butterfly(w).expect("valid");
+        let observed = observed_smoothness(&d, trials, max_tokens, &mut rng);
+        assert!(observed <= k, "D({w}): observed spread {observed} exceeds lg w = {k}");
+        t1.push_row(vec![w.to_string(), observed.to_string(), k.to_string()]);
+    }
+    println!("{}", t1.to_markdown());
+
+    println!("## E4b — prefix C'(w, t) smoothing (Lemma 6.6): observed spread vs ⌊w·lgw/t⌋+2\n");
+    let mut t2 = Table::new(vec!["w", "t", "observed spread", "bound s"]);
+    for &(w, t) in
+        &[(8usize, 8usize), (8, 16), (8, 24), (16, 16), (16, 32), (16, 64), (32, 32), (32, 160)]
+    {
+        let net = counting_prefix(w, t).expect("valid");
+        let observed = observed_smoothness(&net, trials, max_tokens, &mut rng);
+        let s = prefix_smoothness_bound(w, t);
+        assert!(observed <= s, "C'({w},{t}): observed spread {observed} exceeds s = {s}");
+        t2.push_row(vec![w.to_string(), t.to_string(), observed.to_string(), s.to_string()]);
+    }
+    println!("{}", t2.to_markdown());
 }
