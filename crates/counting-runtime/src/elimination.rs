@@ -46,44 +46,22 @@
 //! yield is a best-effort hedge for threads that outnumber cores (the
 //! scheduler may decline it, so there most offers still expire).
 //!
-//! Offering is **adaptive**: successful merges refund offering credit
-//! while futile timeouts drain it, so a workload whose collisions land
-//! keeps the arena hot, and one where they cannot quiets down to
-//! near-solo fast-path cost, with a periodic retry to re-detect
-//! contention.
+//! # Offering and home slots
 //!
-//! The credit obeys a **break-even rule**. A merged pair saves one inner
-//! reservation; a futile offer costs one spin burst, which under
-//! contention is at least one inner reservation. So a merge may pay for
-//! O(1) futile offers: `MERGE_BONUS` is `1` per side, one timeout drains
-//! `1`, and offering survives only while at least one offer in three
-//! finds a partner. The bonus used to be `32`: one merged pair then bought 64
-//! futile offers, and two threads on the default arena settled at a
-//! merge ratio of 0.0156 and a fallback ratio of 0.984 with 770 ns of
-//! every 910 ns contended operation spent waiting for partners that did
-//! not come — the worst state the arena has. With the rule, two threads
-//! that cannot merge spend the initial credit once and then run at solo
-//! cost; going quiet *is* the win there.
+//! Each operation works from its *home* slot only, a Fibonacci hash of
+//! its thread id: one capture check there and, when the slot is empty,
+//! at most one publish CAS. With no more threads than slots the hash
+//! gives consecutive thread ids private homes, so those threads never
+//! merge and run at near-solo cost; threads that share a home merge
+//! there. One slot shared by every thread measured slower at two
+//! threads: each merge or obligated wait then cost more than the two
+//! solo reservations it replaced.
 //!
-//! # Multi-slot probing
-//!
-//! Each operation owns a *home* slot (a Fibonacci hash of its thread id)
-//! and probes a window of adjacent slots: the capture scan claims the
-//! first published offer it finds, and a publisher whose home slot is
-//! busy spills its offer into the next empty slot of the window. The
-//! window is driven by the same merge-credit score that gates offering:
-//! while credit remains it is 1 and the fast path costs a single load;
-//! once futile timeouts have drained the credit it widens to
-//! [`DEFAULT_PROBE`] slots (clamped to the arena), trading one extra load
-//! for a chance of meeting a partner waiting one slot over.
-//!
-//! A finding recorded, not fixed: with no more threads than slots the
-//! Fibonacci hash gives every thread a *private* home slot, and while
-//! the window is 1 nobody looks at anyone else's. Two threads (homes 0
-//! and 1 of 4) therefore meet only once the score is drained and the
-//! window reaches 2, and only one way round — thread 0 sees slot 1,
-//! thread 1 sees slot 2. The arena geometry is built for more threads
-//! than slots; the controller above is what keeps it cheap below that.
+//! Offering follows one rule: an operation publishes an offer only when
+//! its home slot's solo count is a multiple of `OFFER_PERIOD`. A merge
+//! does not advance that count, so a home whose offers land keeps
+//! offering, and one futile offer quiets the home for the next
+//! `OFFER_PERIOD − 1` solo operations.
 //!
 //! The arena is sized in slots: pairwise collisions serve two threads per
 //! slot, so `threads / 2` slots saturate a steady workload; the default
@@ -127,7 +105,7 @@ use crate::counter::{BlockReserve, SharedCounter};
 // The model-checking seam: real std atomics unless the `model` feature is
 // on, in which case every operation is a scheduling point of the
 // exhaustive interleaving explorer (see crate::sync).
-use crate::sync::{AtomicI64, AtomicU64};
+use crate::sync::AtomicU64;
 
 /// Number of exchanger slots in the arena [`EliminationCounter::new`]
 /// builds.
@@ -138,10 +116,6 @@ pub const DEFAULT_SLOTS: usize = 4;
 /// reservation, keeping the layer at parity with the raw fast path when
 /// no partner ever shows up.
 pub const DEFAULT_SPIN: usize = 16;
-/// The widest probe window: how many adjacent slots an operation scans
-/// for a partner (and spills its offer into) once the merge-credit score
-/// says home-slot collisions are not landing.
-pub const DEFAULT_PROBE: usize = 2;
 
 const TAG_MASK: u64 = 0b11;
 const EMPTY: u64 = 0b00;
@@ -180,15 +154,10 @@ pub struct EliminationCounter<C: BlockReserve> {
     /// fields above, and a thread with a home slot of its own writes a
     /// line nobody else does.
     stats: Box<[CachePadded<SlotStats>]>,
-    /// Adaptive offering score: merges replenish it, futile timeouts
-    /// drain it; offers are only published while it is positive (see
-    /// [`Self::should_offer`]) and the probe window widens once it is
-    /// drained (see [`Self::probe_window`]).
-    score: CachePadded<AtomicI64>,
 }
 
 /// One slot's share of the arena's outcome counts. Relaxed throughout:
-/// they publish nothing, and the one control input among them (the retry
+/// they publish nothing, and the one control input among them (the offer
 /// cadence in [`EliminationCounter::should_offer`]) is a period, correct
 /// for any interleaving of the increments.
 #[derive(Debug)]
@@ -214,20 +183,12 @@ thread_local! {
     static YIELD_TICKS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Initial offering credit: a fresh arena publishes offers for at least
-/// this many futile spin timeouts before going quiet.
-const INITIAL_SCORE: i64 = 256;
-
-/// Each successful merge refunds this much offering credit to each
-/// partner: a merged pair pays for the two futile offers its one saved
-/// reservation is worth (the break-even rule of the module docs), so the
-/// arena stays hot only while collisions actually land.
-const MERGE_BONUS: i64 = 1;
-
-/// With the score drained, one in this many solo operations still
-/// publishes an offer, so a quiet arena re-detects partner populations
-/// (e.g. after a burst arrives or the scheduler starts cooperating).
-const OFFER_RETRY_PERIOD: u64 = 64;
+/// One in this many solo operations of a home slot publishes an offer
+/// (see "Offering and home slots" in the module docs): a futile offer
+/// costs a spin burst, so a home whose partners never come pays for one
+/// burst per period, and a quiet home still re-detects a partner that
+/// arrives later.
+const OFFER_PERIOD: u64 = 64;
 
 impl<C: BlockReserve> EliminationCounter<C> {
     /// Wraps `inner` with the default arena: [`DEFAULT_SLOTS`] slots and a
@@ -255,7 +216,6 @@ impl<C: BlockReserve> EliminationCounter<C> {
                 .map(|_| SlotStats { collisions: AtomicU64::new(0), fallbacks: AtomicU64::new(0) })
                 .map(CachePadded::new)
                 .collect(),
-            score: CachePadded::new(AtomicI64::new(INITIAL_SCORE)),
         }
     }
 
@@ -289,65 +249,23 @@ impl<C: BlockReserve> EliminationCounter<C> {
     }
 
     /// The index of a thread's home slot, spread by a Fibonacci hash so
-    /// consecutive thread ids land on distinct slots. Probing starts here
-    /// and walks the adjacent slots (see [`Self::probe_window`]).
+    /// consecutive thread ids land on distinct slots. An operation looks
+    /// at no other slot.
     fn home_slot(&self, thread_id: usize) -> usize {
         thread_id.wrapping_mul(0x9E37_79B9) % self.slots.len()
     }
 
-    /// The effective probe window, in slots: 1 while the merge-credit
-    /// score is positive (collisions are landing in home slots and the
-    /// fast path costs one load), [`DEFAULT_PROBE`] clamped to the arena
-    /// once futile timeouts have drained it, to look for partners waiting
-    /// a slot over.
-    fn probe_window(&self) -> usize {
-        let limit = DEFAULT_PROBE.min(self.slots.len());
-        if limit <= 1 {
-            return limit;
-        }
-        // Acquire: this load feeds a control decision (how many slots the
-        // capture scan visits), so it must observe the credits published
-        // by other threads' merges, not an arbitrarily stale value.
-        if self.score.load(Ordering::Acquire) > 0 {
-            1
-        } else {
-            limit
-        }
-    }
-
-    /// Whether an operation finding an empty slot should publish an
-    /// offer. Offering costs a CAS pair and a bounded wait, which only
-    /// pays off when partners actually arrive — the score tracks that
-    /// (merges refund credit, futile timeouts drain it), and a drained
-    /// arena still retries periodically to notice new contention: every
-    /// [`OFFER_RETRY_PERIOD`]-th solo operation of the caller's home slot.
+    /// Whether an operation finding its home slot empty should publish an
+    /// offer: on every [`OFFER_PERIOD`]-th solo operation of that home.
+    /// Merges leave the count alone, so a home whose offers land keeps
+    /// offering.
     fn should_offer(&self, home: usize) -> bool {
-        // Acquire: the score feeds a control decision (whether to publish
-        // an offer at all), so the credit refunded by a partner's merge
-        // must be observed promptly. The cadence count is Relaxed (see
-        // `SlotStats`).
-        self.score.load(Ordering::Acquire) > 0
-            || self.stats[home].fallbacks.load(Ordering::Relaxed).is_multiple_of(OFFER_RETRY_PERIOD)
+        self.stats[home].fallbacks.load(Ordering::Relaxed).is_multiple_of(OFFER_PERIOD)
     }
 
     /// Credits one side of a merge that happened in slot `idx`.
     fn credit_merge(&self, idx: usize) {
         self.stats[idx].collisions.fetch_add(1, Ordering::Relaxed);
-        // AcqRel: the refunded credit gates other threads' offer/probe
-        // decisions (should_offer, probe_window), so it must publish.
-        self.score.fetch_add(MERGE_BONUS, Ordering::AcqRel);
-    }
-
-    /// Drains one unit of offering credit after a futile timeout, floored
-    /// so a cold phase of any length digs a hole of bounded depth:
-    /// re-detection takes at most `INITIAL_SCORE` merged retries, however
-    /// long the arena sat quiet.
-    fn drain_score(&self) {
-        // AcqRel/Release: the drained credit gates other threads'
-        // offer/probe decisions, so it must publish (see credit_merge).
-        if self.score.fetch_sub(1, Ordering::AcqRel) <= -INITIAL_SCORE {
-            self.score.store(-INITIAL_SCORE, Ordering::Release);
-        }
     }
 
     /// Consumes the `FILLED` word read from slot `idx`: takes the
@@ -412,7 +330,6 @@ impl<C: BlockReserve> EliminationCounter<C> {
         if let Some(base) = self.spin_burst(idx) {
             return Some(base);
         }
-        self.drain_score();
         // A fraction of timeouts hands the core to a potential partner
         // (spinning alone can never rendezvous when threads outnumber
         // cores) and gives the returned-from-yield slice one more burst.
@@ -477,47 +394,24 @@ impl<C: BlockReserve> EliminationCounter<C> {
     fn reserve(&self, thread_id: usize, k: usize) -> u64 {
         debug_assert!(k > 0);
         let home = self.home_slot(thread_id);
-        let window = self.probe_window();
-
-        // Capture scan: claim the first published offer in the window.
-        for i in 0..window {
-            let idx = (home + i) % self.slots.len();
-            let observed = self.slots[idx].load(Ordering::Acquire);
-            if observed & TAG_MASK == OFFER {
-                if let Some(base) = self.try_capture(idx, observed, thread_id, k) {
+        let slot = &self.slots[home];
+        let observed = slot.load(Ordering::Acquire);
+        if observed & TAG_MASK == OFFER {
+            if let Some(base) = self.try_capture(home, observed, thread_id, k) {
+                return base;
+            }
+        } else if observed == EMPTY && self.spin > 0 && self.should_offer(home) {
+            // Publish our own offer and wait for a capturer. The CAS
+            // decides: another thread may have published since the load.
+            let offer = pack(k as u64, OFFER);
+            if slot.compare_exchange(EMPTY, offer, Ordering::AcqRel, Ordering::Acquire).is_ok() {
+                if let Some(base) = self.wait_for_fill(home, offer) {
                     return base;
                 }
-                // Lost the capture race — keep scanning; the rest of the
-                // window may hold another offer.
             }
         }
 
-        // Publish our own offer in the first empty slot of the window and
-        // wait for a capturer.
-        if self.spin > 0 && self.should_offer(home) {
-            let offer = pack(k as u64, OFFER);
-            for i in 0..window {
-                let idx = (home + i) % self.slots.len();
-                let slot = &self.slots[idx];
-                // Relaxed pre-check: purely an optimization to skip the
-                // CAS on busy slots — the CAS below is what decides, and
-                // a stale read only costs one wasted attempt.
-                if slot.load(Ordering::Relaxed) == EMPTY
-                    && slot
-                        .compare_exchange(EMPTY, offer, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    if let Some(base) = self.wait_for_fill(idx, offer) {
-                        return base;
-                    }
-                    // Retraction succeeded — reserve solo below.
-                    break;
-                }
-                // Busy slot or lost publish race — try the next one.
-            }
-        }
-
-        // Busy window, lost race, quiet arena, or timeout: one solo
+        // Busy slot, lost race, quiet home, or timeout: one solo
         // reservation against the underlying counter keeps the layer
         // obstruction-free.
         self.stats[home].fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -572,6 +466,7 @@ mod tests {
     use counting::counting_network;
     use std::collections::HashSet;
     use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
     fn assert_exact_range(values: &[u64]) {
         let m = values.len() as u64;
@@ -675,109 +570,65 @@ mod tests {
         assert_eq!(counter.collisions(), 1);
     }
 
-    // --- multi-slot probing ----------------------------------------------
-
-    #[test]
-    fn drained_credit_widens_the_capture_scan_to_adjacent_slots() {
-        // An offer waiting one slot away from the caller's home: with the
-        // merge-credit score drained the probe window is two slots wide
-        // and the capture scan must find and merge with it.
-        let counter = EliminationCounter::with_arena(CentralCounter::new(), 4, 0);
-        counter.score.store(0, Ordering::Relaxed);
-        counter.slots[1].store(pack(3, OFFER), Ordering::Release);
-        let mut out = Vec::new();
-        counter.next_batch(0, 2, &mut out); // home slot of thread 0 is slot 0
-        assert_eq!(out, vec![3, 4], "the probed capture keeps the tail of the merged block");
-        let word = counter.slots[1].load(Ordering::Acquire);
-        assert_eq!(word & TAG_MASK, FILLED, "the waiter's share was deposited one slot over");
-        assert_eq!(counter.collisions(), 1);
-        assert_eq!(counter.fallbacks(), 0);
-    }
+    // --- home slots and the offer rule ----------------------------------
 
     #[test]
     fn high_credit_keeps_the_probe_window_at_one_slot() {
-        // A fresh arena (full merge credit) must *not* pay for wide scans:
-        // an offer one slot away is invisible and the call goes solo.
+        // An operation looks at its home slot only: offers waiting in
+        // every other slot are invisible to it, and the call goes solo.
         let counter = EliminationCounter::with_arena(CentralCounter::new(), 4, 0);
-        counter.slots[1].store(pack(3, OFFER), Ordering::Release);
+        for slot in &counter.slots[1..] {
+            slot.store(pack(3, OFFER), Ordering::Release);
+        }
         let mut out = Vec::new();
-        counter.next_batch(0, 2, &mut out);
-        assert_eq!(out, vec![0, 1], "a narrow window reserves solo");
-        assert_eq!(counter.collisions(), 0);
-        assert_eq!(counter.fallbacks(), 1);
-        let word = counter.slots[1].load(Ordering::Acquire);
-        assert_eq!(word & TAG_MASK, OFFER, "the neighbouring offer was never touched");
+        counter.next_batch(0, 2, &mut out); // home slot of thread 0 is slot 0
+        assert_eq!(out, vec![0, 1], "no capture outside the home slot");
+        assert_eq!((counter.collisions(), counter.fallbacks()), (0, 1));
+        for (idx, slot) in counter.slots.iter().enumerate().skip(1) {
+            let word = slot.load(Ordering::Acquire);
+            assert_eq!(word, pack(3, OFFER), "the offer in slot {idx} was touched");
+        }
     }
 
     #[test]
-    fn offers_spill_into_the_adjacent_slot_when_home_is_busy() {
-        // Thread 0's home slot is occupied by a pair mid-merge (CLAIMED):
-        // with probing, its offer lands in the next slot of the window,
-        // where thread 1 (whose home *is* slot 1) captures it. The huge
-        // spin bound keeps the offer published until it is captured.
-        let counter = EliminationCounter::with_arena(CentralCounter::new(), 4, 2_000_000_000);
-        counter.score.store(0, Ordering::Relaxed); // widen the window
-        counter.slots[0].store(CLAIMED, Ordering::Release);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                let mut out = Vec::new();
-                counter.next_batch(0, 3, &mut out);
-                out
-            });
-            while counter.slots[1].load(Ordering::Acquire) & TAG_MASK != OFFER {
-                std::thread::yield_now();
-            }
-            let mut capturer = Vec::new();
-            counter.next_batch(1, 5, &mut capturer);
-            assert_eq!(waiter.join().expect("waiter panicked"), vec![0, 1, 2]);
-            assert_eq!(capturer, vec![3, 4, 5, 6, 7]);
-        });
-        assert_eq!(counter.collisions(), 2, "the spilled offer still merged");
-        assert_eq!(counter.slots[0].load(Ordering::Relaxed), CLAIMED, "the busy slot was left");
+    fn a_home_offers_on_the_period_and_a_merge_keeps_it_offering() {
+        // One slot and a huge spin bound: thread 0's call offers and waits
+        // until the main thread (thread 1) captures it, or reserves solo
+        // without offering.
+        let counter = EliminationCounter::with_arena(CentralCounter::new(), 1, 2_000_000_000);
+        // One call of thread 0; whether it published an offer. Every wait
+        // is bounded, and a published offer is always captured, so a
+        // wrong offer rule fails the test rather than hanging it.
+        let call = || {
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| counter.next(0));
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let offered = loop {
+                    if counter.slots[0].load(Ordering::Acquire) & TAG_MASK == OFFER {
+                        break true;
+                    }
+                    if waiter.is_finished() || Instant::now() > deadline {
+                        break false;
+                    }
+                    std::thread::yield_now();
+                };
+                if offered {
+                    counter.next(1);
+                }
+                waiter.join().expect("waiter panicked");
+                offered
+            })
+        };
+        assert!(call(), "a fresh home offers");
+        assert!(call(), "a merge does not advance the cadence, so the home offers again");
+        assert_eq!((counter.collisions(), counter.fallbacks()), (4, 0));
+        counter.stats[0].fallbacks.store(1, Ordering::Relaxed);
+        assert!(!call(), "off the period, the home reserves solo without offering");
+        assert_eq!((counter.collisions(), counter.fallbacks()), (4, 2));
+        assert_eq!(counter.inner().next(0), 5, "two merged blocks of 2 and one solo value");
     }
 
-    #[test]
-    fn probe_window_clamps_to_the_arena_size() {
-        let counter = EliminationCounter::with_arena(CentralCounter::new(), 1, 8);
-        counter.score.store(-INITIAL_SCORE, Ordering::Relaxed);
-        assert_eq!(counter.probe_window(), 1, "the window never exceeds the slot count");
-        let counter = EliminationCounter::new(CentralCounter::new());
-        assert_eq!(counter.probe_window(), 1, "credit narrows the window to the home slot");
-        counter.score.store(0, Ordering::Relaxed);
-        assert_eq!(counter.probe_window(), DEFAULT_PROBE, "drained credit widens it");
-    }
-
-    // --- the offering controller and the layout it relies on -------------
-
-    #[test]
-    fn a_drained_arena_offers_once_per_retry_period_until_merges_refund_it() {
-        let counter = EliminationCounter::with_arena(CentralCounter::new(), 1, 1);
-        let score = || counter.score.load(Ordering::Relaxed);
-        // Alone, every offer times out and drains exactly 1: the score
-        // counts the offers published. The initial credit buys one each.
-        for _ in 0..INITIAL_SCORE {
-            counter.next(0);
-        }
-        assert_eq!(score(), 0, "the initial credit is spent");
-        let ops = 4_096;
-        for _ in 0..ops {
-            counter.next(0);
-        }
-        let offers = -score();
-        assert!(offers > 0, "a quiet arena still retries");
-        assert!(offers as u64 <= ops / OFFER_RETRY_PERIOD + 1, "{offers} offers in {ops} solo ops");
-        // Merges refund the credit one futile offer at a time.
-        let mut merges = 0;
-        while score() <= 0 {
-            counter.slots[0].store(pack(1, OFFER), Ordering::Release);
-            counter.next(0);
-            counter.slots[0].store(EMPTY, Ordering::Release); // the planted waiter leaves
-            merges += 1;
-        }
-        assert_eq!(merges, offers + 1, "one captured offer refunds one futile one");
-        counter.next(0);
-        assert_eq!(score(), 0, "with credit back, the next solo operation offers again");
-    }
+    // --- layout ------------------------------------------------------------
 
     #[test]
     fn contended_words_sit_on_cache_lines_of_their_own() {
@@ -793,10 +644,10 @@ mod tests {
         ]
         .map(field);
         // ... and the words operations write.
-        let mut written = vec![field(std::mem::offset_of!(Arena, score))];
-        written.extend(counter.stats.iter().map(|shard| line(std::ptr::from_ref(shard) as usize)));
+        let mut written: Vec<usize> =
+            counter.stats.iter().map(|shard| line(std::ptr::from_ref(shard) as usize)).collect();
         written.extend(counter.slots.iter().map(|slot| line(std::ptr::from_ref(slot) as usize)));
-        assert_eq!(written.len(), 1 + 2 * DEFAULT_SLOTS);
+        assert_eq!(written.len(), 2 * DEFAULT_SLOTS);
         assert!(written.iter().all(|w| !read_mostly.contains(w)), "{written:?} / {read_mostly:?}");
         let distinct: HashSet<usize> = written.iter().copied().collect();
         assert_eq!(distinct.len(), written.len(), "two written words share a line: {written:?}");
@@ -923,7 +774,11 @@ mod tests {
     fn collisions_happen_under_real_concurrency() {
         // The spin-then-yield wait makes rendezvous work even when all
         // threads share one core (see the module docs), so collisions
-        // must show up under genuine multi-threaded load.
+        // must show up under genuine multi-threaded load. A home offers
+        // on one solo operation in `OFFER_PERIOD`, and only threads that
+        // share a home can merge, so the run must be long enough for
+        // thousands of offers and for the scheduler to run home partners
+        // side by side.
         let counter = EliminationCounter::with_arena(CentralCounter::new(), 4, 64);
         let all = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
@@ -932,7 +787,7 @@ mod tests {
                 let all = &all;
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    for _ in 0..5_000 {
+                    for _ in 0..50_000 {
                         local.push(counter.next(tid));
                     }
                     all.lock().expect("not poisoned").extend(local);

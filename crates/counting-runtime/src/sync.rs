@@ -1,17 +1,18 @@
-//! The model-checking seam: atomic types and scheduling hooks that the
-//! lock-free cores import instead of naming `std::sync::atomic` directly.
+//! The model-checking seam: the one atomic type (`AtomicU64`) and the
+//! scheduling hooks that the lock-free cores import instead of naming
+//! `std::sync::atomic` directly.
 //!
 //! With the `model` cargo feature **off** (the default, and what every
 //! performance-sensitive build uses) this module re-exports the real
-//! `std` atomics and compiles the hooks down to constants — the cores are
+//! `std` atomic and compiles the hooks down to constants — the cores are
 //! byte-for-byte the production protocol.
 //!
-//! With the feature **on**, the atomics come from
+//! With the feature **on**, the atomic comes from
 //! [`counting_sim::model`]: every load/store/RMW/CAS becomes a scheduling
 //! point of the exhaustive interleaving explorer, and the hooks
 //! ([`in_model`], [`model_yield`], [`mutation_enabled`]) let wait loops
 //! cooperate with the DFS scheduler.
-//! Outside an active exploration the shim atomics pass through to `std`
+//! Outside an active exploration the shim atomic passes through to `std`
 //! behavior, so a feature-on build still runs the ordinary test suite
 //! unchanged.
 //!
@@ -32,12 +33,10 @@
 use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(feature = "model")]
-pub use counting_sim::model::{
-    in_model, model_point, model_yield, mutation_enabled, AtomicI64, AtomicU64,
-};
+pub use counting_sim::model::{in_model, model_point, model_yield, mutation_enabled, AtomicU64};
 
 #[cfg(not(feature = "model"))]
-pub use std::sync::atomic::{AtomicI64, AtomicU64};
+pub use std::sync::atomic::AtomicU64;
 
 /// Whether the calling thread runs under an active model exploration.
 /// Always `false` without the `model` feature, so guarded branches fold

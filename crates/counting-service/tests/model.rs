@@ -112,10 +112,10 @@ fn arena_trio() -> Scenario<Vec<u64>> {
     arena(1, 1, &[(0, 1), (1, 2), (2, 3)])
 }
 
-/// Two slots: threads 0 and 2 share home slot 0 and thread 1 homes on
-/// slot 1, so captures walk the probe window and publishes skip busy
-/// slots.
-fn arena_probe() -> Scenario<Vec<u64>> {
+/// Two slots: threads 0 and 2 share home slot 0, where they can merge,
+/// and thread 1 has slot 1 to itself, where its offer can only time out.
+/// No operation touches a slot other than its home.
+fn arena_homes() -> Scenario<Vec<u64>> {
     arena(2, 1, &[(0, 2), (1, 2), (2, 1)])
 }
 
@@ -362,7 +362,7 @@ fn every_protocol_explores_clean_and_every_seeded_mutation_is_caught() {
     let mut run = Runner::default();
     run.clean("arena: pair", arena_pair);
     run.clean("arena: trio, one slot", arena_trio);
-    run.clean("arena: two-slot probe window", arena_probe);
+    run.clean("arena: two slots, shared and own home", arena_homes);
     run.clean("service: evict/watermark hand-off", evict_handoff);
     run.clean("service: rate-limit window straddle", rate_straddle);
     run.clean("service: racing tenant reservations", reserve_race);

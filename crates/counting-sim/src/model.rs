@@ -7,7 +7,7 @@
 //! crate — an adversary decides who moves next — into a DFS explorer over
 //! real protocol code running on **shim atomics**:
 //!
-//! * [`AtomicU64`] / [`AtomicUsize`] / [`AtomicI64`] mirror the `std`
+//! * [`AtomicU64`] / [`AtomicUsize`] mirror the `std`
 //!   types but, when their thread runs under an active exploration, hit a
 //!   *scheduling point* before every operation and record the operation
 //!   (read / write / RMW / CAS with values) into the execution's event
@@ -557,9 +557,8 @@ macro_rules! shim_atomic {
                 }
             }
 
-            /// Stores the maximum of the current value and `value`
-            /// (signed-aware for the signed shim), returning the previous
-            /// value.
+            /// Stores the maximum of the current value and `value`,
+            /// returning the previous value.
             pub fn fetch_max(&self, value: $ty, order: Ordering) -> $ty {
                 let max_op = |cell: &std::sync::atomic::AtomicU64| {
                     let mut old = cell.load(Ordering::SeqCst);
@@ -659,7 +658,6 @@ macro_rules! shim_atomic {
 
 shim_atomic!(AtomicU64, u64, "Shim of [`std::sync::atomic::AtomicU64`] for model checking.");
 shim_atomic!(AtomicUsize, usize, "Shim of [`std::sync::atomic::AtomicUsize`] for model checking.");
-shim_atomic!(AtomicI64, i64, "Shim of [`std::sync::atomic::AtomicI64`] for model checking.");
 
 // ---------------------------------------------------------------------------
 // In-model helpers used by the feature seams
@@ -1241,11 +1239,6 @@ mod tests {
         assert_eq!(a.fetch_max(100, SeqCst), 7);
         assert_eq!(a.compare_exchange(100, 0, SeqCst, SeqCst), Ok(100));
         assert_eq!(a.compare_exchange(7, 1, SeqCst, SeqCst), Err(0));
-        let s = AtomicI64::new(-4);
-        assert_eq!(s.fetch_max(-10, SeqCst), -4);
-        assert_eq!(s.load(SeqCst), -4);
-        assert_eq!(s.fetch_max(2, SeqCst), -4);
-        assert_eq!(s.load(SeqCst), 2);
         let u = AtomicUsize::new(1);
         assert_eq!(u.fetch_add(1, SeqCst), 1);
         assert!(!in_model());

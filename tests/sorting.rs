@@ -12,17 +12,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 #[test]
-fn cww_yields_a_sorting_network_for_all_small_widths() {
-    for w in [2usize, 4, 8, 16] {
-        let net = counting_network(w, w).expect("valid");
-        let sorter = ComparatorNetwork::from_balancing(net).expect("C(w,w) is regular");
-        assert!(is_sorting_network_exhaustive(&sorter), "width {w}");
-        let k = w.trailing_zeros() as usize;
-        assert_eq!(sorter.depth(), (k * k + k) / 2);
-    }
-}
-
-#[test]
 fn derived_sorter_depth_matches_theorem_4_1() {
     for w in [4usize, 8, 16, 32, 64, 128] {
         let k = w.trailing_zeros() as usize;
